@@ -2,6 +2,10 @@
 """Benchmark the three cube-membership routes (factorization, sigma
 equations, binomial extension) on random maps and confirm they agree.
 
+Half the maps are genuine cubes (random level coefficients multiplied
+out) and half are uniform random maps, so the routes are compared on
+acceptances as well as on rejections.
+
 Usage: python3 scripts/membership_bench.py [--trials 20000] [--n 3]
 """
 
@@ -14,10 +18,25 @@ from nilcube import poly
 from nilcube.groups import CyclicProduct, make_heisenberg, maximal_degree_k_filtration
 
 
-def bench(name, filt, trials, n, seed):
+def random_maps(filt, trials, n, rng):
+    """`trials` maps {0,1}^n -> G: the even-numbered ones multiplied out of
+    random upper-face coefficients in their levels, the others uniform."""
     G = filt.group
+    levels = [sorted(filt.subgroup(bin(v).count("1"))) for v in range(1 << n)]
+    maps = []
+    for t in range(trials):
+        if t % 2 == 0:
+            maps.append(cg.multiply_out([rng.choice(level) for level in levels], n, G))
+        else:
+            maps.append(tuple(rng.randrange(G.order) for _ in range(1 << n)))
+    return maps
+
+
+def bench(name, filt, trials, n, seed):
+    """Time each route on the same maps, check that they agree and that
+    some maps are cubes; return the number of cubes."""
     rng = random.Random(seed)
-    maps = [tuple(rng.randrange(G.order) for _ in range(1 << n)) for _ in range(trials)]
+    maps = random_maps(filt, trials, n, rng)
     methods = [
         ("factorize", lambda v: cg.is_cube(v, filt)),
         ("equations", lambda v: cg.is_cube_by_equations(v, filt)),
@@ -32,6 +51,9 @@ def bench(name, filt, trials, n, seed):
         print("  %-9s %.3fs  (%d cubes / %d maps)" % (label, dt, sum(res), trials))
         verdicts.append(res)
     assert verdicts[0] == verdicts[1] == verdicts[2], "methods disagree"
+    cubes = sum(verdicts[0])
+    assert cubes > 0, "no cube among the maps: acceptance went untested"
+    return cubes
 
 
 def main():

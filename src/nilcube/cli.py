@@ -38,11 +38,12 @@ from .groups import (
     CyclicProduct,
     FiniteAbelianGroup,
     Filtration,
+    Heisenberg,
+    QuotientGroup,
     TableGroup,
+    element_range_violation,
     lower_central_series,
-    make_heisenberg,
     maximal_degree_k_filtration,
-    quotient,
     subgroup_closure,
     validate_filtration,
 )
@@ -70,31 +71,50 @@ def _need(obj, key, ptr):
     return obj[key]
 
 
+def _construct(ptr, make, *args):
+    """make(*args) for a library constructor; the ValueError it raises on
+    arguments that describe no valid object becomes a SpecError at ptr."""
+    try:
+        return make(*args)
+    except SpecError:
+        raise
+    except ValueError as e:
+        raise SpecError(ptr, str(e)) from None
+
+
+def _elements(values, G, ptr):
+    """The values, after checking that each is an element index of G."""
+    bad = element_range_violation(G, values)
+    if bad is not None:
+        raise SpecError("%s/%d" % (ptr, bad[0]),
+                        "%r is not an element index 0..%d" % (bad[1], G.order - 1))
+    return values
+
+
 def build_group(spec, ptr="/group"):
     t = _need(spec, "type", ptr)
     if t == "cyclic_product":
-        return CyclicProduct(tuple(_need(spec, "moduli", ptr)))
+        return _construct(ptr + "/moduli", CyclicProduct, tuple(_need(spec, "moduli", ptr)))
     if t == "heisenberg":
-        return make_heisenberg(int(_need(spec, "modulus", ptr)))[0]
+        return _construct(ptr + "/modulus", Heisenberg, int(_need(spec, "modulus", ptr)))
     if t == "table":
-        return TableGroup(_need(spec, "table", ptr))
+        return _construct(ptr + "/table", TableGroup, _need(spec, "table", ptr))
     if t == "quotient":
         G = build_group(_need(spec, "group", ptr), ptr + "/group")
         N = frozenset(_need(spec, "normal", ptr))
-        Q, _p = quotient(G, N)
-        return Q
+        return _construct(ptr + "/normal", QuotientGroup, G, N)
     raise SpecError(ptr, "unknown group type %r" % t)
 
 
 def build_filtration(spec, G, ptr="/filtration"):
     t = _need(spec, "type", ptr)
     if t == "lcs":
-        return lower_central_series(G)
+        return _construct(ptr, lower_central_series, G)
     if t == "maximal_degree_k":
-        return maximal_degree_k_filtration(G, int(_need(spec, "k", ptr)))
+        return _construct(ptr, maximal_degree_k_filtration, G, int(_need(spec, "k", ptr)))
     if t == "explicit":
         chain = [frozenset(level) for level in _need(spec, "chain", ptr)]
-        filt = Filtration(G, tuple(chain))
+        filt = _construct(ptr + "/chain", Filtration, G, tuple(chain))
         bad = validate_filtration(filt)
         if bad is not None:
             raise SpecError(ptr, "not a filtration: %r" % (bad,))
@@ -191,7 +211,7 @@ def run_factorize(spec, opts):
     G = build_group(_need(spec, "group", "/"))
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     cube = _need(spec, "cube", "/")
-    values = [int(v) for v in _need(cube, "values", "/cube")]
+    values = _elements([int(v) for v in _need(cube, "values", "/cube")], G, "/cube/values")
     n = int(_need(cube, "n", "/cube"))
     if len(values) != 1 << n:
         raise SpecError("/cube/values", "expected %d values" % (1 << n))
@@ -210,7 +230,7 @@ def run_complete(spec, opts):
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     corner = _need(spec, "corner", "/")
     n = int(_need(corner, "n", "/corner"))
-    values = [int(v) for v in _need(corner, "values", "/corner")]
+    values = _elements([int(v) for v in _need(corner, "values", "/corner")], G, "/corner/values")
     if len(values) != (1 << n) - 1:
         raise SpecError("/corner/values", "expected %d values" % ((1 << n) - 1))
     try:

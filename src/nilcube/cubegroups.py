@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import cubes
-from .groups import FiniteGroup, Filtration, shift_filtration
+from .groups import FiniteGroup, Filtration, element_range_violation, shift_filtration
 
 
 def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -35,17 +35,6 @@ def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
     s0 = sigma_recursive(values[:half], n - 1, G)
     s1 = sigma_recursive(values[half:], n - 1, G)
     return G.op(G.inv(s1), s0)
-
-
-def upper_face_vertices(n: int):
-    """Defining vertices of the upper faces F(v) in colex order: simply
-    all vertex indices 0..2^n-1."""
-    return list(range(1 << n))
-
-
-def face_members(v_idx: int, n: int):
-    """Vertex indices w with supp(v) contained in supp(w)."""
-    return [w for w in range(1 << n) if w & v_idx == v_idx]
 
 
 def _thresholds(n: int, weights):
@@ -72,33 +61,15 @@ class Reject:
         return False
 
 
-def raw_coefficients(values: Sequence[int], n: int, G: FiniteGroup):
-    """Upper-face coefficients by the left-quotient recursion, with no
-    subgroup checks.  Every total map has exactly one coefficient tuple;
-    membership is the question of where the coefficients live."""
-    coeffs = [0] * (1 << n)
-    # partial[w] = product so far of g_j over j <= current with v_j <= w
-    partial = [0] * (1 << n)
-    for i in range(1 << n):
-        prefix = partial[i]
-        g = G.op(G.inv(prefix), values[i])
-        coeffs[i] = g
-        if g != 0:
-            for w in range(i, 1 << n):
-                if w & i == i:
-                    partial[w] = G.op(partial[w], g)
-        else:
-            pass
-    return coeffs
-
-
 def factorize(values: Sequence[int], filt: Filtration, weights=None):
     """Unique factorization of a map {0,1}^n -> G into upper-face
     coefficients, or a Reject naming the first coefficient that fails its
-    subgroup condition."""
+    subgroup condition.  A value that is not an element index of G is a
+    ValueError."""
     n = (len(values) - 1).bit_length()
     assert len(values) == 1 << n
     G = filt.group
+    _require_elements(G, values, "vertex")
     thresholds = _thresholds(n, weights)
     coeffs = [0] * (1 << n)
     partial = [0] * (1 << n)
@@ -164,6 +135,13 @@ def count_cubes(filt: Filtration, n: int, weights=None) -> int:
     return total
 
 
+def _require_elements(G: FiniteGroup, values, what: str):
+    bad = element_range_violation(G, values)
+    if bad is not None:
+        raise ValueError("%s %d holds %r, which is not an element index 0..%d"
+                         % (what, bad[0], bad[1], G.order - 1))
+
+
 class CornerError(ValueError):
     pass
 
@@ -186,38 +164,43 @@ def complete_corner(corner: dict, n: int, filt: Filtration, _check_premise=True)
     Follows the constructive completion argument: quotient out the last
     nontrivial filtration level, recurse, lift the factorization
     coefficients, and correct weight levels 1..d with upper-face factors.
-    Returns the full value tuple; canonical in the sense that the same
-    corner always yields the same completion.
+    The quotient, the pushed filtration and the least lift of each
+    coefficient come from filt.tower, which is built on the first call
+    and reused by every later one; the recursion runs on the pushed
+    filtration and so uses its own cached tower.  Returns the full value
+    tuple; canonical in the sense that the same corner always yields the
+    same completion (each coefficient lifts to the least element of its
+    level over its coset).
+
+    A corner value that is not an element index of the group is a
+    ValueError; a corner whose faces through 0^n are not cubes, or that
+    has no completion, is a CornerError.  Both are checked by the
+    outermost call only.
     """
     if n < 1:
         raise CornerError("corners of dimension 0 are disallowed")
     top = (1 << n) - 1
+    G = filt.group
     if _check_premise:
+        _require_elements(G, corner, "corner vertex")
         bad = corner_premise_violation(corner, n, filt)
         if bad is not None:
             raise CornerError("corner premise fails on the face with coordinate %d = 0" % bad)
-    G = filt.group
     d = filt.degree
     if d <= 0:
         # all cubes are constant
         return tuple(corner.get(j, corner[0]) for j in range(1 << n))
 
-    from .groups import QuotientGroup, push_filtration
-
+    tower = filt.tower
+    Q, qfilt, lift = tower.quotient, tower.pushed, tower.lift
     Gd = filt.subgroup(d)
-    Q = QuotientGroup(G, Gd)
-    qfilt = push_filtration(filt, Q)
     qcorner = {j: Q.project(v) for j, v in corner.items()}
     qfull = complete_corner(qcorner, n, qfilt, _check_premise=False)
     # lift: factorize downstairs, lift coefficients into their levels
     qcoeffs = factorize(qfull, qfilt)
     assert not isinstance(qcoeffs, Reject)
-    lifted = []
     thresholds = _thresholds(n, None)
-    for i, gbar in enumerate(qcoeffs):
-        lvl = filt.subgroup(min(thresholds[i], d))
-        rep = min(g for g in lvl if Q.project(g) == gbar)
-        lifted.append(rep)
+    lifted = [lift[(min(t, d), gbar)] for t, gbar in zip(thresholds, qcoeffs)]
     values = list(multiply_out(lifted, n, G))
     # match at 0 by a constant (degree-d) left factor
     c = G.op(corner[0], G.inv(values[0]))

@@ -441,26 +441,3 @@ def outer_composition_morphism(n: int) -> CubeMorphism:
         coords.append(Id(i))
         coords.append(Refl(i))
     return CubeMorphism(n, 2 * n, tuple(coords))
-
-
-def is_tricube_cube(c, m: int, n: int) -> bool:
-    """True iff the map c : {0,1}^m -> T_n factors as psi_v o phi for
-    some vertex v and cube morphism phi."""
-    get = c.__getitem__ if hasattr(c, "__getitem__") else c
-    imgs = [tuple(get(v)) for v in vertices(m)]
-    for v in vertices(n):
-        # psi_v is injective; invert where possible
-        inv = {tricube_embed(v, w): w for w in vertices(n)}
-        pre = []
-        ok = True
-        for img in imgs:
-            if img not in inv:
-                ok = False
-                break
-            pre.append(inv[img])
-        if not ok:
-            continue
-        table = dict(zip(vertices(m), pre))
-        if validate_morphism(table, m, n) is not None:
-            return True
-    return False

@@ -4,13 +4,19 @@ algebra over finite abelian groups.
 Group elements are integer indices 0..order-1 with 0 the identity.
 Structured groups (cyclic products, Heisenberg mod m) compute the law on
 the fly; table groups materialize and validate the axioms.
+
+Each Filtration carries its quotient tower (Filtration.tower), built on
+first use and kept: G / G_d for d the degree, the filtration pushed to
+that quotient (whose own tower is the next level down), and the least
+element of each level over each coset.  It depends only on the
+filtration, never on the cubes or corners it is used for.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -77,12 +83,18 @@ class FiniteGroup:
 class TableGroup(FiniteGroup):
     def __init__(self, table: Sequence[Sequence[int]], validate: bool = True):
         self.table = [tuple(row) for row in table]
-        self.order = len(self.table)
-        self._inv = [None] * self.order
-        for a in range(self.order):
-            for b in range(self.order):
+        self.order = n = len(self.table)
+        if n == 0 or any(len(row) != n for row in self.table):
+            raise ValueError("a group table must be a nonempty square")
+        if any(not 0 <= x < n for row in self.table for x in row):
+            raise ValueError("table entries must be element indices 0..%d" % (n - 1))
+        self._inv = [None] * n
+        for a in range(n):
+            for b in range(n):
                 if self.table[a][b] == 0:
                     self._inv[a] = b
+        if None in self._inv:
+            raise ValueError("element %d has no inverse" % self._inv.index(None))
         if validate:
             self.validate()
 
@@ -156,6 +168,17 @@ class Heisenberg(FiniteGroup):
         return self.index_of((-a, -b, -c + a * b))
 
 
+def element_range_violation(G: FiniteGroup, values):
+    """(position, value) of the first entry of `values` (a sequence, or a
+    dict from positions to values) that is not an element index
+    0..order-1 of G; None if every entry is one."""
+    items = values.items() if isinstance(values, dict) else enumerate(values)
+    for pos, v in items:
+        if not 0 <= v < G.order:
+            return pos, v
+    return None
+
+
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
     seen = {0}
     frontier = [0]
@@ -213,6 +236,33 @@ class Filtration:
         if self.chain[d] == frozenset({0}):
             return -1 if self.chain[0] == frozenset({0}) else 0
         return d
+
+    @cached_property
+    def tower(self) -> QuotientTower:
+        """The quotient by the top nontrivial level G_d, built on first use
+        and kept.  The pushed filtration keeps its own tower, so a walk
+        down the levels builds each quotient once per filtration."""
+        d = self.degree
+        if d <= 0:
+            raise ValueError("a filtration of degree %d has no quotient tower" % d)
+        Q = QuotientGroup(self.group, self.chain[d])
+        lift = {}
+        for level in range(d + 1):
+            for g in sorted(self.chain[level]):
+                lift.setdefault((level, Q.project(g)), g)
+        return QuotientTower(Q, push_filtration(self, Q), lift)
+
+
+@dataclass(frozen=True)
+class QuotientTower:
+    """One step of a filtration's quotient tower: quotient = G / G_d for d
+    the degree, pushed = the filtration pushed to it, and
+    lift[(level, gbar)] = the least element of G_level over the coset gbar,
+    for level = 0..d."""
+
+    quotient: QuotientGroup
+    pushed: Filtration
+    lift: dict
 
 
 def validate_filtration(filt: Filtration):
@@ -282,24 +332,29 @@ def shift_filtration(filt: Filtration, ell: int) -> Filtration:
     return Filtration(filt.group, chain)
 
 
+def left_cosets(G: FiniteGroup, S: frozenset):
+    """Left cosets gS of a subgroup, numbered by their least elements in
+    increasing order (S itself, holding 0, is coset 0).  Returns
+    (reps, index): reps[i] is the least element of coset i and index[g]
+    the coset of g.  An element not yet placed is the least of its coset,
+    because every smaller element was placed before it."""
+    reps, index = [], {}
+    for g in G.elements():
+        if g not in index:
+            for s in S:
+                index[G.op(g, s)] = len(reps)
+            reps.append(g)
+    return reps, index
+
+
 class QuotientGroup(FiniteGroup):
     def __init__(self, G: FiniteGroup, N: frozenset):
         if not is_normal(G, N):
             raise ValueError("subgroup is not normal")
         self.base = G
         self.N = N
-        cosets = {}
-        for g in G.elements():
-            coset = frozenset(G.op(g, n) for n in N)
-            cosets.setdefault(min(coset), coset)
-        # the identity coset contains 0, so sorting puts it at index 0
-        reps = sorted(cosets)
-        self.reps = reps
-        self._index = {}
-        for idx, rep in enumerate(reps):
-            for g in cosets[rep]:
-                self._index[g] = idx
-        self.order = len(reps)
+        self.reps, self._index = left_cosets(G, N)
+        self.order = len(self.reps)
 
     def project(self, g: int) -> int:
         return self._index[g]
@@ -328,16 +383,7 @@ class CosetSpace:
     def __init__(self, G: FiniteGroup, Gamma: frozenset):
         self.group = G
         self.Gamma = frozenset(Gamma)
-        cosets = {}
-        for g in G.elements():
-            coset = frozenset(G.op(g, h) for h in self.Gamma)
-            cosets.setdefault(min(coset), coset)
-        # Gamma itself contains 0, so it sorts to index 0
-        self.reps = sorted(cosets)
-        self._index = {}
-        for idx, rep in enumerate(self.reps):
-            for g in cosets[rep]:
-                self._index[g] = idx
+        self.reps, self._index = left_cosets(G, self.Gamma)
         self.size = len(self.reps)
 
     def project(self, g: int) -> int:

@@ -175,3 +175,35 @@ def test_text_format(tmp_path, capsys):
     assert run_main(tmp_path, spec, "--format", "text") == 0
     out = capsys.readouterr().out
     assert "is_cube: True" in out
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    ({"kind": "factorize", "group": {"type": "cyclic_product", "moduli": [2]},
+      "filtration": {"type": "maximal_degree_k", "k": 1},
+      "cube": {"n": 1, "values": [0, 5]}}, "/cube/values/1"),
+    ({"kind": "factorize", "group": {"type": "cyclic_product", "moduli": [2]},
+      "filtration": {"type": "maximal_degree_k", "k": 1},
+      "cube": {"n": 1, "values": [0, -1]}}, "/cube/values/1"),
+    ({"kind": "complete", "group": HEIS, "filtration": {"type": "lcs"},
+      "corner": {"n": 2, "values": [0, 9, 1]}}, "/corner/values/1"),
+], ids=["factorize-above", "factorize-negative", "complete-above"])
+def test_out_of_range_element_is_a_spec_error(tmp_path, capsys, spec, pointer):
+    assert run_main(tmp_path, spec) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spec error: %s:" % pointer)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("group,filtration,pointer", [
+    ({"type": "heisenberg", "modulus": 1}, {"type": "lcs"}, "/group/modulus"),
+    ({"type": "table", "table": [[0, 1], [1, 1]]}, {"type": "lcs"}, "/group/table"),
+    (HEIS, {"type": "maximal_degree_k", "k": 1}, "/filtration"),
+], ids=["heisenberg-modulus-1", "table-not-a-group", "maximal-degree-k-non-abelian"])
+def test_unbuildable_group_or_filtration_is_a_spec_error(tmp_path, capsys, group, filtration,
+                                                         pointer):
+    spec = {"kind": "factorize", "group": group, "filtration": filtration,
+            "cube": {"n": 1, "values": [0, 0]}}
+    assert run_main(tmp_path, spec) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spec error: %s:" % pointer)
+    assert "Traceback" not in captured.err and captured.out == ""

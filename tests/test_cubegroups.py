@@ -163,3 +163,131 @@ def test_enumerate_cubes_equals_membership_scan():
     enumerated = set(cg.enumerate_cubes(filt, 2))
     scanned = {v for v in itertools.product(range(3), repeat=4) if cg.is_cube(v, filt)}
     assert enumerated == scanned
+
+
+def _complete_corner_rebuilding(corner, n, filt, _check_premise=True):
+    """Corner completion as it was before the quotient tower: a fresh
+    QuotientGroup, pushed filtration and least-lift scan on every call and
+    at every level of the recursion.  Kept as the oracle for the cached
+    tower of complete_corner."""
+    if n < 1:
+        raise cg.CornerError("corners of dimension 0 are disallowed")
+    top = (1 << n) - 1
+    if _check_premise:
+        bad = cg.corner_premise_violation(corner, n, filt)
+        if bad is not None:
+            raise cg.CornerError("corner premise fails on the face with coordinate %d = 0" % bad)
+    G = filt.group
+    d = filt.degree
+    if d <= 0:
+        return tuple(corner.get(j, corner[0]) for j in range(1 << n))
+    Gd = filt.subgroup(d)
+    Q = gr.QuotientGroup(G, Gd)
+    qfilt = gr.push_filtration(filt, Q)
+    qcorner = {j: Q.project(v) for j, v in corner.items()}
+    qfull = _complete_corner_rebuilding(qcorner, n, qfilt, _check_premise=False)
+    qcoeffs = cg.factorize(qfull, qfilt)
+    assert not isinstance(qcoeffs, cg.Reject)
+    lifted = []
+    for t, gbar in zip(cg._thresholds(n, None), qcoeffs):
+        lvl = filt.subgroup(min(t, d))
+        lifted.append(min(g for g in lvl if Q.project(g) == gbar))
+    values = list(cg.multiply_out(lifted, n, G))
+    c = G.op(corner[0], G.inv(values[0]))
+    assert c in Gd
+    values = [G.op(c, v) for v in values]
+    for j in range(1, min(d, n) + 1):
+        for v in range(1 << n):
+            if v == top or bin(v).count("1") != j:
+                continue
+            g = G.op(G.inv(values[v]), corner[v])
+            if g not in Gd:
+                raise cg.CornerError("corner values are inconsistent at vertex %d" % v)
+            if g == 0:
+                continue
+            for w in range(1 << n):
+                if w & v == v:
+                    values[w] = G.op(values[w], g)
+    for v in range(1 << n):
+        if v != top and values[v] != corner[v]:
+            raise cg.CornerError("corner is not completable: mismatch at vertex %d" % v)
+    return tuple(values)
+
+
+def _tower_filtrations():
+    """Fresh filtrations (no tower built yet) of degrees 1 to 3."""
+    z8 = gr.CyclicProduct((8,))
+    explicit = gr.Filtration(z8, (frozenset(range(8)), frozenset(range(8)),
+                                  frozenset({0, 2, 4, 6}), frozenset({0, 4}), frozenset({0})))
+    assert gr.validate_filtration(explicit) is None
+    return {
+        "H2": gr.make_heisenberg(2)[1],
+        "H3": gr.make_heisenberg(3)[1],
+        "H5": gr.make_heisenberg(5)[1],
+        "D2(Z/4)": gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2),
+        "Z/8 > 2Z/8 > 4Z/8": explicit,
+    }
+
+
+def _outcome(complete, corner, n, filt, check_premise):
+    try:
+        return complete(corner, n, filt, _check_premise=check_premise)
+    except cg.CornerError as e:
+        return ("CornerError", str(e))
+
+
+@pytest.mark.parametrize("name", sorted(_tower_filtrations()))
+def test_complete_corner_tower_matches_rebuilding_oracle(name):
+    filt = _tower_filtrations()[name]
+    G = filt.group
+    rng = random.Random(name)
+    refusals = 0
+    for n in range(1, 5):
+        top = (1 << n) - 1
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        for _ in range(6):
+            cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+            genuine = dict(enumerate(cube[:top]))
+            perturbed = dict(genuine)
+            j = rng.randrange(top)
+            perturbed[j] = rng.choice([x for x in G.elements() if x != perturbed[j]])
+            for corner in (genuine, perturbed):
+                for check_premise in (True, False):
+                    got = _outcome(cg.complete_corner, corner, n, filt, check_premise)
+                    want = _outcome(_complete_corner_rebuilding, corner, n, filt, check_premise)
+                    assert got == want, (n, corner, check_premise)
+                    refusals += isinstance(got[0], str)
+            assert cg.complete_corner(genuine, n, filt)[:top] == cube[:top]
+    assert refusals > 0
+
+
+def test_quotient_built_once_per_level(monkeypatch):
+    builds = []
+    original = gr.QuotientGroup.__init__
+
+    def counting(self, G, N):
+        builds.append(len(N))
+        original(self, G, N)
+
+    monkeypatch.setattr(gr.QuotientGroup, "__init__", counting)
+    filt = gr.make_heisenberg(3)[1]
+    G = filt.group
+    rng = random.Random(17)
+    n = 3
+    levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+    for _ in range(50):
+        cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+        assert cg.complete_corner(dict(enumerate(cube[:-1])), n, filt)[:-1] == cube[:-1]
+    # H_3 / Z(H_3) of order 9, then that quotient by all of itself
+    assert builds == [3, 9]
+
+
+def test_out_of_range_values_are_refused():
+    A = gr.CyclicProduct((2,))
+    filt = gr.maximal_degree_k_filtration(A, 1)
+    for bad in ([0, 5], [0, -1]):
+        with pytest.raises(ValueError, match="vertex 1"):
+            cg.factorize(bad, filt)
+    with pytest.raises(ValueError, match="corner vertex 2") as info:
+        cg.complete_corner({0: 0, 1: 1, 2: 2}, 2, filt)
+    assert not isinstance(info.value, cg.CornerError)
