@@ -91,6 +91,14 @@ def _elements(values, G, ptr):
     return values
 
 
+def _dimension(obj, ptr):
+    """The cube dimension obj["n"], which must be nonnegative."""
+    n = int(_need(obj, "n", ptr))
+    if n < 0:
+        raise SpecError(ptr + "/n", "dimension %d is negative" % n)
+    return n
+
+
 def build_group(spec, ptr="/group"):
     t = _need(spec, "type", ptr)
     if t == "cyclic_product":
@@ -122,6 +130,11 @@ def build_filtration(spec, G, ptr="/filtration"):
     raise SpecError(ptr, "unknown filtration type %r" % t)
 
 
+def build_abelian(invariants, ptr="/A"):
+    """The finite abelian group with the given invariant factors."""
+    return _construct(ptr, FiniteAbelianGroup, tuple(invariants))
+
+
 def build_cocycle(spec, X, A, ptr="/cocycle"):
     from .cohomology import Cocycle, validate_cocycle
 
@@ -144,7 +157,7 @@ def build_cubespace(spec, ptr="/cubespace"):
     if src == "coset":
         G = build_group(_need(spec, "group", ptr), ptr + "/group")
         filt = build_filtration(_need(spec, "filtration", ptr), G, ptr + "/filtration")
-        gamma = subgroup_closure(G, _need(spec, "gamma", ptr))
+        gamma = subgroup_closure(G, _elements(_need(spec, "gamma", ptr), G, ptr + "/gamma"))
         return cs.CosetCubespace(filt, gamma)
     if src == "product":
         facs = _need(spec, "factors", ptr)
@@ -156,23 +169,26 @@ def build_cubespace(spec, ptr="/cubespace"):
         )
     if src == "arrow":
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
-        return cs.ArrowCubespace(base, int(_need(spec, "k", ptr)))
+        return _construct(ptr + "/k", cs.ArrowCubespace, base, int(_need(spec, "k", ptr)))
     if src == "partial":
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
-        return cs.SliceCubespace(base, int(_need(spec, "point", ptr)))
+        return _construct(ptr + "/point", cs.SliceCubespace, base, int(_need(spec, "point", ptr)))
     if src == "extension":
         from .cohomology import build_extension
 
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
-        A = FiniteAbelianGroup(tuple(_need(spec, "A", ptr)))
+        A = build_abelian(_need(spec, "A", ptr), ptr + "/A")
         rho = build_cocycle(_need(spec, "cocycle", ptr), base, A, ptr + "/cocycle")
-        return build_extension(rho)
+        return _construct(ptr, build_extension, rho)
     if src == "explicit":
         tables = {
             int(n): [tuple(q) for q in qs]
             for n, qs in _need(spec, "tables", ptr).items()
         }
-        return cs.ExplicitCubespace(int(_need(spec, "size", ptr)), tables, spec.get("step"))
+        size = int(_need(spec, "size", ptr))
+        if size < 1:
+            raise SpecError(ptr + "/size", "a cubespace needs at least one point")
+        return _construct(ptr + "/tables", cs.ExplicitCubespace, size, tables, spec.get("step"))
     raise SpecError(ptr, "unknown cubespace source %r" % src)
 
 
@@ -212,7 +228,7 @@ def run_factorize(spec, opts):
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     cube = _need(spec, "cube", "/")
     values = _elements([int(v) for v in _need(cube, "values", "/cube")], G, "/cube/values")
-    n = int(_need(cube, "n", "/cube"))
+    n = _dimension(cube, "/cube")
     if len(values) != 1 << n:
         raise SpecError("/cube/values", "expected %d values" % (1 << n))
     res = cg.factorize(values, filt)
@@ -229,7 +245,7 @@ def run_complete(spec, opts):
     G = build_group(_need(spec, "group", "/"))
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     corner = _need(spec, "corner", "/")
-    n = int(_need(corner, "n", "/corner"))
+    n = _dimension(corner, "/corner")
     values = _elements([int(v) for v in _need(corner, "values", "/corner")], G, "/corner/values")
     if len(values) != (1 << n) - 1:
         raise SpecError("/corner/values", "expected %d values" % ((1 << n) - 1))
@@ -297,7 +313,7 @@ def run_cohomology(spec, opts):
     from . import cohomology as coh
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    A = FiniteAbelianGroup(tuple(_need(spec, "A", "/")))
+    A = build_abelian(_need(spec, "A", "/"))
     op = _need(spec, "op", "/")
     if op == "count_classes":
         k = int(_need(spec, "k", "/"))
@@ -318,9 +334,9 @@ def run_extend(spec, opts):
     from . import cohomology as coh
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    A = FiniteAbelianGroup(tuple(_need(spec, "A", "/")))
+    A = build_abelian(_need(spec, "A", "/"))
     rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)
-    M = coh.build_extension(rho)
+    M = _construct("/cubespace", coh.build_extension, rho)
     rep = cs.check_axioms(M, opts["n_max"], seed=opts["seed"])
     ext = M.as_extension_data()
     round_trip = coh.cross_section_cocycle(ext, M.obvious_section()).table == rho.table

@@ -67,9 +67,7 @@ def validate_cocycle(rho: Cocycle):
     dom = X.cubes(n)
     if set(rho.table) != dom:
         return ("domain", None)
-    for theta in cb.automorphism_group(n):
-        tbl = theta.to_morphism().index_table()
-        r = theta.r()
+    for theta, tbl, r in cb.automorphism_index_tables(n):
         for q in dom:
             qq = tuple(q[t] for t in tbl)
             want = rho.table[q] if r % 2 == 0 else A.inv(rho.table[q])
@@ -222,8 +220,7 @@ class ExtensionSpace(Cubespace):
             return True
         if n == d1:
             return self._special_ok(xs, zs)
-        for phi in cb.enumerate_face_maps(d1, n):
-            tbl = phi.index_table()
+        for tbl in cb.face_index_tables(d1, n):
             if not self._special_ok(tuple(xs[t] for t in tbl), tuple(zs[t] for t in tbl)):
                 return False
         return True

@@ -8,7 +8,6 @@ upper-face factorization or by the alternating-product equations.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -120,12 +119,27 @@ def is_cube_by_equations(values: Sequence[int], filt: Filtration) -> bool:
 
 
 def enumerate_cubes(filt: Filtration, n: int, weights=None):
-    """All cubes of dimension n, generated from coefficient tuples."""
-    G = filt.group
-    thresholds = _thresholds(n, weights)
-    pools = [sorted(filt.subgroup(t)) for t in thresholds]
-    for coeffs in itertools.product(*pools):
-        yield multiply_out(coeffs, n, G)
+    """All cubes of dimension n, by the recursion on the top coordinate
+    Cu^n(G) = {(q, q r) : q in Cu^{n-1}(G), r in Cu^{n-1}(G_{+w})}, w the
+    last weight (1 without weights) and G_{+w} the shifted filtration;
+    Cu^0 is the points of G_0.  The (n-1)-cubes r are listed once per
+    call, and each n-cube costs 2^(n-1) group operations.
+
+    The order is that of the coefficient tuples in itertools.product,
+    each multiplied out: the coefficients on the lower half vary in the
+    outer loop (they determine q), those on the upper half in the inner
+    one (they determine r)."""
+    if n == 0:
+        for g in sorted(filt.subgroup(0)):
+            yield (g,)
+        return
+    op = filt.group.op
+    lower = None if weights is None else weights[:n - 1]
+    shift = 1 if weights is None else weights[n - 1]
+    upper = list(enumerate_cubes(shift_filtration(filt, shift), n - 1, lower))
+    for q in enumerate_cubes(filt, n - 1, lower):
+        for r in upper:
+            yield q + tuple(map(op, q, r))
 
 
 def count_cubes(filt: Filtration, n: int, weights=None) -> int:
@@ -305,8 +319,7 @@ def is_standard_abelian_cube(values: Sequence[int], A: FiniteGroup) -> bool:
     # (iii)
     sigma2 = True
     if n >= 2:
-        for phi in cubes.enumerate_face_maps(2, n):
-            tbl = phi.index_table()
+        for tbl in cubes.face_index_tables(2, n):
             if sigma([values[t] for t in tbl], 2, A) != 0:
                 sigma2 = False
                 break
@@ -320,8 +333,7 @@ def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> b
     n = (len(values) - 1).bit_length()
     if n <= k:
         return True
-    for phi in cubes.enumerate_face_maps(k + 1, n):
-        tbl = phi.index_table()
+    for tbl in cubes.face_index_tables(k + 1, n):
         acc = 0
         for j, t in enumerate(tbl):
             x = values[t]

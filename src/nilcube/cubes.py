@@ -306,6 +306,16 @@ def automorphism_group(n: int):
     return out
 
 
+@lru_cache(maxsize=None)
+def automorphism_index_tables(n: int):
+    """(theta, index table of theta, r(theta)) for every automorphism of
+    {0,1}^n in automorphism_group order, memoized per dimension."""
+    return tuple(
+        (theta, tuple(theta.to_morphism().index_table()), theta.r())
+        for theta in automorphism_group(n)
+    )
+
+
 def gray_index(j: int) -> int:
     return j ^ (j >> 1)
 

@@ -365,8 +365,18 @@ class ExplicitCubespace(Cubespace):
         dims = sorted(tables)
         if not dims:
             raise ValueError("need at least one cube table")
+        if dims[0] < 0:
+            raise ValueError("cube table of negative dimension %d" % dims[0])
         self.tables = {n: frozenset(tuple(q) for q in tables[n]) for n in dims}
         super().__init__(size, step=step, dim_cap=max(dims))
+        for n in dims:
+            for q in self.tables[n]:
+                if len(q) != 1 << n:
+                    raise ValueError("cube %r of dimension %d needs %d values"
+                                     % (q, n, 1 << n))
+                if not all(0 <= x < size for x in q):
+                    raise ValueError("cube %r of dimension %d holds a point outside 0..%d"
+                                     % (q, n, size - 1))
 
     def _membership(self, n, values):
         if n not in self.tables:
@@ -539,16 +549,15 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
         Pm1set = X.cubes(m - 1)
         Pm1 = sorted(Pm1set)
         for p in Pm:
-            for phi in cb.enumerate_face_maps(m - 1, m):
-                sub = tuple(p[t] for t in phi.index_table())
+            for tbl in cb.face_index_tables(m - 1, m):
+                sub = tuple(p[t] for t in tbl)
                 if sub not in Pm1set:
                     face_ok, witness = False, ("face", m, p)
                     break
             if not face_ok:
                 break
         for p in Pm:
-            for theta in cb.automorphism_group(m):
-                tbl = theta.to_morphism().index_table()
+            for theta, tbl, _r in cb.automorphism_index_tables(m):
                 if tuple(p[t] for t in tbl) not in Pm:
                     symmetry_ok, witness = False, ("symmetry", m, p, theta)
                     break

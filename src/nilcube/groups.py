@@ -194,9 +194,50 @@ def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
     return frozenset(seen)
 
 
+def generating_set(G: FiniteGroup, H: frozenset) -> list:
+    """A greedy generating set of the subgroup H: the least element not
+    yet in the span, added until the span is H.  Each element at least
+    doubles the span, so there are at most log2 |H| of them."""
+    gens, span = [], frozenset({0})
+    for h in sorted(H):
+        if h not in span:
+            gens.append(h)
+            span = subgroup_closure(G, gens)
+            if len(span) == len(H):
+                break
+    return gens
+
+
 def commutator_subgroup(G: FiniteGroup, H: frozenset, K: frozenset) -> frozenset:
-    gens = {G.commutator(h, k) for h in H for k in K}
-    return subgroup_closure(G, gens)
+    """[H, K], the subgroup generated by all [h, k], for H and K
+    subgroups of G (arbitrary subsets give a wrong answer).
+
+    Built from greedy generating sets X of H and Y of K: [H, K] is the
+    normal closure of <[x, y] : x in X, y in Y> in <H, K> (Robinson, A
+    Course in the Theory of Groups, section 5.1), so the commutators of
+    generators are closed under conjugation by X and Y.  A subgroup is
+    closed under conjugation by x once the conjugates of its generators
+    are in it, and each generator added at least doubles it, so the cost
+    is O(|G| |X| |Y|) group operations instead of |H| |K| commutators.
+    """
+    X, Y = generating_set(G, H), generating_set(G, K)
+    gens = []
+    for x in X:
+        for y in Y:
+            c = G.commutator(x, y)
+            if c != 0 and c not in gens:
+                gens.append(c)
+    N = subgroup_closure(G, gens)
+    conjugators = X + Y
+    i = 0
+    while i < len(gens):
+        for c in conjugators:
+            t = G.op(G.op(G.inv(c), gens[i]), c)
+            if t not in N:
+                gens.append(t)
+                N = subgroup_closure(G, gens)
+        i += 1
+    return N
 
 
 def is_normal(G: FiniteGroup, N: frozenset) -> bool:

@@ -26,6 +26,15 @@ def run_main(tmp_path, spec, *args):
     return cli.main(["--input", str(p), *args])
 
 
+def assert_spec_error(tmp_path, capsys, spec, pointer):
+    """The spec exits 2 with the pointer on stderr, no traceback and no
+    report."""
+    assert run_main(tmp_path, spec) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spec error: %s:" % pointer)
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_check_heisenberg(tmp_path, capsys):
     spec = {"kind": "check",
             "cubespace": {"source": "group", "group": HEIS, "filtration": {"type": "lcs"}}}
@@ -188,10 +197,7 @@ def test_text_format(tmp_path, capsys):
       "corner": {"n": 2, "values": [0, 9, 1]}}, "/corner/values/1"),
 ], ids=["factorize-above", "factorize-negative", "complete-above"])
 def test_out_of_range_element_is_a_spec_error(tmp_path, capsys, spec, pointer):
-    assert run_main(tmp_path, spec) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("spec error: %s:" % pointer)
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert_spec_error(tmp_path, capsys, spec, pointer)
 
 
 @pytest.mark.parametrize("group,filtration,pointer", [
@@ -203,7 +209,32 @@ def test_unbuildable_group_or_filtration_is_a_spec_error(tmp_path, capsys, group
                                                          pointer):
     spec = {"kind": "factorize", "group": group, "filtration": filtration,
             "cube": {"n": 1, "values": [0, 0]}}
-    assert run_main(tmp_path, spec) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("spec error: %s:" % pointer)
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert_spec_error(tmp_path, capsys, spec, pointer)
+
+
+def _explicit(size, tables):
+    return {"source": "explicit", "size": size, "tables": tables}
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    ({"kind": "check", "cubespace": _explicit(0, {"1": [[0, 0]]})}, "/cubespace/size"),
+    ({"kind": "check", "cubespace": {"source": "arrow", "base": Z2D1, "k": 0}}, "/cubespace/k"),
+    ({"kind": "check", "cubespace": {"source": "partial", "base": Z2D1, "point": 7}},
+     "/cubespace/point"),
+    ({"kind": "factorize", "group": HEIS, "filtration": {"type": "lcs"},
+      "cube": {"n": -1, "values": [0]}}, "/cube/n"),
+    ({"kind": "complete", "group": HEIS, "filtration": {"type": "lcs"},
+      "corner": {"n": -1, "values": []}}, "/corner/n"),
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2, 3], "op": "count_classes", "k": 1},
+     "/A"),
+    ({"kind": "check", "cubespace": {"source": "extension", "base": Z2D1, "A": [2, 3],
+                                     "cocycle": {"k": 1, "entries": []}}}, "/cubespace/A"),
+    ({"kind": "check", "cubespace": _explicit(2, {"1": [[0, 5]]})}, "/cubespace/tables"),
+    ({"kind": "check", "cubespace": _explicit(2, {"1": [[0]]})}, "/cubespace/tables"),
+    ({"kind": "check", "cubespace": dict(Z2D1, source="coset", gamma=[99])},
+     "/cubespace/gamma/0"),
+], ids=["explicit-size-0", "arrow-k-0", "partial-point-out-of-range", "factorize-negative-n",
+        "complete-negative-n", "A-not-dividing", "extension-A-not-dividing",
+        "explicit-point-out-of-range", "explicit-wrong-length", "coset-gamma-out-of-range"])
+def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, spec, pointer):
+    assert_spec_error(tmp_path, capsys, spec, pointer)

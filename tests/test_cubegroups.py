@@ -165,6 +165,43 @@ def test_enumerate_cubes_equals_membership_scan():
     assert enumerated == scanned
 
 
+def _enumerate_cubes_by_coefficients(filt, n, weights=None):
+    """Every coefficient tuple in itertools.product order, multiplied
+    out: the oracle for the top-coordinate recursion."""
+    pools = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, weights)]
+    for coeffs in itertools.product(*pools):
+        yield cg.multiply_out(coeffs, n, filt.group)
+
+
+_ENUMERATION_FILTRATIONS = {
+    "H2": lambda: gr.make_heisenberg(2)[1],
+    "H3": lambda: gr.make_heisenberg(3)[1],
+    "D2(Z/2)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((2,)), 2),
+    "D1(Z/4)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 1),
+    "D2(Z/4)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2),
+    "Z/8 > 2Z/8 > 4Z/8": lambda: gr.Filtration(gr.CyclicProduct((8,)), (
+        frozenset(range(8)), frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}))),
+    "H2 shifted by 1": lambda: gr.shift_filtration(gr.make_heisenberg(2)[1], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENUMERATION_FILTRATIONS))
+def test_enumerate_cubes_matches_coefficient_product_as_a_sequence(name):
+    filt = _ENUMERATION_FILTRATIONS[name]()
+    compared = 0
+    for n in range(4):
+        patterns = [None, (1,) * n, tuple(range(n)), tuple(range(n))[::-1],
+                    (0,) + (1,) * (n - 1) if n else ()]
+        for weights in patterns:
+            if cg.count_cubes(filt, n, weights) > 40_000:
+                continue
+            got = list(cg.enumerate_cubes(filt, n, weights))
+            assert got == list(_enumerate_cubes_by_coefficients(filt, n, weights))
+            assert len(got) == cg.count_cubes(filt, n, weights)
+            compared += 1
+    assert compared >= 10
+
+
 def _complete_corner_rebuilding(corner, n, filt, _check_premise=True):
     """Corner completion as it was before the quotient tower: a fresh
     QuotientGroup, pushed filtration and least-lift scan on every call and

@@ -78,6 +78,16 @@ def test_face_index_tables_cache_agrees():
         assert tables == fresh
 
 
+def test_automorphism_index_tables_cache_agrees():
+    for n in (1, 2, 3):
+        entries = cb.automorphism_index_tables(n)
+        assert [theta for theta, _tbl, _r in entries] == cb.automorphism_group(n)
+        for theta, tbl, r in entries:
+            assert tbl == tuple(theta.to_morphism().index_table())
+            assert r == theta.r()
+        assert cb.automorphism_index_tables(n) is entries
+
+
 def test_automorphism_group_sizes_and_closure():
     for n, size in [(1, 2), (2, 8), (3, 48)]:
         auts = cb.automorphism_group(n)

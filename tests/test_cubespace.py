@@ -160,6 +160,18 @@ def test_explicit_space_round_trip(d1z2):
     assert check_axioms(E, 3).is_nilspace
 
 
+@pytest.mark.parametrize("size,tables,why", [
+    (2, {1: [(0, 5)]}, "outside 0..1"),
+    (2, {1: [(0, -1)]}, "outside 0..1"),
+    (2, {1: [(0,)]}, "needs 2 values"),
+    (2, {-1: [(0,)]}, "negative dimension"),
+    (0, {1: [(0, 0)]}, "empty"),
+])
+def test_explicit_space_rejects_malformed_tables(size, tables, why):
+    with pytest.raises(ValueError, match=why):
+        ExplicitCubespace(size, tables)
+
+
 def test_parallelepiped_axioms_agree_with_nilspace_axioms(d1z2, d1z3, d2z2):
     for X in (d1z2, d1z3, d2z2):
         para = check_parallelepiped_axioms(X, 3)

@@ -1,6 +1,7 @@
 """Finite groups, filtrations, quotients, and exact abelian linear
 algebra."""
 
+import itertools
 import random
 from math import gcd
 
@@ -234,3 +235,88 @@ def test_left_cosets_agree_with_coset_sets():
 def test_table_group_rejects_non_groups(table, why):
     with pytest.raises(ValueError, match=why):
         gr.TableGroup(table)
+
+
+def _symmetric(k):
+    """S_k as a table group on its permutations in lexicographic order
+    (the identity first)."""
+    perms = sorted(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return gr.TableGroup([[index[tuple(p[q[i]] for i in range(k))] for q in perms]
+                          for p in perms])
+
+
+def _commutator_subgroup_all_pairs(G, H, K):
+    """[H, K] from all |H| |K| commutators: the oracle."""
+    return gr.subgroup_closure(G, {G.commutator(h, k) for h in H for k in K})
+
+
+def _lower_central_series_all_pairs(G):
+    full = frozenset(G.elements())
+    chain = [full, full]
+    while chain[-1] != frozenset({0}):
+        nxt = _commutator_subgroup_all_pairs(G, full, chain[-1])
+        if nxt == chain[-1]:
+            return None
+        chain.append(nxt)
+    return tuple(chain)
+
+
+def _subgroups(G, cap=40):
+    """The subgroups generated by at most two elements, ordered by size
+    and then elements; past the cap, an evenly spaced selection that
+    keeps the trivial and the full group."""
+    cyclic = {}
+    for g in G.elements():
+        cyclic.setdefault(gr.subgroup_closure(G, [g]), g)
+    gens = sorted(cyclic.values())
+    subs = sorted({gr.subgroup_closure(G, [a, b])
+                   for a, b in itertools.combinations_with_replacement(gens, 2)},
+                  key=lambda S: (len(S), sorted(S)))
+    if len(subs) > cap:
+        subs = [subs[i * (len(subs) - 1) // (cap - 1)] for i in range(cap)]
+    return subs
+
+
+def _h4_mod_2z():
+    G = gr.Heisenberg(4)
+    return gr.QuotientGroup(G, frozenset({0, G.index_of((0, 0, 2))}))
+
+
+_ORACLE_GROUPS = {
+    "H2": lambda: gr.Heisenberg(2),
+    "H3": lambda: gr.Heisenberg(3),
+    "H4": lambda: gr.Heisenberg(4),
+    "H5": lambda: gr.Heisenberg(5),
+    "S3": lambda: _symmetric(3),
+    "S4": lambda: _symmetric(4),
+    "H4/<(0,0,2)>": _h4_mod_2z,
+    "Z/2xZ/4": lambda: gr.CyclicProduct((2, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+def test_commutator_subgroup_matches_all_pairs(name):
+    G = _ORACLE_GROUPS[name]()
+    subs = _subgroups(G)
+    assert subs[0] == frozenset({0}) and subs[-1] == frozenset(G.elements())
+    # non-normal subgroups are among them whenever G is non-abelian
+    assert G.is_abelian() or not all(gr.is_normal(G, K) for K in subs)
+    for H in subs:
+        for K in subs:
+            assert gr.commutator_subgroup(G, H, K) == _commutator_subgroup_all_pairs(G, H, K)
+    want = _lower_central_series_all_pairs(G)
+    if want is None:  # S3 and S4 are not nilpotent
+        with pytest.raises(ValueError, match="does not reach"):
+            gr.lower_central_series(G)
+    else:
+        assert gr.lower_central_series(G).chain == want
+
+
+def test_generating_set_is_greedy_and_spans():
+    G = gr.Heisenberg(3)
+    full = frozenset(G.elements())
+    X = gr.generating_set(G, full)
+    assert X == [1, 3]  # (1, 0, 0) and (0, 1, 0)
+    assert gr.subgroup_closure(G, X) == full
+    assert gr.generating_set(G, frozenset({0})) == []
