@@ -22,6 +22,11 @@ Object schemas (all cube values in colex vertex order):
                "tables": {"n": [[values], ..], ..}}
   cube / corner: {"n": n, "values": [..]}   (corner omits the top vertex)
   cocycle:    {"k": degree, "entries": [[[values], a], ..]}
+
+Every integer field (a dimension, degree, size, modulus, point or element
+index, invariant factor, table entry) must be a JSON integer: a string,
+float, bool or null there is a malformed spec, reported at its pointer.
+The keys of an explicit "tables" object are decimal integers.
 """
 
 from __future__ import annotations
@@ -71,11 +76,37 @@ def _need(obj, key, ptr):
     return obj[key]
 
 
-def _construct(ptr, make, *args):
-    """make(*args) for a library constructor; the ValueError it raises on
-    arguments that describe no valid object becomes a SpecError at ptr."""
+def _int(value, ptr):
+    """The value, after checking that it is a JSON integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(ptr, "%s is not an integer" % json.dumps(value))
+    return value
+
+
+def _list(value, ptr):
+    """The value, after checking that it is a JSON array."""
+    if not isinstance(value, list):
+        raise SpecError(ptr, "%s is not an array" % json.dumps(value))
+    return value
+
+
+def _ints(values, ptr):
+    """The JSON array values, after checking that each entry is an integer."""
+    return [_int(v, "%s/%d" % (ptr, i)) for i, v in enumerate(_list(values, ptr))]
+
+
+def _need_int(obj, key, ptr):
+    """The integer field obj[key]."""
+    return _int(_need(obj, key, ptr), "%s/%s" % (ptr.rstrip("/"), key))
+
+
+def _construct(ptr, make, *args, **kwargs):
+    """make(*args, **kwargs) for a library call on objects the spec
+    describes; the ValueError it raises when they describe no valid
+    object, or one that cannot answer the question asked, becomes a
+    SpecError at ptr."""
     try:
-        return make(*args)
+        return make(*args, **kwargs)
     except SpecError:
         raise
     except ValueError as e:
@@ -83,33 +114,38 @@ def _construct(ptr, make, *args):
 
 
 def _elements(values, G, ptr):
-    """The values, after checking that each is an element index of G."""
-    bad = element_range_violation(G, values)
+    """The JSON array values, after checking that each is an element
+    index of G."""
+    bad = element_range_violation(G, _ints(values, ptr))
     if bad is not None:
         raise SpecError("%s/%d" % (ptr, bad[0]),
                         "%r is not an element index 0..%d" % (bad[1], G.order - 1))
     return values
 
 
-def _dimension(obj, ptr):
-    """The cube dimension obj["n"], which must be nonnegative."""
-    n = int(_need(obj, "n", ptr))
-    if n < 0:
-        raise SpecError(ptr + "/n", "dimension %d is negative" % n)
-    return n
+def _natural(obj, key, ptr):
+    """The integer field obj[key] (a dimension or a degree), which must
+    be nonnegative."""
+    v = _need_int(obj, key, ptr)
+    if v < 0:
+        raise SpecError("%s/%s" % (ptr.rstrip("/"), key), "%s = %d is negative" % (key, v))
+    return v
 
 
 def build_group(spec, ptr="/group"):
     t = _need(spec, "type", ptr)
     if t == "cyclic_product":
-        return _construct(ptr + "/moduli", CyclicProduct, tuple(_need(spec, "moduli", ptr)))
+        moduli = _ints(_need(spec, "moduli", ptr), ptr + "/moduli")
+        return _construct(ptr + "/moduli", CyclicProduct, tuple(moduli))
     if t == "heisenberg":
-        return _construct(ptr + "/modulus", Heisenberg, int(_need(spec, "modulus", ptr)))
+        return _construct(ptr + "/modulus", Heisenberg, _need_int(spec, "modulus", ptr))
     if t == "table":
-        return _construct(ptr + "/table", TableGroup, _need(spec, "table", ptr))
+        rows = _list(_need(spec, "table", ptr), ptr + "/table")
+        table = [_ints(row, "%s/table/%d" % (ptr, i)) for i, row in enumerate(rows)]
+        return _construct(ptr + "/table", TableGroup, table)
     if t == "quotient":
         G = build_group(_need(spec, "group", ptr), ptr + "/group")
-        N = frozenset(_need(spec, "normal", ptr))
+        N = frozenset(_elements(_need(spec, "normal", ptr), G, ptr + "/normal"))
         return _construct(ptr + "/normal", QuotientGroup, G, N)
     raise SpecError(ptr, "unknown group type %r" % t)
 
@@ -119,9 +155,11 @@ def build_filtration(spec, G, ptr="/filtration"):
     if t == "lcs":
         return _construct(ptr, lower_central_series, G)
     if t == "maximal_degree_k":
-        return _construct(ptr, maximal_degree_k_filtration, G, int(_need(spec, "k", ptr)))
+        return _construct(ptr, maximal_degree_k_filtration, G, _need_int(spec, "k", ptr))
     if t == "explicit":
-        chain = [frozenset(level) for level in _need(spec, "chain", ptr)]
+        levels = _list(_need(spec, "chain", ptr), ptr + "/chain")
+        chain = [frozenset(_elements(level, G, "%s/chain/%d" % (ptr, d)))
+                 for d, level in enumerate(levels)]
         filt = _construct(ptr + "/chain", Filtration, G, tuple(chain))
         bad = validate_filtration(filt)
         if bad is not None:
@@ -132,15 +170,20 @@ def build_filtration(spec, G, ptr="/filtration"):
 
 def build_abelian(invariants, ptr="/A"):
     """The finite abelian group with the given invariant factors."""
-    return _construct(ptr, FiniteAbelianGroup, tuple(invariants))
+    return _construct(ptr, FiniteAbelianGroup, tuple(_ints(invariants, ptr)))
 
 
 def build_cocycle(spec, X, A, ptr="/cocycle"):
     from .cohomology import Cocycle, validate_cocycle
 
-    k = int(_need(spec, "k", ptr))
-    entries = _need(spec, "entries", ptr)
-    table = {tuple(q): int(a) for q, a in entries}
+    k = _natural(spec, "k", ptr)
+    table = {}
+    for i, entry in enumerate(_list(_need(spec, "entries", ptr), ptr + "/entries")):
+        p = "%s/entries/%d" % (ptr, i)
+        if len(_list(entry, p)) != 2:
+            raise SpecError(p, "an entry is a pair [cube, value]")
+        # a value outside A breaks the automorphism-sign law below
+        table[tuple(_ints(entry[0], p + "/0"))] = _int(entry[1], p + "/1")
     rho = Cocycle(X, k, A, table)
     bad = validate_cocycle(rho)
     if bad is not None:
@@ -160,7 +203,7 @@ def build_cubespace(spec, ptr="/cubespace"):
         gamma = subgroup_closure(G, _elements(_need(spec, "gamma", ptr), G, ptr + "/gamma"))
         return cs.CosetCubespace(filt, gamma)
     if src == "product":
-        facs = _need(spec, "factors", ptr)
+        facs = _list(_need(spec, "factors", ptr), ptr + "/factors")
         if len(facs) != 2:
             raise SpecError(ptr + "/factors", "exactly two factors")
         return cs.ProductCubespace(
@@ -169,10 +212,10 @@ def build_cubespace(spec, ptr="/cubespace"):
         )
     if src == "arrow":
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
-        return _construct(ptr + "/k", cs.ArrowCubespace, base, int(_need(spec, "k", ptr)))
+        return _construct(ptr + "/k", cs.ArrowCubespace, base, _need_int(spec, "k", ptr))
     if src == "partial":
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
-        return _construct(ptr + "/point", cs.SliceCubespace, base, int(_need(spec, "point", ptr)))
+        return _construct(ptr + "/point", cs.SliceCubespace, base, _need_int(spec, "point", ptr))
     if src == "extension":
         from .cohomology import build_extension
 
@@ -181,14 +224,24 @@ def build_cubespace(spec, ptr="/cubespace"):
         rho = build_cocycle(_need(spec, "cocycle", ptr), base, A, ptr + "/cocycle")
         return _construct(ptr, build_extension, rho)
     if src == "explicit":
-        tables = {
-            int(n): [tuple(q) for q in qs]
-            for n, qs in _need(spec, "tables", ptr).items()
-        }
-        size = int(_need(spec, "size", ptr))
+        raw = _need(spec, "tables", ptr)
+        if not isinstance(raw, dict):
+            raise SpecError(ptr + "/tables", "tables must be an object")
+        tables = {}
+        for key, qs in raw.items():
+            p = "%s/tables/%s" % (ptr, key)
+            try:
+                n = int(key)
+            except ValueError:
+                raise SpecError(p, "table key %r is not an integer" % key) from None
+            tables[n] = [tuple(_ints(q, "%s/%d" % (p, i))) for i, q in enumerate(_list(qs, p))]
+        size = _need_int(spec, "size", ptr)
         if size < 1:
             raise SpecError(ptr + "/size", "a cubespace needs at least one point")
-        return _construct(ptr + "/tables", cs.ExplicitCubespace, size, tables, spec.get("step"))
+        step = spec.get("step")
+        if step is not None and _int(step, ptr + "/step") < 0:
+            raise SpecError(ptr + "/step", "step %d is negative" % step)
+        return _construct(ptr + "/tables", cs.ExplicitCubespace, size, tables, step)
     raise SpecError(ptr, "unknown cubespace source %r" % src)
 
 
@@ -216,7 +269,7 @@ def _axiom_report_json(rep: cs.AxiomReport):
 
 def run_check(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    rep = cs.check_axioms(X, opts["n_max"], seed=opts["seed"])
+    rep = _construct("/cubespace", cs.check_axioms, X, opts["n_max"], seed=opts["seed"])
     out = {"kind": "check", "size": X.size, "axioms": _axiom_report_json(rep)}
     if not rep.is_nilspace:
         raise MathFailure(out)
@@ -227,8 +280,8 @@ def run_factorize(spec, opts):
     G = build_group(_need(spec, "group", "/"))
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     cube = _need(spec, "cube", "/")
-    values = _elements([int(v) for v in _need(cube, "values", "/cube")], G, "/cube/values")
-    n = _dimension(cube, "/cube")
+    values = _elements(_need(cube, "values", "/cube"), G, "/cube/values")
+    n = _natural(cube, "n", "/cube")
     if len(values) != 1 << n:
         raise SpecError("/cube/values", "expected %d values" % (1 << n))
     res = cg.factorize(values, filt)
@@ -245,8 +298,8 @@ def run_complete(spec, opts):
     G = build_group(_need(spec, "group", "/"))
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     corner = _need(spec, "corner", "/")
-    n = _dimension(corner, "/corner")
-    values = _elements([int(v) for v in _need(corner, "values", "/corner")], G, "/corner/values")
+    n = _natural(corner, "n", "/corner")
+    values = _elements(_need(corner, "values", "/corner"), G, "/corner/values")
     if len(values) != (1 << n) - 1:
         raise SpecError("/corner/values", "expected %d values" % ((1 << n) - 1))
     try:
@@ -262,7 +315,7 @@ def run_poly(spec, opts):
     hfilt = build_filtration(_need(spec, "domain_filtration", "/"), H)
     G = build_group(_need(spec, "target_group", "/"))
     gfilt = build_filtration(_need(spec, "target_filtration", "/"), G)
-    g = [int(v) for v in _need(spec, "map", "/")]
+    g = _elements(_need(spec, "map", "/"), G, "/map")
     if len(g) != H.order:
         raise SpecError("/map", "expected %d values" % H.order)
     is_poly = poly.is_polynomial(g, hfilt, gfilt)
@@ -316,8 +369,8 @@ def run_cohomology(spec, opts):
     A = build_abelian(_need(spec, "A", "/"))
     op = _need(spec, "op", "/")
     if op == "count_classes":
-        k = int(_need(spec, "k", "/"))
-        cocycles = coh.enumerate_cocycles(X, k, A)
+        k = _natural(spec, "k", "/")
+        cocycles = _construct("/k", coh.enumerate_cocycles, X, k, A)
         classes = coh.cohomology_classes(cocycles)
         return {"kind": "cohomology", "op": op, "k": k,
                 "cocycles": len(cocycles), "classes": len(classes)}
@@ -352,7 +405,8 @@ def run_export(spec, opts):
     n_max = opts["n_max"]
     if X.size ** (1 << n_max) > 10 ** 9:
         raise SpecError("/cubespace", "export size beyond cap")
-    tables = {str(n): sorted(list(q) for q in X.cubes(n)) for n in range(1, n_max + 1)}
+    tables = {str(n): sorted(list(q) for q in _construct("/cubespace", X.cubes, n))
+              for n in range(1, n_max + 1)}
     return {"kind": "export", "size": X.size, "step": X.step, "tables": tables}
 
 
@@ -373,9 +427,10 @@ def run(spec: Dict[str, Any], n_max: int = 3, brute_cap: int = 12, seed: int = 0
     """Dispatch a problem spec; returns the report dict.  Raises
     SpecError or MathFailure."""
     kind = _need(spec, "kind", "/")
-    if kind not in HANDLERS:
+    if not isinstance(kind, str) or kind not in HANDLERS:
         raise SpecError("/kind", "unknown kind %r" % kind)
-    opts = {"n_max": int(spec.get("n_max", n_max)), "brute_cap": brute_cap, "seed": seed}
+    opts = {"n_max": _int(spec.get("n_max", n_max), "/n_max"), "brute_cap": brute_cap,
+            "seed": seed}
     out = HANDLERS[kind](spec, opts)
     out["n_max"] = opts["n_max"]
     return out

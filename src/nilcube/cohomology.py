@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from . import cubes as cb
+from .cubegroups import sigma
 from .cubespace import Cubespace
 from .groups import FiniteAbelianGroup, solve_abelian_linear_system
 from .structure import lift_cube_through
@@ -44,21 +45,10 @@ def _check_table_size(X: Cubespace, n: int):
         raise ValueError("cocycle table too large")
 
 
-def zero_cocycle(X: Cubespace, k: int, A: FiniteAbelianGroup) -> Cocycle:
-    return Cocycle(X, k, A, {q: 0 for q in X.cubes(k + 1)})
-
-
 def cocycle_sub(r1: Cocycle, r2: Cocycle) -> Cocycle:
     assert r1.k == r2.k and r1.X is r2.X
     A = r1.A
     return Cocycle(r1.X, r1.k, A, {q: A.op(v, A.inv(r2.table[q])) for q, v in r1.table.items()})
-
-
-def _sigma_abelian(A: FiniteAbelianGroup, vals: Sequence[int]) -> int:
-    acc = 0
-    for j, v in enumerate(vals):
-        acc = A.op(acc, v if bin(j).count("1") % 2 == 0 else A.inv(v))
-    return acc
 
 
 def validate_cocycle(rho: Cocycle):
@@ -92,7 +82,7 @@ def coboundary_of(X: Cubespace, f: Sequence[int], k: int, A: FiniteAbelianGroup)
     _check_table_size(X, k + 1)
     table = {}
     for q in X.cubes(k + 1):
-        table[q] = _sigma_abelian(A, [f[x] for x in q])
+        table[q] = sigma([f[x] for x in q], k + 1, A)
     return Cocycle(X, k, A, table)
 
 
@@ -208,7 +198,7 @@ class ExtensionSpace(Cubespace):
         return divmod(p, self.A.order)
 
     def _special_ok(self, xs: tuple, zs: tuple) -> bool:
-        return self.rho.table[xs] == self.A.inv(_sigma_abelian(self.A, zs))
+        return self.rho.table[xs] == self.A.inv(sigma(zs, self.d + 1, self.A))
 
     def _membership(self, n, values):
         xs = tuple(p // self.A.order for p in values)
@@ -303,10 +293,10 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int], lift_checks: int
         lift = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=fibres)
         if lift is None:
             raise ValueError("base cube does not lift")
-        val = _sigma_abelian(A, [f[y] for y in lift])
+        val = sigma([f[y] for y in lift], k + 1, A)
         if lift_checks:
             lift2 = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=rev)
-            val2 = _sigma_abelian(A, [f[y] for y in lift2])
+            val2 = sigma([f[y] for y in lift2], k + 1, A)
             assert val == val2, "cross-section value depends on the lift"
         table[q] = val
     rho = Cocycle(X, k, A, table)
@@ -339,12 +329,8 @@ def extension_iso(ext: ExtensionData, s: Sequence[int], n_max: int = 3):
 def tricube_sum(t: Dict[tuple, int], xi: Dict[tuple, int], k: int, A: FiniteAbelianGroup) -> int:
     """beta(t, xi) = sum over v of (-1)^|v| xi(t o psi_v) for a tricube
     map t and a table xi on the k-cubes."""
-    acc = 0
-    for v in cb.vertices(k):
-        sub = tuple(t[cb.tricube_embed(v, w)] for w in cb.vertices(k))
-        val = xi[sub]
-        acc = A.op(acc, val if sum(v) % 2 == 0 else A.inv(val))
-    return acc
+    vs = cb.vertices(k)
+    return sigma([xi[tuple(t[cb.tricube_embed(v, w)] for w in vs)] for v in vs], k, A)
 
 
 def tricube_outer(t: Dict[tuple, int], k: int) -> tuple:

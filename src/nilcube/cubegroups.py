@@ -9,7 +9,7 @@ upper-face factorization or by the alternating-product equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import cubes
 from .groups import FiniteGroup, Filtration, element_range_violation, shift_filtration
@@ -17,7 +17,9 @@ from .groups import FiniteGroup, Filtration, element_range_violation, shift_filt
 
 def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
     """Gray alternating product: product over j = 2^n-1 down to 0 of
-    g(gray(j)) with exponent (-1)^j."""
+    g(gray(j)) with exponent (-1)^j.  Consecutive Gray vertices differ in
+    one bit, so gray(j) has the parity of j: over an abelian group this
+    is the alternating sum of g(v) with sign (-1)^|v|."""
     out = 0
     for j in range((1 << n) - 1, -1, -1):
         g = values[cubes.gray_index(j)]
@@ -163,11 +165,9 @@ class CornerError(ValueError):
 def corner_premise_violation(corner: dict, n: int, filt: Filtration):
     """Check that every (n-1)-face restriction containing 0^n is a cube;
     return the failing coordinate or None."""
-    for i in range(n):
-        face = cubes.Face.make(n, {i: 0})
-        tbl = face.face_map().index_table()
-        sub = [corner[t] for t in tbl]
-        if not is_cube(sub, filt):
+    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+    for i, tbl in enumerate(cubes.face_index_tables(n - 1, n)[0::2]):
+        if not is_cube([corner[t] for t in tbl], filt):
             return i
     return None
 
@@ -333,11 +333,5 @@ def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> b
     n = (len(values) - 1).bit_length()
     if n <= k:
         return True
-    for tbl in cubes.face_index_tables(k + 1, n):
-        acc = 0
-        for j, t in enumerate(tbl):
-            x = values[t]
-            acc = A.op(acc, x if bin(j).count("1") % 2 == 0 else A.inv(x))
-        if acc != 0:
-            return False
-    return True
+    return all(sigma([values[t] for t in tbl], k + 1, A) == 0
+               for tbl in cubes.face_index_tables(k + 1, n))

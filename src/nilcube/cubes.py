@@ -101,10 +101,6 @@ class CubeMorphism:
         return [vertex_index(w) for w in self.vertex_table()]
 
 
-def identity_morphism(n: int) -> CubeMorphism:
-    return CubeMorphism(n, n, tuple(Id(i) for i in range(n)))
-
-
 def validate_morphism(table, m: int, n: int) -> Optional[CubeMorphism]:
     """Check whether a total map {0,1}^m -> {0,1}^n is a cube morphism.
 
@@ -197,16 +193,8 @@ class Face:
         return Face(n, tuple(sorted(fixed.items())))
 
     @property
-    def codim(self) -> int:
-        return len(self.fixed)
-
-    @property
     def dim(self) -> int:
         return self.n - len(self.fixed)
-
-    def free_coords(self):
-        pinned = {c for c, _ in self.fixed}
-        return [i for i in range(self.n) if i not in pinned]
 
     def contains(self, v: Vertex) -> bool:
         return all(v[c] == b for c, b in self.fixed)

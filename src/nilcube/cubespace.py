@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import cubes as cb
 from . import cubegroups as cg
@@ -45,17 +45,24 @@ class Cubespace:
         raise NotImplementedError
 
     def membership(self, n: int, values) -> bool:
+        """Whether values is an n-cube.  A point outside 0..size-1 is a
+        ValueError; it is checked only when neither the cube set nor the
+        memo holds the answer, since both hold valid maps only."""
         values = tuple(values)
         if len(values) != 1 << n:
             raise ValueError("cube of dimension %d needs %d values" % (n, 1 << n))
-        if n == 0:
-            return 0 <= values[0] < self.size
         if n in self._cube_sets:
-            return values in self._cube_sets[n]
+            if values in self._cube_sets[n]:
+                return True
+            self._require_points(values)
+            return False
         cache = self._member_cache.setdefault(n, {})
         hit = cache.get(values)
         if hit is not None:
             return hit
+        self._require_points(values)
+        if n == 0:
+            return True
         if n <= self.direct_cap:
             res = self._membership(n, values)
         elif self.step is not None and n >= self.step + 2:
@@ -67,6 +74,11 @@ class Cubespace:
         if len(cache) < _CACHE_LIMIT:
             cache[values] = res
         return res
+
+    def _require_points(self, values: tuple):
+        for x in values:
+            if not 0 <= x < self.size:
+                raise ValueError("point %r is outside 0..%d" % (x, self.size - 1))
 
     def _face_criterion(self, n: int, values: tuple) -> bool:
         """For spaces of step at most k, an n-cube (n >= k+2) is exactly a
@@ -94,52 +106,48 @@ class Cubespace:
     def _enumerate_cubes(self, n: int):
         return self._scan_maps(n, corner=False)
 
-    def _pruning_faces(self, n: int, include_top: bool):
-        """Face index-tables grouped by their colex-largest vertex, used
-        to prune depth-first scans.  Only proper faces below dimension n;
-        optionally only faces avoiding the top vertex."""
+    def _pruning_faces(self, n: int):
+        """Index tables of the faces of dimension 1..n-1 (at most step+1)
+        grouped by their colex-largest vertex, used to prune depth-first
+        scans: a face is checked once its last vertex is assigned.  The
+        faces through the top vertex sit under 2^n - 1, which a corner
+        scan never reaches."""
+        maxdim = n - 1 if self.step is None else min(n - 1, self.step + 1)
         by_last: Dict[int, list] = {}
-        maxdim = n - 1
-        if self.step is not None:
-            maxdim = min(maxdim, self.step + 1)
         for dim in range(1, maxdim + 1):
-            for face in cb.enumerate_faces(n, dim):
-                if not include_top and all(b == 1 for _c, b in face.fixed):
-                    continue  # face contains the top vertex
-                tbl = face.face_map().index_table()
-                last = max(tbl)
-                by_last.setdefault(last, []).append((dim, tbl))
+            for tbl in cb.face_index_tables(dim, n):
+                by_last.setdefault(max(tbl), []).append((dim, tbl))
         return by_last
 
-    def _scan_maps(self, n: int, corner: bool):
-        """DFS over vertex assignments in colex order with face pruning.
-        With corner=True, the top vertex is omitted and only faces inside
-        the corner domain are checked, yielding exactly the corners."""
+    def _scan_maps(self, n: int, corner: bool, candidates=None):
+        """DFS over vertex assignments in colex order with face pruning,
+        yielding the maps found in that order.  candidates[i] lists the
+        points tried at vertex i (default: every point).  With
+        corner=True, the top vertex is omitted and only faces inside the
+        corner domain are checked, yielding exactly the corners;
+        otherwise it yields exactly the cubes among the candidates."""
         total = 1 << n
         domain = total - 1 if corner else total
-        by_last = self._pruning_faces(n, include_top=not corner)
-        out = []
+        if candidates is None:
+            candidates = [range(self.size)] * domain
+        by_last = self._pruning_faces(n)
         values = [0] * domain
-
-        def rec(i):
-            if i == domain:
-                if not corner and not self.membership(n, tuple(values)):
-                    return
-                out.append(tuple(values[:total] if not corner else values))
-                return
-            for x in range(self.size):
-                values[i] = x
-                ok = True
+        pending = [iter(candidates[0])]  # untried candidates per assigned vertex
+        while pending:
+            i = len(pending) - 1
+            for values[i] in pending[i]:
                 for dim, tbl in by_last.get(i, ()):
-                    sub = tuple(values[t] for t in tbl)
-                    if not self.membership(dim, sub):
-                        ok = False
+                    if not self.membership(dim, tuple(values[t] for t in tbl)):
                         break
-                if ok:
-                    rec(i + 1)
-
-        rec(0)
-        return out
+                else:
+                    break  # every face ending at i is a cube: descend
+            else:
+                pending.pop()
+                continue
+            if i + 1 < domain:
+                pending.append(iter(candidates[i + 1]))
+            elif corner or self.membership(n, tuple(values)):
+                yield tuple(values)
 
     def corners(self, n: int):
         """All corners: maps on {0,1}^n minus the top vertex whose
@@ -148,7 +156,7 @@ class Cubespace:
         fixed to 0, and those sit inside premise faces.)"""
         if n < 1:
             raise ValueError("corners need dimension at least 1")
-        return self._scan_maps(n, corner=True)
+        return list(self._scan_maps(n, corner=True))
 
     def completions(self, n: int, corner_values: Sequence[int]):
         """Points closing a corner to a full cube."""
@@ -162,11 +170,9 @@ def complete_corner_bruteforce(X: Cubespace, n: int, corner_values, check_premis
     """All completions of a corner, after validating the corner premise."""
     corner_values = tuple(corner_values)
     if check_premise:
-        for i in range(n):
-            face = cb.Face.make(n, {i: 0})
-            tbl = face.face_map().index_table()
-            sub = tuple(corner_values[t] for t in tbl)
-            if not X.membership(n - 1, sub):
+        # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+        for i, tbl in enumerate(cb.face_index_tables(n - 1, n)[0::2]):
+            if not X.membership(n - 1, tuple(corner_values[t] for t in tbl)):
                 raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
     return X.completions(n, corner_values)
 
@@ -601,10 +607,11 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
 # constructions
 
 
-def ergodic_components(X: Cubespace):
-    """Partition into classes of the Cu^1 relation; each part with the
-    induced cubes is ergodic."""
-    parent = list(range(X.size))
+def partition(size: int, pairs: Iterable[tuple]) -> List[List[int]]:
+    """Classes of the equivalence relation on 0..size-1 generated by the
+    pairs (union-find), each sorted, ordered by least element.  The
+    pairs are consumed once, in order."""
+    parent = list(range(size))
 
     def find(a):
         while parent[a] != a:
@@ -612,15 +619,20 @@ def ergodic_components(X: Cubespace):
             a = parent[a]
         return a
 
-    pairs = X.cubes(1)
-    for (x, y) in pairs:
+    for x, y in pairs:
         rx, ry = find(x), find(y)
         if rx != ry:
             parent[rx] = ry
-    comps: Dict[int, list] = {}
-    for x in range(X.size):
-        comps.setdefault(find(x), []).append(x)
-    return [RestrictedCubespace(X, pts) for _r, pts in sorted(comps.items())]
+    classes: Dict[int, List[int]] = {}
+    for x in range(size):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
+
+
+def ergodic_components(X: Cubespace):
+    """Partition into classes of the Cu^1 relation, ordered by least
+    point; each part with the induced cubes is ergodic."""
+    return [RestrictedCubespace(X, pts) for pts in partition(X.size, X.cubes(1))]
 
 
 def simplicial_extend(X: Cubespace, S: int, pattern: Iterable[tuple], f: Dict[tuple, int]):

@@ -14,11 +14,10 @@ filtration, never on the cubes or corners it is used for.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from math import gcd, prod
+from typing import Iterable, Sequence
 
 
 class FiniteGroup:
@@ -48,13 +47,6 @@ class FiniteGroup:
             a = self.op(a, a)
             e >>= 1
         return out
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.op(x, a)
-            k += 1
-        return k
 
     def is_abelian(self) -> bool:
         return all(
@@ -112,9 +104,7 @@ class CyclicProduct(FiniteGroup):
         if not moduli or any(m < 1 for m in moduli):
             raise ValueError("moduli must be positive")
         self.moduli = tuple(moduli)
-        self.order = 1
-        for m in self.moduli:
-            self.order *= m
+        self.order = prod(self.moduli)
 
     def tuple_of(self, a: int):
         out = []
@@ -438,40 +428,18 @@ class CosetSpace:
 # finite abelian groups in invariant-factor form, and exact linear algebra
 
 
-class FiniteAbelianGroup(FiniteGroup):
-    """Z/d1 x ... x Z/dr with d1 | d2 | ... | dr."""
+class FiniteAbelianGroup(CyclicProduct):
+    """Z/d1 x ... x Z/dr with d1 | d2 | ... | dr: the invariant-factor
+    form of CyclicProduct.  Factors 1 are dropped, so () and (1,) give
+    the trivial group."""
 
     def __init__(self, invariants: Sequence[int]):
-        invs = [int(d) for d in invariants if int(d) > 1]
+        invs = tuple(int(d) for d in invariants if int(d) > 1)
         for a, b in zip(invs, invs[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must divide in sequence")
-        self.invariants = tuple(invs)
-        self.order = 1
-        for d in self.invariants:
-            self.order *= d
-
-    def tuple_of(self, a: int):
-        out = []
-        for d in self.invariants:
-            out.append(a % d)
-            a //= d
-        return tuple(out)
-
-    def index_of(self, t) -> int:
-        a, mult = 0, 1
-        for x, d in zip(t, self.invariants):
-            a += (x % d) * mult
-            mult *= d
-        return a
-
-    def op(self, a, b):
-        return self.index_of(
-            tuple(x + y for x, y in zip(self.tuple_of(a), self.tuple_of(b)))
-        )
-
-    def inv(self, a):
-        return self.index_of(tuple(-x for x in self.tuple_of(a)))
+        self.moduli = self.invariants = invs
+        self.order = prod(invs)
 
     def scale(self, e: int, a: int) -> int:
         return self.index_of(tuple(e * x for x in self.tuple_of(a)))
@@ -562,9 +530,9 @@ def smith_normal_form(M):
         for row in V:
             row[i], row[j] = row[j], row[i]
 
-    t = 0
-    while t < min(r, c):
-        # find a pivot
+    def move_pivot(t):
+        """Move the least nonzero |D[i][j]|, i, j >= t, to (t, t); False
+        if there is none."""
         piv = None
         best = None
         for i in range(t, r):
@@ -573,9 +541,15 @@ def smith_normal_form(M):
                     best = abs(D[i][j])
                     piv = (i, j)
         if piv is None:
-            break
+            return False
         swap_rows(t, piv[0])
         swap_cols(t, piv[1])
+        return True
+
+    t = 0
+    while t < min(r, c):
+        if not move_pivot(t):
+            break
         while True:
             # clear column t
             dirty = False
@@ -603,67 +577,27 @@ def smith_normal_form(M):
         for i in range(min(r, c) - 1):
             a, b = D[i][i], D[i + 1][i + 1]
             if b % (a if a else 1) != 0 or (a == 0 and b != 0):
-                # fold D[i+1][i+1] into position i via a column add then re-reduce
+                # fold D[i+1][i+1] into position i via a column add, then
+                # re-eliminate from i, searching for a fresh pivot each round
                 col_op(i, i + 1, 1)
-                g = _ext_reduce(D, U, V, i)
+                while move_pivot(i):
+                    dirty = False
+                    for k in range(i + 1, r):
+                        if D[k][i] != 0:
+                            row_op(k, i, -(D[k][i] // D[i][i]))
+                            dirty = dirty or D[k][i] != 0
+                    for j in range(i + 1, c):
+                        if D[i][j] != 0:
+                            col_op(j, i, -(D[i][j] // D[i][i]))
+                            dirty = dirty or D[i][j] != 0
+                    if not dirty:
+                        break
                 changed = True
     for i in range(min(r, c)):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
             U[i] = [-x for x in U[i]]
     return U, D, V
-
-
-def _ext_reduce(D, U, V, t):
-    """Re-eliminate the 2x2 block at t after a column mix (helper for the
-    divisibility fix-up in smith_normal_form)."""
-    r, c = len(D), len(D[0])
-
-    def row_op(i, j, k):
-        D[i] = [a + k * b for a, b in zip(D[i], D[j])]
-        U[i] = [a + k * b for a, b in zip(U[i], U[j])]
-
-    def col_op(i, j, k):
-        for row in D:
-            row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    while True:
-        piv = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
-        if piv is None:
-            return
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        dirty = False
-        for i in range(t + 1, r):
-            if D[i][t] != 0:
-                row_op(i, t, -(D[i][t] // D[t][t]))
-                if D[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, c):
-            if D[t][j] != 0:
-                col_op(j, t, -(D[t][j] // D[t][t]))
-                if D[t][j] != 0:
-                    dirty = True
-        if not dirty:
-            return
 
 
 def _solve_mod(e: int, b: int, d: int):

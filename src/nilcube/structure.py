@@ -6,13 +6,11 @@ the degree-k bundle verification, and cube lifting through factor maps.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
-from . import cubes as cb
-from .groups import FiniteAbelianGroup, TableGroup, abelian_invariants
-from .cubespace import Cubespace, RestrictedCubespace
+from .groups import TableGroup, abelian_invariants
+from .cubespace import Cubespace, RestrictedCubespace, partition
 
 
 # ---------------------------------------------------------------------------
@@ -28,26 +26,12 @@ def related_k(X: Cubespace, k: int, x: int, y: int) -> bool:
 
 
 def sim_classes(X: Cubespace, k: int) -> List[List[int]]:
-    """Classes of the level-k relation (union-find closure; for genuine
-    nilspaces the raw relation is already an equivalence)."""
-    parent = list(range(X.size))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for x in range(X.size):
-        for y in range(x + 1, X.size):
-            if related_k(X, k, x, y):
-                rx, ry = find(x), find(y)
-                if rx != ry:
-                    parent[rx] = ry
-    out: Dict[int, List[int]] = {}
-    for x in range(X.size):
-        out.setdefault(find(x), []).append(x)
-    return sorted(out.values())
+    """Classes of the level-k relation, ordered by least element
+    (union-find closure; for genuine nilspaces the raw relation is
+    already an equivalence)."""
+    pairs = ((x, y) for x in range(X.size) for y in range(x + 1, X.size)
+             if related_k(X, k, x, y))
+    return partition(X.size, pairs)
 
 
 def relation_is_equivalence(X: Cubespace, k: int) -> bool:
@@ -354,35 +338,15 @@ def analyze_morphism(f: Sequence[int], X: Cubespace, Y: Cubespace, n_max: int):
 
 
 def lift_cube_through(X: Cubespace, proj, n: int, qbar: Sequence[int], fibres=None):
-    """Depth-first lift of a base cube through a factor map: choose a
-    preimage per vertex in colex order, pruning with the face criterion
-    on partially assigned vertices.  Returns a lifted cube or None."""
-    qbar = tuple(qbar)
+    """Depth-first lift of a base cube through a factor map: the first
+    cube of X, in the pruned colex scan, with a preimage of qbar[i] at
+    each vertex i, taken from fibres (in its order).  Returns a lifted
+    cube or None."""
     if fibres is None:
         fibres = {}
         for x in range(X.size):
             fibres.setdefault(proj(x), []).append(x)
-    total = 1 << n
-    by_last = X._pruning_faces(n, include_top=True)
-    values = [0] * total
-
-    def rec(i):
-        if i == total:
-            return X.membership(n, tuple(values))
-        for x in fibres.get(qbar[i], ()):
-            values[i] = x
-            ok = True
-            for dim, tbl in by_last.get(i, ()):
-                if not X.membership(dim, tuple(values[t] for t in tbl)):
-                    ok = False
-                    break
-            if ok and rec(i + 1):
-                return True
-        return False
-
-    if rec(0):
-        return tuple(values)
-    return None
+    return next(X._scan_maps(n, False, [fibres.get(b, ()) for b in qbar]), None)
 
 
 def subcubes_of_pattern(n: int, pattern) -> List[Tuple[int, int]]:

@@ -124,6 +124,9 @@ def translation_group(X: Cubespace, i: int = 1, n_max: Optional[int] = None) -> 
         alpha[x] = -1
 
     rec(0)
+    # rec refers to itself; dropping that reference frees X's caches now
+    # instead of at the next full garbage collection
+    rec = None
     return out
 
 

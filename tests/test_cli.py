@@ -1,8 +1,13 @@
 """The batch CLI: spec parsing, handlers, exit codes, round trips."""
 
+import copy
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcube import cli
 
@@ -238,3 +243,106 @@ def _explicit(size, tables):
         "explicit-point-out-of-range", "explicit-wrong-length", "coset-gamma-out-of-range"])
 def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, spec, pointer):
     assert_spec_error(tmp_path, capsys, spec, pointer)
+
+
+Z2 = {"type": "cyclic_product", "moduli": [2]}
+D1 = {"type": "maximal_degree_k", "k": 1}
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    ({"kind": "check", "cubespace": {"source": "arrow", "base": Z2D1, "k": "x"}},
+     "/cubespace/k"),
+    ({"kind": "check", "cubespace": Z2D1, "n_max": "x"}, "/n_max"),
+    ({"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": 1, "values": [0, "a"]}},
+     "/cube/values/1"),
+    ({"kind": "factorize", "group": {"type": "cyclic_product", "moduli": ["2"]},
+      "filtration": D1, "cube": {"n": 1, "values": [0, 1]}}, "/group/moduli/0"),
+    ({"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": 1, "values": [0, 1.5]}},
+     "/cube/values/1"),
+    ({"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": True, "values": [0, 1]}},
+     "/cube/n"),
+    ({"kind": "check", "cubespace": _explicit(2, {"x": [[0, 0]]})}, "/cubespace/tables/x"),
+    ({"kind": "check", "cubespace": _explicit(2, {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]})},
+     "/cubespace"),
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": -1}, "/k"),
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": 3}, "/k"),
+], ids=["arrow-k-string", "n-max-string", "cube-value-string", "moduli-string",
+        "cube-value-float", "cube-n-bool", "explicit-table-key", "explicit-no-step-above-tables",
+        "count-classes-negative-k", "count-classes-beyond-cap"])
+def test_non_integer_or_unanswerable_field_is_a_spec_error(tmp_path, capsys, spec, pointer):
+    assert_spec_error(tmp_path, capsys, spec, pointer)
+
+
+# -- fuzz: one leaf of a small valid spec replaced by a value of another type
+
+def _export_tables(cubes):
+    return {str(n): [list(q) for q in sorted(qs)] for n, qs in cubes.items()}
+
+
+def _fuzz_bases():
+    from nilcube.cubespace import abelian_Dk
+    from nilcube.groups import CyclicProduct
+
+    Z4 = {"type": "cyclic_product", "moduli": [4]}
+    d1 = abelian_Dk(CyclicProduct((2,)), 1)
+    tables = {n: d1.cubes(n) for n in (1, 2)}
+    doctored = {1: tables[1], 2: sorted(tables[2])[1:]}
+    return [
+        {"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": 1, "values": [0, 1]}},
+        {"kind": "factorize", "group": Z4, "filtration": D1,
+         "cube": {"n": 2, "values": [0, 1, 2, 3]}},
+        {"kind": "factorize", "group": HEIS, "filtration": {"type": "lcs"},
+         "cube": {"n": 2, "values": [0, 1, 2, 7]}},
+        {"kind": "complete", "group": Z2, "filtration": D1,
+         "corner": {"n": 2, "values": [0, 1, 1]}},
+        {"kind": "complete", "group": Z4, "filtration": D1,
+         "corner": {"n": 2, "values": [0, 1, 3]}},
+        {"kind": "complete", "group": HEIS, "filtration": {"type": "lcs"},
+         "corner": {"n": 2, "values": [0, 1, 2]}},
+        {"kind": "check", "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                                        "tables": _export_tables(tables)}},
+        {"kind": "check", "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                                        "tables": _export_tables(doctored)}},
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _call_main(text):
+    """cli.main on text as stdin, in-process; (exit code, stdout, stderr)."""
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+    try:
+        return cli.main([]), sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_spec_exits_0_1_or_2_without_traceback(data):
+    spec = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    path = data.draw(st.sampled_from(list(_leaf_paths(spec))))
+    holder = spec
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = data.draw(st.sampled_from(FUZZ_VALUES))
+    code, out, err = _call_main(json.dumps(spec))
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.startswith("spec error: /")
+    else:
+        json.loads(out)

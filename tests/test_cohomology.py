@@ -7,6 +7,7 @@ import random
 import pytest
 
 from nilcube import cohomology as coh
+from nilcube import cubegroups as cg
 from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube.cubespace import abelian_Dk, check_axioms, simplicial_extend, tricube_compose
@@ -59,7 +60,7 @@ def test_boundary_of_point_function_is_coboundary_like(d1z2):
     b1 = coh.boundary(pf)  # degree 0
     b2 = coh.boundary(b1)  # degree 1: the alternating 2-cube sum of f
     for q, v in b2.table.items():
-        assert v == coh._sigma_abelian(Z2, [f[x] for x in q])
+        assert v == cg.sigma_recursive([f[x] for x in q], 2, Z2)
 
 
 def test_automorphism_sign_law(d1z3):

@@ -12,10 +12,12 @@ from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube.cubespace import (
     ArrowCubespace,
+    Cubespace,
     ExplicitCubespace,
     GroupCubespace,
     PointCubespace,
     ProductCubespace,
+    RestrictedCubespace,
     SliceCubespace,
     abelian_Dk,
     check_axioms,
@@ -23,6 +25,7 @@ from nilcube.cubespace import (
     complete_corner_bruteforce,
     concatenate_cubes,
     ergodic_components,
+    partition,
     simplicial_extend,
     tricube_compose,
 )
@@ -137,7 +140,8 @@ def test_arrow_space_of_d1z2_splits_in_two(d1z2):
     A = ArrowCubespace(d1z2, 1)
     assert A.size == 4
     comps = ergodic_components(A)
-    assert sorted(len(c.points) for c in comps) == [2, 2]
+    # pairs (x0, x1) are points 2 x0 + x1; components by x1 - x0, least point first
+    assert [c.points for c in comps] == [[0, 3], [1, 2]]
     for c in comps:
         assert check_axioms(c, 2).is_nilspace
 
@@ -158,6 +162,55 @@ def test_explicit_space_round_trip(d1z2):
     for n in (1, 2, 3):
         assert E.cubes(n) == d1z2.cubes(n)
     assert check_axioms(E, 3).is_nilspace
+
+
+def test_partition_orders_classes_by_least_element():
+    # the union-find roots (5 and 2) are not the least elements
+    assert partition(6, [(0, 5), (1, 2)]) == [[0, 5], [1, 2], [3], [4]]
+    assert partition(3, []) == [[0], [1], [2]]
+    pairs = iter([(2, 1), (1, 0)])
+    assert partition(3, pairs) == [[0, 1, 2]]
+    assert next(pairs, None) is None  # consumed once
+
+
+def test_membership_rejects_points_out_of_range():
+    R = RestrictedCubespace(abelian_Dk(gr.CyclicProduct((4,)), 1), [0, 2])
+    for n, values in [(1, (0, -1)), (1, (0, 2)), (0, (-1,)), (2, (0, 0, 0, 5))]:
+        with pytest.raises(ValueError, match="outside 0..1"):
+            R.membership(n, values)
+    assert R.membership(1, (0, 1)) and R.membership(1, (0, 1))  # memo hit
+    R.cubes(1)
+    assert R.membership(1, (1, 0))  # cube-set hit
+    with pytest.raises(ValueError, match="outside 0..1"):
+        R.membership(1, (0, -1))  # cube-set miss
+
+
+def _face_based_pruning(n, step, include_top):
+    """Pruning tables built from Face objects: the faces of dimension 1..n-1
+    (at most step+1), optionally without those through the top vertex,
+    grouped by their largest vertex index."""
+    by_last = {}
+    maxdim = n - 1 if step is None else min(n - 1, step + 1)
+    for dim in range(1, maxdim + 1):
+        for face in cb.enumerate_faces(n, dim):
+            if not include_top and all(b == 1 for _c, b in face.fixed):
+                continue
+            tbl = tuple(face.face_map().index_table())
+            by_last.setdefault(max(tbl), []).append((dim, tbl))
+    return by_last
+
+
+@pytest.mark.parametrize("step", [None, 0, 1, 2])
+def test_memoised_pruning_and_premise_tables_match_faces(step):
+    for n in range(1, 6):
+        got = Cubespace(2, step=step)._pruning_faces(n)
+        top = (1 << n) - 1
+        assert got == _face_based_pruning(n, step, include_top=True)
+        # a corner scan never reaches the faces through the top vertex
+        assert {i: f for i, f in got.items() if i != top} == _face_based_pruning(
+            n, step, include_top=False)
+        premise = [tuple(cb.Face.make(n, {i: 0}).face_map().index_table()) for i in range(n)]
+        assert list(cb.face_index_tables(n - 1, n)[0::2]) == premise
 
 
 @pytest.mark.parametrize("size,tables,why", [

@@ -129,6 +129,55 @@ def test_smith_normal_form_random():
         for a, b in zip(diag, diag[1:]):
             if a != 0:
                 assert b % a == 0
+        # nonnegative, zero entries last, U and V unimodular
+        assert all(d >= 0 for d in diag)
+        assert [d != 0 for d in diag] == sorted((d != 0 for d in diag), reverse=True)
+        assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+
+
+def _det(M):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+@pytest.mark.parametrize("M,U,D,V", [
+    ([[2, 0], [0, 3]], [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]]),
+    ([[0, 2], [3, 0]], [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -2], [1, -3]]),
+    ([[4, 0, 0], [0, 6, 0], [0, 0, 10]],
+     [[-1, 1, 0], [-3, 2, -1], [15, -10, 6]], [[2, 0, 0], [0, 2, 0], [0, 0, 60]],
+     [[1, -3, -15], [1, -2, -10], [0, 1, 6]]),
+    ([[2, 0, 0], [0, 0, 0], [0, 0, 3]],
+     [[-1, 0, 1], [-3, 0, 2], [0, 1, 0]], [[1, 0, 0], [0, 6, 0], [0, 0, 0]],
+     [[1, -3, 0], [0, 0, 1], [1, -2, 0]]),
+    ([[6, 4], [4, 6]], [[-1, 1], [3, -2]], [[2, 0], [0, 10]], [[0, 1], [1, 1]]),
+], ids=["diag-2-3", "antidiag-2-3", "diag-4-6-10", "diag-2-0-3", "6-4-4-6"])
+def test_smith_normal_form_divisibility_fix_up_is_pinned(M, U, D, V):
+    # the divisibility fix-up re-reduces after a column mix; these
+    # transforms are the ones it has always produced
+    assert gr.smith_normal_form(M) == (U, D, V)
+
+
+def test_finite_abelian_group_is_the_invariant_factor_cyclic_product():
+    for invariants in [(2,), (4,), (2, 4), (3, 6), (2, 2, 2)]:
+        A, C = gr.FiniteAbelianGroup(invariants), gr.CyclicProduct(invariants)
+        assert A.order == C.order and A.invariants == invariants
+        for a in A.elements():
+            assert A.tuple_of(a) == C.tuple_of(a) and A.inv(a) == C.inv(a)
+            assert [A.op(a, b) for b in A.elements()] == [C.op(a, b) for b in C.elements()]
+    A = gr.FiniteAbelianGroup((2, 4))  # the first factor varies fastest
+    assert A.tuple_of(3) == (1, 1) and A.index_of((1, 3)) == 7
+    assert A.scale(3, A.index_of((1, 1))) == A.index_of((1, 3))
+    for trivial in [(), (1,), (1, 1)]:
+        T = gr.FiniteAbelianGroup(trivial)
+        assert T.order == 1 and T.invariants == () and T.tuple_of(0) == ()
+    with pytest.raises(ValueError):
+        gr.FiniteAbelianGroup((4, 2))
+    for bad in [(), (0,), (2, -1)]:
+        with pytest.raises(ValueError):
+            gr.CyclicProduct(bad)
 
 
 def _brute_solve(A, num_unknowns, equations):

@@ -146,6 +146,24 @@ def test_lift_cube_through_factor(heis2_space):
         assert tuple(F.project(x) for x in q) == qbar
 
 
+def test_lift_cube_through_returns_the_first_lift_of_the_scan(heis2_space):
+    # the scan assigns vertices in colex order and tries each fibre in its
+    # order, so the first lift is the least cube over qbar (the greatest
+    # with every fibre reversed)
+    F = stc.factor(heis2_space, 1)
+    over = {}
+    for q in heis2_space.cubes(2):
+        over.setdefault(F.project_cube(q), []).append(q)
+    reversed_fibres = {}
+    for x in range(heis2_space.size):
+        reversed_fibres.setdefault(F.project(x), []).insert(0, x)
+    for qbar, qs in over.items():
+        assert stc.lift_cube_through(heis2_space, F.project, 2, qbar) == min(qs)
+        assert stc.lift_cube_through(heis2_space, F.project, 2, qbar,
+                                     fibres=reversed_fibres) == max(qs)
+    assert stc.lift_cube_through(heis2_space, F.project, 1, (0, F.size)) is None
+
+
 def test_restricted_morphism_extension_criterion(d1z2):
     # on the 2-cube with the top vertex missing, a map is a restricted
     # morphism iff all its edges inside the domain are cubes; everything
