@@ -329,11 +329,23 @@ def run_poly(spec, opts):
     return out
 
 
+def _need_step(X, kind):
+    """Decomposition and translation towers need a step bound s and cubes
+    up to dimension s + 1, which an explicit space may not have."""
+    if X.step is None:
+        raise SpecError("/cubespace", "%s needs a cubespace with a step bound" % kind)
+    _construct("/cubespace", X.membership, X.step + 1, (0,) * (2 << X.step))
+
+
 def run_decompose(spec, opts):
     from .structure import decompose
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    dec = decompose(X, n_max=opts["n_max"])
+    _need_step(X, "decompose")
+    try:
+        dec = decompose(X, n_max=opts["n_max"])
+    except ValueError as e:
+        raise MathFailure({"kind": "decompose", "decomposed": False, "reason": str(e)})
     return {
         "kind": "decompose",
         "step": dec.step,
@@ -347,12 +359,17 @@ def run_decompose(spec, opts):
 
 
 def run_translations(spec, opts):
-    from .translations import translation_action_transitive, translation_tower
+    from .translations import BRUTE_FORCE_CAP, translation_action_transitive, translation_tower
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    if X.size > opts["brute_cap"]:
-        raise SpecError("/cubespace", "size %d above brute-force cap" % X.size)
-    tw = translation_tower(X)
+    _need_step(X, "translations")
+    if X.size > BRUTE_FORCE_CAP:
+        raise SpecError("/cubespace", "size %d above the brute-force cap %d"
+                        % (X.size, BRUTE_FORCE_CAP))
+    try:
+        tw = translation_tower(X)
+    except ValueError as e:
+        raise MathFailure({"kind": "translations", "computed": False, "reason": str(e)})
     return {
         "kind": "translations",
         "sizes": [len(h) for h in tw.heights],
@@ -423,14 +440,13 @@ HANDLERS = {
 }
 
 
-def run(spec: Dict[str, Any], n_max: int = 3, brute_cap: int = 12, seed: int = 0):
+def run(spec: Dict[str, Any], n_max: int = 3, seed: int = 0):
     """Dispatch a problem spec; returns the report dict.  Raises
     SpecError or MathFailure."""
     kind = _need(spec, "kind", "/")
     if not isinstance(kind, str) or kind not in HANDLERS:
         raise SpecError("/kind", "unknown kind %r" % kind)
-    opts = {"n_max": _int(spec.get("n_max", n_max), "/n_max"), "brute_cap": brute_cap,
-            "seed": seed}
+    opts = {"n_max": _int(spec.get("n_max", n_max), "/n_max"), "seed": seed}
     out = HANDLERS[kind](spec, opts)
     out["n_max"] = opts["n_max"]
     return out
@@ -451,7 +467,6 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--input", help="problem spec JSON file (default: stdin)")
     ap.add_argument("--n-max", type=int, default=3)
-    ap.add_argument("--brute-cap", type=int, default=12)
     ap.add_argument("--format", choices=("json", "text"), default="json")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
@@ -465,7 +480,7 @@ def main(argv=None) -> int:
         print("spec error: %s" % e, file=sys.stderr)
         return 2
     try:
-        report = run(spec, n_max=args.n_max, brute_cap=args.brute_cap, seed=args.seed)
+        report = run(spec, n_max=args.n_max, seed=args.seed)
     except SpecError as e:
         print("spec error: %s" % e, file=sys.stderr)
         return 2

@@ -1,6 +1,10 @@
 """Cocycles on finite cubespaces, coboundaries and the boundary map,
 abelian extensions and the model space M(rho), cross-section cocycles,
-extension isomorphisms and validation, and the tricube alternating sum.
+extension isomorphisms, and the tricube alternating sum.
+
+An extension is a `structure.ExtensionData`; whether it is a degree-k
+bundle is decided by `structure.verify_degree_k_bundle`, the check that
+`structure.decompose` runs on every level of a nilspace.
 
 A cocycle of degree d takes values in a finite abelian group and is
 stored as a table on the enumerated (d+1)-cubes (full value tuples in
@@ -11,13 +15,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from . import cubes as cb
 from .cubegroups import sigma
 from .cubespace import Cubespace
 from .groups import FiniteAbelianGroup, solve_abelian_linear_system
-from .structure import lift_cube_through
+from .structure import ExtensionData, lift_cube_through
 
 _TABLE_CAP = 1_000_000
 
@@ -159,19 +163,6 @@ def cohomology_classes(cocycles: Sequence[Cocycle]):
 # extensions
 
 
-@dataclass
-class ExtensionData:
-    """A degree-k extension: Y -> X with fibres a free A-orbit, fibre
-    cube differences of degree k."""
-
-    Y: Cubespace
-    X: Cubespace
-    pi: List[int]  # Y point -> X point
-    A: FiniteAbelianGroup
-    k: int
-    act: Callable[[int, int], int]  # (a, y) -> y shifted by a
-
-
 class ExtensionSpace(Cubespace):
     """The model extension M(rho) of a cocycle rho of degree d on X:
     points are pairs (x, z) in X x A.  A map f is a cube iff its base
@@ -233,40 +224,6 @@ def build_extension(rho: Cocycle) -> ExtensionSpace:
     return ExtensionSpace(rho)
 
 
-def validate_extension(ext: ExtensionData, n_max: int = 3):
-    """None, or a witness: per dimension, cube projection must be onto
-    the base cube set and each projection fibre must be exactly the
-    degree-k perturbations of any one of its members."""
-    from .cubegroups import enumerate_cubes
-    from .groups import maximal_degree_k_filtration
-
-    Y, X, A, k = ext.Y, ext.X, ext.A, ext.k
-    afilt = maximal_degree_k_filtration(A, k)
-    for y in range(Y.size):
-        seen = {ext.act(a, y) for a in range(A.order)}
-        if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
-            return ("action", y)
-    for n in range(1, n_max + 1):
-        ycubes = Y.cubes(n)
-        xcubes = X.cubes(n)
-        by_proj: Dict[tuple, set] = {}
-        for q in ycubes:
-            pq = tuple(ext.pi[p] for p in q)
-            if pq not in xcubes:
-                return ("projection-not-cube", n, q)
-            by_proj.setdefault(pq, set()).add(q)
-        if set(by_proj) != xcubes:
-            missing = sorted(xcubes - set(by_proj))[0]
-            return ("projection-not-onto", n, missing)
-        acubes = list(enumerate_cubes(afilt, n))
-        for pq, qs in by_proj.items():
-            ref = next(iter(qs))
-            pert = {tuple(ext.act(a, y) for a, y in zip(av, ref)) for av in acubes}
-            if pert != qs:
-                return ("fibre-correspondence", n, pq)
-    return None
-
-
 def _fibre_difference(ext: ExtensionData, y1: int, y2: int) -> int:
     """The unique a with act(a, y1) = y2."""
     for a in range(ext.A.order):
@@ -275,11 +232,11 @@ def _fibre_difference(ext: ExtensionData, y1: int, y2: int) -> int:
     raise ValueError("points are not in one fibre")
 
 
-def cross_section_cocycle(ext: ExtensionData, s: Sequence[int], lift_checks: int = 2) -> Cocycle:
+def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     """The cocycle generated by a cross section s of a degree-k
     extension: rho_s(q) = sigma_{k+1}(f o q') for any cube lift q' of q,
     with f(y) = s(pi(y)) - y.  Independence of the lift is spot-checked
-    with differently ordered lift searches."""
+    against the lift found with every fibre searched in reverse."""
     Y, X, A, k = ext.Y, ext.X, ext.A, ext.k
     if any(ext.pi[s[x]] != x for x in range(X.size)):
         raise ValueError("not a section")
@@ -294,10 +251,9 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int], lift_checks: int
         if lift is None:
             raise ValueError("base cube does not lift")
         val = sigma([f[y] for y in lift], k + 1, A)
-        if lift_checks:
-            lift2 = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=rev)
-            val2 = sigma([f[y] for y in lift2], k + 1, A)
-            assert val == val2, "cross-section value depends on the lift"
+        lift2 = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=rev)
+        val2 = sigma([f[y] for y in lift2], k + 1, A)
+        assert val == val2, "cross-section value depends on the lift"
         table[q] = val
     rho = Cocycle(X, k, A, table)
     bad = validate_cocycle(rho)

@@ -329,7 +329,8 @@ def is_standard_abelian_cube(values: Sequence[int], A: FiniteGroup) -> bool:
 
 def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> bool:
     """Cube of the maximal degree-k structure: every (k+1)-face has
-    vanishing alternating sum.  Maps of dimension <= k are all cubes."""
+    vanishing alternating sum.  Maps of dimension <= k are all cubes.
+    The test oracle for enumerate_cubes(maximal_degree_k_filtration(A, k), n)."""
     n = (len(values) - 1).bit_length()
     if n <= k:
         return True

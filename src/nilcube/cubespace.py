@@ -69,7 +69,8 @@ class Cubespace:
             res = self._face_criterion(n, values)
         else:
             raise ValueError(
-                "dimension %d exceeds cap %d and no step bound is known" % (n, self.direct_cap)
+                "dimension %d exceeds cap %d and no step bound at most %d is known"
+                % (n, self.direct_cap, n - 2)
             )
         if len(cache) < _CACHE_LIMIT:
             cache[values] = res
@@ -570,30 +571,9 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
             if not symmetry_ok:
                 break
         # the relation p ~ p' iff <p, p'>_1 in P_m
-        def related(p, p2):
-            return X.membership(m, p + p2)
-
-        for p in Pm1:
-            if not related(p, p):
-                equivalence_ok, witness = False, ("reflexive", m, p)
-                break
-        if equivalence_ok:
-            rel = {}
-            for p in Pm1:
-                rel[p] = {p2 for p2 in Pm1 if related(p, p2)}
-            for p in Pm1:
-                for p2 in rel[p]:
-                    if p not in rel[p2]:
-                        equivalence_ok, witness = False, ("symmetric", m, p, p2)
-                        break
-                    for p3 in rel[p2]:
-                        if p3 not in rel[p]:
-                            equivalence_ok, witness = False, ("transitive", m, p, p2, p3)
-                            break
-                    if not equivalence_ok:
-                        break
-                if not equivalence_ok:
-                    break
+        bad = equivalence_violation(Pm1, lambda p, p2: X.membership(m, p + p2))
+        if bad is not None:
+            equivalence_ok, witness = False, (bad[0], m) + bad[1:]
         for c in X.corners(m):
             if not X.completions(m, c):
                 closing_ok, witness = False, ("closing", m, c)
@@ -627,6 +607,25 @@ def partition(size: int, pairs: Iterable[tuple]) -> List[List[int]]:
     for x in range(size):
         classes.setdefault(find(x), []).append(x)
     return list(classes.values())
+
+
+def equivalence_violation(elements: Sequence, related) -> Optional[tuple]:
+    """None when related(p, p2) is an equivalence relation on elements,
+    else the first witness found: ("reflexive", p), ("symmetric", p, p2)
+    with p ~ p2 but not p2 ~ p, or ("transitive", p, p2, p3) with
+    p ~ p2 ~ p3 but not p ~ p3."""
+    for p in elements:
+        if not related(p, p):
+            return ("reflexive", p)
+    rel = {p: {p2 for p2 in elements if related(p, p2)} for p in elements}
+    for p in elements:
+        for p2 in rel[p]:
+            if p not in rel[p2]:
+                return ("symmetric", p, p2)
+            for p3 in rel[p2]:
+                if p3 not in rel[p]:
+                    return ("transitive", p, p2, p3)
+    return None
 
 
 def ergodic_components(X: Cubespace):

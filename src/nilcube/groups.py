@@ -73,7 +73,7 @@ class FiniteGroup:
 
 
 class TableGroup(FiniteGroup):
-    def __init__(self, table: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = [tuple(row) for row in table]
         self.order = n = len(self.table)
         if n == 0 or any(len(row) != n for row in self.table):
@@ -87,8 +87,7 @@ class TableGroup(FiniteGroup):
                     self._inv[a] = b
         if None in self._inv:
             raise ValueError("element %d has no inverse" % self._inv.index(None))
-        if validate:
-            self.validate()
+        self.validate()
 
     def op(self, a, b):
         return self.table[a][b]

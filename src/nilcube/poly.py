@@ -33,12 +33,11 @@ class ClosureBlowup(RuntimeError):
     pass
 
 
-def is_polynomial(
-    g: Sequence[int],
-    hfilt: Filtration,
-    gfilt: Filtration,
-    closure_cap: int = 200000,
-) -> bool:
+# largest derivative closure is_polynomial builds at one weight level
+CLOSURE_CAP = 200_000
+
+
+def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> bool:
     """Check that every iterated derivative with directions h_j in
     H_{i_j} lands in G_{i_1 + ... + i_n}.
 
@@ -63,7 +62,7 @@ def is_polynomial(
                 if df not in current:
                     current.add(df)
                     frontier.append(df)
-                    if len(current) > closure_cap:
+                    if len(current) > CLOSURE_CAP:
                         raise ClosureBlowup("derivative closure exceeded cap")
         level_sets[w] = current
         Gw = gfilt.subgroup(w)
@@ -84,17 +83,10 @@ def is_polynomial(
     return True
 
 
-def is_cube_morphism(
-    g: Sequence[int],
-    hfilt: Filtration,
-    gfilt: Filtration,
-    dim_cap: int = None,
-):
+def is_cube_morphism(g: Sequence[int], hfilt: Filtration, gfilt: Filtration):
     """Check g o q is a cube of G. for every cube q of H., dimension up
-    to dim_cap (default deg(G.)+1).  Returns True, or a witness cube."""
-    if dim_cap is None:
-        dim_cap = gfilt.degree + 1
-    for n in range(dim_cap + 1):
+    to deg(G.)+1.  Returns (True, None), or (False, a witness cube)."""
+    for n in range(gfilt.degree + 2):
         for q in cubegroups.enumerate_cubes(hfilt, n):
             image = tuple(g[x] for x in q)
             if not cubegroups.is_cube(image, gfilt):

@@ -1,16 +1,18 @@
 """Canonical factors and abelian-bundle structure of finite ergodic
 nilspaces: the one-flip relations, factor cubespaces, local translations
 on fibres, structure groups with two independent addition constructions,
-the degree-k bundle verification, and cube lifting through factor maps.
+the degree-k bundle check (the one check for decomposition levels, model
+extensions and translation bundles), and cube lifting through factor maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .groups import TableGroup, abelian_invariants
-from .cubespace import Cubespace, RestrictedCubespace, partition
+from .cubegroups import enumerate_cubes
+from .groups import FiniteGroup, TableGroup, abelian_invariants, maximal_degree_k_filtration
+from .cubespace import Cubespace, RestrictedCubespace, equivalence_violation, partition
 
 
 # ---------------------------------------------------------------------------
@@ -35,19 +37,9 @@ def sim_classes(X: Cubespace, k: int) -> List[List[int]]:
 
 
 def relation_is_equivalence(X: Cubespace, k: int) -> bool:
-    """Whether the raw one-flip relation is already transitive and
-    symmetric (it is, on a nilspace)."""
-    rel = [[related_k(X, k, x, y) for y in range(X.size)] for x in range(X.size)]
-    for x in range(X.size):
-        if not rel[x][x]:
-            return False
-        for y in range(X.size):
-            if rel[x][y] != rel[y][x]:
-                return False
-            for z in range(X.size):
-                if rel[x][y] and rel[y][z] and not rel[x][z]:
-                    return False
-    return True
+    """Whether the raw one-flip relation is already reflexive, symmetric
+    and transitive (it is, on a nilspace)."""
+    return equivalence_violation(range(X.size), lambda x, y: related_k(X, k, x, y)) is None
 
 
 class FactorCubespace(Cubespace):
@@ -137,16 +129,16 @@ def _unique_completion(X: Cubespace, n: int, corner) -> int:
     return sols[0]
 
 
-def structure_group(X: Cubespace, k: int, cross_check: bool = True) -> StructureGroup:
+def structure_group(X: Cubespace, k: int) -> StructureGroup:
     """Structure group of a k-step ergodic cubespace at its top level.
 
     Elements are the points of the fibre through the smallest point b.
     Addition y1 + y2 is the local translation taking b to y1, applied to
-    y2.  With cross_check, addition is recomputed by a second route (a
-    corner that is b everywhere except y1 and y2 at two weight-k
-    vertices, whose unique completion is the sum) and both are asserted
-    to agree.  The action on a general point x places the group element
-    and x at the two ends of an arrowed one-flip cube.
+    y2.  Addition is recomputed by a second route (a corner that is b
+    everywhere except y1 and y2 at two weight-k vertices, whose unique
+    completion is the sum) and the two must agree.  The action on a
+    general point x places the group element and x at the two ends of an
+    arrowed one-flip cube.
     """
     b = 0
     fibre = sorted(y for y in range(X.size) if related_k(X, k - 1, b, y))
@@ -162,7 +154,7 @@ def structure_group(X: Cubespace, k: int, cross_check: bool = True) -> Structure
                 raise ValueError("fibre translation left the fibre")
             table[i][j] = index_in_fibre[s]
 
-    if cross_check and k >= 1:
+    if k >= 1:
         total = 1 << (k + 1)
         v1 = (1 << k) - 1  # a weight-k vertex below the top
         v2 = ((1 << k) - 1) ^ 1 | (1 << k)  # another weight-k vertex
@@ -172,8 +164,8 @@ def structure_group(X: Cubespace, k: int, cross_check: bool = True) -> Structure
                 corner = [b] * (total - 1)
                 corner[v1] = y1
                 corner[v2] = y2
-                s = _unique_completion(X, k + 1, corner)
-                assert index_in_fibre[s] == table[i][j], "addition constructions disagree"
+                if index_in_fibre.get(_unique_completion(X, k + 1, corner)) != table[i][j]:
+                    raise ValueError("the two addition constructions disagree")
 
     group = TableGroup(table)
     if not group.is_abelian():
@@ -214,73 +206,61 @@ class BundleLevel:
 
 
 @dataclass
+class ExtensionData:
+    """A candidate degree-k extension Y -> X: pi projects points, and the
+    abelian group A acts on Y by act(a, y)."""
+
+    Y: Cubespace
+    X: Cubespace
+    pi: List[int]  # Y point -> X point
+    A: FiniteGroup  # abelian
+    k: int
+    act: Callable[[int, int], int]  # (a, y) -> y shifted by a
+
+
+@dataclass
 class Decomposition:
     step: int
     factors: List[FactorCubespace]
     groups: List[StructureGroup]
     levels: List[BundleLevel]
+    extensions: List[ExtensionData]  # extensions[i-1]: X_i -> X_{i-1}
 
 
-def verify_degree_k_bundle(
-    X: Cubespace, base: Cubespace, proj, sg: StructureGroup, n_max: int
-) -> Tuple[int, ...]:
-    """Two-sided check that X -> base is a degree-k bundle with group
-    sg: cubes of X are exactly the maps that project to cubes of the base
-    and differ from a reference lift by a degree-k cube of the group.
-
-    proj maps points of X to points of base.  Returns the dims checked;
-    raises on any failure.
-    """
-    from .cubegroups import is_degree_k_abelian_cube
-    from . import cubegroups
-
-    A = sg.group
-    k = sg.k
-    # inverse action lookup: diff[x][y] = a with act(a, x) = y, if any
-    m = len(sg.fibre)
-    diff: Dict[Tuple[int, int], int] = {}
-    for a in range(m):
-        for x in range(X.size):
-            diff[(x, sg.act(a, x))] = a
-
-    dims = tuple(range(1, n_max + 1))
-    for n in dims:
-        cubeset = X.cubes(n)
-        base_cubes = base.cubes(n)
-        by_proj: Dict[tuple, list] = {}
-        for q in cubeset:
-            pq = tuple(proj(x) for x in q)
-            if pq not in base_cubes:
-                raise ValueError("a cube fails to project to a base cube at dimension %d" % n)
-            by_proj.setdefault(pq, []).append(q)
-        # containment 1: same projection => difference is a degree-k cube
+def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
+    """None, or a witness that ext is not a degree-k bundle up to
+    dimension n_max.  A acts freely and preserves the fibres of pi
+    (else ("action", y)); per dimension n, cubes project onto exactly
+    the base cubes (else ("projection-not-cube", n, q) or
+    ("projection-not-onto", n, base cube)); and the cubes over each base
+    cube are the degree-k perturbations of any one of them (else
+    ("fibre-correspondence", n, base cube)).  The last condition makes
+    every difference of two cubes over one base cube a degree-k cube."""
+    Y, X, A, k = ext.Y, ext.X, ext.A, ext.k
+    afilt = maximal_degree_k_filtration(A, k)
+    for y in range(Y.size):
+        seen = {ext.act(a, y) for a in range(A.order)}
+        if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
+            return ("action", y)
+    for n in range(1, n_max + 1):
+        ycubes = Y.cubes(n)
+        xcubes = X.cubes(n)
+        by_proj: Dict[tuple, set] = {}
+        for q in ycubes:
+            pq = tuple(ext.pi[p] for p in q)
+            if pq not in xcubes:
+                return ("projection-not-cube", n, q)
+            by_proj.setdefault(pq, set()).add(q)
+        if set(by_proj) != xcubes:
+            missing = sorted(xcubes - set(by_proj))[0]
+            return ("projection-not-onto", n, missing)
+        acubes = list(enumerate_cubes(afilt, n))
         for pq, qs in by_proj.items():
-            ref = qs[0]
-            for q in qs:
-                avals = []
-                for x, y in zip(ref, q):
-                    a = diff.get((x, y))
-                    if a is None:
-                        raise ValueError("points over a common base point are not in one orbit")
-                    avals.append(a)
-                if not is_degree_k_abelian_cube(avals, A, k):
-                    raise ValueError("cube difference is not a degree-%d cube" % k)
-        # containment 2: perturbing any cube by a degree-k cube stays a cube
-        from .groups import maximal_degree_k_filtration
-
-        afilt = maximal_degree_k_filtration(A, k)
-        acubes = list(cubegroups.enumerate_cubes(afilt, n))
-        for pq, qs in by_proj.items():
-            ref = qs[0]
-            seen = set()
-            for avals in acubes:
-                pert = tuple(sg.act(a, x) for a, x in zip(avals, ref))
-                if pert not in cubeset:
-                    raise ValueError("degree-%d perturbation left the cube set" % k)
-                seen.add(pert)
-            if seen != set(qs):
-                raise ValueError("perturbations of a reference lift miss some cubes")
-    return dims
+            ref = next(iter(qs))
+            pert = {tuple(ext.act(a, y) for a, y in zip(av, ref)) for av in acubes}
+            if pert != qs:
+                return ("fibre-correspondence", n, pq)
+    return None
 
 
 def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
@@ -292,6 +272,7 @@ def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
     factors = [factor(X, i) for i in range(0, k + 1)]
     groups: List[StructureGroup] = []
     levels: List[BundleLevel] = []
+    extensions: List[ExtensionData] = []
     for i in range(1, k + 1):
         Xi = factors[i]
         Xprev = factors[i - 1]
@@ -300,10 +281,14 @@ def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
         to_prev = [0] * Xi.size
         for x in range(X.size):
             to_prev[Xi.project(x)] = Xprev.project(x)
-        dims = verify_degree_k_bundle(Xi, Xprev, lambda c: to_prev[c], sg, n_max)
+        ext = ExtensionData(Xi, Xprev, to_prev, sg.group, i, sg.act)
+        bad = verify_degree_k_bundle(ext, n_max)
+        if bad is not None:
+            raise ValueError("level %d is not a degree-%d bundle: %r" % (i, i, bad))
         groups.append(sg)
-        levels.append(BundleLevel(i, sg.invariants, len(sg.fibre), dims))
-    return Decomposition(k, factors, groups, levels)
+        levels.append(BundleLevel(i, sg.invariants, len(sg.fibre), tuple(range(1, n_max + 1))))
+        extensions.append(ext)
+    return Decomposition(k, factors, groups, levels, extensions)
 
 
 def fibre_cubespace(X: Cubespace, k: int, x: int) -> RestrictedCubespace:

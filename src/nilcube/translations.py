@@ -8,18 +8,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import cubegroups as cg
-from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace
-from .groups import FiniteGroup, Filtration, TableGroup, validate_filtration
+from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
+from .groups import Filtration, TableGroup, validate_filtration
 from .structure import (
+    ExtensionData,
     FactorCubespace,
-    StructureGroup,
     analyze_morphism,
     factor,
     related_k,
     structure_group,
+    verify_degree_k_bundle,
 )
 
 BRUTE_FORCE_CAP = 12
@@ -212,14 +213,9 @@ def translation_cubes(tower: TranslationTower, n: int) -> frozenset:
 
 
 def translation_action_transitive(tower: TranslationTower) -> bool:
-    orbit, frontier = {0}, [0]
-    while frontier:
-        x = frontier.pop()
-        for a in tower.bijections:
-            if a[x] not in orbit:
-                orbit.add(a[x])
-                frontier.append(a[x])
-    return len(orbit) == tower.X.size
+    """Whether the points form one orbit of Tran_1."""
+    size = tower.X.size
+    return len(partition(size, ((x, a[x]) for a in tower.bijections for x in range(size)))) == 1
 
 
 def translation_cube_test(X: Cubespace, q: Sequence[int], tower: TranslationTower) -> bool:
@@ -295,8 +291,6 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
 def _validate_bundle_extension(X, base, A, T, Tstar, gamma, degree, n_max):
     """Check Tstar -> base is a degree-(k-i) extension with the top
     structure group of X acting through the second coordinate."""
-    from .cohomology import ExtensionData, validate_extension
-
     k = X.step
     sg = structure_group(factor(X, k), k)
     pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.classes) for p in cls}
@@ -316,8 +310,7 @@ def _validate_bundle_extension(X, base, A, T, Tstar, gamma, degree, n_max):
                 images.add(pair_class[A.encode(x0, sg.act(a, x1))])
             if len(images) != 1:
                 return ("action-not-well-defined", c, a)
-    ext = ExtensionData(Tstar, base, gamma, sg.group, degree, act)
-    return validate_extension(ext, n_max)
+    return verify_degree_k_bundle(ExtensionData(Tstar, base, gamma, sg.group, degree, act), n_max)
 
 
 @dataclass

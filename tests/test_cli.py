@@ -112,12 +112,43 @@ def test_translations_of_d2z2():
     assert out["transitive"]
 
 
+H3_SPACE = {"source": "group", "group": {"type": "heisenberg", "modulus": 3},
+            "filtration": {"type": "lcs"}}
+
+
 def test_translations_brute_cap_guard():
-    spec = {"kind": "translations",
-            "cubespace": {"source": "group", "group": {"type": "heisenberg", "modulus": 3},
-                          "filtration": {"type": "lcs"}}}
+    spec = {"kind": "translations", "cubespace": H3_SPACE}
     with pytest.raises(cli.SpecError):
-        cli.run(spec, brute_cap=12)
+        cli.run(spec)
+
+
+def test_translations_above_the_brute_force_cap_exit_2(tmp_path, capsys):
+    # H_3 has 27 points; the search is capped at translations.BRUTE_FORCE_CAP
+    assert_spec_error(tmp_path, capsys, {"kind": "translations", "cubespace": H3_SPACE},
+                      "/cubespace")
+
+
+@pytest.mark.parametrize("kind", ["decompose", "translations"])
+@pytest.mark.parametrize("step", [None, 3], ids=["no-step", "step-beyond-tables"])
+def test_space_without_step_is_a_spec_error(tmp_path, capsys, kind, step):
+    # decompose and translations need cubes up to dimension step + 1
+    spec = {"kind": kind, "cubespace": {"source": "explicit", "size": 2, "step": step,
+                                        "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]}}}
+    assert_spec_error(tmp_path, capsys, spec, "/cubespace")
+
+
+def test_decompose_of_a_non_nilspace_reports_the_reason(tmp_path, capsys):
+    # only the constant squares: the one-flip corners have no completion
+    spec = {"kind": "decompose",
+            "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                          "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]],
+                                     "2": [[0, 0, 0, 0], [1, 1, 1, 1]]}}}
+    assert run_main(tmp_path, spec) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    out = json.loads(captured.out)
+    assert out["kind"] == "decompose" and not out["decomposed"]
+    assert "completion not unique" in out["reason"]
 
 
 def test_cohomology_class_count():
@@ -303,6 +334,20 @@ def _fuzz_bases():
                                         "tables": _export_tables(tables)}},
         {"kind": "check", "cubespace": {"source": "explicit", "size": 2, "step": 1,
                                         "tables": _export_tables(doctored)}},
+        # explicit spaces only: a group space whose degree k becomes 8
+        # asks for the cube sets of D_8(Z/2), far beyond memory
+        {"kind": "decompose", "n_max": 2,
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(tables)}},
+        {"kind": "decompose", "n_max": 2,
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(doctored)}},
+        {"kind": "translations",
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(tables)}},
+        {"kind": "translations",
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(doctored)}},
     ]
 
 

@@ -155,6 +155,15 @@ def test_degree_k_cube_counts():
     assert n2 == 8
     assert n3 == 128
     assert low == 16  # dimension <= k: everything
+    # the face criterion is the oracle for the cubes of the maximal
+    # degree-k filtration, which the bundle check enumerates
+    Z3, Z4, Z2Z2 = gr.CyclicProduct((3,)), gr.CyclicProduct((4,)), gr.CyclicProduct((2, 2))
+    for B, k, n in [(A, 1, 2), (A, 2, 3), (A, 2, 2), (Z3, 1, 3), (Z3, 2, 3), (Z4, 1, 2),
+                    (Z2Z2, 1, 2)]:
+        filt = gr.maximal_degree_k_filtration(B, k)
+        scanned = {v for v in itertools.product(range(B.order), repeat=1 << n)
+                   if cg.is_degree_k_abelian_cube(v, B, k)}
+        assert set(cg.enumerate_cubes(filt, n)) == scanned
 
 
 def test_enumerate_cubes_equals_membership_scan():

@@ -1,15 +1,17 @@
 """Canonical factors, structure groups, and degree-k bundle
 decomposition."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
+from nilcube import cohomology as coh
 from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube import structure as stc
-from nilcube.cubespace import GroupCubespace, abelian_Dk, check_axioms
+from nilcube.cubespace import ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms
 
 
 def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
@@ -109,8 +111,66 @@ def test_bundle_verification_rejects_doctored_action(d2z2):
         [[0, 1], [0, 1]],  # the non-identity element acts trivially
     )
     base = stc.factor(d2z2, 1)
-    with pytest.raises(ValueError):
-        stc.verify_degree_k_bundle(d2z2, base, base.project, bad, 2)
+    ext = stc.ExtensionData(d2z2, base, base.class_of, bad.group, 2, bad.act)
+    assert stc.verify_degree_k_bundle(ext, 2) == ("action", 0)
+
+
+def _d1z2_extension():
+    """The trivial degree-1 extension M(0) -> D_1(Z/2) by Z/2."""
+    X = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    A = gr.FiniteAbelianGroup((2,))
+    return coh.build_extension(coh.coboundary_of(X, [0, 0], 1, A)).as_extension_data()
+
+
+def test_bundle_verification_witnesses_each_failure(d2z2):
+    ext = _d1z2_extension()
+    assert stc.verify_degree_k_bundle(ext, 3) is None
+    squares = sorted(ext.X.cubes(2))
+    # a base that lacks a square: some cube upstairs projects outside it
+    fewer = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares[1:]}, step=1)
+    bad = stc.verify_degree_k_bundle(dataclasses.replace(ext, X=fewer), 2)
+    assert bad[:2] == ("projection-not-cube", 2)
+    assert tuple(ext.pi[y] for y in bad[2]) == squares[0]
+    # a base with a square no cube upstairs projects to
+    more = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares + [(0, 0, 0, 1)]}, step=1)
+    assert stc.verify_degree_k_bundle(dataclasses.replace(ext, X=more), 2) == (
+        "projection-not-onto", 2, (0, 0, 0, 1))
+    # D_2(Z/2) over a point is a degree-2 bundle, not a degree-1 one: the
+    # 16 squares over the point are more than the 8 degree-1 perturbations
+    top = stc.decompose(d2z2, n_max=2).extensions[1]
+    assert stc.verify_degree_k_bundle(top, 2) is None
+    assert stc.verify_degree_k_bundle(dataclasses.replace(top, k=1), 2) == (
+        "fibre-correspondence", 2, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "space", ["heis2_space", "coset_space", "d1z2", "d1z3", (4, 1), "d2z2", (3, 2)],
+    ids=["H2", "coset", "D1(Z/2)", "D1(Z/3)", "D1(Z/4)", "D2(Z/2)", "D2(Z/3)"])
+def test_every_decompose_level_is_a_degree_k_bundle(space, request):
+    if isinstance(space, tuple):  # (m, k): D_k(Z/m)
+        X = abelian_Dk(gr.CyclicProduct((space[0],)), space[1])
+    else:
+        X = request.getfixturevalue(space)
+    dec = stc.decompose(X, n_max=3)
+    assert len(dec.extensions) == dec.step
+    for i, ext in enumerate(dec.extensions, start=1):
+        assert ext.k == i and ext.Y is dec.factors[i] and ext.X is dec.factors[i - 1]
+        for n_max in (2, 3):
+            assert stc.verify_degree_k_bundle(ext, n_max) is None
+
+
+def test_decompose_names_the_level_that_is_not_a_bundle(d2z2, monkeypatch):
+    real = stc.structure_group
+
+    def doctored(X, k):
+        sg = real(X, k)
+        if k == 2:
+            sg.action = [list(range(X.size))] * len(sg.fibre)
+        return sg
+
+    monkeypatch.setattr(stc, "structure_group", doctored)
+    with pytest.raises(ValueError, match=r"level 2 is not a degree-2 bundle: \('action', 0\)"):
+        stc.decompose(d2z2, n_max=2)
 
 
 def test_fibre_is_a_torsor(heis2_space):
