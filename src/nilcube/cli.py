@@ -182,6 +182,8 @@ def build_cocycle(spec, X, A, ptr="/cocycle"):
         p = "%s/entries/%d" % (ptr, i)
         if len(_list(entry, p)) != 2:
             raise SpecError(p, "an entry is a pair [cube, value]")
+        if len(_list(entry[0], p + "/0")) != 2 << k:
+            raise SpecError(p + "/0", "a degree-%d cocycle takes %d-cubes" % (k, k + 1))
         # a value outside A breaks the automorphism-sign law below
         table[tuple(_ints(entry[0], p + "/0"))] = _int(entry[1], p + "/1")
     rho = Cocycle(X, k, A, table)
@@ -407,12 +409,15 @@ def run_extend(spec, opts):
     A = build_abelian(_need(spec, "A", "/"))
     rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)
     M = _construct("/cubespace", coh.build_extension, rho)
-    rep = cs.check_axioms(M, opts["n_max"], seed=opts["seed"])
-    ext = M.as_extension_data()
-    round_trip = coh.cross_section_cocycle(ext, M.obvious_section()).table == rho.table
+    rep = _construct("/cubespace", cs.check_axioms, M, opts["n_max"], seed=opts["seed"])
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,
-           "axioms": _axiom_report_json(rep), "obvious_section_round_trip": round_trip}
-    if not (rep.is_nilspace and round_trip):
+           "axioms": _axiom_report_json(rep)}
+    try:
+        back = coh.cross_section_cocycle(M.as_extension_data(), M.obvious_section())
+        out["obvious_section_round_trip"] = back.table == rho.table
+    except ValueError as e:  # a base cube that does not lift to M
+        out.update(obvious_section_round_trip=False, reason=str(e))
+    if not (rep.is_nilspace and out["obvious_section_round_trip"]):
         raise MathFailure(out)
     return out
 
@@ -447,6 +452,8 @@ def run(spec: Dict[str, Any], n_max: int = 3, seed: int = 0):
     if not isinstance(kind, str) or kind not in HANDLERS:
         raise SpecError("/kind", "unknown kind %r" % kind)
     opts = {"n_max": _int(spec.get("n_max", n_max), "/n_max"), "seed": seed}
+    if opts["n_max"] < 1:
+        raise SpecError("/n_max", "n_max = %d is below 1" % opts["n_max"])
     out = HANDLERS[kind](spec, opts)
     out["n_max"] = opts["n_max"]
     return out

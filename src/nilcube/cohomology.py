@@ -21,7 +21,7 @@ from . import cubes as cb
 from .cubegroups import sigma
 from .cubespace import Cubespace
 from .groups import FiniteAbelianGroup, solve_abelian_linear_system
-from .structure import ExtensionData, lift_cube_through
+from .structure import ExtensionData
 
 _TABLE_CAP = 1_000_000
 
@@ -56,16 +56,17 @@ def cocycle_sub(r1: Cocycle, r2: Cocycle) -> Cocycle:
 
 
 def validate_cocycle(rho: Cocycle):
-    """None, or a witness describing the first failing law."""
+    """None, or a witness describing the first failing law.  The sign
+    law is checked on the automorphism generators, which suffices."""
     X, A, n = rho.X, rho.A, rho.domain_dim
     dom = X.cubes(n)
     if set(rho.table) != dom:
         return ("domain", None)
-    for theta, tbl, r in cb.automorphism_index_tables(n):
+    for theta, tbl, r in cb.automorphism_generator_tables(n):
         for q in dom:
             qq = tuple(q[t] for t in tbl)
             want = rho.table[q] if r % 2 == 0 else A.inv(rho.table[q])
-            if rho.table[qq] != want:
+            if rho.table.get(qq) != want:
                 return ("automorphism", q, theta)
     half = 1 << (n - 1)
     for q1 in dom:
@@ -133,10 +134,12 @@ def cocycles_equivalent(r1: Cocycle, r2: Cocycle) -> bool:
 
 def enumerate_cocycles(X: Cubespace, k: int, A: FiniteAbelianGroup, cap: int = 1 << 20):
     """All valid degree-k cocycle tables by exhaustive enumeration
-    (intended for tiny spaces)."""
+    (intended for tiny spaces).  Past the cap on tables this raises as
+    soon as the (k+1)-cubes listed so far pass it."""
+    for count, _ in enumerate(X._cube_sets.get(k + 1) or X._enumerate_cubes(k + 1), 1):
+        if A.order ** count > cap:
+            raise ValueError("cocycle enumeration too large")
     dom = sorted(X.cubes(k + 1))
-    if A.order ** len(dom) > cap:
-        raise ValueError("cocycle enumeration too large")
     out = []
     for vals in itertools.product(range(A.order), repeat=len(dom)):
         rho = Cocycle(X, k, A, dict(zip(dom, vals)))
@@ -247,11 +250,11 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     rev = {x: list(reversed(ys)) for x, ys in fibres.items()}
     table = {}
     for q in X.cubes(k + 1):
-        lift = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=fibres)
+        lift = next(Y._scan_maps(k + 1, False, [fibres[x] for x in q]), None)
         if lift is None:
             raise ValueError("base cube does not lift")
         val = sigma([f[y] for y in lift], k + 1, A)
-        lift2 = lift_cube_through(Y, lambda y: ext.pi[y], k + 1, q, fibres=rev)
+        lift2 = next(Y._scan_maps(k + 1, False, [rev[x] for x in q]))
         val2 = sigma([f[y] for y in lift2], k + 1, A)
         assert val == val2, "cross-section value depends on the lift"
         table[q] = val

@@ -295,13 +295,21 @@ def automorphism_group(n: int):
 
 
 @lru_cache(maxsize=None)
-def automorphism_index_tables(n: int):
-    """(theta, index table of theta, r(theta)) for every automorphism of
-    {0,1}^n in automorphism_group order, memoized per dimension."""
-    return tuple(
-        (theta, tuple(theta.to_morphism().index_table()), theta.r())
-        for theta in automorphism_group(n)
-    )
+def automorphism_generator_tables(n: int):
+    """(theta, index table, r(theta)) for the n generators of Aut({0,1}^n),
+    memoized: the reflection of coordinate 0 and the transpositions of
+    coordinates i, i+1.  They generate S_n x| (Z/2)^n, since conjugating
+    the reflection by transpositions gives every reflection.  A finite set
+    closed under q -> q o s for each generator s (a bijection of the set)
+    is closed under the group.  r(theta) mod 2 is a homomorphism, so a
+    sign law rho(q o theta) = (-1)^r(theta) rho(q) that holds for the
+    generators on such a set holds for every theta."""
+    gens = [CubeAutomorphism(tuple(range(n)), (1,) + (0,) * (n - 1))] if n else []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        gens.append(CubeAutomorphism(tuple(perm), (0,) * n))
+    return tuple((theta, tuple(theta.to_morphism().index_table()), theta.r()) for theta in gens)
 
 
 def gray_index(j: int) -> int:

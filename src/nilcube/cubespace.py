@@ -1,11 +1,14 @@
 """Abstract cubespaces: a finite point set plus a per-dimension cube
 membership oracle, with the nilspace / parallelepiped axiom checkers and
-the generic constructions (products, cosets, arrow spaces, the slice at a
-point, simplicial completion, concatenation, tricube composition,
-ergodic components).
+the generic constructions (products, image spaces and coset spaces, arrow
+spaces, the slice at a point, simplicial completion, concatenation,
+tricube composition, ergodic components).
 
 Cubes of dimension n are tuples of 2^n point indices in colex vertex
 order.  Membership answers are memoized per dimension (write-once).
+`Cubespace._scan_maps` is the one depth-first search for cubes: it lists
+cubes and corners, and lifts maps through image spaces (coset spaces,
+canonical factors) by scanning only the fibres.
 """
 
 from __future__ import annotations
@@ -210,9 +213,49 @@ def abelian_Dk(A: FiniteGroup, k: int) -> Cubespace:
     return GroupCubespace(maximal_degree_k_filtration(A, k))
 
 
-class CosetCubespace(Cubespace):
-    """Left coset space of a subgroup (not necessarily normal) with cubes
-    the projections of the group cubes."""
+class ImageCubespace(Cubespace):
+    """The image of a cubespace X under a surjection proj onto
+    0..size-1: cubes are the images of the cubes of X.  Membership up to
+    dim_cap looks the map up among the projected cubes; lift finds a cube
+    upstairs over a given map by the face-pruned scan of X restricted to
+    the fibres."""
+
+    provenance = "image"
+
+    def __init__(self, X: Cubespace, proj, size: int, step: Optional[int], dim_cap: int):
+        self.X = X
+        self.image = [proj(x) for x in range(X.size)]
+        self.fibres: List[List[int]] = [[] for _ in range(size)]
+        for x, b in enumerate(self.image):
+            self.fibres[b].append(x)
+        super().__init__(size, step=step, dim_cap=dim_cap)
+
+    def project(self, x: int) -> int:
+        return self.image[x]
+
+    def project_cube(self, q: Sequence[int]) -> tuple:
+        return tuple(self.image[x] for x in q)
+
+    def _membership(self, n, values):
+        return values in self.cubes(n)
+
+    def _enumerate_cubes(self, n):
+        return {self.project_cube(q) for q in self.X.cubes(n)}
+
+    def lift(self, n: int, values: Sequence[int]) -> Optional[tuple]:
+        """The first n-cube of X, in the scan's colex order with each
+        fibre tried in increasing order, that projects to values; None
+        when values is not a cube here."""
+        values = tuple(values)
+        if len(values) != 1 << n:
+            raise ValueError("cube of dimension %d needs %d values" % (n, 1 << n))
+        self._require_points(values)
+        return next(self.X._scan_maps(n, False, [self.fibres[b] for b in values]), None)
+
+
+class CosetCubespace(ImageCubespace):
+    """Left coset space of a subgroup (not necessarily normal), the image
+    of the group space; past dimension deg+1 the face criterion answers."""
 
     provenance = "coset"
 
@@ -220,51 +263,8 @@ class CosetCubespace(Cubespace):
         self.filt = filt
         self.cosets = CosetSpace(filt.group, Gamma)
         deg = max(filt.degree, 0)
-        super().__init__(self.cosets.size, step=deg, dim_cap=deg + 2)
-
-    def _membership(self, n, values):
-        return self._lift(n, values) is not None
-
-    def _lift(self, n, values):
-        """Depth-first search for a group cube projecting to the given
-        coset map: vertices in colex order, per-vertex Gamma corrections,
-        pruned by the factorization-coefficient subgroup conditions."""
-        G = self.filt.group
-        reps = self.cosets.reps
-        gammas = sorted(self.cosets.Gamma)
-        th = cg._thresholds(n, None)
-        total = 1 << n
-        lift = [0] * total
-        partial = [[0] * total]  # stack of partial-product arrays
-
-        def rec(i):
-            if i == total:
-                return True
-            base = reps[values[i]]
-            par = partial[-1]
-            for gm in gammas:
-                cand = G.op(base, gm)
-                coeff = G.op(G.inv(par[i]), cand)
-                if coeff not in self.filt.subgroup(th[i]):
-                    continue
-                lift[i] = cand
-                nxt = list(par)
-                for w in range(i, total):
-                    if w & i == i:
-                        nxt[w] = G.op(nxt[w], coeff)
-                partial.append(nxt)
-                if rec(i + 1):
-                    return True
-                partial.pop()
-            return False
-
-        if rec(0):
-            return tuple(lift)
-        return None
-
-    def _enumerate_cubes(self, n):
-        proj = self.cosets.project
-        return {tuple(proj(g) for g in q) for q in cg.enumerate_cubes(self.filt, n)}
+        super().__init__(GroupCubespace(filt), self.cosets.project, self.cosets.size,
+                         step=deg, dim_cap=deg + 1)
 
 
 class ProductCubespace(Cubespace):
@@ -460,10 +460,14 @@ def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, 
     Composition is checked over every morphism m -> n (m, n <= n_max)
     against the enumerated n-cubes; if the total work exceeds the budget
     the cube sets are subsampled deterministically and the report notes
-    it.  Completion enumerates corners by pruned depth-first search and
-    scans candidate closures; the inferred step is the smallest k with
-    unique closing at dimension k+1.
+    it.  Each morphism is tried on at least one cube, so an n_max whose
+    morphisms alone pass the budget is a ValueError.  Completion
+    enumerates corners by pruned depth-first search and scans candidate
+    closures; the inferred step is the smallest k with unique closing at
+    dimension k+1.
     """
+    if sum((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1)) > composition_budget:
+        raise ValueError("n_max = %d: the morphisms alone pass the composition budget" % n_max)
     rng = random.Random(seed)
     comp_ok, comp_wit = True, None
     checks = 0
@@ -563,8 +567,9 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
                     break
             if not face_ok:
                 break
+        # closure under the generators is closure under every symmetry
         for p in Pm:
-            for theta, tbl, _r in cb.automorphism_index_tables(m):
+            for theta, tbl, _r in cb.automorphism_generator_tables(m):
                 if tuple(p[t] for t in tbl) not in Pm:
                     symmetry_ok, witness = False, ("symmetry", m, p, theta)
                     break

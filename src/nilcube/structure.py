@@ -2,7 +2,9 @@
 nilspaces: the one-flip relations, factor cubespaces, local translations
 on fibres, structure groups with two independent addition constructions,
 the degree-k bundle check (the one check for decomposition levels, model
-extensions and translation bundles), and cube lifting through factor maps.
+extensions and translation bundles), and cube-morphism checks.  A factor
+is a `cubespace.ImageCubespace`, whose `lift` finds a cube upstairs over
+a factor cube.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cubegroups import enumerate_cubes
 from .groups import FiniteGroup, TableGroup, abelian_invariants, maximal_degree_k_filtration
-from .cubespace import Cubespace, RestrictedCubespace, equivalence_violation, partition
+from .cubespace import (Cubespace, ImageCubespace, RestrictedCubespace, equivalence_violation,
+                        partition)
 
 
 # ---------------------------------------------------------------------------
@@ -42,34 +45,18 @@ def relation_is_equivalence(X: Cubespace, k: int) -> bool:
     return equivalence_violation(range(X.size), lambda x, y: related_k(X, k, x, y)) is None
 
 
-class FactorCubespace(Cubespace):
+class FactorCubespace(ImageCubespace):
     """The canonical k-step factor: points are level-k classes, cubes the
     projections of the cubes upstairs."""
 
     provenance = "factor"
 
     def __init__(self, X: Cubespace, k: int):
-        self.base = X
         self.k = k
         self.classes = sim_classes(X, k)
-        self.class_of = [0] * X.size
-        for i, cls in enumerate(self.classes):
-            for x in cls:
-                self.class_of[x] = i
-        cap = min(X.direct_cap, k + 2)
-        super().__init__(len(self.classes), step=k, dim_cap=cap)
-
-    def project(self, x: int) -> int:
-        return self.class_of[x]
-
-    def project_cube(self, q: Sequence[int]) -> tuple:
-        return tuple(self.class_of[x] for x in q)
-
-    def _membership(self, n, values):
-        return values in self.cubes(n)
-
-    def _enumerate_cubes(self, n):
-        return {self.project_cube(q) for q in self.base.cubes(n)}
+        class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
+        super().__init__(X, class_of.__getitem__, len(self.classes),
+                         step=k, dim_cap=min(X.direct_cap, k + 2))
 
 
 def factor(X: Cubespace, k: int) -> FactorCubespace:
@@ -308,7 +295,7 @@ def fibre_as_torsor(X: Cubespace, sg: StructureGroup, x: int) -> Dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# morphisms and lifting
+# morphisms
 
 
 def analyze_morphism(f: Sequence[int], X: Cubespace, Y: Cubespace, n_max: int):
@@ -320,18 +307,6 @@ def analyze_morphism(f: Sequence[int], X: Cubespace, Y: Cubespace, n_max: int):
             if not Y.membership(n, img):
                 return (False, q)
     return (True, None)
-
-
-def lift_cube_through(X: Cubespace, proj, n: int, qbar: Sequence[int], fibres=None):
-    """Depth-first lift of a base cube through a factor map: the first
-    cube of X, in the pruned colex scan, with a preimage of qbar[i] at
-    each vertex i, taken from fibres (in its order).  Returns a lifted
-    cube or None."""
-    if fibres is None:
-        fibres = {}
-        for x in range(X.size):
-            fibres.setdefault(proj(x), []).append(x)
-    return next(X._scan_maps(n, False, [fibres.get(b, ()) for b in qbar]), None)
 
 
 def subcubes_of_pattern(n: int, pattern) -> List[Tuple[int, int]]:

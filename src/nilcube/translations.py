@@ -85,7 +85,7 @@ def invert_bijection(a: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def translation_group(X: Cubespace, i: int = 1, n_max: Optional[int] = None) -> List[tuple]:
+def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
     """All height-i translations by depth-first search over partial
     bijections.  Pruning: alpha(x) stays in the level-(i-1) class of x
     (the 0-cube arrow condition) and assigned pairs pass the 1-cube
@@ -111,7 +111,7 @@ def translation_group(X: Cubespace, i: int = 1, n_max: Optional[int] = None) -> 
 
     def rec(x):
         if x == size:
-            if is_translation(X, alpha, i, n_max=n_max):
+            if is_translation(X, alpha, i):
                 out.append(tuple(alpha))
             return
         for y in candidates[x]:
@@ -164,14 +164,14 @@ class TranslationTower:
     _cube_sets: Dict[int, frozenset] = field(default_factory=dict)
 
 
-def translation_tower(X: Cubespace, n_max: Optional[int] = None) -> TranslationTower:
+def translation_tower(X: Cubespace) -> TranslationTower:
     """Compute Tran_i for i = 1..step, assemble the composition group of
     Tran_1 and the chain as a validated filtration (this rechecks every
     commutator inclusion [Tran_i, Tran_j] <= Tran_{i+j})."""
     if X.step is None:
         raise ValueError("needs a step bound")
     k = max(X.step, 1)
-    tran = {i: translation_group(X, i, n_max) for i in range(1, k + 1)}
+    tran = {i: translation_group(X, i) for i in range(1, k + 1)}
     ident = tuple(range(X.size))
     bijections = sorted(tran[1], key=lambda a: (a != ident, a))
     index = {a: j for j, a in enumerate(bijections)}

@@ -176,7 +176,7 @@ def test_criterion_06_bundle_decomposition(d2z2, heis2, heis2_space, coset_space
     afilt = gr.maximal_degree_k_filtration(sg.group, 2)
     rebuilt = set()
     for qbar in F.cubes(2):
-        lift = stc.lift_cube_through(heis2_space, F.project, 2, qbar)
+        lift = F.lift(2, qbar)
         for avals in cg.enumerate_cubes(afilt, 2):
             rebuilt.add(tuple(sg.act(a, x) for a, x in zip(avals, lift)))
     assert rebuilt == set(heis2_space.cubes(2))

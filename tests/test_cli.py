@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import sys
+from datetime import timedelta
 
 import pytest
 from hypothesis import given, settings
@@ -166,12 +167,14 @@ def test_cohomology_is_coboundary():
     assert out["is_coboundary"]
 
 
+# the nonzero degree-1 cocycle on the degree-1 structure of Z/2
+EXTEND_ENTRIES = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 1, 1, 0], 1],
+                  [[1, 0, 0, 1], 1], [[1, 0, 1, 0], 0], [[1, 1, 0, 0], 0], [[1, 1, 1, 1], 0]]
+
+
 def test_extend_round_trip():
-    # the nonzero degree-1 cocycle on the degree-1 structure of Z/2
-    entries = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 1, 1, 0], 1],
-               [[1, 0, 0, 1], 1], [[1, 0, 1, 0], 0], [[1, 1, 0, 0], 0], [[1, 1, 1, 1], 0]]
     spec = {"kind": "extend", "cubespace": Z2D1, "A": [2],
-            "cocycle": {"k": 1, "entries": entries}}
+            "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}}
     out = cli.run(spec)
     assert out["obvious_section_round_trip"]
     assert out["axioms"]["is_nilspace"]
@@ -211,6 +214,51 @@ def test_invalid_cocycle_is_a_spec_error():
             "cocycle": {"k": 1, "entries": entries}}
     with pytest.raises(cli.SpecError):
         cli.run(spec)
+
+
+# the cube set of dimension 2 is not closed under the cube symmetries
+ASYMMETRIC = {"source": "explicit", "size": 2, "step": None,
+              "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]], "2": [[0, 0, 0, 1]]}}
+
+
+def test_cocycle_on_a_space_without_symmetric_cubes_is_a_spec_error(tmp_path, capsys):
+    spec = {"kind": "cohomology", "op": "is_coboundary", "A": [2], "cubespace": ASYMMETRIC,
+            "cocycle": {"k": 1, "entries": [[[0, 0, 0, 1], 0]]}}
+    assert_spec_error(tmp_path, capsys, spec, "/cocycle")
+    spec = {"kind": "cohomology", "op": "count_classes", "A": [2], "cubespace": ASYMMETRIC,
+            "k": 1}
+    assert run_main(tmp_path, spec) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cocycles"] == 0 and out["classes"] == 0
+
+
+N_MAX_SPECS = {
+    "check": {"kind": "check", "cubespace": Z2D1},
+    "decompose": {"kind": "decompose", "cubespace": Z2D1},
+    "export": {"kind": "export", "cubespace": Z2D1},
+    "extend": {"kind": "extend", "cubespace": Z2D1, "A": [2],
+               "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(N_MAX_SPECS))
+@pytest.mark.parametrize("n_max", [0, -1, -2])
+def test_n_max_below_1_is_a_spec_error(tmp_path, capsys, kind, n_max):
+    assert_spec_error(tmp_path, capsys, dict(N_MAX_SPECS[kind], n_max=n_max), "/n_max")
+    assert run_main(tmp_path, N_MAX_SPECS[kind], "--n-max", str(n_max)) == 2
+    assert capsys.readouterr().err.startswith("spec error: /n_max:")
+    assert run_main(tmp_path, dict(N_MAX_SPECS[kind], n_max=1)) == 0
+
+
+def test_extend_over_a_base_cube_that_does_not_lift_reports_the_reason(tmp_path, capsys):
+    tables = {"1": [[0, 0], [1, 0], [1, 1]],
+              "2": [entry[0] for entry in EXTEND_ENTRIES]}
+    spec = dict(N_MAX_SPECS["extend"], n_max=2,
+                cubespace={"source": "explicit", "size": 2, "step": 1, "tables": tables})
+    assert run_main(tmp_path, spec) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["obvious_section_round_trip"] is False
+    assert out["reason"] == "base cube does not lift"
 
 
 def test_text_format(tmp_path, capsys):
@@ -297,9 +345,21 @@ D1 = {"type": "maximal_degree_k", "k": 1}
      "/cubespace"),
     ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": -1}, "/k"),
     ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": 3}, "/k"),
+    # D_1(Z/2) has 2^10 cubes of dimension 9; the cap of 2^20 tables is
+    # passed after 21 of them, long before the face-criterion scan ends
+    ({"kind": "cohomology", "A": [2], "op": "count_classes", "k": 8,
+      "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                    "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]}}}, "/k"),
+    ({"kind": "extend", "cubespace": Z2D1, "A": [2],
+      "cocycle": {"k": 8, "entries": EXTEND_ENTRIES}}, "/cocycle/entries/0/0"),
+    # n_max 6 means 12,838,447 morphisms {0,1}^m -> {0,1}^n to try
+    (dict(N_MAX_SPECS["check"], n_max=6), "/cubespace"),
+    (dict(N_MAX_SPECS["extend"], n_max=6), "/cubespace"),
 ], ids=["arrow-k-string", "n-max-string", "cube-value-string", "moduli-string",
         "cube-value-float", "cube-n-bool", "explicit-table-key", "explicit-no-step-above-tables",
-        "count-classes-negative-k", "count-classes-beyond-cap"])
+        "count-classes-negative-k", "count-classes-beyond-cap",
+        "count-classes-beyond-cap-explicit", "cocycle-entry-dimension",
+        "check-n-max-beyond-budget", "extend-n-max-beyond-budget"])
 def test_non_integer_or_unanswerable_field_is_a_spec_error(tmp_path, capsys, spec, pointer):
     assert_spec_error(tmp_path, capsys, spec, pointer)
 
@@ -348,6 +408,17 @@ def _fuzz_bases():
         {"kind": "translations",
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(doctored)}},
+        {"kind": "cohomology", "op": "is_coboundary", "A": [2],
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(tables)},
+         "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
+        {"kind": "cohomology", "op": "count_classes", "A": [2], "k": 1,
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(tables)}},
+        {"kind": "extend", "A": [2], "n_max": 2,
+         "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                       "tables": _export_tables(tables)},
+         "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
     ]
 
 
@@ -377,7 +448,7 @@ def _call_main(text):
 
 
 @given(st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=timedelta(seconds=20))
 def test_fuzzed_spec_exits_0_1_or_2_without_traceback(data):
     spec = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
     path = data.draw(st.sampled_from(list(_leaf_paths(spec))))

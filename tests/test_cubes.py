@@ -78,14 +78,25 @@ def test_face_index_tables_cache_agrees():
         assert tables == fresh
 
 
-def test_automorphism_index_tables_cache_agrees():
-    for n in (1, 2, 3):
-        entries = cb.automorphism_index_tables(n)
-        assert [theta for theta, _tbl, _r in entries] == cb.automorphism_group(n)
+def test_automorphism_generators_generate_the_group_and_are_memoised():
+    for n in range(5):
+        entries = cb.automorphism_generator_tables(n)
+        gens = [theta for theta, _tbl, _r in entries]
+        assert len(gens) == n
         for theta, tbl, r in entries:
             assert tbl == tuple(theta.to_morphism().index_table())
             assert r == theta.r()
-        assert cb.automorphism_index_tables(n) is entries
+        ident = cb.CubeAutomorphism(tuple(range(n)), (0,) * n)
+        closure, frontier = {ident}, [ident]
+        while frontier:
+            a = frontier.pop()
+            for s in gens:
+                b = a.compose(s)
+                if b not in closure:
+                    closure.add(b)
+                    frontier.append(b)
+        assert closure == set(cb.automorphism_group(n))
+        assert cb.automorphism_generator_tables(n) is entries
 
 
 def test_automorphism_group_sizes_and_closure():

@@ -12,6 +12,7 @@ from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube.cubespace import (
     ArrowCubespace,
+    CosetCubespace,
     Cubespace,
     ExplicitCubespace,
     GroupCubespace,
@@ -99,23 +100,46 @@ def test_completions_against_bruteforce(heis2_space):
         assert sols == heis2_space.completions(2, corner)
 
 
-def test_coset_space_membership_matches_projection(coset_space):
-    # coset cubes computed by lifting search equal the projections of
-    # group cubes
-    X = coset_space
-    assert X.size == 4
-    proj = X.cosets.project
-    for n in (1, 2):
-        projected = {
-            tuple(proj(g) for g in q) for q in cg.enumerate_cubes(X.filt, n)
-        }
-        direct = {
-            vals
-            for vals in itertools.product(range(X.size), repeat=1 << n)
-            if X._lift(n, vals) is not None
-        }
-        assert projected == direct
-        assert X.cubes(n) == frozenset(projected)
+def _quotient_spaces():
+    """Cosets of H_2 by <(1,0,0)> and <(0,1,0)> (not normal), by its
+    centre <(0,0,1)> and by <(1,1,0)> (index 2); then every canonical
+    factor of H_2, D_2(Z/2) and D_3(Z/2)."""
+    from nilcube.structure import factor
+
+    G, filt = gr.make_heisenberg(2)
+    for gen in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)):
+        yield CosetCubespace(filt, gr.subgroup_closure(G, [G.index_of(gen)]))
+    Z2 = gr.CyclicProduct((2,))
+    for X in (GroupCubespace(filt), abelian_Dk(Z2, 2), abelian_Dk(Z2, 3)):
+        for k in range(X.step + 1):
+            yield factor(X, k)
+
+
+def test_coset_space_membership_matches_projection():
+    # a map is a cube of an image space (coset space or canonical factor)
+    # exactly when it lifts: exhaustively for n <= 2, and for n = 3 on the
+    # projected cubes plus every one-vertex change of up to 40 of them
+    rng = random.Random(0)
+    for Y in _quotient_spaces():
+        for n in (1, 2, 3):
+            projected = {Y.project_cube(q) for q in Y.X.cubes(n)}
+            if n <= 2:
+                maps = set(itertools.product(range(Y.size), repeat=1 << n))
+            else:
+                maps = set(projected)
+                for q in rng.sample(sorted(projected), min(40, len(projected))):
+                    maps.update(q[:v] + (x,) + q[v + 1:] for v in range(8) for x in range(Y.size))
+            for vals in maps:
+                lift = Y.lift(n, vals)
+                assert (lift is not None) == (vals in projected)
+                if lift is not None:
+                    assert Y.project_cube(lift) == vals and Y.X.membership(n, lift)
+            assert Y.cubes(n) == frozenset(projected)
+        if isinstance(Y, CosetCubespace):
+            proj = Y.cosets.project
+            for n in (1, 2, 3):
+                assert Y.cubes(n) == {tuple(proj(g) for g in q)
+                                      for q in cg.enumerate_cubes(Y.filt, n)}
 
 
 def test_coset_space_is_a_nilspace(coset_space):

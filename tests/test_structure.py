@@ -111,7 +111,7 @@ def test_bundle_verification_rejects_doctored_action(d2z2):
         [[0, 1], [0, 1]],  # the non-identity element acts trivially
     )
     base = stc.factor(d2z2, 1)
-    ext = stc.ExtensionData(d2z2, base, base.class_of, bad.group, 2, bad.act)
+    ext = stc.ExtensionData(d2z2, base, base.image, bad.group, 2, bad.act)
     assert stc.verify_degree_k_bundle(ext, 2) == ("action", 0)
 
 
@@ -200,28 +200,30 @@ def test_lift_cube_through_factor(heis2_space):
     base_cubes = sorted(F.cubes(2))
     for _ in range(20):
         qbar = rng.choice(base_cubes)
-        q = stc.lift_cube_through(heis2_space, F.project, 2, qbar)
+        q = F.lift(2, qbar)
         assert q is not None
         assert heis2_space.membership(2, q)
         assert tuple(F.project(x) for x in q) == qbar
 
 
 def test_lift_cube_through_returns_the_first_lift_of_the_scan(heis2_space):
-    # the scan assigns vertices in colex order and tries each fibre in its
-    # order, so the first lift is the least cube over qbar (the greatest
-    # with every fibre reversed)
+    # the scan assigns vertices in colex order and tries each fibre in
+    # increasing order, so the first lift is the least cube over qbar (the
+    # greatest with every fibre reversed, the second lift that
+    # cohomology.cross_section_cocycle scans for)
     F = stc.factor(heis2_space, 1)
     over = {}
     for q in heis2_space.cubes(2):
         over.setdefault(F.project_cube(q), []).append(q)
-    reversed_fibres = {}
-    for x in range(heis2_space.size):
-        reversed_fibres.setdefault(F.project(x), []).insert(0, x)
     for qbar, qs in over.items():
-        assert stc.lift_cube_through(heis2_space, F.project, 2, qbar) == min(qs)
-        assert stc.lift_cube_through(heis2_space, F.project, 2, qbar,
-                                     fibres=reversed_fibres) == max(qs)
-    assert stc.lift_cube_through(heis2_space, F.project, 1, (0, F.size)) is None
+        assert F.lift(2, qbar) == min(qs)
+        reversed_fibres = [F.fibres[b][::-1] for b in qbar]
+        assert next(heis2_space._scan_maps(2, False, reversed_fibres)) == max(qs)
+    assert F.fibres == [[x for x in range(heis2_space.size) if F.project(x) == b]
+                        for b in range(F.size)]
+    assert F.lift(1, (0, 0)) is not None
+    with pytest.raises(ValueError):
+        F.lift(1, (0, F.size))
 
 
 def test_restricted_morphism_extension_criterion(d1z2):
