@@ -53,6 +53,11 @@ from .groups import (
     validate_filtration,
 )
 
+# translation towers certify every candidate against every (step+1)-cube;
+# a group or coset space with more of those (counted upstairs, in the
+# group) is refused before the search.  H2 and D3(Z/2) have 32,768.
+TRANSLATION_CUBE_CAP = 10 ** 5
+
 
 class SpecError(ValueError):
     """Malformed problem description (exit code 2)."""
@@ -368,6 +373,11 @@ def run_translations(spec, opts):
     if X.size > BRUTE_FORCE_CAP:
         raise SpecError("/cubespace", "size %d above the brute-force cap %d"
                         % (X.size, BRUTE_FORCE_CAP))
+    if isinstance(X, (cs.GroupCubespace, cs.CosetCubespace)):
+        count = cg.count_cubes(X.filt, X.step + 1)
+        if count > TRANSLATION_CUBE_CAP:
+            raise SpecError("/cubespace", "%d cubes of dimension %d above the translation cap %d"
+                            % (count, X.step + 1, TRANSLATION_CUBE_CAP))
     try:
         tw = translation_tower(X)
     except ValueError as e:

@@ -63,8 +63,9 @@ def validate_cocycle(rho: Cocycle):
     if set(rho.table) != dom:
         return ("domain", None)
     for theta, tbl, r in cb.automorphism_generator_tables(n):
+        act = cb.index_getter(tbl)
         for q in dom:
-            qq = tuple(q[t] for t in tbl)
+            qq = act(q)
             want = rho.table[q] if r % 2 == 0 else A.inv(rho.table[q])
             if rho.table.get(qq) != want:
                 return ("automorphism", q, theta)
@@ -204,8 +205,8 @@ class ExtensionSpace(Cubespace):
             return True
         if n == d1:
             return self._special_ok(xs, zs)
-        for tbl in cb.face_index_tables(d1, n):
-            if not self._special_ok(tuple(xs[t] for t in tbl), tuple(zs[t] for t in tbl)):
+        for face in cb.face_getters(d1, n):
+            if not self._special_ok(face(xs), face(zs)):
                 return False
         return True
 

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 Vertex = tuple  # tuple of 0/1 ints
@@ -240,6 +241,22 @@ def face_index_tables(m: int, n: int):
     """Index tables of the canonical m-face maps into {0,1}^n, memoized
     (hot path of the face-criterion membership test)."""
     return tuple(tuple(phi.index_table()) for phi in enumerate_face_maps(m, n))
+
+
+def index_getter(tbl: Sequence[int]):
+    """The map q -> (q[t] for t in tbl) as a tuple, by operator.itemgetter;
+    a table of one index (a restriction of dimension 0) gives a 1-tuple."""
+    if len(tbl) == 1:
+        t = tbl[0]
+        return lambda q: (q[t],)
+    return itemgetter(*tbl)
+
+
+@lru_cache(maxsize=None)
+def face_getters(m: int, n: int):
+    """index_getter of each table of face_index_tables(m, n), in the same
+    order, memoized: the face restrictions of an n-cube."""
+    return tuple(index_getter(tbl) for tbl in face_index_tables(m, n))
 
 
 @dataclass(frozen=True)

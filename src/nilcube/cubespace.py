@@ -9,6 +9,12 @@ order.  Membership answers are memoized per dimension (write-once).
 `Cubespace._scan_maps` is the one depth-first search for cubes: it lists
 cubes and corners, and lifts maps through image spaces (coset spaces,
 canonical factors) by scanning only the fibres.
+
+Every loop that asks "is this restriction a cube?" (the face criterion,
+the scan's pruning, the composition axiom, corner completion) takes its
+restrictions with `operator.itemgetter`s (`cubes.face_getters`,
+`cubes.index_getter`) and answers them with `Cubespace._cube_test(dim)`:
+a lookup in the cube set once `cubes(dim)` is built, `membership` before.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import cubes as cb
@@ -79,6 +86,16 @@ class Cubespace:
             cache[values] = res
         return res
 
+    def _cube_test(self, dim: int):
+        """A predicate for "this map of valid points is a dim-cube", with
+        the answer membership gives: once cubes(dim) is built it is the
+        set's own membership test, before that it is membership itself
+        (which then consults a cube set built later)."""
+        known = self._cube_sets.get(dim)
+        if known is not None:
+            return known.__contains__
+        return partial(self.membership, dim)
+
     def _require_points(self, values: tuple):
         for x in values:
             if not 0 <= x < self.size:
@@ -88,9 +105,9 @@ class Cubespace:
         """For spaces of step at most k, an n-cube (n >= k+2) is exactly a
         map whose (k+1)-face restrictions are all cubes."""
         k1 = self.step + 1
-        for tbl in cb.face_index_tables(k1, n):
-            sub = tuple(values[t] for t in tbl)
-            if not self.membership(k1, sub):
+        test = self._cube_test(k1)
+        for face in cb.face_getters(k1, n):
+            if not test(face(values)):
                 return False
         return True
 
@@ -134,14 +151,16 @@ class Cubespace:
         domain = total - 1 if corner else total
         if candidates is None:
             candidates = [range(self.size)] * domain
-        by_last = self._pruning_faces(n)
+        tests = {dim: self._cube_test(dim) for dim in range(n + 1)}
+        by_last = {i: [(tests[dim], cb.index_getter(tbl)) for dim, tbl in faces]
+                   for i, faces in self._pruning_faces(n).items()}
         values = [0] * domain
         pending = [iter(candidates[0])]  # untried candidates per assigned vertex
         while pending:
             i = len(pending) - 1
             for values[i] in pending[i]:
-                for dim, tbl in by_last.get(i, ()):
-                    if not self.membership(dim, tuple(values[t] for t in tbl)):
+                for test, face in by_last.get(i, ()):
+                    if not test(face(values)):
                         break
                 else:
                     break  # every face ending at i is a cube: descend
@@ -150,7 +169,7 @@ class Cubespace:
                 continue
             if i + 1 < domain:
                 pending.append(iter(candidates[i + 1]))
-            elif corner or self.membership(n, tuple(values)):
+            elif corner or tests[n](tuple(values)):
                 yield tuple(values)
 
     def corners(self, n: int):
@@ -167,7 +186,9 @@ class Cubespace:
         corner_values = tuple(corner_values)
         if len(corner_values) != (1 << n) - 1:
             raise ValueError("corner of dimension %d needs %d values" % (n, (1 << n) - 1))
-        return [x for x in range(self.size) if self.membership(n, corner_values + (x,))]
+        self._require_points(corner_values)
+        test = self._cube_test(n)
+        return [x for x in range(self.size) if test(corner_values + (x,))]
 
 
 def complete_corner_bruteforce(X: Cubespace, n: int, corner_values, check_premise=True):
@@ -175,8 +196,8 @@ def complete_corner_bruteforce(X: Cubespace, n: int, corner_values, check_premis
     corner_values = tuple(corner_values)
     if check_premise:
         # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
-        for i, tbl in enumerate(cb.face_index_tables(n - 1, n)[0::2]):
-            if not X.membership(n - 1, tuple(corner_values[t] for t in tbl)):
+        for i, face in enumerate(cb.face_getters(n - 1, n)[0::2]):
+            if not X.membership(n - 1, face(corner_values)):
                 raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
     return X.completions(n, corner_values)
 
@@ -194,8 +215,8 @@ class GroupCubespace(Cubespace):
         self.filt = filt
         deg = max(filt.degree, 0)
         super().__init__(filt.group.order, step=deg, dim_cap=max(deg + 1, 1))
-        # dimensions past deg+1 go through the face criterion, which hits
-        # the cached cube sets instead of refactorizing large tuples
+        # dimensions past deg+1 go through the face criterion, which reads
+        # the built cube sets directly instead of refactorizing large tuples
 
     def _membership(self, n, values):
         return cg.is_cube(values, self.filt)
@@ -480,12 +501,12 @@ def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, 
             cubeset = rng.sample(cubeset, min(take, len(cubeset)))
             sampled = True
         for m in range(0, n_max + 1):
+            test = X._cube_test(m)
             for phi in _all_morphisms(m, n):
-                tbl = phi.index_table()
+                restrict = cb.index_getter(phi.index_table())
                 for q in cubeset:
-                    sub = tuple(q[t] for t in tbl)
                     checks += 1
-                    if not X.membership(m, sub):
+                    if not test(restrict(q)):
                         comp_ok = False
                         comp_wit = (n, q, phi.coords, m)
                         break
@@ -560,23 +581,23 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
         Pm1set = X.cubes(m - 1)
         Pm1 = sorted(Pm1set)
         for p in Pm:
-            for tbl in cb.face_index_tables(m - 1, m):
-                sub = tuple(p[t] for t in tbl)
-                if sub not in Pm1set:
+            for face in cb.face_getters(m - 1, m):
+                if face(p) not in Pm1set:
                     face_ok, witness = False, ("face", m, p)
                     break
             if not face_ok:
                 break
         # closure under the generators is closure under every symmetry
+        gens = [(theta, cb.index_getter(tbl)) for theta, tbl, _r in cb.automorphism_generator_tables(m)]
         for p in Pm:
-            for theta, tbl, _r in cb.automorphism_generator_tables(m):
-                if tuple(p[t] for t in tbl) not in Pm:
+            for theta, act in gens:
+                if act(p) not in Pm:
                     symmetry_ok, witness = False, ("symmetry", m, p, theta)
                     break
             if not symmetry_ok:
                 break
         # the relation p ~ p' iff <p, p'>_1 in P_m
-        bad = equivalence_violation(Pm1, lambda p, p2: X.membership(m, p + p2))
+        bad = equivalence_violation(Pm1, lambda p, p2: p + p2 in Pm)
         if bad is not None:
             equivalence_ok, witness = False, (bad[0], m) + bad[1:]
         for c in X.corners(m):

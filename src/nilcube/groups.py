@@ -119,12 +119,30 @@ class CyclicProduct(FiniteGroup):
             mult *= m
         return a
 
+    # op and inv add and negate the mixed-radix digits arithmetically,
+    # without building digit tuples; one modulus (or none) is Z/order
     def op(self, a, b):
-        ta, tb = self.tuple_of(a), self.tuple_of(b)
-        return self.index_of(tuple(x + y for x, y in zip(ta, tb)))
+        moduli = self.moduli
+        if len(moduli) <= 1:
+            return (a + b) % self.order
+        out, place = 0, 1
+        for m in moduli:
+            a, x = divmod(a, m)
+            b, y = divmod(b, m)
+            out += (x + y) % m * place
+            place *= m
+        return out
 
     def inv(self, a):
-        return self.index_of(tuple(-x for x in self.tuple_of(a)))
+        moduli = self.moduli
+        if len(moduli) <= 1:
+            return -a % self.order
+        out, place = 0, 1
+        for m in moduli:
+            a, x = divmod(a, m)
+            out += -x % m * place
+            place *= m
+        return out
 
 
 class Heisenberg(FiniteGroup):

@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import sys
+import time
 from datetime import timedelta
 
 import pytest
@@ -127,6 +128,23 @@ def test_translations_above_the_brute_force_cap_exit_2(tmp_path, capsys):
     # H_3 has 27 points; the search is capped at translations.BRUTE_FORCE_CAP
     assert_spec_error(tmp_path, capsys, {"kind": "translations", "cubespace": H3_SPACE},
                       "/cubespace")
+
+
+def _dk(m, k):
+    return {"source": "group", "group": {"type": "cyclic_product", "moduli": [m]},
+            "filtration": {"type": "maximal_degree_k", "k": k}}
+
+
+@pytest.mark.parametrize("m,k,code", [(2, 4, 2), (2, 5, 2), (3, 3, 2), (2, 2, 0)],
+                         ids=["D4(Z/2)", "D5(Z/2)", "D3(Z/3)", "D2(Z/2)"])
+def test_translations_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, m, k, code):
+    # D4(Z/2) has 2^31 cubes of dimension 5: the certificate scan never ended
+    start = time.perf_counter()
+    assert run_main(tmp_path, {"kind": "translations", "cubespace": _dk(m, k)}) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("spec error: /cubespace:") and "translation cap" in err
 
 
 @pytest.mark.parametrize("kind", ["decompose", "translations"])

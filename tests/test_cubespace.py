@@ -328,3 +328,180 @@ def test_tricube_composition_is_a_cube(seed):
     out = tricube_compose(X, t, n)
     assert X.membership(n, out)
     assert out == tuple(t[cb.outer_point(v)] for v in cb.vertices(n))
+
+
+# ---------------------------------------------------------------------------
+# the cube-set test against membership
+
+
+def _bad_face_space():
+    # the 2-cube (0,1,0,1) has the face (0,1), which is not a 1-cube
+    return ExplicitCubespace(2, {1: [(0, 0), (1, 1)], 2: [(0, 0, 0, 0), (0, 1, 0, 1)]}, step=1)
+
+
+def _no_reflection_space():
+    # every pair is a 1-cube, but the 2-cubes are not closed under reflection
+    return ExplicitCubespace(2, {1: list(itertools.product(range(2), repeat=2)),
+                                 2: [(0, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)]}, step=1)
+
+
+def _kernel_spaces():
+    """Fresh spaces (no cube set built): the group space of H2, a coset
+    space of H2, a factor of D2(Z/2), a model extension over D1(Z/2) and
+    an explicit space whose table holds a 2-cube with a non-cube face."""
+    from nilcube import cohomology as coh
+    from nilcube.structure import factor
+
+    G, filt = gr.make_heisenberg(2)
+    Z2 = gr.FiniteAbelianGroup((2,))
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    rho = next(r for r in coh.enumerate_cocycles(d1, 1, Z2) if coh.is_coboundary(r) is None)
+    return {
+        "H2": lambda: GroupCubespace(filt),
+        "H2/<(1,0,0)>": lambda: CosetCubespace(
+            filt, gr.subgroup_closure(G, [G.index_of((1, 0, 0))])),
+        "factor D2(Z/2)": lambda: factor(abelian_Dk(gr.CyclicProduct((2,)), 2), 2),
+        "M(rho) over D1(Z/2)": lambda: coh.build_extension(rho),
+        "explicit bad face": _bad_face_space,
+    }
+
+
+KERNEL_SPACES = _kernel_spaces()
+
+
+def _maps_to_compare(X, d):
+    """Every map for d <= 2; at d = 3 every cube and every one-vertex
+    change of up to 60 of them (read from a fresh copy's cube set)."""
+    if d <= 2:
+        return list(itertools.product(range(X.size), repeat=1 << d))
+    cubes = sorted(X.cubes(d))
+    out = list(cubes)
+    for q in random.Random(d).sample(cubes, min(60, len(cubes))):
+        for v in range(1 << d):
+            for x in range(X.size):
+                if x != q[v]:
+                    out.append(q[:v] + (x,) + q[v + 1:])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+def test_cube_test_matches_membership_before_and_after_the_cube_set(name):
+    make = KERNEL_SPACES[name]
+    for d in range(4):
+        maps = _maps_to_compare(make(), d)
+        oracle, X = make(), make()
+        want = [oracle.membership(d, q) for q in maps]
+        assert [X._cube_test(d)(q) for q in maps] == want  # before cubes(d)
+        X.cubes(d)
+        test = X._cube_test(d)
+        assert test == X.cubes(d).__contains__
+        assert [test(q) for q in maps] == want
+
+
+def test_face_getters_restrict_like_the_index_tables():
+    q = tuple(range(100, 132))
+    for n in range(6):
+        for m in range(n + 1):
+            got = [face(q) for face in cb.face_getters(m, n)]
+            assert got == [tuple(q[t] for t in tbl) for tbl in cb.face_index_tables(m, n)]
+            assert all(len(sub) == 1 << m for sub in got)  # dimension 0 gives 1-tuples
+    assert cb.face_getters(2, 4) is cb.face_getters(2, 4)
+
+
+def _reference_corners(X, n):
+    """The corner scan as it was before the cube-set test: a face inside
+    the corner domain (dimension 1..n-1, at most step+1) is checked with
+    membership and a generator-built tuple once its last vertex is set."""
+    top = (1 << n) - 1
+    maxdim = n - 1 if X.step is None else min(n - 1, X.step + 1)
+    by_last = {}
+    for dim in range(1, maxdim + 1):
+        for tbl in cb.face_index_tables(dim, n):
+            if top not in tbl:
+                by_last.setdefault(max(tbl), []).append((dim, tbl))
+    out, values = [], []
+
+    def rec():
+        i = len(values)
+        if i == top:
+            out.append(tuple(values))
+            return
+        for x in range(X.size):
+            values.append(x)
+            if all(X.membership(dim, tuple(values[t] for t in tbl))
+                   for dim, tbl in by_last.get(i, ())):
+                rec()
+            values.pop()
+
+    rec()
+    return out
+
+
+def _reference_check_axioms(X, n_max, composition_budget=2_000_000, seed=0):
+    """check_axioms with the per-face membership loops it had before the
+    cube-set test, as the oracle for the report."""
+    from nilcube.cubespace import AxiomReport, CompletionLevel, _all_morphisms
+
+    rng = random.Random(seed)
+    comp_ok, comp_wit, checks, sampled = True, None, 0, False
+    for n in range(n_max + 1):
+        cubeset = sorted(X.cubes(n))
+        nmorph = sum((2 + 2 * m) ** n for m in range(n_max + 1))
+        if nmorph * len(cubeset) > composition_budget:
+            take = max(composition_budget // max(nmorph, 1), 1)
+            cubeset = rng.sample(cubeset, min(take, len(cubeset)))
+            sampled = True
+        for m in range(n_max + 1):
+            for phi in _all_morphisms(m, n):
+                tbl = phi.index_table()
+                for q in cubeset:
+                    checks += 1
+                    if not X.membership(m, tuple(q[t] for t in tbl)):
+                        comp_ok, comp_wit = False, (n, q, phi.coords, m)
+                        break
+                if not comp_ok:
+                    break
+            if not comp_ok:
+                break
+        if not comp_ok:
+            break
+    pairs = X.cubes(1)
+    erg = [(x, y) for x in range(X.size) for y in range(X.size) if (x, y) not in pairs]
+    completion = {}
+    for n in range(1, n_max + 1):
+        corners = _reference_corners(X, n)
+        complete, unique, witness = True, True, None
+        for c in corners:
+            sols = [x for x in range(X.size) if X.membership(n, c + (x,))]
+            if not sols:
+                complete, unique, witness = False, False, c
+                break
+            unique = unique and len(sols) == 1
+        completion[n] = CompletionLevel(len(corners), complete, unique, witness)
+    step = next((n - 1 for n in sorted(completion)
+                 if completion[n].complete and completion[n].unique), None)
+    return AxiomReport(n_max, comp_ok, comp_wit, checks, sampled, not erg,
+                       erg[0] if erg else None, completion, step)
+
+
+AXIOM_SPACES = dict(KERNEL_SPACES, **{"explicit no reflection": _no_reflection_space})
+
+
+@pytest.mark.parametrize("name", sorted(AXIOM_SPACES))
+def test_check_axioms_report_matches_the_membership_loops(name):
+    make = AXIOM_SPACES[name]
+    n_max = 2 if name == "H2" else 3
+    got = check_axioms(make(), n_max)
+    assert got == _reference_check_axioms(make(), n_max)
+    # the two explicit spaces fail composition, the others pass
+    assert got.composition_ok == (not name.startswith("explicit"))
+
+
+def test_completions_reject_a_point_outside_before_and_after_the_cube_set():
+    X = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    for build in (False, True):
+        if build:
+            X.cubes(2)
+        with pytest.raises(ValueError, match="outside 0..1"):
+            X.completions(2, (0, 1, 2))
+        assert X.completions(2, (0, 1, 1)) == [0]

@@ -369,3 +369,15 @@ def test_generating_set_is_greedy_and_spans():
     assert X == [1, 3]  # (1, 0, 0) and (0, 1, 0)
     assert gr.subgroup_closure(G, X) == full
     assert gr.generating_set(G, frozenset({0})) == []
+
+
+@pytest.mark.parametrize("G", [gr.CyclicProduct(m) for m in
+                               ((2,), (4,), (6,), (2, 2), (2, 4), (3, 5), (2, 3, 4))]
+                         + [gr.FiniteAbelianGroup(d) for d in ((), (1,), (5,), (2, 6), (2, 2, 4))],
+                         ids=lambda G: "%s%s" % (type(G).__name__, G.moduli))
+def test_cyclic_group_law_matches_the_digit_tuples(G):
+    for a in range(G.order):
+        ta = G.tuple_of(a)
+        assert G.inv(a) == G.index_of(tuple(-x for x in ta))
+        for b in range(G.order):
+            assert G.op(a, b) == G.index_of(tuple(x + y for x, y in zip(ta, G.tuple_of(b))))
