@@ -24,6 +24,7 @@ from .groups import FiniteAbelianGroup, solve_abelian_linear_system
 from .structure import ExtensionData
 
 _TABLE_CAP = 1_000_000
+COCYCLE_TABLE_CAP = 1 << 20  # candidate tables enumerate_cocycles may try
 
 
 @dataclass
@@ -133,12 +134,12 @@ def cocycles_equivalent(r1: Cocycle, r2: Cocycle) -> bool:
     return is_coboundary(cocycle_sub(r1, r2)) is not None
 
 
-def enumerate_cocycles(X: Cubespace, k: int, A: FiniteAbelianGroup, cap: int = 1 << 20):
+def enumerate_cocycles(X: Cubespace, k: int, A: FiniteAbelianGroup):
     """All valid degree-k cocycle tables by exhaustive enumeration
-    (intended for tiny spaces).  Past the cap on tables this raises as
-    soon as the (k+1)-cubes listed so far pass it."""
+    (intended for tiny spaces).  Past COCYCLE_TABLE_CAP tables this
+    raises as soon as the (k+1)-cubes listed so far pass it."""
     for count, _ in enumerate(X._cube_sets.get(k + 1) or X._enumerate_cubes(k + 1), 1):
-        if A.order ** count > cap:
+        if A.order ** count > COCYCLE_TABLE_CAP:
             raise ValueError("cocycle enumeration too large")
     dom = sorted(X.cubes(k + 1))
     out = []

@@ -62,13 +62,20 @@ class Reject:
         return False
 
 
+def _cube_dimension(values: Sequence[int]) -> int:
+    """n for a map of 2^n values; any other length is a ValueError."""
+    n = (len(values) - 1).bit_length()
+    if len(values) != 1 << n:
+        raise ValueError("a cube needs 2^n values, not %d" % len(values))
+    return n
+
+
 def factorize(values: Sequence[int], filt: Filtration, weights=None):
     """Unique factorization of a map {0,1}^n -> G into upper-face
     coefficients, or a Reject naming the first coefficient that fails its
     subgroup condition.  A value that is not an element index of G is a
     ValueError."""
-    n = (len(values) - 1).bit_length()
-    assert len(values) == 1 << n
+    n = _cube_dimension(values)
     G = filt.group
     _require_elements(G, values, "vertex")
     thresholds = _thresholds(n, weights)
@@ -106,7 +113,7 @@ def is_cube(values: Sequence[int], filt: Filtration, weights=None) -> bool:
 def is_cube_by_equations(values: Sequence[int], filt: Filtration) -> bool:
     """Membership via sigma_m(q o phi) in G_m for every canonical m-face
     map phi, m = 0..n."""
-    n = (len(values) - 1).bit_length()
+    n = _cube_dimension(values)
     G = filt.group
     full = frozenset(G.elements())
     for m in range(n + 1):
@@ -292,7 +299,7 @@ def is_standard_abelian_cube(values: Sequence[int], A: FiniteGroup) -> bool:
     (i) q(v) = x + v.h for some x and edge increments h;
     (ii) the modular law q(v or w) + q(v and w) = q(v) + q(w);
     (iii) every 2-face alternating sum vanishes."""
-    n = (len(values) - 1).bit_length()
+    n = _cube_dimension(values)
     # (i)
     x = values[0]
     h = [A.op(A.inv(x), values[1 << i]) for i in range(n)]
@@ -331,7 +338,7 @@ def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> b
     """Cube of the maximal degree-k structure: every (k+1)-face has
     vanishing alternating sum.  Maps of dimension <= k are all cubes.
     The test oracle for enumerate_cubes(maximal_degree_k_filtration(A, k), n)."""
-    n = (len(values) - 1).bit_length()
+    n = _cube_dimension(values)
     if n <= k:
         return True
     return all(sigma([values[t] for t in tbl], k + 1, A) == 0

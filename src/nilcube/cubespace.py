@@ -5,31 +5,30 @@ spaces, the slice at a point, simplicial completion, concatenation,
 tricube composition, ergodic components).
 
 Cubes of dimension n are tuples of 2^n point indices in colex vertex
-order.  Membership answers are memoized per dimension (write-once).
+order.  A built cube set (`Cubespace.cubes`) is the one membership cache.
 `Cubespace._scan_maps` is the one depth-first search for cubes: it lists
 cubes and corners, and lifts maps through image spaces (coset spaces,
 canonical factors) by scanning only the fibres.
 
 Every loop that asks "is this restriction a cube?" (the face criterion,
-the scan's pruning, the composition axiom, corner completion) takes its
-restrictions with `operator.itemgetter`s (`cubes.face_getters`,
-`cubes.index_getter`) and answers them with `Cubespace._cube_test(dim)`:
-a lookup in the cube set once `cubes(dim)` is built, `membership` before.
+the scan's pruning, corner completion) takes its restrictions with
+`operator.itemgetter`s (`cubes.face_getters`, `cubes.index_getter`) and
+answers them with `Cubespace._cube_test(dim)`: a lookup in the cube set
+once `cubes(dim)` is built, `membership` before.  The composition axiom
+is closure of the cube sets under generators (`composition_violation`).
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from . import cubes as cb
 from . import cubegroups as cg
 from .groups import CosetSpace, FiniteGroup, Filtration
-
-_CACHE_LIMIT = 1 << 20
 
 
 class Cubespace:
@@ -46,7 +45,6 @@ class Cubespace:
         self.size = size
         self.step = step  # known step, or a safe upper bound
         self.direct_cap = dim_cap if dim_cap is not None else (step + 2 if step is not None else 3)
-        self._member_cache: Dict[int, Dict[tuple, bool]] = {}
         self._cube_sets: Dict[int, frozenset] = {}
 
     # -- membership -------------------------------------------------------
@@ -55,36 +53,29 @@ class Cubespace:
         raise NotImplementedError
 
     def membership(self, n: int, values) -> bool:
-        """Whether values is an n-cube.  A point outside 0..size-1 is a
-        ValueError; it is checked only when neither the cube set nor the
-        memo holds the answer, since both hold valid maps only."""
+        """Whether values is an n-cube: a lookup once cubes(n) is built,
+        else the direct oracle up to direct_cap and the face criterion
+        past it.  A point outside 0..size-1 is a ValueError; a map found
+        in the cube set holds valid points only, so it is not checked."""
         values = tuple(values)
         if len(values) != 1 << n:
             raise ValueError("cube of dimension %d needs %d values" % (n, 1 << n))
-        if n in self._cube_sets:
-            if values in self._cube_sets[n]:
-                return True
-            self._require_points(values)
-            return False
-        cache = self._member_cache.setdefault(n, {})
-        hit = cache.get(values)
-        if hit is not None:
-            return hit
+        known = self._cube_sets.get(n)
+        if known is not None and values in known:
+            return True
         self._require_points(values)
+        if known is not None:
+            return False
         if n == 0:
             return True
         if n <= self.direct_cap:
-            res = self._membership(n, values)
-        elif self.step is not None and n >= self.step + 2:
-            res = self._face_criterion(n, values)
-        else:
-            raise ValueError(
-                "dimension %d exceeds cap %d and no step bound at most %d is known"
-                % (n, self.direct_cap, n - 2)
-            )
-        if len(cache) < _CACHE_LIMIT:
-            cache[values] = res
-        return res
+            return self._membership(n, values)
+        if self.step is not None and n >= self.step + 2:
+            return self._face_criterion(n, values)
+        raise ValueError(
+            "dimension %d exceeds cap %d and no step bound at most %d is known"
+            % (n, self.direct_cap, n - 2)
+        )
 
     def _cube_test(self, dim: int):
         """A predicate for "this map of valid points is a dim-cube", with
@@ -451,7 +442,6 @@ class AxiomReport:
     composition_ok: bool
     composition_witness: Optional[tuple]
     composition_checks: int
-    composition_sampled: bool
     ergodic_ok: bool
     ergodic_witness: Optional[tuple]
     completion: Dict[int, CompletionLevel]
@@ -466,92 +456,95 @@ class AxiomReport:
         )
 
 
-def _all_morphisms(m: int, n: int):
-    entries = [cb.CONST0, cb.CONST1]
-    for i in range(m):
-        entries.append(cb.Id(i))
-        entries.append(cb.Refl(i))
-    for coords in itertools.product(entries, repeat=n):
-        yield cb.CubeMorphism(m, n, tuple(coords))
+def _closure_violation(source, act, target) -> Optional[tuple]:
+    """The least q in source with act(q) outside target, or None."""
+    if all(map(target.__contains__, map(act, source))):
+        return None
+    return min(q for q in source if act(q) not in target)
+
+
+def _symmetry_violation(C: frozenset, a: int) -> Optional[tuple]:
+    """None when the a-cube set C is closed under Aut({0,1}^a), else
+    (q, theta): the first generator theta moving a cube out, the least q."""
+    for theta, tbl, _r in cb.automorphism_generator_tables(a):
+        q = _closure_violation(C, cb.index_getter(tbl), C)
+        if q is not None:
+            return q, theta
+    return None
+
+
+def composition_violation(cube_sets: Sequence[frozenset]):
+    """(witness, checks): witness is None exactly when the cube sets
+    C_0..C_N (C_0 the points) satisfy the composition axiom: q o phi is
+    in C_m for every q in C_n and morphism phi: {0,1}^m -> {0,1}^n,
+    m, n <= N.  The generators checked: C_a is closed under the
+    automorphism generators; for a < N, each q in C_{a+1} has its facet
+    q[:2^a] (x_a = 0) and, if a >= 1, q o delta in C_a, where
+    delta(v) = (v, v_{a-1}); each q in C_a has q + q (q after the
+    projection dropping x_a) in C_{a+1}.
+
+    Proof.  The generators are morphisms, so the checks are necessary.
+    Every phi is iota o sigma o pi: pi drops the inputs phi does not use,
+    sigma gives each output phi does not fix a literal (v_i or 1 - v_i)
+    of a used input, and iota inserts the fixed outputs.  Up to
+    automorphisms, iota is a chain of facet inclusions (dimensions n down
+    to the outputs not fixed), sigma a chain of duplications (down to the
+    inputs used) and pi a chain of projections (up to m): no dimension
+    passes max(m, n) <= N.  A finite set closed under the generators of
+    Aut({0,1}^a) is closed under the group.
+
+    The witness is ("automorphism", a, q, theta), ("facet", a + 1, q),
+    ("duplication", a + 1, q) or ("degeneracy", a, q), q the least
+    failing cube.  checks counts the (generator, cube) pairs of the
+    stages run; the failing stage ends the check and counts in full.
+    """
+    checks = 0
+    for a, C in enumerate(cube_sets):
+        checks += len(C) * len(cb.automorphism_generator_tables(a))
+        bad = _symmetry_violation(C, a)
+        if bad is not None:
+            return ("automorphism", a) + bad, checks
+        if a + 1 == len(cube_sets):
+            break
+        up = cube_sets[a + 1]
+        stages = [("facet", a + 1, up, itemgetter(slice(0, 1 << a)), C)]
+        if a >= 1:
+            delta = [j | ((j >> (a - 1)) & 1) << a for j in range(1 << a)]
+            stages.append(("duplication", a + 1, up, cb.index_getter(delta), C))
+        stages.append(("degeneracy", a, C, lambda q: q + q, up))
+        for name, dim, source, act, target in stages:
+            checks += len(source)
+            q = _closure_violation(source, act, target)
+            if q is not None:
+                return (name, dim, q), checks
+    return None, checks
 
 
 def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, seed: int = 0):
-    """Full nilspace axiom scan up to dimension n_max.
-
-    Composition is checked over every morphism m -> n (m, n <= n_max)
-    against the enumerated n-cubes; if the total work exceeds the budget
-    the cube sets are subsampled deterministically and the report notes
-    it.  Each morphism is tried on at least one cube, so an n_max whose
-    morphisms alone pass the budget is a ValueError.  Completion
-    enumerates corners by pruned depth-first search and scans candidate
-    closures; the inferred step is the smallest k with unique closing at
-    dimension k+1.
+    """Full nilspace axiom scan up to dimension n_max, exact: composition
+    by composition_violation on Cu^0..Cu^n_max, never sampled.  An n_max
+    with more morphisms m -> n (m, n <= n_max) than composition_budget is
+    a ValueError; seed is ignored.  Completion enumerates corners by
+    pruned depth-first search and scans candidate closures; the inferred
+    step is the smallest k with unique closing at dimension k+1.
     """
-    if sum((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1)) > composition_budget:
+    totals = itertools.accumulate((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1))
+    if any(total > composition_budget for total in totals):  # stops at the first
         raise ValueError("n_max = %d: the morphisms alone pass the composition budget" % n_max)
-    rng = random.Random(seed)
-    comp_ok, comp_wit = True, None
-    checks = 0
-    sampled = False
-    for n in range(0, n_max + 1):
-        cubeset = sorted(X.cubes(n))
-        nmorph = sum((2 + 2 * m) ** n for m in range(n_max + 1))
-        if nmorph * len(cubeset) > composition_budget:
-            take = max(composition_budget // max(nmorph, 1), 1)
-            cubeset = rng.sample(cubeset, min(take, len(cubeset)))
-            sampled = True
-        for m in range(0, n_max + 1):
-            test = X._cube_test(m)
-            for phi in _all_morphisms(m, n):
-                restrict = cb.index_getter(phi.index_table())
-                for q in cubeset:
-                    checks += 1
-                    if not test(restrict(q)):
-                        comp_ok = False
-                        comp_wit = (n, q, phi.coords, m)
-                        break
-                if not comp_ok:
-                    break
-            if not comp_ok:
-                break
-        if not comp_ok:
-            break
-
-    erg_ok, erg_wit = True, None
+    comp_wit, checks = composition_violation([X.cubes(a) for a in range(n_max + 1)])
     pairs = X.cubes(1)
-    for x in range(X.size):
-        for y in range(X.size):
-            if (x, y) not in pairs:
-                erg_ok, erg_wit = False, (x, y)
-                break
-        if not erg_ok:
-            break
-
+    erg_wit = next(((x, y) for x in range(X.size) for y in range(X.size)
+                    if (x, y) not in pairs), None)
     completion: Dict[int, CompletionLevel] = {}
     for n in range(1, n_max + 1):
         corners = X.corners(n)
-        complete, unique = True, True
-        witness = None
-        for c in corners:
-            sols = X.completions(n, c)
-            if not sols:
-                complete = False
-                witness = c
-                unique = False
-                break
-            if len(sols) > 1:
-                unique = False
-        completion[n] = CompletionLevel(len(corners), complete, unique, witness)
-
-    step = None
-    for n in sorted(completion):
-        lvl = completion[n]
-        if lvl.complete and lvl.unique:
-            step = n - 1
-            break
-    return AxiomReport(
-        n_max, comp_ok, comp_wit, checks, sampled, erg_ok, erg_wit, completion, step
-    )
+        counts = [len(X.completions(n, c)) for c in corners]
+        witness = next((c for c, k in zip(corners, counts) if not k), None)
+        completion[n] = CompletionLevel(len(corners), witness is None,
+                                        all(k == 1 for k in counts), witness)
+    step = next((n - 1 for n, lvl in completion.items() if lvl.complete and lvl.unique), None)
+    return AxiomReport(n_max, comp_wit is None, comp_wit, checks, erg_wit is None, erg_wit,
+                       completion, step)
 
 
 @dataclass
@@ -580,22 +573,14 @@ def check_parallelepiped_axioms(X: Cubespace, n_max: int) -> ParaReport:
         Pm = X.cubes(m)
         Pm1set = X.cubes(m - 1)
         Pm1 = sorted(Pm1set)
-        for p in Pm:
-            for face in cb.face_getters(m - 1, m):
-                if face(p) not in Pm1set:
-                    face_ok, witness = False, ("face", m, p)
-                    break
-            if not face_ok:
+        for face in cb.face_getters(m - 1, m):
+            p = _closure_violation(Pm, face, Pm1set)
+            if p is not None:
+                face_ok, witness = False, ("face", m, p)
                 break
-        # closure under the generators is closure under every symmetry
-        gens = [(theta, cb.index_getter(tbl)) for theta, tbl, _r in cb.automorphism_generator_tables(m)]
-        for p in Pm:
-            for theta, act in gens:
-                if act(p) not in Pm:
-                    symmetry_ok, witness = False, ("symmetry", m, p, theta)
-                    break
-            if not symmetry_ok:
-                break
+        bad = _symmetry_violation(Pm, m)
+        if bad is not None:
+            symmetry_ok, witness = False, ("symmetry", m) + bad
         # the relation p ~ p' iff <p, p'>_1 in P_m
         bad = equivalence_violation(Pm1, lambda p, p2: p + p2 in Pm)
         if bad is not None:

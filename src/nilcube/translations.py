@@ -24,6 +24,7 @@ from .structure import (
 )
 
 BRUTE_FORCE_CAP = 12
+BUNDLE_N_MAX = 3  # dimensions up to which translation_bundle verifies T* -> base
 
 
 def is_translation(
@@ -256,7 +257,7 @@ class TranslationBundle:
 
 
 def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
-                       validate: bool = True, n_max: int = 3) -> TranslationBundle:
+                       validate: bool = True) -> TranslationBundle:
     if X.step is None or X.step < 1:
         raise ValueError("needs a space of known positive step")
     k = X.step
@@ -284,7 +285,7 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
         gamma.append(firsts.pop())
     report = None
     if validate:
-        report = _validate_bundle_extension(X, base, A, T, Tstar, gamma, k - i, n_max)
+        report = _validate_bundle_extension(X, base, A, T, Tstar, gamma, k - i, BUNDLE_N_MAX)
     return TranslationBundle(X, i, base, tuple(abar), T, Tstar, gamma, report)
 
 

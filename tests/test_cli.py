@@ -268,6 +268,17 @@ def test_n_max_below_1_is_a_spec_error(tmp_path, capsys, kind, n_max):
     assert run_main(tmp_path, dict(N_MAX_SPECS[kind], n_max=1)) == 0
 
 
+@pytest.mark.parametrize("kind", sorted(N_MAX_SPECS))
+@pytest.mark.parametrize("n_max", [11, 40, 100000])
+def test_n_max_above_the_cap_exits_2_at_once(tmp_path, capsys, kind, n_max):
+    start = time.perf_counter()
+    assert_spec_error(tmp_path, capsys, dict(N_MAX_SPECS[kind], n_max=n_max), "/n_max")
+    assert run_main(tmp_path, N_MAX_SPECS[kind], "--n-max", str(n_max)) == 2
+    assert capsys.readouterr().err.startswith("spec error: /n_max:")
+    assert time.perf_counter() - start < 1.0
+    assert n_max > cli.N_MAX_CAP
+
+
 def test_extend_over_a_base_cube_that_does_not_lift_reports_the_reason(tmp_path, capsys):
     tables = {"1": [[0, 0], [1, 0], [1, 1]],
               "2": [entry[0] for entry in EXTEND_ENTRIES]}

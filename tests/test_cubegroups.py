@@ -2,7 +2,10 @@
 factorization, corner completion, arrows, abelian specials."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -307,6 +310,36 @@ def test_complete_corner_tower_matches_rebuilding_oracle(name):
     assert refusals > 0
 
 
+@pytest.mark.parametrize("name", sorted(_tower_filtrations()))
+def test_canonical_completion_has_the_identity_top_coefficient(name):
+    """complete_corner returns the completion whose upper-face
+    coefficient at 1^n is the identity, for corners of random cubes, the
+    same corners with one vertex changed, and uniform random corners."""
+    filt = _tower_filtrations()[name]
+    G = filt.group
+    rng = random.Random("top " + name)
+    completed = 0
+    for n in range(1, 5):
+        top = (1 << n) - 1
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        for _ in range(6):
+            cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+            genuine = dict(enumerate(cube[:top]))
+            perturbed = dict(genuine)
+            j = rng.randrange(top)
+            perturbed[j] = rng.choice([x for x in G.elements() if x != perturbed[j]])
+            uniform = {j: rng.randrange(G.order) for j in range(top)}
+            for corner in (genuine, perturbed, uniform):
+                try:
+                    full = cg.complete_corner(corner, n, filt)
+                except cg.CornerError:
+                    continue
+                assert full[:top] == tuple(corner[j] for j in range(top))
+                assert cg.factorize(full, filt)[top] == 0, (n, corner)
+                completed += 1
+    assert completed >= 4 * 6
+
+
 def test_quotient_built_once_per_level(monkeypatch):
     builds = []
     original = gr.QuotientGroup.__init__
@@ -337,3 +370,28 @@ def test_out_of_range_values_are_refused():
     with pytest.raises(ValueError, match="corner vertex 2") as info:
         cg.complete_corner({0: 0, 1: 1, 2: 2}, 2, filt)
     assert not isinstance(info.value, cg.CornerError)
+
+
+@pytest.mark.parametrize("length", [0, 3, 5, 6])
+def test_a_map_of_a_length_other_than_a_power_of_two_is_a_value_error(heis2, length):
+    from nilcube import poly
+
+    _G, filt = heis2
+    A = gr.CyclicProduct((2,))
+    for check, args in ((cg.factorize, (filt,)), (cg.is_cube, (filt,)),
+                        (cg.is_cube_by_equations, (filt,)), (poly.cube_to_binomial, (filt,)),
+                        (cg.is_standard_abelian_cube, (A,)),
+                        (cg.is_degree_k_abelian_cube, (A, 1))):
+        with pytest.raises(ValueError, match=r"a cube needs 2\^n values, not %d" % length):
+            check([0] * length, *args)
+
+
+def test_the_length_check_is_not_an_assert():
+    # python -O strips assert statements; the check must survive it
+    code = ("from nilcube import cubegroups as cg, groups as gr\n"
+            "try:\n    cg.factorize([0, 0, 0], gr.make_heisenberg(2)[1])\n"
+            "except ValueError:\n    print('refused')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.stdout.strip() == "refused", out.stderr

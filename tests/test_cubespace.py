@@ -1,5 +1,7 @@
 """Cubespace constructions and the two axiom checkers."""
 
+import dataclasses
+import functools
 import itertools
 import random
 
@@ -24,6 +26,7 @@ from nilcube.cubespace import (
     check_axioms,
     check_parallelepiped_axioms,
     complete_corner_bruteforce,
+    composition_violation,
     concatenate_cubes,
     ergodic_components,
     partition,
@@ -437,20 +440,26 @@ def _reference_corners(X, n):
     return out
 
 
-def _reference_check_axioms(X, n_max, composition_budget=2_000_000, seed=0):
-    """check_axioms with the per-face membership loops it had before the
-    cube-set test, as the oracle for the report."""
-    from nilcube.cubespace import AxiomReport, CompletionLevel, _all_morphisms
+def _all_morphisms(m, n):
+    """Every morphism {0,1}^m -> {0,1}^n: each coordinate is 0, 1, v_i or
+    1 - v_i."""
+    entries = [cb.CONST0, cb.CONST1]
+    for i in range(m):
+        entries.append(cb.Id(i))
+        entries.append(cb.Refl(i))
+    for coords in itertools.product(entries, repeat=n):
+        yield cb.CubeMorphism(m, n, tuple(coords))
 
-    rng = random.Random(seed)
-    comp_ok, comp_wit, checks, sampled = True, None, 0, False
+
+def _reference_check_axioms(X, n_max):
+    """check_axioms with the exhaustive per-morphism composition scan
+    (never sampled) and the per-face membership loops it had before the
+    cube-set test, as the oracle for the report."""
+    from nilcube.cubespace import AxiomReport, CompletionLevel
+
+    comp_ok, comp_wit, checks = True, None, 0
     for n in range(n_max + 1):
         cubeset = sorted(X.cubes(n))
-        nmorph = sum((2 + 2 * m) ** n for m in range(n_max + 1))
-        if nmorph * len(cubeset) > composition_budget:
-            take = max(composition_budget // max(nmorph, 1), 1)
-            cubeset = rng.sample(cubeset, min(take, len(cubeset)))
-            sampled = True
         for m in range(n_max + 1):
             for phi in _all_morphisms(m, n):
                 tbl = phi.index_table()
@@ -480,7 +489,7 @@ def _reference_check_axioms(X, n_max, composition_budget=2_000_000, seed=0):
         completion[n] = CompletionLevel(len(corners), complete, unique, witness)
     step = next((n - 1 for n in sorted(completion)
                  if completion[n].complete and completion[n].unique), None)
-    return AxiomReport(n_max, comp_ok, comp_wit, checks, sampled, not erg,
+    return AxiomReport(n_max, comp_ok, comp_wit, checks, not erg,
                        erg[0] if erg else None, completion, step)
 
 
@@ -492,9 +501,131 @@ def test_check_axioms_report_matches_the_membership_loops(name):
     make = AXIOM_SPACES[name]
     n_max = 2 if name == "H2" else 3
     got = check_axioms(make(), n_max)
-    assert got == _reference_check_axioms(make(), n_max)
+    want = _reference_check_axioms(make(), n_max)
+    # the generator check counts and names its witnesses its own way
+    assert (got.composition_witness is None) == (want.composition_witness is None)
+    blank = dict(composition_checks=0, composition_witness=None)
+    assert dataclasses.replace(got, **blank) == dataclasses.replace(want, **blank)
     # the two explicit spaces fail composition, the others pass
     assert got.composition_ok == (not name.startswith("explicit"))
+
+
+@functools.lru_cache(maxsize=None)
+def _morphism_getters(m, n):
+    return tuple(cb.index_getter(phi.index_table()) for phi in _all_morphisms(m, n))
+
+
+def _closed_under_every_morphism(C):
+    """The composition axiom by its definition on cube sets C_0..C_N:
+    q o phi in C_m for every morphism phi: m -> n and q in C_n."""
+    return all(all(map(C[m].__contains__, map(restrict, C[n])))
+               for n in range(len(C)) for m in range(len(C))
+               for restrict in _morphism_getters(m, n))
+
+
+def _witness_fails(C, witness):
+    """Whether the generator the witness names really takes its cube q
+    outside the cube sets C."""
+    name, a, q = witness[:3]
+    if q not in C[a]:
+        return False
+    if name == "automorphism":
+        tbl = witness[3].to_morphism().index_table()
+        return tuple(q[t] for t in tbl) not in C[a]
+    if name == "degeneracy":
+        return q + q not in C[a + 1]
+    half = 1 << (a - 1)
+    if name == "facet":
+        return q[:half] not in C[a - 1]
+    assert name == "duplication"
+    dup = cb.CubeMorphism(a - 1, a, tuple(cb.Id(i) for i in range(a - 1)) + (cb.Id(a - 2),))
+    return tuple(q[t] for t in dup.index_table()) not in C[a - 1]
+
+
+def _perturbation_bases():
+    """(name, size, cube sets C_0..C_N, trials) for the nilspaces to
+    perturb; the coset space, with 2048 3-cubes, gets fewer trials."""
+    G, filt = gr.make_heisenberg(2)
+    coset = CosetCubespace(filt, gr.subgroup_closure(G, [G.index_of((1, 0, 0))]))
+    spaces = [("D1(Z/2)", abelian_Dk(gr.CyclicProduct((2,)), 1), 3, 100),
+              ("D2(Z/2)", abelian_Dk(gr.CyclicProduct((2,)), 2), 3, 100),
+              ("D1(Z/3)", abelian_Dk(gr.CyclicProduct((3,)), 1), 3, 100),
+              ("D1(Z/4)", abelian_Dk(gr.CyclicProduct((4,)), 1), 3, 100),
+              ("D0(Z/2)", abelian_Dk(gr.CyclicProduct((2,)), 0), 3, 100),
+              ("H2/<(1,0,0)>", coset, 3, 20),
+              ("D2(Z/3)", abelian_Dk(gr.CyclicProduct((3,)), 2), 2, 100)]
+    return [(name, X.size, [X.cubes(a) for a in range(N + 1)], trials)
+            for name, X, N, trials in spaces]
+
+
+def _orbit(q, a):
+    return {tuple(q[t] for t in theta.to_morphism().index_table())
+            for theta in cb.automorphism_group(a)}
+
+
+def test_generator_check_finds_a_witness_exactly_when_some_morphism_fails():
+    """Each base loses or gains, in one cube set C_a (a >= 1; C_0 is the
+    points), one cube or the automorphism orbit of one map; the orbits
+    removed are of top-dimensional cubes, which often leaves the sets
+    closed.  The generator check reports a witness exactly when the scan
+    over every morphism finds a failure, and the witness is a real one."""
+    rng = random.Random(8)
+    outcomes = []
+    for name, size, base, trials in _perturbation_bases():
+        assert composition_violation(base)[0] is None, name
+        assert _closed_under_every_morphism(base), name
+        # the dimensions where some map is not a cube, so that one can be added
+        open_dims = [a for a in range(1, len(base)) if len(base[a]) < size ** (1 << a)]
+        for trial in range(trials):
+            C = list(base)
+            kind = trial % 4 if open_dims else 1 + 2 * (trial % 2)
+            if kind % 2:  # remove one cube, or the orbit of a top-dimensional one
+                a = len(C) - 1 if kind == 3 else rng.randrange(1, len(C))
+                q = rng.choice(sorted(C[a]))
+                change = {q} if kind == 1 else _orbit(q, a)
+                C[a] = C[a] - change
+            else:  # add one map, or the orbit of one
+                a = rng.choice(open_dims)
+                q = next(iter(C[a]))
+                while q in C[a]:
+                    q = tuple(rng.randrange(size) for _ in range(1 << a))
+                change = {q} if kind == 0 else _orbit(q, a)
+                C[a] = C[a] | change
+            witness, checks = composition_violation(C)
+            closed = _closed_under_every_morphism(C)
+            assert (witness is None) == closed, (name, a, sorted(change))
+            assert closed or _witness_fails(C, witness), (name, witness)
+            assert checks > 0
+            outcomes.append(closed)
+    assert len(outcomes) >= 600
+    assert outcomes.count(True) >= 60 and outcomes.count(False) >= 400
+
+
+def test_a_diagonal_no_face_sees_needs_the_duplication_generator():
+    # the 1-cubes are the path 0 - 1 - 2; every edge of the 2-cube
+    # (0, 1, 1, 2) is a 1-cube but its diagonal (0, 2) is not.  Faces,
+    # automorphisms and degeneracies use each input once, so only the
+    # duplication v -> (v, v) sees it.
+    R = {(x, x) for x in range(3)} | {(0, 1), (1, 0), (1, 2), (2, 1)}
+    squares = set()
+    for q in [(0, 1, 1, 2)] + [(x, y, x, y) for x, y in R]:
+        squares |= _orbit(q, 2)
+    C = [frozenset((x,) for x in range(3)), frozenset(R), frozenset(squares)]
+    assert composition_violation(C)[0] == ("duplication", 2, (0, 1, 1, 2))
+    assert not _closed_under_every_morphism(C)
+
+
+def test_composition_checks_count_generator_pairs_on_h2():
+    rep = check_axioms(GroupCubespace(gr.make_heisenberg(2)[1]), 3)
+    # Cu^0..Cu^3 of H2: 8, 64, 1024, 32768 cubes; 0, 1, 2, 3 automorphism
+    # generators; facets, duplications and degeneracies between them
+    sizes = [8, 64, 1024, 32768]
+    want = (sum(a * c for a, c in enumerate(sizes)) + sum(sizes[1:]) + sum(sizes[2:])
+            + sum(sizes[:3]))
+    assert rep.composition_ok and rep.composition_witness is None
+    assert rep.composition_checks == want == 169_160
+    assert [rep.completion[n].corners for n in (1, 2, 3)] == [8, 512, 32768]
+    assert rep.step == 2
 
 
 def test_completions_reject_a_point_outside_before_and_after_the_cube_set():
