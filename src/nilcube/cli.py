@@ -60,10 +60,11 @@ from .groups import (
 # each: decompose on D1(Z/2) takes about 1.4 s at 10
 N_MAX_CAP = 10
 
-# translation towers certify every candidate against every (step+1)-cube;
-# a group or coset space with more of those (counted upstairs, in the
-# group) is refused before the search.  H2 and D3(Z/2) have 32,768.
-TRANSLATION_CUBE_CAP = 10 ** 5
+# translation towers certify every candidate against every (step+1)-cube
+# and decompose enumerates every cube up to dimension max(step+1, n_max);
+# a group or coset space with more there (counted upstairs, in the group)
+# is refused first.  H2 and D3(Z/2) have 32,768 3- and 4-cubes.
+CUBE_CAP = 10 ** 5
 
 
 class SpecError(ValueError):
@@ -350,11 +351,22 @@ def _need_step(X, kind):
     _construct("/cubespace", X.membership, X.step + 1, (0,) * (2 << X.step))
 
 
+def _refuse_many_cubes(X, n, kind):
+    """A group or coset space with more than CUBE_CAP cubes of dimension
+    n is refused before any of them is enumerated."""
+    if isinstance(X, (cs.GroupCubespace, cs.CosetCubespace)):
+        count = cg.count_cubes(X.filt, n)
+        if count > CUBE_CAP:
+            raise SpecError("/cubespace", "%d cubes of dimension %d above the %s cap %d"
+                            % (count, n, kind, CUBE_CAP))
+
+
 def run_decompose(spec, opts):
     from .structure import decompose
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
     _need_step(X, "decompose")
+    _refuse_many_cubes(X, max(X.step + 1, opts["n_max"]), "decomposition")
     try:
         dec = decompose(X, n_max=opts["n_max"])
     except ValueError as e:
@@ -379,11 +391,7 @@ def run_translations(spec, opts):
     if X.size > BRUTE_FORCE_CAP:
         raise SpecError("/cubespace", "size %d above the brute-force cap %d"
                         % (X.size, BRUTE_FORCE_CAP))
-    if isinstance(X, (cs.GroupCubespace, cs.CosetCubespace)):
-        count = cg.count_cubes(X.filt, X.step + 1)
-        if count > TRANSLATION_CUBE_CAP:
-            raise SpecError("/cubespace", "%d cubes of dimension %d above the translation cap %d"
-                            % (count, X.step + 1, TRANSLATION_CUBE_CAP))
+    _refuse_many_cubes(X, X.step + 1, "translation")
     try:
         tw = translation_tower(X)
     except ValueError as e:

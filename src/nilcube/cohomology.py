@@ -184,8 +184,7 @@ class ExtensionSpace(Cubespace):
         self.d = rho.k  # extension degree; special dimension is d+1
         if self.base.step is None:
             raise ValueError("the base needs a step bound")
-        step = max(self.base.step + 1, self.d)
-        super().__init__(self.base.size * self.A.order, step=step, dim_cap=step + 2)
+        super().__init__(self.base.size * self.A.order, step=max(self.base.step + 1, self.d))
 
     def encode(self, x: int, z: int) -> int:
         return x * self.A.order + z

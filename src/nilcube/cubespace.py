@@ -6,6 +6,9 @@ tricube composition, ergodic components).
 
 Cubes of dimension n are tuples of 2^n point indices in colex vertex
 order.  A built cube set (`Cubespace.cubes`) is the one membership cache.
+Past it one rule needs only the step: a map into a space of step k is a
+cube exactly when its (k+1)-faces are (the face criterion), which answers
+from dimension step + 2 on; below it each space's own oracle answers.
 `Cubespace._scan_maps` is the one depth-first search for cubes: it lists
 cubes and corners, and lifts maps through image spaces (coset spaces,
 canonical factors) by scanning only the fibres.
@@ -32,19 +35,18 @@ from .groups import CosetSpace, FiniteGroup, Filtration
 
 
 class Cubespace:
-    """Base class.  Subclasses implement _membership(n, values) for
-    n <= self.direct_cap; larger dimensions fall back to the
-    (step+1)-face criterion when the step (or an upper bound for it) is
-    known."""
+    """Base class.  Subclasses implement _membership(n, values), the
+    oracle asked for 1 <= n < step + 2 (every n >= 1 when no step bound
+    is known), which raises ValueError on a dimension it cannot answer;
+    from step + 2 on membership is the face criterion."""
 
     provenance = "abstract"
 
-    def __init__(self, size: int, step: Optional[int] = None, dim_cap: Optional[int] = None):
+    def __init__(self, size: int, step: Optional[int] = None):
         if size <= 0:
             raise ValueError("empty cubespaces are rejected")
         self.size = size
         self.step = step  # known step, or a safe upper bound
-        self.direct_cap = dim_cap if dim_cap is not None else (step + 2 if step is not None else 3)
         self._cube_sets: Dict[int, frozenset] = {}
 
     # -- membership -------------------------------------------------------
@@ -54,9 +56,9 @@ class Cubespace:
 
     def membership(self, n: int, values) -> bool:
         """Whether values is an n-cube: a lookup once cubes(n) is built,
-        else the direct oracle up to direct_cap and the face criterion
-        past it.  A point outside 0..size-1 is a ValueError; a map found
-        in the cube set holds valid points only, so it is not checked."""
+        else the face criterion from dimension step + 2 on, the space's
+        own oracle below.  A point outside 0..size-1 is a ValueError; a
+        map in the cube set holds valid points only, so is not checked."""
         values = tuple(values)
         if len(values) != 1 << n:
             raise ValueError("cube of dimension %d needs %d values" % (n, 1 << n))
@@ -68,14 +70,9 @@ class Cubespace:
             return False
         if n == 0:
             return True
-        if n <= self.direct_cap:
-            return self._membership(n, values)
         if self.step is not None and n >= self.step + 2:
             return self._face_criterion(n, values)
-        raise ValueError(
-            "dimension %d exceeds cap %d and no step bound at most %d is known"
-            % (n, self.direct_cap, n - 2)
-        )
+        return self._membership(n, values)
 
     def _cube_test(self, dim: int):
         """A predicate for "this map of valid points is a dim-cube", with
@@ -182,14 +179,13 @@ class Cubespace:
         return [x for x in range(self.size) if test(corner_values + (x,))]
 
 
-def complete_corner_bruteforce(X: Cubespace, n: int, corner_values, check_premise=True):
+def complete_corner_bruteforce(X: Cubespace, n: int, corner_values):
     """All completions of a corner, after validating the corner premise."""
     corner_values = tuple(corner_values)
-    if check_premise:
-        # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
-        for i, face in enumerate(cb.face_getters(n - 1, n)[0::2]):
-            if not X.membership(n - 1, face(corner_values)):
-                raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
+    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+    for i, face in enumerate(cb.face_getters(n - 1, n)[0::2]):
+        if not X.membership(n - 1, face(corner_values)):
+            raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
     return X.completions(n, corner_values)
 
 
@@ -198,16 +194,15 @@ def complete_corner_bruteforce(X: Cubespace, n: int, corner_values, check_premis
 
 
 class GroupCubespace(Cubespace):
-    """The nilspace of a filtered group: cubes are the Host--Kra cubes."""
+    """The nilspace of a filtered group: cubes are the Host--Kra cubes,
+    factorized up to dimension deg + 1 (past it the face criterion reads
+    the built cube sets instead of refactorizing large tuples)."""
 
     provenance = "group"
 
     def __init__(self, filt: Filtration):
         self.filt = filt
-        deg = max(filt.degree, 0)
-        super().__init__(filt.group.order, step=deg, dim_cap=max(deg + 1, 1))
-        # dimensions past deg+1 go through the face criterion, which reads
-        # the built cube sets directly instead of refactorizing large tuples
+        super().__init__(filt.group.order, step=max(filt.degree, 0))
 
     def _membership(self, n, values):
         return cg.is_cube(values, self.filt)
@@ -227,20 +222,20 @@ def abelian_Dk(A: FiniteGroup, k: int) -> Cubespace:
 
 class ImageCubespace(Cubespace):
     """The image of a cubespace X under a surjection proj onto
-    0..size-1: cubes are the images of the cubes of X.  Membership up to
-    dim_cap looks the map up among the projected cubes; lift finds a cube
-    upstairs over a given map by the face-pruned scan of X restricted to
-    the fibres."""
+    0..size-1: cubes are the images of the cubes of X.  Below dimension
+    step + 2 membership looks the map up among the projected cubes; lift
+    finds a cube upstairs over a given map by the face-pruned scan of X
+    restricted to the fibres."""
 
     provenance = "image"
 
-    def __init__(self, X: Cubespace, proj, size: int, step: Optional[int], dim_cap: int):
+    def __init__(self, X: Cubespace, proj, size: int, step: Optional[int]):
         self.X = X
         self.image = [proj(x) for x in range(X.size)]
         self.fibres: List[List[int]] = [[] for _ in range(size)]
         for x, b in enumerate(self.image):
             self.fibres[b].append(x)
-        super().__init__(size, step=step, dim_cap=dim_cap)
+        super().__init__(size, step=step)
 
     def project(self, x: int) -> int:
         return self.image[x]
@@ -267,16 +262,15 @@ class ImageCubespace(Cubespace):
 
 class CosetCubespace(ImageCubespace):
     """Left coset space of a subgroup (not necessarily normal), the image
-    of the group space; past dimension deg+1 the face criterion answers."""
+    of the group space, of step at most the degree of the filtration."""
 
     provenance = "coset"
 
     def __init__(self, filt: Filtration, Gamma):
         self.filt = filt
         self.cosets = CosetSpace(filt.group, Gamma)
-        deg = max(filt.degree, 0)
         super().__init__(GroupCubespace(filt), self.cosets.project, self.cosets.size,
-                         step=deg, dim_cap=deg + 1)
+                         step=max(filt.degree, 0))
 
 
 class ProductCubespace(Cubespace):
@@ -287,8 +281,7 @@ class ProductCubespace(Cubespace):
         step = None
         if X.step is not None and Y.step is not None:
             step = max(X.step, Y.step)
-        cap = min(X.direct_cap, Y.direct_cap)
-        super().__init__(X.size * Y.size, step=step, dim_cap=cap)
+        super().__init__(X.size * Y.size, step=step)
 
     def encode(self, x: int, y: int) -> int:
         return x * self.Y.size + y
@@ -315,7 +308,7 @@ class PointCubespace(Cubespace):
     provenance = "point"
 
     def __init__(self):
-        super().__init__(1, step=0, dim_cap=8)
+        super().__init__(1, step=0)
 
     def _membership(self, n, values):
         return True
@@ -331,9 +324,8 @@ class ArrowCubespace(Cubespace):
         if k < 1:
             raise ValueError("arrow order must be positive")
         self.X, self.k = X, k
-        step = X.step  # the arrow space never has larger step than X
-        cap = (X.direct_cap - k) if X.step is None else X.step + 2
-        super().__init__(X.size * X.size, step=step, dim_cap=max(cap, 1))
+        # the arrow space never has larger step than X
+        super().__init__(X.size * X.size, step=X.step)
 
     def encode(self, x0: int, x1: int) -> int:
         return x0 * self.X.size + x1
@@ -367,7 +359,7 @@ class SliceCubespace(Cubespace):
             raise ValueError("base point out of range")
         self.X, self.x = X, x
         step = None if X.step is None else max(X.step - 1, 0)
-        super().__init__(X.size, step=step, dim_cap=X.direct_cap - 1)
+        super().__init__(X.size, step=step)
 
     def _membership(self, n, values):
         const = (self.x,) * (1 << n)
@@ -376,7 +368,8 @@ class SliceCubespace(Cubespace):
 
 class ExplicitCubespace(Cubespace):
     """Cube sets given as explicit tables (imported, doctored, or built
-    by hand)."""
+    by hand).  Each table is the built cube set of its dimension; a
+    dimension below step + 2 without a table cannot be answered."""
 
     provenance = "explicit"
 
@@ -386,26 +379,23 @@ class ExplicitCubespace(Cubespace):
             raise ValueError("need at least one cube table")
         if dims[0] < 0:
             raise ValueError("cube table of negative dimension %d" % dims[0])
-        self.tables = {n: frozenset(tuple(q) for q in tables[n]) for n in dims}
-        super().__init__(size, step=step, dim_cap=max(dims))
+        super().__init__(size, step=step)
         for n in dims:
-            for q in self.tables[n]:
+            table = frozenset(tuple(q) for q in tables[n])
+            for q in table:
                 if len(q) != 1 << n:
                     raise ValueError("cube %r of dimension %d needs %d values"
                                      % (q, n, 1 << n))
                 if not all(0 <= x < size for x in q):
                     raise ValueError("cube %r of dimension %d holds a point outside 0..%d"
                                      % (q, n, size - 1))
+            if n == 0 and len(table) != size:
+                raise ValueError("the cube table of dimension 0 holds %d of the %d points"
+                                 % (len(table), size))
+            self._cube_sets[n] = table
 
     def _membership(self, n, values):
-        if n not in self.tables:
-            raise ValueError("no cube table for dimension %d" % n)
-        return values in self.tables[n]
-
-    def _enumerate_cubes(self, n):
-        if n in self.tables:
-            return self.tables[n]
-        return super()._enumerate_cubes(n)
+        raise ValueError("no cube table for dimension %d" % n)
 
 
 class RestrictedCubespace(Cubespace):
@@ -418,7 +408,7 @@ class RestrictedCubespace(Cubespace):
         self.X = X
         self.points = list(points)
         self._back = {p: i for i, p in enumerate(self.points)}
-        super().__init__(len(self.points), step=X.step, dim_cap=X.direct_cap)
+        super().__init__(len(self.points), step=X.step)
 
     def _membership(self, n, values):
         return self.X.membership(n, tuple(self.points[v] for v in values))
@@ -677,7 +667,7 @@ def simplicial_extend(X: Cubespace, S: int, pattern: Iterable[tuple], f: Dict[tu
             for t, cidx in enumerate(coords):
                 v[cidx] = (j >> t) & 1
             corner.append(values[tuple(v)])
-        sols = complete_corner_bruteforce(X, m, corner, check_premise=False)
+        sols = X.completions(m, corner)
         if not sols:
             raise ValueError("pattern does not extend: no completion at support %s" % sorted(h))
         top = [0] * S

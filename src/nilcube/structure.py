@@ -55,8 +55,7 @@ class FactorCubespace(ImageCubespace):
         self.k = k
         self.classes = sim_classes(X, k)
         class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
-        super().__init__(X, class_of.__getitem__, len(self.classes),
-                         step=k, dim_cap=min(X.direct_cap, k + 2))
+        super().__init__(X, class_of.__getitem__, len(self.classes), step=k)
 
 
 def factor(X: Cubespace, k: int) -> FactorCubespace:

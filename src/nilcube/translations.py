@@ -188,6 +188,8 @@ def translation_tower(X: Cubespace) -> TranslationTower:
     chain = [frozenset(range(m))]
     heights = []
     for i in range(1, k + 1):
+        if not index.keys() >= set(tran[i]):
+            raise ValueError("a height-%d translation is not a height-1 translation" % i)
         level = sorted(index[a] for a in tran[i])
         heights.append(level)
         chain.append(frozenset(level))

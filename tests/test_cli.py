@@ -147,6 +147,49 @@ def test_translations_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, m, k,
         assert err.startswith("spec error: /cubespace:") and "translation cap" in err
 
 
+@pytest.mark.parametrize("spec,n_max,code", [
+    (_dk(2, 4), 3, 2),
+    ({"source": "group", "group": HEIS, "filtration": {"type": "lcs"}}, 3, 0),
+    (_dk(4, 1), 2, 0),
+    (_dk(2, 2), 2, 0),
+], ids=["D4(Z/2)", "H2", "D1(Z/4)", "D2(Z/2)"])
+def test_decompose_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, spec, n_max, code):
+    # D4(Z/2) needs its 2^31 cubes of dimension 5 to build the top factor
+    start = time.perf_counter()
+    assert run_main(tmp_path, {"kind": "decompose", "cubespace": spec, "n_max": n_max}) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert time.perf_counter() - start < 1.0
+        assert err.startswith("spec error: /cubespace:") and "decomposition cap" in err
+
+
+def test_product_of_factors_of_different_step(tmp_path, capsys):
+    # the product has step 2 and decides its 3-cubes factor-wise
+    space = {"source": "product", "factors": [Z2D1, Z2D2]}
+    assert run_main(tmp_path, {"kind": "decompose", "cubespace": space}) == 0
+    assert json.loads(capsys.readouterr().out)["factor_sizes"] == [1, 2, 4]
+    assert run_main(tmp_path, {"kind": "translations", "cubespace": space}) == 0
+    assert json.loads(capsys.readouterr().out)["transitive"]
+
+
+def test_translations_of_heights_that_do_not_nest_report_the_reason(tmp_path, capsys):
+    # D2(Z/2) without the 1-cube (0, 1) has a height-2 translation that is
+    # not of height 1, so the heights are no filtration of Tran_1
+    from nilcube.cubespace import abelian_Dk
+    from nilcube.groups import CyclicProduct
+
+    d2 = abelian_Dk(CyclicProduct((2,)), 2)
+    tables = _export_tables({n: d2.cubes(n) for n in (1, 2, 3)})
+    tables["1"].remove([0, 1])
+    spec = {"kind": "translations",
+            "cubespace": {"source": "explicit", "size": 2, "step": 2, "tables": tables}}
+    assert run_main(tmp_path, spec) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["reason"] == (
+        "a height-2 translation is not a height-1 translation")
+
+
 @pytest.mark.parametrize("kind", ["decompose", "translations"])
 @pytest.mark.parametrize("step", [None, 3], ids=["no-step", "step-beyond-tables"])
 def test_space_without_step_is_a_spec_error(tmp_path, capsys, kind, step):
@@ -344,11 +387,14 @@ def _explicit(size, tables):
                                      "cocycle": {"k": 1, "entries": []}}}, "/cubespace/A"),
     ({"kind": "check", "cubespace": _explicit(2, {"1": [[0, 5]]})}, "/cubespace/tables"),
     ({"kind": "check", "cubespace": _explicit(2, {"1": [[0]]})}, "/cubespace/tables"),
+    ({"kind": "check", "cubespace": _explicit(2, {"0": [[0]]})}, "/cubespace/tables"),
+    ({"kind": "check", "cubespace": _explicit(2, {"0": []})}, "/cubespace/tables"),
     ({"kind": "check", "cubespace": dict(Z2D1, source="coset", gamma=[99])},
      "/cubespace/gamma/0"),
 ], ids=["explicit-size-0", "arrow-k-0", "partial-point-out-of-range", "factorize-negative-n",
         "complete-negative-n", "A-not-dividing", "extension-A-not-dividing",
-        "explicit-point-out-of-range", "explicit-wrong-length", "coset-gamma-out-of-range"])
+        "explicit-point-out-of-range", "explicit-wrong-length", "explicit-0-table-missing-a-point",
+        "explicit-0-table-empty", "coset-gamma-out-of-range"])
 def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, spec, pointer):
     assert_spec_error(tmp_path, capsys, spec, pointer)
 
@@ -407,6 +453,12 @@ def _fuzz_bases():
     d1 = abelian_Dk(CyclicProduct((2,)), 1)
     tables = {n: d1.cubes(n) for n in (1, 2)}
     doctored = {1: tables[1], 2: sorted(tables[2])[1:]}
+    d2 = abelian_Dk(CyclicProduct((2,)), 2)
+    # explicit D1(Z/2) x explicit D2(Z/2): a composite space of step 2
+    product = {"source": "product", "factors": [
+        {"source": "explicit", "size": 2, "step": 1, "tables": _export_tables(tables)},
+        {"source": "explicit", "size": 2, "step": 2,
+         "tables": _export_tables({n: d2.cubes(n) for n in (1, 2, 3)})}]}
     return [
         {"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": 1, "values": [0, 1]}},
         {"kind": "factorize", "group": Z4, "filtration": D1,
@@ -437,6 +489,9 @@ def _fuzz_bases():
         {"kind": "translations",
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(doctored)}},
+        # no n_max: at 8 the product has 2^46 cubes of dimension 8
+        {"kind": "decompose", "cubespace": product},
+        {"kind": "translations", "cubespace": product},
         {"kind": "cohomology", "op": "is_coboundary", "A": [2],
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(tables)},

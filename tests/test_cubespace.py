@@ -163,6 +163,22 @@ def test_product_and_point_spaces(d1z2, d1z3):
     assert check_axioms(pt, 3).is_nilspace
 
 
+def test_product_of_factors_of_different_step_answers_below_its_own_step(d1z2, d2z2):
+    # D1(Z/2) x D2(Z/2) has step 2: a 3-cube is decided factor-wise, the
+    # D1(Z/2) factor answering by its face criterion
+    cubes = sorted(ProductCubespace(d1z2, d2z2).cubes(3))
+    assert len(cubes) == 16 * 128
+    maps = set(cubes)
+    for q in cubes:
+        for v in range(8):
+            maps.update(q[:v] + (x,) + q[v + 1:] for x in range(4))
+    two = gr.CyclicProduct((2,))
+    P = ProductCubespace(abelian_Dk(two, 1), abelian_Dk(two, 2))  # nothing built
+    for q in sorted(maps):
+        xs, ys = zip(*map(P.decode, q))
+        assert P.membership(3, q) == (xs in d1z2.cubes(3) and ys in d2z2.cubes(3)), q
+
+
 def test_arrow_space_of_d1z2_splits_in_two(d1z2):
     A = ArrowCubespace(d1z2, 1)
     assert A.size == 4
@@ -184,9 +200,9 @@ def test_slice_space_drops_step(d2z2):
 
 
 def test_explicit_space_round_trip(d1z2):
-    tables = {n: d1z2.cubes(n) for n in (1, 2, 3)}
+    tables = {n: d1z2.cubes(n) for n in (0, 1, 2, 3)}
     E = ExplicitCubespace(2, tables, step=1)
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         assert E.cubes(n) == d1z2.cubes(n)
     assert check_axioms(E, 3).is_nilspace
 
@@ -246,6 +262,8 @@ def test_memoised_pruning_and_premise_tables_match_faces(step):
     (2, {1: [(0,)]}, "needs 2 values"),
     (2, {-1: [(0,)]}, "negative dimension"),
     (0, {1: [(0, 0)]}, "empty"),
+    (2, {0: [(0,)], 1: [(0, 0)]}, "dimension 0 holds 1 of the 2 points"),
+    (2, {0: [], 1: [(0, 0)]}, "dimension 0 holds 0 of the 2 points"),
 ])
 def test_explicit_space_rejects_malformed_tables(size, tables, why):
     with pytest.raises(ValueError, match=why):
