@@ -169,82 +169,48 @@ class CornerError(ValueError):
     pass
 
 
-def corner_premise_violation(corner: dict, n: int, filt: Filtration):
-    """Check that every (n-1)-face restriction containing 0^n is a cube;
-    return the failing coordinate or None."""
-    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
-    for i, tbl in enumerate(cubes.face_index_tables(n - 1, n)[0::2]):
-        if not is_cube([corner[t] for t in tbl], filt):
-            return i
-    return None
+def _require_corner_keys(corner: dict, n: int):
+    """A corner holds exactly the vertices 0..2^n-2: otherwise a
+    ValueError naming the first missing vertex, or else the first key (in
+    the corner's order) that is not such a vertex."""
+    top = (1 << n) - 1
+    for j in range(top):
+        if j not in corner:
+            raise ValueError("corner has no value at vertex %d" % j)
+    for j in corner:
+        if j not in range(top):
+            raise ValueError("corner key %r is not a vertex 0..%d" % (j, top - 1))
 
 
-def complete_corner(corner: dict, n: int, filt: Filtration, _check_premise=True):
+def complete_corner(corner: dict, n: int, filt: Filtration):
     """Complete a corner (values on all vertices except 1^n) to a cube.
 
-    Follows the constructive completion argument: quotient out the last
-    nontrivial filtration level, recurse, lift the factorization
-    coefficients, and correct weight levels 1..d with upper-face factors.
-    The quotient, the pushed filtration and the least lift of each
-    coefficient come from filt.tower, which is built on the first call
-    and reused by every later one; the recursion runs on the pushed
-    filtration and so uses its own cached tower.  Returns the full value
-    tuple; canonical in the sense that the same corner always yields the
-    same completion (each coefficient lifts to the least element of its
-    level over its coset).
+    The coefficient of a cube at a vertex v depends only on its values at
+    the vertices below v, so a face {x_i = 0} has the same upper-face
+    coefficients as the whole cube at its own vertices, and every vertex
+    but 1^n lies in one of these faces.  Factorizing the n faces through
+    0^n therefore fixes every coefficient except the one at 1^n; the
+    canonical completion puts the identity there.
 
-    A corner value that is not an element index of the group is a
-    ValueError; a corner whose faces through 0^n are not cubes, or that
-    has no completion, is a CornerError.  Both are checked by the
-    outermost call only.
+    A corner whose keys are not exactly 0..2^n-2, or that holds a value
+    that is not an element index of the group, is a ValueError; a corner
+    whose faces through 0^n are not all cubes is a CornerError naming the
+    first failing face.  Every other corner has a completion.
     """
     if n < 1:
         raise CornerError("corners of dimension 0 are disallowed")
-    top = (1 << n) - 1
     G = filt.group
-    if _check_premise:
-        _require_elements(G, corner, "corner vertex")
-        bad = corner_premise_violation(corner, n, filt)
-        if bad is not None:
-            raise CornerError("corner premise fails on the face with coordinate %d = 0" % bad)
-    d = filt.degree
-    if d <= 0:
-        # all cubes are constant
-        return tuple(corner.get(j, corner[0]) for j in range(1 << n))
-
-    tower = filt.tower
-    Q, qfilt, lift = tower.quotient, tower.pushed, tower.lift
-    Gd = filt.subgroup(d)
-    qcorner = {j: Q.project(v) for j, v in corner.items()}
-    qfull = complete_corner(qcorner, n, qfilt, _check_premise=False)
-    # lift: factorize downstairs, lift coefficients into their levels
-    qcoeffs = factorize(qfull, qfilt)
-    assert not isinstance(qcoeffs, Reject)
-    thresholds = _thresholds(n, None)
-    lifted = [lift[(min(t, d), gbar)] for t, gbar in zip(thresholds, qcoeffs)]
-    values = list(multiply_out(lifted, n, G))
-    # match at 0 by a constant (degree-d) left factor
-    c = G.op(corner[0], G.inv(values[0]))
-    assert c in Gd
-    values = [G.op(c, v) for v in values]
-    # correct weight levels 1..min(d, n) with right upper-face factors
-    for j in range(1, min(d, n) + 1):
-        for v in range(1 << n):
-            if v == top or bin(v).count("1") != j:
-                continue
-            g = G.op(G.inv(values[v]), corner[v])
-            if g not in Gd:
-                raise CornerError("corner values are inconsistent at vertex %d" % v)
-            if g == 0:
-                continue
-            for w in range(1 << n):
-                if w & v == v:
-                    values[w] = G.op(values[w], g)
-    # remaining corner vertices (weight > d) must agree automatically
-    for v in range(1 << n):
-        if v != top and values[v] != corner[v]:
-            raise CornerError("corner is not completable: mismatch at vertex %d" % v)
-    return tuple(values)
+    _require_corner_keys(corner, n)
+    _require_elements(G, corner, "corner vertex")
+    coeffs = [0] * (1 << n)
+    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+    for i, tbl in enumerate(cubes.face_index_tables(n - 1, n)[0::2]):
+        face = factorize([corner[t] for t in tbl], filt)
+        if isinstance(face, Reject):
+            raise CornerError("corner premise fails on the face with coordinate %d = 0" % i)
+        for t, c in zip(tbl, face):
+            coeffs[t] = c
+    return multiply_out(coeffs, n, G)
 
 
 def enumerate_completions(corner: dict, n: int, filt: Filtration):

@@ -4,18 +4,11 @@ algebra over finite abelian groups.
 Group elements are integer indices 0..order-1 with 0 the identity.
 Structured groups (cyclic products, Heisenberg mod m) compute the law on
 the fly; table groups materialize and validate the axioms.
-
-Each Filtration carries its quotient tower (Filtration.tower), built on
-first use and kept: G / G_d for d the degree, the filtration pushed to
-that quotient (whose own tower is the next level down), and the least
-element of each level over each coset.  It depends only on the
-filtration, never on the cubes or corners it is used for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -285,33 +278,6 @@ class Filtration:
             return -1 if self.chain[0] == frozenset({0}) else 0
         return d
 
-    @cached_property
-    def tower(self) -> QuotientTower:
-        """The quotient by the top nontrivial level G_d, built on first use
-        and kept.  The pushed filtration keeps its own tower, so a walk
-        down the levels builds each quotient once per filtration."""
-        d = self.degree
-        if d <= 0:
-            raise ValueError("a filtration of degree %d has no quotient tower" % d)
-        Q = QuotientGroup(self.group, self.chain[d])
-        lift = {}
-        for level in range(d + 1):
-            for g in sorted(self.chain[level]):
-                lift.setdefault((level, Q.project(g)), g)
-        return QuotientTower(Q, push_filtration(self, Q), lift)
-
-
-@dataclass(frozen=True)
-class QuotientTower:
-    """One step of a filtration's quotient tower: quotient = G / G_d for d
-    the degree, pushed = the filtration pushed to it, and
-    lift[(level, gbar)] = the least element of G_level over the coset gbar,
-    for level = 0..d."""
-
-    quotient: QuotientGroup
-    pushed: Filtration
-    lift: dict
-
 
 def validate_filtration(filt: Filtration):
     """None if valid; otherwise a violation witness.
@@ -417,11 +383,6 @@ class QuotientGroup(FiniteGroup):
 def quotient(G: FiniteGroup, N: frozenset):
     Q = QuotientGroup(G, N)
     return Q, Q.project
-
-
-def push_filtration(filt: Filtration, Q: QuotientGroup) -> Filtration:
-    chain = tuple(frozenset(Q.project(g) for g in S) for S in filt.chain)
-    return Filtration(Q, chain)
 
 
 class CosetSpace:

@@ -87,6 +87,18 @@ def test_complete_corner():
     assert len(out["cube"]) == 4
 
 
+def test_complete_names_the_failing_face(tmp_path, capsys):
+    # D1(Z/2): a 2-face is a cube iff q(00) + q(11) = q(01) + q(10); only the
+    # face {x1 = 0} (vertices 0, 1, 4, 5) has values 0, 0, 0, 1
+    spec = {"kind": "complete", "group": {"type": "cyclic_product", "moduli": [2]},
+            "filtration": {"type": "maximal_degree_k", "k": 1},
+            "corner": {"n": 3, "values": [0, 0, 0, 0, 0, 1, 0]}}
+    assert run_main(tmp_path, spec) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert not out["completed"]
+    assert out["reason"] == "corner premise fails on the face with coordinate 1 = 0"
+
+
 def test_poly_verdicts_agree():
     spec = {"kind": "poly",
             "domain_group": {"type": "cyclic_product", "moduli": [3]},

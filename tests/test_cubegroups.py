@@ -214,27 +214,32 @@ def test_enumerate_cubes_matches_coefficient_product_as_a_sequence(name):
     assert compared >= 10
 
 
-def _complete_corner_rebuilding(corner, n, filt, _check_premise=True):
-    """Corner completion as it was before the quotient tower: a fresh
-    QuotientGroup, pushed filtration and least-lift scan on every call and
-    at every level of the recursion.  Kept as the oracle for the cached
-    tower of complete_corner."""
+def _complete_corner_rebuilding(corner, n, filt):
+    """Corner completion by the constructive quotient recursion: quotient
+    out the last nontrivial filtration level, complete the projected
+    corner, lift its factorization coefficients to the least element of
+    their level over each coset, and correct weight levels 1..d with
+    upper-face factors.  A fresh QuotientGroup and pushed filtration at
+    every level.  Kept as the independent oracle for complete_corner."""
     if n < 1:
         raise cg.CornerError("corners of dimension 0 are disallowed")
+    for i, tbl in enumerate(cb.face_index_tables(n - 1, n)[0::2]):
+        if not cg.is_cube_by_equations([corner[t] for t in tbl], filt):
+            raise cg.CornerError("corner premise fails on the face with coordinate %d = 0" % i)
+    return _rebuild(corner, n, filt)
+
+
+def _rebuild(corner, n, filt):
     top = (1 << n) - 1
-    if _check_premise:
-        bad = cg.corner_premise_violation(corner, n, filt)
-        if bad is not None:
-            raise cg.CornerError("corner premise fails on the face with coordinate %d = 0" % bad)
     G = filt.group
     d = filt.degree
     if d <= 0:
         return tuple(corner.get(j, corner[0]) for j in range(1 << n))
     Gd = filt.subgroup(d)
     Q = gr.QuotientGroup(G, Gd)
-    qfilt = gr.push_filtration(filt, Q)
+    qfilt = gr.Filtration(Q, tuple(frozenset(Q.project(g) for g in S) for S in filt.chain))
     qcorner = {j: Q.project(v) for j, v in corner.items()}
-    qfull = _complete_corner_rebuilding(qcorner, n, qfilt, _check_premise=False)
+    qfull = _rebuild(qcorner, n, qfilt)
     qcoeffs = cg.factorize(qfull, qfilt)
     assert not isinstance(qcoeffs, cg.Reject)
     lifted = []
@@ -264,7 +269,7 @@ def _complete_corner_rebuilding(corner, n, filt, _check_premise=True):
 
 
 def _tower_filtrations():
-    """Fresh filtrations (no tower built yet) of degrees 1 to 3."""
+    """Filtrations of degrees 0 to 3."""
     z8 = gr.CyclicProduct((8,))
     explicit = gr.Filtration(z8, (frozenset(range(8)), frozenset(range(8)),
                                   frozenset({0, 2, 4, 6}), frozenset({0, 4}), frozenset({0})))
@@ -272,21 +277,27 @@ def _tower_filtrations():
     return {
         "H2": gr.make_heisenberg(2)[1],
         "H3": gr.make_heisenberg(3)[1],
+        "H4": gr.make_heisenberg(4)[1],
         "H5": gr.make_heisenberg(5)[1],
+        "D0(Z/3)": gr.maximal_degree_k_filtration(gr.CyclicProduct((3,)), 0),
+        "D1(Z/6)": gr.maximal_degree_k_filtration(gr.CyclicProduct((6,)), 1),
         "D2(Z/4)": gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2),
         "Z/8 > 2Z/8 > 4Z/8": explicit,
     }
 
 
-def _outcome(complete, corner, n, filt, check_premise):
+def _outcome(complete, corner, n, filt):
     try:
-        return complete(corner, n, filt, _check_premise=check_premise)
+        return complete(corner, n, filt)
     except cg.CornerError as e:
         return ("CornerError", str(e))
 
 
 @pytest.mark.parametrize("name", sorted(_tower_filtrations()))
-def test_complete_corner_tower_matches_rebuilding_oracle(name):
+def test_complete_corner_matches_quotient_recursion_oracle(name):
+    """complete_corner agrees with the quotient recursion, completions and
+    refusal messages alike, on corners of random cubes, the same corners
+    with one vertex changed, and uniform random corners."""
     filt = _tower_filtrations()[name]
     G = filt.group
     rng = random.Random(name)
@@ -300,12 +311,11 @@ def test_complete_corner_tower_matches_rebuilding_oracle(name):
             perturbed = dict(genuine)
             j = rng.randrange(top)
             perturbed[j] = rng.choice([x for x in G.elements() if x != perturbed[j]])
-            for corner in (genuine, perturbed):
-                for check_premise in (True, False):
-                    got = _outcome(cg.complete_corner, corner, n, filt, check_premise)
-                    want = _outcome(_complete_corner_rebuilding, corner, n, filt, check_premise)
-                    assert got == want, (n, corner, check_premise)
-                    refusals += isinstance(got[0], str)
+            uniform = {j: rng.randrange(G.order) for j in range(top)}
+            for corner in (genuine, perturbed, uniform):
+                got = _outcome(cg.complete_corner, corner, n, filt)
+                assert got == _outcome(_complete_corner_rebuilding, corner, n, filt), (n, corner)
+                refusals += isinstance(got[0], str)
             assert cg.complete_corner(genuine, n, filt)[:top] == cube[:top]
     assert refusals > 0
 
@@ -340,27 +350,6 @@ def test_canonical_completion_has_the_identity_top_coefficient(name):
     assert completed >= 4 * 6
 
 
-def test_quotient_built_once_per_level(monkeypatch):
-    builds = []
-    original = gr.QuotientGroup.__init__
-
-    def counting(self, G, N):
-        builds.append(len(N))
-        original(self, G, N)
-
-    monkeypatch.setattr(gr.QuotientGroup, "__init__", counting)
-    filt = gr.make_heisenberg(3)[1]
-    G = filt.group
-    rng = random.Random(17)
-    n = 3
-    levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
-    for _ in range(50):
-        cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
-        assert cg.complete_corner(dict(enumerate(cube[:-1])), n, filt)[:-1] == cube[:-1]
-    # H_3 / Z(H_3) of order 9, then that quotient by all of itself
-    assert builds == [3, 9]
-
-
 def test_out_of_range_values_are_refused():
     A = gr.CyclicProduct((2,))
     filt = gr.maximal_degree_k_filtration(A, 1)
@@ -369,6 +358,19 @@ def test_out_of_range_values_are_refused():
             cg.factorize(bad, filt)
     with pytest.raises(ValueError, match="corner vertex 2") as info:
         cg.complete_corner({0: 0, 1: 1, 2: 2}, 2, filt)
+    assert not isinstance(info.value, cg.CornerError)
+
+
+@pytest.mark.parametrize("corner,vertex", [
+    ({0: 0, 1: 1}, "vertex 2"),
+    ({0: 0, 1: 1, 2: 2, 3: 5}, "key 3"),
+    ({0: 0, 1: 1, 2: 2, 7: 0}, "key 7"),
+    ({0: 0, 2: 2, 7: 0}, "vertex 1"),
+])
+def test_corner_keys_must_be_the_vertices_below_the_top(heis2, corner, vertex):
+    _G, filt = heis2
+    with pytest.raises(ValueError, match=vertex) as info:
+        cg.complete_corner(corner, 2, filt)
     assert not isinstance(info.value, cg.CornerError)
 
 

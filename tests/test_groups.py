@@ -228,44 +228,6 @@ def test_subgroup_closure_and_commutator_subgroup():
     assert C == filt.subgroup(2)
 
 
-def _walk_tower(filt):
-    """(filtration, tower) for each level of the quotient tower."""
-    out = []
-    while filt.degree > 0:
-        out.append((filt, filt.tower))
-        filt = filt.tower.pushed
-    return out
-
-
-@pytest.mark.parametrize("make", [
-    lambda: gr.make_heisenberg(2)[1],
-    lambda: gr.make_heisenberg(3)[1],
-    lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2),
-    lambda: gr.Filtration(gr.CyclicProduct((8,)), (
-        frozenset(range(8)), frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}))),
-], ids=["H2", "H3", "D2(Z/4)", "Z/8 > 2Z/8 > 4Z/8"])
-def test_tower_lifts_are_least_elements(make):
-    levels = _walk_tower(make())
-    assert levels
-    for filt, tower in levels:
-        d = filt.degree
-        Q = tower.quotient
-        assert Q.N == filt.subgroup(d)
-        assert tower.pushed.chain == tuple(
-            frozenset(Q.project(g) for g in S) for S in filt.chain)
-        want_keys = {(lv, Q.project(g)) for lv in range(d + 1) for g in filt.subgroup(lv)}
-        assert set(tower.lift) == want_keys
-        for (lv, gbar), g in tower.lift.items():
-            assert g == min(x for x in filt.subgroup(lv) if Q.project(x) == gbar)
-        # built once and kept
-        assert filt.tower is tower
-
-
-def test_tower_needs_positive_degree():
-    with pytest.raises(ValueError):
-        gr.maximal_degree_k_filtration(gr.CyclicProduct((3,)), 0).tower
-
-
 def test_left_cosets_agree_with_coset_sets():
     G, filt = gr.make_heisenberg(3)
     for S in (filt.subgroup(2), gr.subgroup_closure(G, [G.index_of((1, 0, 0))]), frozenset({0})):
