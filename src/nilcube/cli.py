@@ -60,10 +60,13 @@ from .groups import (
 # each: decompose on D1(Z/2) takes about 1.4 s at 10
 N_MAX_CAP = 10
 
-# translation towers certify every candidate against every (step+1)-cube
-# and decompose enumerates every cube up to dimension max(step+1, n_max);
-# a group or coset space with more there (counted upstairs, in the group)
-# is refused first.  H2 and D3(Z/2) have 32,768 3- and 4-cubes.
+# check enumerates every cube up to dimension n_max, decompose up to
+# max(step+1, n_max), and translation towers certify every candidate
+# against every (step+1)-cube; a group or coset space with more cubes
+# there (counted upstairs, in the group) is refused first.  poly checks
+# the image of every domain cube up to dimension deg(G.)+1 and refuses
+# more than CUBE_CAP of them in all.  H2 and D3(Z/2) have 32,768 3- and
+# 4-cubes.
 CUBE_CAP = 10 ** 5
 
 
@@ -283,6 +286,7 @@ def _axiom_report_json(rep: cs.AxiomReport):
 
 def run_check(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
+    _refuse_many_cubes(X, opts["n_max"], "check")
     rep = _construct("/cubespace", cs.check_axioms, X, opts["n_max"])
     out = {"kind": "check", "size": X.size, "axioms": _axiom_report_json(rep)}
     if not rep.is_nilspace:
@@ -332,6 +336,11 @@ def run_poly(spec, opts):
     g = _elements(_need(spec, "map", "/"), G, "/map")
     if len(g) != H.order:
         raise SpecError("/map", "expected %d values" % H.order)
+    top = gfilt.degree + 1
+    count = sum(cg.count_cubes(hfilt, n) for n in range(top + 1))
+    if count > CUBE_CAP:
+        raise SpecError("/domain_filtration", "%d cubes of dimension at most %d above the poly "
+                        "cap %d" % (count, top, CUBE_CAP))
     is_poly = poly.is_polynomial(g, hfilt, gfilt)
     is_morph, witness = poly.is_cube_morphism(g, hfilt, gfilt)
     out = {"kind": "poly", "is_polynomial": is_poly, "is_cube_morphism": is_morph,

@@ -1,6 +1,6 @@
-"""Cocycles on finite cubespaces, coboundaries and the boundary map,
-abelian extensions and the model space M(rho), cross-section cocycles,
-extension isomorphisms, and the tricube alternating sum.
+"""Cocycles on finite cubespaces, coboundaries, abelian extensions and
+the model space M(rho), cross-section cocycles, and the tricube
+alternating sum.
 
 An extension is a `structure.ExtensionData`; whether it is a degree-k
 bundle is decided by `structure.verify_degree_k_bundle`, the check that
@@ -91,24 +91,6 @@ def coboundary_of(X: Cubespace, f: Sequence[int], k: int, A: FiniteAbelianGroup)
     for q in X.cubes(k + 1):
         table[q] = sigma([f[x] for x in q], k + 1, A)
     return Cocycle(X, k, A, table)
-
-
-def boundary(rho: Cocycle) -> Cocycle:
-    """The boundary: (d rho)(q) = rho(q(.,0)) - rho(q(.,1)), one degree
-    up.  Accepts degree -1 (tables on points)."""
-    X, A = rho.X, rho.A
-    n = rho.domain_dim + 1
-    _check_table_size(X, n)
-    half = 1 << (n - 1)
-    table = {}
-    for q in X.cubes(n):
-        table[q] = A.op(rho.table[q[:half]], A.inv(rho.table[q[half:]]))
-    return Cocycle(X, rho.k + 1, A, table)
-
-
-def point_function_cocycle(X: Cubespace, f: Sequence[int], A: FiniteAbelianGroup) -> Cocycle:
-    """Degree -1: a bare function on points, the domain of the boundary."""
-    return Cocycle(X, -1, A, {(x,): f[x] for x in range(X.size)})
 
 
 def is_coboundary(rho: Cocycle):
@@ -263,23 +245,6 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     bad = validate_cocycle(rho)
     assert bad is None, bad
     return rho
-
-
-def extension_iso(ext: ExtensionData, s: Sequence[int], n_max: int = 3):
-    """The isomorphism theta: Y -> M(rho_s), theta(y) = (pi(y), y - s(pi(y))).
-    Returns (theta, M); membership tables are checked to transport
-    exactly up to n_max."""
-    rho = cross_section_cocycle(ext, s)
-    M = build_extension(rho)
-    theta = []
-    for y in range(ext.Y.size):
-        z = _fibre_difference(ext, s[ext.pi[y]], y)
-        theta.append(M.encode(ext.pi[y], z))
-    assert sorted(theta) == list(range(M.size)), "not a bijection"
-    for n in range(1, n_max + 1):
-        img = {tuple(theta[y] for y in q) for q in ext.Y.cubes(n)}
-        assert img == set(M.cubes(n)), "cube tables do not transport at dimension %d" % n
-    return theta, M
 
 
 # ---------------------------------------------------------------------------

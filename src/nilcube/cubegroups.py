@@ -27,17 +27,6 @@ def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
     return out
 
 
-def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
-    """Reference implementation by the defining recursion
-    sigma_n(g) = sigma_{n-1}(g(.,1))^{-1} sigma_{n-1}(g(.,0))."""
-    if n == 0:
-        return values[0]
-    half = 1 << (n - 1)
-    s0 = sigma_recursive(values[:half], n - 1, G)
-    s1 = sigma_recursive(values[half:], n - 1, G)
-    return G.op(G.inv(s1), s0)
-
-
 def _thresholds(n: int, weights):
     """Required filtration level for the coefficient at F(v), per vertex:
     weight of v, or the weighted sum over supp(v)."""
@@ -213,20 +202,6 @@ def complete_corner(corner: dict, n: int, filt: Filtration):
     return multiply_out(coeffs, n, G)
 
 
-def enumerate_completions(corner: dict, n: int, filt: Filtration):
-    """All cubes agreeing with the corner off 1^n: the canonical
-    completion right-translated at 1^n by the level-n subgroup."""
-    values = complete_corner(corner, n, filt)
-    G = filt.group
-    top = (1 << n) - 1
-    out = []
-    for g in sorted(filt.subgroup(n)):
-        vals = list(values)
-        vals[top] = G.op(values[top], g)
-        out.append(tuple(vals))
-    return out
-
-
 def arrow(q0: Sequence[int], q1: Sequence[int], n: int, k: int):
     """The k-arrow <q0, q1>_k on {0,1}^{n+k}: q1 on the w = 1^k face,
     q0 elsewhere."""
@@ -241,7 +216,9 @@ def arrow(q0: Sequence[int], q1: Sequence[int], n: int, k: int):
 def arrow_membership(q0, q1, n: int, k: int, filt: Filtration, weights=None) -> bool:
     """Membership of the k-arrow in Cu^{n+k}, decided by the filtered
     splitting: q0 a cube, and q0^{-1} q1 a cube of the shifted
-    filtration (shift = sum of the final k weights)."""
+    filtration (shift = sum of the final k weights).  Only its test calls
+    it so far: ROADMAP item 5 (translation towers) is to certify arrows of
+    group spaces with it instead of the face criterion."""
     G = filt.group
     if weights is None:
         ell = k
@@ -254,58 +231,3 @@ def arrow_membership(q0, q1, n: int, k: int, filt: Filtration, weights=None) -> 
         return False
     diff = tuple(G.op(G.inv(a), b) for a, b in zip(q0, q1))
     return is_cube(diff, shift_filtration(filt, ell), w0)
-
-
-# ---------------------------------------------------------------------------
-# abelian specials
-
-
-def is_standard_abelian_cube(values: Sequence[int], A: FiniteGroup) -> bool:
-    """Three equivalent tests, all evaluated, asserted to agree:
-    (i) q(v) = x + v.h for some x and edge increments h;
-    (ii) the modular law q(v or w) + q(v and w) = q(v) + q(w);
-    (iii) every 2-face alternating sum vanishes."""
-    n = _cube_dimension(values)
-    # (i)
-    x = values[0]
-    h = [A.op(A.inv(x), values[1 << i]) for i in range(n)]
-    rep = True
-    for v in range(1 << n):
-        acc = x
-        for i in range(n):
-            if (v >> i) & 1:
-                acc = A.op(acc, h[i])
-        if acc != values[v]:
-            rep = False
-            break
-    # (ii)
-    modular = True
-    for v in range(1 << n):
-        for w in range(1 << n):
-            lhs = A.op(values[v | w], values[v & w])
-            rhs = A.op(values[v], values[w])
-            if lhs != rhs:
-                modular = False
-                break
-        if not modular:
-            break
-    # (iii)
-    sigma2 = True
-    if n >= 2:
-        for tbl in cubes.face_index_tables(2, n):
-            if sigma([values[t] for t in tbl], 2, A) != 0:
-                sigma2 = False
-                break
-    assert rep == modular == sigma2, "abelian cube characterizations disagree"
-    return rep
-
-
-def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> bool:
-    """Cube of the maximal degree-k structure: every (k+1)-face has
-    vanishing alternating sum.  Maps of dimension <= k are all cubes.
-    The test oracle for enumerate_cubes(maximal_degree_k_filtration(A, k), n)."""
-    n = _cube_dimension(values)
-    if n <= k:
-        return True
-    return all(sigma([values[t] for t in tbl], k + 1, A) == 0
-               for tbl in cubes.face_index_tables(k + 1, n))

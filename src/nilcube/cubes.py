@@ -14,12 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 Vertex = tuple  # tuple of 0/1 ints
-
-CONST0 = ("c", 0)
-CONST1 = ("c", 1)
 
 
 def Id(i: int):
@@ -41,14 +38,6 @@ def bits_of(j: int, n: int) -> Vertex:
 
 def vertex_index(v: Vertex) -> int:
     return sum(b << i for i, b in enumerate(v))
-
-
-def weight(v: Vertex) -> int:
-    return sum(v)
-
-
-def support(v: Vertex):
-    return frozenset(i for i, b in enumerate(v) if b)
 
 
 @dataclass(frozen=True)
@@ -100,85 +89,6 @@ class CubeMorphism:
 
     def index_table(self):
         return [vertex_index(w) for w in self.vertex_table()]
-
-
-def validate_morphism(table, m: int, n: int) -> Optional[CubeMorphism]:
-    """Check whether a total map {0,1}^m -> {0,1}^n is a cube morphism.
-
-    `table` maps vertices to vertices (dict or callable).  Returns the
-    normal form, or None if no affine map matches.  Each output
-    coordinate must be constant, a coordinate of v, or its reflection;
-    over the full domain the normal form is unique.
-    """
-    get = table.__getitem__ if hasattr(table, "__getitem__") else table
-    doms = vertices(m)
-    images = []
-    for v in doms:
-        w = tuple(get(v))
-        if len(w) != n or any(b not in (0, 1) for b in w):
-            return None
-        images.append(w)
-    coords = []
-    for j in range(n):
-        col = [w[j] for w in images]
-        entry = None
-        if all(b == col[0] for b in col):
-            entry = ("c", col[0])
-        else:
-            for i in range(m):
-                if all(col[t] == doms[t][i] for t in range(len(doms))):
-                    entry = Id(i)
-                    break
-                if all(col[t] == 1 - doms[t][i] for t in range(len(doms))):
-                    entry = Refl(i)
-                    break
-        if entry is None:
-            return None
-        coords.append(entry)
-    return CubeMorphism(m, n, tuple(coords))
-
-
-def compose_morphisms(phi: CubeMorphism, psi: CubeMorphism) -> CubeMorphism:
-    """phi o psi, with psi: l -> m applied first and phi: m -> n second."""
-    if psi.n != phi.m:
-        raise ValueError("dimension mismatch in composition")
-    coords = []
-    for entry in phi.coords:
-        kind, arg = entry
-        if kind == "c":
-            coords.append(entry)
-            continue
-        inner = psi.coords[arg]
-        if inner[0] == "c":
-            bit = inner[1] if kind == "id" else 1 - inner[1]
-            coords.append(("c", bit))
-        elif kind == "id":
-            coords.append(inner)
-        else:  # reflection of the inner entry
-            coords.append(Id(inner[1]) if inner[0] == "refl" else Refl(inner[1]))
-    return CubeMorphism(psi.m, phi.n, tuple(coords))
-
-
-def j_sets(phi: CubeMorphism):
-    """Per-input-coordinate sets J(i) of output coordinates that vary with
-    v[i], plus their union.  phi is injective iff every J(i) is nonempty;
-    it is a face map iff every J(i) is a singleton."""
-    js = [set() for _ in range(phi.m)]
-    for jout, entry in enumerate(phi.coords):
-        if entry[0] in ("id", "refl"):
-            js[entry[1]].add(jout)
-    total = set().union(*js) if js else set()
-    return [frozenset(s) for s in js], frozenset(total)
-
-
-def is_injective_morphism(phi: CubeMorphism) -> bool:
-    js, _ = j_sets(phi)
-    return all(js_i for js_i in js)
-
-
-def is_face_map(phi: CubeMorphism) -> bool:
-    js, _ = j_sets(phi)
-    return all(len(js_i) == 1 for js_i in js)
 
 
 @dataclass(frozen=True)
@@ -294,14 +204,6 @@ class CubeAutomorphism:
         flips = tuple(other.flips[p] ^ f for p, f in zip(self.perm, self.flips))
         return CubeAutomorphism(perm, flips)
 
-    def inverse(self) -> "CubeAutomorphism":
-        inv = [0] * self.n
-        for j, p in enumerate(self.perm):
-            inv[p] = j
-        flips = tuple(self.flips[inv[i]] for i in range(self.n))
-        return CubeAutomorphism(tuple(inv), flips)
-
-
 def automorphism_group(n: int):
     """All n! * 2^n automorphisms of {0,1}^n."""
     out = []
@@ -331,86 +233,6 @@ def automorphism_generator_tables(n: int):
 
 def gray_index(j: int) -> int:
     return j ^ (j >> 1)
-
-
-def gray_order(n: int):
-    """The 2^n vertices in binary-reflected Gray order; consecutive
-    entries differ in exactly one coordinate."""
-    return [bits_of(gray_index(j), n) for j in range(1 << n)]
-
-
-def _substitute(phi: CubeMorphism, positions, new_entry_fn) -> CubeMorphism:
-    coords = list(phi.coords)
-    for j in positions:
-        coords[j] = new_entry_fn(coords[j])
-    return CubeMorphism(phi.m, phi.n, tuple(coords))
-
-
-def _case1_split(phi: CubeMorphism, src: int):
-    """Split when both plain and reflected copies of input `src` occur:
-    replace the plain entries by constant 0 in the first part and the
-    reflected entries by constant 0 in the second."""
-    id_pos = [j for j, e in enumerate(phi.coords) if e == ("id", src)]
-    refl_pos = [j for j, e in enumerate(phi.coords) if e == ("refl", src)]
-    part1 = _substitute(phi, id_pos, lambda _e: CONST0)
-    part2 = _substitute(phi, refl_pos, lambda _e: CONST0)
-    return [part1, part2]
-
-
-def decompose_injective_morphism(phi: CubeMorphism):
-    """For an injective phi with more varying output coordinates than
-    inputs, produce (theta, parts) with theta an automorphism of the
-    source cube and phi o theta the concatenation (in the last source
-    coordinate) of 2 to 4 injective morphisms, each using strictly fewer
-    varying output coordinates than phi.
-    """
-    js, total = j_sets(phi)
-    if not all(js):
-        raise ValueError("morphism is not injective")
-    if len(total) <= phi.m:
-        raise ValueError("morphism has no repeated coordinate to split on")
-    m = phi.m
-    src = max(range(m), key=lambda i: len(js[i]))
-    assert len(js[src]) >= 2
-    # Move the repeated input to the last slot.
-    perm = list(range(m))
-    perm[src], perm[m - 1] = perm[m - 1], perm[src]
-    theta = CubeAutomorphism(tuple(perm), (0,) * m)
-    phi2 = compose_morphisms(phi, theta.to_morphism())
-    last = m - 1
-    id_pos = [j for j, e in enumerate(phi2.coords) if e == ("id", last)]
-    refl_pos = [j for j, e in enumerate(phi2.coords) if e == ("refl", last)]
-    if not id_pos:
-        # only reflections: flip the last source coordinate first
-        flip = CubeAutomorphism(tuple(range(m)), tuple(0 if i != last else 1 for i in range(m)))
-        theta = theta.compose(flip)
-        phi2 = compose_morphisms(phi2, flip.to_morphism())
-        id_pos = [j for j, e in enumerate(phi2.coords) if e == ("id", last)]
-        refl_pos = [j for j, e in enumerate(phi2.coords) if e == ("refl", last)]
-        assert id_pos and not refl_pos
-    if refl_pos:
-        parts = _case1_split(phi2, last)
-    else:
-        # only plain copies of the last input: three-step chain through a
-        # mixed middle morphism, which itself splits as in the first case
-        j0 = id_pos[0]
-        rest = id_pos[1:]
-        part1 = _substitute(phi2, [j0], lambda _e: CONST0)
-        middle = _substitute(phi2, rest, lambda _e: Refl(last))
-        part3 = _substitute(phi2, [j0], lambda _e: CONST1)
-        parts = [part1] + _case1_split(middle, last) + [part3]
-    # sanity: adjacency plus the concatenation identity
-    for a, b in zip(parts, parts[1:]):
-        for v in vertices(m - 1):
-            assert a.apply(v + (1,)) == b.apply(v + (0,))
-    for v in vertices(m - 1):
-        assert parts[0].apply(v + (0,)) == phi2.apply(v + (0,))
-        assert parts[-1].apply(v + (1,)) == phi2.apply(v + (1,))
-    for p in parts:
-        _, tot = j_sets(p)
-        assert len(tot) < len(total)
-        assert is_injective_morphism(p)
-    return theta, parts
 
 
 # ---------------------------------------------------------------------------

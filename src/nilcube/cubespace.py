@@ -1,8 +1,8 @@
 """Abstract cubespaces: a finite point set plus a per-dimension cube
 membership oracle, with the nilspace / parallelepiped axiom checkers and
 the generic constructions (products, image spaces and coset spaces, arrow
-spaces, the slice at a point, simplicial completion, concatenation,
-tricube composition, ergodic components).
+spaces, the slice at a point, simplicial completion, tricube
+composition).
 
 Cubes of dimension n are tuples of 2^n point indices in colex vertex
 order.  A built cube set (`Cubespace.cubes`) is the one membership cache.
@@ -179,16 +179,6 @@ class Cubespace:
         return [x for x in range(self.size) if test(corner_values + (x,))]
 
 
-def complete_corner_bruteforce(X: Cubespace, n: int, corner_values):
-    """All completions of a corner, after validating the corner premise."""
-    corner_values = tuple(corner_values)
-    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
-    for i, face in enumerate(cb.face_getters(n - 1, n)[0::2]):
-        if not X.membership(n - 1, face(corner_values)):
-            raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
-    return X.completions(n, corner_values)
-
-
 # ---------------------------------------------------------------------------
 # concrete spaces
 
@@ -302,18 +292,6 @@ class ProductCubespace(Cubespace):
         return out
 
 
-class PointCubespace(Cubespace):
-    """The one-point 0-step nilspace."""
-
-    provenance = "point"
-
-    def __init__(self):
-        super().__init__(1, step=0)
-
-    def _membership(self, n, values):
-        return True
-
-
 class ArrowCubespace(Cubespace):
     """X |><|_k X: pairs whose k-arrow is a cube of X.  k-step (for X of
     step <= k it can be non-ergodic)."""
@@ -400,7 +378,7 @@ class ExplicitCubespace(Cubespace):
 
 class RestrictedCubespace(Cubespace):
     """A subset of a cubespace with the induced cube sets (used for
-    ergodic components and sub-bundles)."""
+    translation bundles)."""
 
     provenance = "restricted"
 
@@ -629,12 +607,6 @@ def equivalence_violation(elements: Sequence, related) -> Optional[tuple]:
     return None
 
 
-def ergodic_components(X: Cubespace):
-    """Partition into classes of the Cu^1 relation, ordered by least
-    point; each part with the induced cubes is ergodic."""
-    return [RestrictedCubespace(X, pts) for pts in partition(X.size, X.cubes(1))]
-
-
 def simplicial_extend(X: Cubespace, S: int, pattern: Iterable[tuple], f: Dict[tuple, int]):
     """Extend a morphism from a support-closed pattern inside {0,1}^S to
     a full S-cube, one minimal missing support at a time, each step a
@@ -676,19 +648,6 @@ def simplicial_extend(X: Cubespace, S: int, pattern: Iterable[tuple], f: Dict[tu
         values[tuple(top)] = min(sols)
         have.add(h)
     return values
-
-
-def concatenate_cubes(X: Cubespace, q1, q2, n: int):
-    """Concatenate adjacent cubes along the last coordinate."""
-    q1, q2 = tuple(q1), tuple(q2)
-    half = 1 << (n - 1)
-    if q1[half:] != q2[:half]:
-        raise ValueError("cubes are not adjacent")
-    if not (X.membership(n, q1) and X.membership(n, q2)):
-        raise ValueError("concatenation needs two cubes")
-    out = q1[:half] + q2[half:]
-    assert X.membership(n, out), "concatenation failed to be a cube"
-    return out
 
 
 def is_tricube_morphism(X: Cubespace, t: Dict[tuple, int], n: int) -> bool:

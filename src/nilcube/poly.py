@@ -7,9 +7,7 @@ Z^n never gets materialized: the binomial form is evaluated lazily.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
 from . import cubegroups

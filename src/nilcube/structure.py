@@ -14,8 +14,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .cubegroups import enumerate_cubes
 from .groups import FiniteGroup, TableGroup, abelian_invariants, maximal_degree_k_filtration
-from .cubespace import (Cubespace, ImageCubespace, RestrictedCubespace, equivalence_violation,
-                        partition)
+from .cubespace import Cubespace, ImageCubespace, partition
 
 
 # ---------------------------------------------------------------------------
@@ -37,12 +36,6 @@ def sim_classes(X: Cubespace, k: int) -> List[List[int]]:
     pairs = ((x, y) for x in range(X.size) for y in range(x + 1, X.size)
              if related_k(X, k, x, y))
     return partition(X.size, pairs)
-
-
-def relation_is_equivalence(X: Cubespace, k: int) -> bool:
-    """Whether the raw one-flip relation is already reflexive, symmetric
-    and transitive (it is, on a nilspace)."""
-    return equivalence_violation(range(X.size), lambda x, y: related_k(X, k, x, y)) is None
 
 
 class FactorCubespace(ImageCubespace):
@@ -277,22 +270,6 @@ def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
     return Decomposition(k, factors, groups, levels, extensions)
 
 
-def fibre_cubespace(X: Cubespace, k: int, x: int) -> RestrictedCubespace:
-    """The level-(k-1) fibre through x with its induced cubes (a
-    degree-k torsor of the structure group)."""
-    pts = sorted(y for y in range(X.size) if related_k(X, k - 1, x, y))
-    return RestrictedCubespace(X, pts)
-
-
-def fibre_as_torsor(X: Cubespace, sg: StructureGroup, x: int) -> Dict[int, int]:
-    """Identify the fibre through x with the structure group by y |->
-    the unique a with act(a, x) = y."""
-    out = {}
-    for a in range(len(sg.fibre)):
-        out[sg.act(a, x)] = a
-    return out
-
-
 # ---------------------------------------------------------------------------
 # morphisms
 
@@ -306,47 +283,3 @@ def analyze_morphism(f: Sequence[int], X: Cubespace, Y: Cubespace, n_max: int):
             if not Y.membership(n, img):
                 return (False, q)
     return (True, None)
-
-
-def subcubes_of_pattern(n: int, pattern) -> List[Tuple[int, int]]:
-    """Pairs (u, w), u subset of w, with the whole interval [u, w] inside
-    the pattern (given as vertex-index set)."""
-    pat = set(pattern)
-    out = []
-    for u in range(1 << n):
-        if u not in pat:
-            continue
-        for w in range(u, 1 << n):
-            if w & u != u or w not in pat:
-                continue
-            free = w & ~u
-            if all((u | sub) in pat for sub in _submasks(free)):
-                out.append((u, w))
-    return out
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def is_restricted_morphism(X: Cubespace, n: int, g: Dict[int, int]) -> bool:
-    """g defined on a vertex subset extends cube-compatibly iff its
-    restriction to every subcube interval inside the domain is a cube."""
-    for (u, w) in subcubes_of_pattern(n, g.keys()):
-        free = [i for i in range(n) if (w >> i) & 1 and not (u >> i) & 1]
-        m = len(free)
-        vals = []
-        for j in range(1 << m):
-            v = u
-            for t, i in enumerate(free):
-                if (j >> t) & 1:
-                    v |= 1 << i
-            vals.append(g[v])
-        if not X.membership(m, tuple(vals)):
-            return False
-    return True

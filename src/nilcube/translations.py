@@ -1,14 +1,13 @@
 """Translations of a finite cubespace: height-i translation detection,
-the groups Tran_i(X) and their filtration, face actions, translation
-cubes, the bundle of translation pairs T and its factor T*, and the
-section-search lifting criterion.
+the groups Tran_i(X) and their filtration, the bundle of translation
+pairs T and its factor T*, and the section-search lifting criterion.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
@@ -57,33 +56,9 @@ def is_translation(
     return True
 
 
-def face_action(X: Cubespace, alpha: Sequence[int], q: Sequence[int], n: int,
-                coords=(), check: bool = False):
-    """Apply alpha on the upper face where all the given coordinates are
-    1 and leave the rest of q alone.  Empty coords means the full cube.
-    With check=True the result must stay a cube (true when alpha is a
-    translation of height at least the codimension)."""
-    q = tuple(q)
-    out = []
-    for v in range(1 << n):
-        inside = all((v >> c) & 1 for c in coords)
-        out.append(alpha[q[v]] if inside else q[v])
-    out = tuple(out)
-    if check and not X.membership(n, out):
-        raise ValueError("face action left the cube set")
-    return out
-
-
 def compose_bijections(a: Sequence[int], b: Sequence[int]) -> tuple:
     """(a o b)(x) = a(b(x))."""
     return tuple(a[b[x]] for x in range(len(a)))
-
-
-def invert_bijection(a: Sequence[int]) -> tuple:
-    out = [0] * len(a)
-    for x, y in enumerate(a):
-        out[y] = x
-    return tuple(out)
 
 
 def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
@@ -133,8 +108,12 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
 
 
 def generated_translation_group(X: Cubespace, i: int, seeds: Sequence[Sequence[int]]) -> List[tuple]:
-    """Close a seed set of certified height-i translations under
-    composition and inverse."""
+    """The group generated by a seed set of certified height-i
+    translations: their closure under composition, which holds the
+    inverses, since a bijection of a finite set has one of its powers as
+    inverse.  Only its test calls it so far: the first step of ROADMAP
+    item 5 (translation towers) keeps this closure incrementally and
+    skips the certificate of a candidate already inside it."""
     ident = tuple(range(X.size))
     for s in seeds:
         if not is_translation(X, s, i):
@@ -143,12 +122,11 @@ def generated_translation_group(X: Cubespace, i: int, seeds: Sequence[Sequence[i
     frontier = [tuple(s) for s in seeds]
     while frontier:
         a = frontier.pop()
-        for b in (a, invert_bijection(a)):
-            for g in list(group):
-                for c in (compose_bijections(g, b), compose_bijections(b, g)):
-                    if c not in group:
-                        group.add(c)
-                        frontier.append(c)
+        for g in list(group):
+            for c in (compose_bijections(g, a), compose_bijections(a, g)):
+                if c not in group:
+                    group.add(c)
+                    frontier.append(c)
     return sorted(group)
 
 
@@ -162,7 +140,6 @@ class TranslationTower:
     group: TableGroup
     filtration: Filtration
     heights: List[List[int]]  # heights[i-1] = indices of Tran_i
-    _cube_sets: Dict[int, frozenset] = field(default_factory=dict)
 
 
 def translation_tower(X: Cubespace) -> TranslationTower:
@@ -200,40 +177,10 @@ def translation_tower(X: Cubespace) -> TranslationTower:
     return TranslationTower(X, bijections, group, filt, heights)
 
 
-def translation_cubes(tower: TranslationTower, n: int) -> frozenset:
-    """All cubes of X obtained by applying a cube of the translation
-    filtration to a constant (cached on the tower)."""
-    if n in tower._cube_sets:
-        return tower._cube_sets[n]
-    X = tower.X
-    out = set()
-    for coeffs in cg.enumerate_cubes(tower.filtration, n):
-        for x in range(X.size):
-            out.add(tuple(tower.bijections[c][x] for c in coeffs))
-    res = frozenset(out)
-    tower._cube_sets[n] = res
-    return res
-
-
 def translation_action_transitive(tower: TranslationTower) -> bool:
     """Whether the points form one orbit of Tran_1."""
     size = tower.X.size
     return len(partition(size, ((x, a[x]) for a in tower.bijections for x in range(size)))) == 1
-
-
-def translation_cube_test(X: Cubespace, q: Sequence[int], tower: TranslationTower) -> bool:
-    """Whether q is translation-equivalent to a constant cube, i.e.
-    reachable by face actions of tower elements; decided through the
-    cube group of the translation filtration applied to constants.  All
-    produced maps are verified to be cubes of X; when the action is not
-    transitive some cubes are legitimately unreachable."""
-    q = tuple(q)
-    n = (len(q) - 1).bit_length()
-    produced = translation_cubes(tower, n)
-    for p in produced:
-        if not X.membership(n, p):
-            raise ValueError("translation cube fails membership")
-    return q in produced
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,100 @@
+"""Independent oracles that the unit tests compare the library against.
+
+Each one decides a question by a route the library does not take: the
+defining recursion of the alternating product, the face and modular
+characterizations of abelian cubes, every completion of a corner as a
+coset of the top subgroup, and completion by scanning every point.
+"""
+
+from typing import Sequence
+
+from nilcube import cubes
+from nilcube.cubegroups import _cube_dimension, complete_corner, sigma
+from nilcube.groups import FiniteGroup, Filtration
+
+
+def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
+    """Reference for cubegroups.sigma, by the defining recursion
+    sigma_n(g) = sigma_{n-1}(g(.,1))^{-1} sigma_{n-1}(g(.,0))."""
+    if n == 0:
+        return values[0]
+    half = 1 << (n - 1)
+    s0 = sigma_recursive(values[:half], n - 1, G)
+    s1 = sigma_recursive(values[half:], n - 1, G)
+    return G.op(G.inv(s1), s0)
+
+
+def enumerate_completions(corner: dict, n: int, filt: Filtration):
+    """All cubes agreeing with the corner off 1^n: the canonical
+    completion right-translated at 1^n by the level-n subgroup."""
+    values = complete_corner(corner, n, filt)
+    G = filt.group
+    top = (1 << n) - 1
+    out = []
+    for g in sorted(filt.subgroup(n)):
+        vals = list(values)
+        vals[top] = G.op(values[top], g)
+        out.append(tuple(vals))
+    return out
+
+
+def is_standard_abelian_cube(values: Sequence[int], A: FiniteGroup) -> bool:
+    """Three equivalent tests, all evaluated, asserted to agree:
+    (i) q(v) = x + v.h for some x and edge increments h;
+    (ii) the modular law q(v or w) + q(v and w) = q(v) + q(w);
+    (iii) every 2-face alternating sum vanishes."""
+    n = _cube_dimension(values)
+    # (i)
+    x = values[0]
+    h = [A.op(A.inv(x), values[1 << i]) for i in range(n)]
+    rep = True
+    for v in range(1 << n):
+        acc = x
+        for i in range(n):
+            if (v >> i) & 1:
+                acc = A.op(acc, h[i])
+        if acc != values[v]:
+            rep = False
+            break
+    # (ii)
+    modular = True
+    for v in range(1 << n):
+        for w in range(1 << n):
+            lhs = A.op(values[v | w], values[v & w])
+            rhs = A.op(values[v], values[w])
+            if lhs != rhs:
+                modular = False
+                break
+        if not modular:
+            break
+    # (iii)
+    sigma2 = True
+    if n >= 2:
+        for tbl in cubes.face_index_tables(2, n):
+            if sigma([values[t] for t in tbl], 2, A) != 0:
+                sigma2 = False
+                break
+    assert rep == modular == sigma2, "abelian cube characterizations disagree"
+    return rep
+
+
+def is_degree_k_abelian_cube(values: Sequence[int], A: FiniteGroup, k: int) -> bool:
+    """Cube of the maximal degree-k structure: every (k+1)-face has
+    vanishing alternating sum.  Maps of dimension <= k are all cubes.
+    The oracle for enumerate_cubes(maximal_degree_k_filtration(A, k), n)."""
+    n = _cube_dimension(values)
+    if n <= k:
+        return True
+    return all(sigma([values[t] for t in tbl], k + 1, A) == 0
+               for tbl in cubes.face_index_tables(k + 1, n))
+
+
+def complete_corner_bruteforce(X, n: int, corner_values):
+    """All completions of a corner of the cubespace X, after validating
+    the corner premise."""
+    corner_values = tuple(corner_values)
+    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+    for i, face in enumerate(cubes.face_getters(n - 1, n)[0::2]):
+        if not X.membership(n - 1, face(corner_values)):
+            raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
+    return X.completions(n, corner_values)

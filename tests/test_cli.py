@@ -130,12 +130,6 @@ H3_SPACE = {"source": "group", "group": {"type": "heisenberg", "modulus": 3},
             "filtration": {"type": "lcs"}}
 
 
-def test_translations_brute_cap_guard():
-    spec = {"kind": "translations", "cubespace": H3_SPACE}
-    with pytest.raises(cli.SpecError):
-        cli.run(spec)
-
-
 def test_translations_above_the_brute_force_cap_exit_2(tmp_path, capsys):
     # H_3 has 27 points; the search is capped at translations.BRUTE_FORCE_CAP
     assert_spec_error(tmp_path, capsys, {"kind": "translations", "cubespace": H3_SPACE},
@@ -173,6 +167,39 @@ def test_decompose_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, spec, n_
     if code == 2:
         assert time.perf_counter() - start < 1.0
         assert err.startswith("spec error: /cubespace:") and "decomposition cap" in err
+
+
+def test_check_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
+    # H3 has 14,348,907 cubes of dimension 3 (the default n_max)
+    start = time.perf_counter()
+    assert run_main(tmp_path, {"kind": "check", "cubespace": H3_SPACE}) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: /cubespace:") and "check cap" in err
+
+
+def _poly_spec(m, k):
+    return {"kind": "poly",
+            "domain_group": {"type": "cyclic_product", "moduli": [m]},
+            "domain_filtration": {"type": "lcs"},
+            "target_group": {"type": "cyclic_product", "moduli": [m]},
+            "target_filtration": {"type": "maximal_degree_k", "k": k},
+            "map": list(range(m))}
+
+
+def test_poly_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
+    # the morphism check needs the 5,764,801 7-cubes of Z/7
+    start = time.perf_counter()
+    assert run_main(tmp_path, _poly_spec(7, 6)) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: /domain_filtration:") and "poly cap" in err
+
+
+def test_poly_below_the_cube_cap_exits_0():
+    # 19,530 cubes of Z/5 up to dimension 5
+    out = cli.run(_poly_spec(5, 4))
+    assert out["is_polynomial"] and out["is_cube_morphism"]
 
 
 def test_product_of_factors_of_different_step(tmp_path, capsys):

@@ -15,6 +15,8 @@ from nilcube import cubegroups as cg
 from nilcube import cubes as cb
 from nilcube import groups as gr
 
+import oracles
+
 
 @given(st.integers(0, 10_000), st.integers(0, 3))
 @settings(max_examples=120, deadline=None)
@@ -22,7 +24,7 @@ def test_sigma_gray_equals_recursive(seed, n):
     rng = random.Random(seed)
     G, _ = gr.make_heisenberg(3)
     vals = [rng.randrange(G.order) for _ in range(1 << n)]
-    assert cg.sigma(vals, n, G) == cg.sigma_recursive(vals, n, G)
+    assert cg.sigma(vals, n, G) == oracles.sigma_recursive(vals, n, G)
 
 
 def test_sigma_two_closed_form():
@@ -111,7 +113,7 @@ def test_complete_corner_matches_bruteforce_unique():
             if cg.is_cube(tuple(corner[i] for i in range((1 << n) - 1)) + (x,), filt)
         ]
         assert algo[-1] in brute
-        assert set(q[-1] for q in cg.enumerate_completions(corner, n, filt)) == set(brute)
+        assert set(q[-1] for q in oracles.enumerate_completions(corner, n, filt)) == set(brute)
 
 
 def test_complete_corner_rejects_bad_premise():
@@ -145,16 +147,17 @@ def test_standard_abelian_cube_three_characterizations():
     A = gr.CyclicProduct((3,))
     count = 0
     for values in itertools.product(range(3), repeat=4):
-        if cg.is_standard_abelian_cube(values, A):
+        if oracles.is_standard_abelian_cube(values, A):
             count += 1
     assert count == 27  # x, h1, h2 free
 
 
 def test_degree_k_cube_counts():
     A = gr.CyclicProduct((2,))
-    n2 = sum(cg.is_degree_k_abelian_cube(v, A, 1) for v in itertools.product(range(2), repeat=4))
-    n3 = sum(cg.is_degree_k_abelian_cube(v, A, 2) for v in itertools.product(range(2), repeat=8))
-    low = sum(cg.is_degree_k_abelian_cube(v, A, 2) for v in itertools.product(range(2), repeat=4))
+    is_cube = oracles.is_degree_k_abelian_cube
+    n2 = sum(is_cube(v, A, 1) for v in itertools.product(range(2), repeat=4))
+    n3 = sum(is_cube(v, A, 2) for v in itertools.product(range(2), repeat=8))
+    low = sum(is_cube(v, A, 2) for v in itertools.product(range(2), repeat=4))
     assert n2 == 8
     assert n3 == 128
     assert low == 16  # dimension <= k: everything
@@ -165,7 +168,7 @@ def test_degree_k_cube_counts():
                     (Z2Z2, 1, 2)]:
         filt = gr.maximal_degree_k_filtration(B, k)
         scanned = {v for v in itertools.product(range(B.order), repeat=1 << n)
-                   if cg.is_degree_k_abelian_cube(v, B, k)}
+                   if is_cube(v, B, k)}
         assert set(cg.enumerate_cubes(filt, n)) == scanned
 
 
@@ -382,8 +385,8 @@ def test_a_map_of_a_length_other_than_a_power_of_two_is_a_value_error(heis2, len
     A = gr.CyclicProduct((2,))
     for check, args in ((cg.factorize, (filt,)), (cg.is_cube, (filt,)),
                         (cg.is_cube_by_equations, (filt,)), (poly.cube_to_binomial, (filt,)),
-                        (cg.is_standard_abelian_cube, (A,)),
-                        (cg.is_degree_k_abelian_cube, (A, 1))):
+                        (oracles.is_standard_abelian_cube, (A,)),
+                        (oracles.is_degree_k_abelian_cube, (A, 1))):
         with pytest.raises(ValueError, match=r"a cube needs 2\^n values, not %d" % length):
             check([0] * length, *args)
 

@@ -2,8 +2,8 @@
 decomposition."""
 
 import dataclasses
-import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -11,7 +11,8 @@ from nilcube import cohomology as coh
 from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube import structure as stc
-from nilcube.cubespace import ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms
+from nilcube.cubespace import (ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms,
+                               equivalence_violation)
 
 
 def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
@@ -23,7 +24,8 @@ def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
         rep = cls[0]
         coset = {G.op(rep, z) for z in centre}
         assert set(cls) == coset
-    assert stc.relation_is_equivalence(heis2_space, 1)
+    assert equivalence_violation(range(heis2_space.size),
+                                 partial(stc.related_k, heis2_space, 1)) is None
 
 
 def test_factor_of_heisenberg_is_the_abelianization(heis2_space, heis2):
@@ -174,12 +176,13 @@ def test_decompose_names_the_level_that_is_not_a_bundle(d2z2, monkeypatch):
 
 
 def test_fibre_is_a_torsor(heis2_space):
+    # the structure group acts simply transitively on each level-1 fibre
     sg = stc.structure_group(heis2_space, 2)
     for x in range(heis2_space.size):
-        torsor = stc.fibre_as_torsor(heis2_space, sg, x)
-        assert len(torsor) == len(sg.fibre)
-        fib = stc.fibre_cubespace(heis2_space, 2, x)
-        assert sorted(torsor.keys()) == sorted(fib.points)
+        orbit = {sg.act(a, x) for a in range(len(sg.fibre))}
+        assert len(orbit) == len(sg.fibre)
+        fibre = {y for y in range(heis2_space.size) if stc.related_k(heis2_space, 1, x, y)}
+        assert orbit == fibre
 
 
 def test_analyze_morphism(heis2_space, heis2):
@@ -224,20 +227,3 @@ def test_lift_cube_through_returns_the_first_lift_of_the_scan(heis2_space):
     assert F.lift(1, (0, 0)) is not None
     with pytest.raises(ValueError):
         F.lift(1, (0, F.size))
-
-
-def test_restricted_morphism_extension_criterion(d1z2):
-    # on the 2-cube with the top vertex missing, a map is a restricted
-    # morphism iff all its edges inside the domain are cubes; everything
-    # is, for the degree-1 structure, so the criterion just checks edges
-    dom = [0, 1, 2]
-    for vals in itertools.product(range(2), repeat=3):
-        g = dict(zip(dom, vals))
-        assert stc.is_restricted_morphism(d1z2, 2, g)
-
-
-def test_subcubes_of_pattern():
-    # the full square minus the top vertex
-    got = stc.subcubes_of_pattern(2, {0, 1, 2})
-    assert (0, 0) in got and (0, 1) in got and (0, 2) in got
-    assert (0, 3) not in got and (1, 3) not in got
