@@ -180,10 +180,12 @@ def element_range_violation(G: FiniteGroup, values):
 
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
+    """The subgroup generated: the products of generators, found from the
+    identity by right multiplication.  In a finite group the inverse of
+    g is a power of g, so inverses need not be adjoined."""
     seen = {0}
     frontier = [0]
-    gens = [g for g in generators]
-    gens += [G.inv(g) for g in gens]
+    gens = list(generators)
     while frontier:
         x = frontier.pop()
         for g in gens:
@@ -208,36 +210,45 @@ def generating_set(G: FiniteGroup, H: frozenset) -> list:
     return gens
 
 
-def commutator_subgroup(G: FiniteGroup, H: frozenset, K: frozenset) -> frozenset:
+def commutator_subgroup(G: FiniteGroup, H: frozenset, K: frozenset, generators=None):
     """[H, K], the subgroup generated by all [h, k], for H and K
     subgroups of G (arbitrary subsets give a wrong answer).
 
-    Built from greedy generating sets X of H and Y of K: [H, K] is the
-    normal closure of <[x, y] : x in X, y in Y> in <H, K> (Robinson, A
-    Course in the Theory of Groups, section 5.1), so the commutators of
+    Built from generating sets X of H and Y of K: [H, K] is the normal
+    closure of <[x, y] : x in X, y in Y> in <H, K> (Robinson, A Course
+    in the Theory of Groups, section 5.1), so the commutators of
     generators are closed under conjugation by X and Y.  A subgroup is
     closed under conjugation by x once the conjugates of its generators
-    are in it, and each generator added at least doubles it, so the cost
-    is O(|G| |X| |Y|) group operations instead of |H| |K| commutators.
+    are in it.  A commutator or conjugate becomes a generator only when
+    it is not yet in the span, so each generator at least doubles it:
+    the cost is O(|G| |X| |Y|) group operations instead of |H| |K|
+    commutators, and the generators found number at most log2 |[H, K]|.
+
+    X and Y are greedy generating sets (generating_set) by default.
+    With generators = (X, Y), generating sets the caller already has,
+    they are used as they are, and the result is the pair ([H, K],
+    the generators found): lower_central_series reuses those as the Y
+    of its next level instead of deriving a generating set again.
     """
-    X, Y = generating_set(G, H), generating_set(G, K)
-    gens = []
+    X, Y = generators or (generating_set(G, H), generating_set(G, K))
+    gens, N = [], frozenset({0})
+
+    def add(t):
+        nonlocal N
+        if t not in N:
+            gens.append(t)
+            N = subgroup_closure(G, gens)
+
     for x in X:
         for y in Y:
-            c = G.commutator(x, y)
-            if c != 0 and c not in gens:
-                gens.append(c)
-    N = subgroup_closure(G, gens)
+            add(G.commutator(x, y))
     conjugators = X + Y
     i = 0
     while i < len(gens):
         for c in conjugators:
-            t = G.op(G.op(G.inv(c), gens[i]), c)
-            if t not in N:
-                gens.append(t)
-                N = subgroup_closure(G, gens)
+            add(G.op(G.op(G.inv(c), gens[i]), c))
         i += 1
-    return N
+    return N if generators is None else (N, gens)
 
 
 def is_normal(G: FiniteGroup, N: frozenset) -> bool:
@@ -311,10 +322,15 @@ def validate_filtration(filt: Filtration):
 
 
 def lower_central_series(G: FiniteGroup) -> Filtration:
+    """G = G_0 = G_1 >= G_2 = [G, G_1] >= ... down to the trivial group.
+    One greedy generating set X of G serves every level, and the
+    generators commutator_subgroup finds for G_j are the Y of
+    [G, G_j]: no level derives a generating set again."""
     full = frozenset(G.elements())
-    chain = [full, full]
+    X = generating_set(G, full)
+    chain, Y = [full, full], X
     while chain[-1] != frozenset({0}):
-        nxt = commutator_subgroup(G, full, chain[-1])
+        nxt, Y = commutator_subgroup(G, full, chain[-1], (X, Y))
         if nxt == chain[-1]:
             raise ValueError("lower central series does not reach the trivial subgroup")
         chain.append(nxt)

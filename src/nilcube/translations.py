@@ -7,9 +7,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
+from . import cubes as cb
 from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
 from .groups import Filtration, TableGroup, validate_filtration
 from .structure import (
@@ -36,24 +39,122 @@ def is_translation(
     """alpha (a bijection on points) is a translation of height i.
 
     On a k-step space it is enough that <q, alpha o q>_i is a cube for
-    every (k+1)-cube q, which is what this checks by default; with
-    all_dims the raw definition is scanned for every dimension up to
-    n_max (the two agree on nilspaces, cross-checked in the test suite).
+    every (k+1)-cube q, which is what this checks by default, through
+    translation_certifier; with all_dims the raw definition is scanned
+    for every dimension up to n_max (the two agree on nilspaces,
+    cross-checked in the test suite).
     """
     if sorted(alpha) != list(range(X.size)):
         raise ValueError("translations must be bijections")
     if X.step is None and n_max is None:
         raise ValueError("n_max required when no step bound is known")
-    if all_dims:
-        dims = range((n_max if n_max is not None else X.step + 1) + 1)
-    else:
-        dims = [X.step + 1 if n_max is None else n_max]
-    for n in dims:
-        for q in X.cubes(n):
-            aq = tuple(alpha[x] for x in q)
-            if not X.membership(n + i, cg.arrow(q, aq, n, i)):
-                return False
+    if not all_dims and n_max is None:
+        return translation_certifier(X, i)(alpha)
+    top = X.step + 1 if n_max is None else n_max
+    dims = range(top + 1) if all_dims else [top]
+    return all(_arrows_are_cubes(X, alpha, n, i) for n in dims)
+
+
+def _arrows_are_cubes(X: Cubespace, alpha: Sequence[int], n: int, i: int) -> bool:
+    """Whether <q, alpha o q>_i is an (n+i)-cube for every n-cube q, one
+    membership question per arrow."""
+    for q in X.cubes(n):
+        aq = tuple(alpha[x] for x in q)
+        if not X.membership(n + i, cg.arrow(q, aq, n, i)):
+            return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _arrow_face_templates(k1: int, i: int):
+    """The distinct k1-face restrictions of the i-arrows <q, alpha o q>_i
+    of k1-cubes q, memoized since they depend on the dimensions only.
+
+    Each restriction reads q on the vertices of a face of {0,1}^k1.
+    Returns (faces, templates).  faces lists these vertex sets, largest
+    first, from the whole cube (entry 0, given as None); each later
+    entry is (parent, slots): the face is faces[parent], the smallest
+    earlier face that holds it, read at the positions slots.  templates
+    lists (face, get, applies): with cols the values of q at the
+    vertices of faces[face] and acols their images under alpha, get
+    takes the face restriction from cols + acols, and applies says
+    whether it reads alpha at all.  The face that is q itself is left
+    out: it is a cube.
+    """
+    mask, top = (1 << k1) - 1, (1 << i) - 1
+    tables = {tuple((t & mask, (t >> k1) == top) for t in tbl)
+              for tbl in cb.face_index_tables(k1, k1 + i)}
+    tables.discard(tuple((v, False) for v in range(mask + 1)))
+    face_of = {tbl: tuple(sorted({v for v, _applied in tbl})) for tbl in tables}
+    # the face 1^i of the arrow coordinates is alpha o q: reads[0] is all of q
+    reads = sorted(set(face_of.values()), key=lambda r: (-len(r), r))
+    faces = [None]
+    for r in reads[1:]:
+        parent = max(j for j, s in enumerate(reads) if set(r) < set(s))
+        faces.append((parent, tuple(reads[parent].index(v) for v in r)))
+    templates = []
+    for tbl in sorted(tables):
+        r = face_of[tbl]
+        get = itemgetter(*(r.index(v) + applied * len(r) for v, applied in tbl))
+        templates.append((reads.index(r), get, any(applied for _v, applied in tbl)))
+    return tuple(faces), tuple(templates)
+
+
+def _columns(rows, width: int) -> list:
+    """The columns of a collection of rows of the given width."""
+    return list(zip(*rows)) or [()] * width
+
+
+def translation_certifier(X: Cubespace, i: int):
+    """The predicate alpha -> is_translation(X, alpha, i) for bijections
+    alpha of a space with a step bound k, built once per (X, i).
+
+    The arrow <q, alpha o q>_i of a (k+1)-cube q has dimension
+    N = k+1+i >= k+2, so membership answers it by the face criterion:
+    every (k+1)-face restriction must lie in cubes(k+1).  A face of
+    {0,1}^N reads the vertices v of a face of q, each either as
+    alpha(q[v]) (the arrow coordinates are 1^i) or as q[v]; such a face
+    template depends on q only through its restriction to that face.
+    The certificate keeps the distinct templates and, for each face, the
+    distinct restrictions of cubes(k+1) to it (projected from those of a
+    larger face), held column by column, so that alpha maps a whole
+    column at once and zip assembles the restrictions; it asks the same
+    face questions by set lookups without repeats.  Templates that never
+    apply alpha are answered here, once.  When X already holds a cube
+    set of dimension N, membership would look the arrow up there
+    instead, so the predicate asks membership arrow by arrow.
+    """
+    if X.step is None:
+        raise ValueError("the translation certificate needs a step bound")
+    k1 = X.step + 1
+    C = X.cubes(k1)
+    if k1 + i in X._cube_sets:
+        return lambda alpha: _arrows_are_cubes(X, alpha, k1, i)
+    faces, templates = _arrow_face_templates(k1, i)
+    columns = [_columns(C, 1 << k1)]  # per face, its distinct restrictions by column
+    for parent, slots in faces[1:]:
+        cols = columns[parent]
+        columns.append(_columns(set(zip(*(cols[s] for s in slots))), len(slots)))
+    checks = []  # (face, get) of each template that applies alpha
+    for face, get, applies in templates:
+        if applies:
+            checks.append((face, get))
+        elif not C.issuperset(zip(*get(columns[face] * 2))):
+            return lambda alpha: False
+    checks.sort(key=lambda c: len(columns[c[0]][0]))  # cheap templates refute first
+
+    def certify(alpha):
+        image = alpha.__getitem__
+        ext = {}
+        for face, get in checks:
+            if face not in ext:
+                cols = columns[face]
+                ext[face] = cols + [tuple(map(image, c)) for c in cols]
+            if not C.issuperset(zip(*get(ext[face]))):
+                return False
+        return True
+
+    return certify
 
 
 def compose_bijections(a: Sequence[int], b: Sequence[int]) -> tuple:
@@ -73,6 +174,7 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
         [y for y in range(size) if related_k(X, i - 1, x, y)] for x in range(size)
     ]
     pairs1 = X.cubes(1)
+    certify = translation_certifier(X, i)
     out = []
     alpha = [-1] * size
     used = [False] * size
@@ -87,7 +189,7 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
 
     def rec(x):
         if x == size:
-            if is_translation(X, alpha, i):
+            if certify(alpha):
                 out.append(tuple(alpha))
             return
         for y in candidates[x]:

@@ -3,13 +3,14 @@
 Each one decides a question by a route the library does not take: the
 defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
-coset of the top subgroup, and completion by scanning every point.
+coset of the top subgroup, completion by scanning every point, and
+translations certified one arrow at a time.
 """
 
 from typing import Sequence
 
 from nilcube import cubes
-from nilcube.cubegroups import _cube_dimension, complete_corner, sigma
+from nilcube.cubegroups import _cube_dimension, arrow, complete_corner, sigma
 from nilcube.groups import FiniteGroup, Filtration
 
 
@@ -98,3 +99,13 @@ def complete_corner_bruteforce(X, n: int, corner_values):
         if not X.membership(n - 1, face(corner_values)):
             raise ValueError("not a corner: the face with coordinate %d = 0 is not a cube" % i)
     return X.completions(n, corner_values)
+
+
+def is_translation_by_arrows(X, alpha: Sequence[int], i: int) -> bool:
+    """Reference for translations.is_translation: <q, alpha o q>_i is a
+    cube for every (step+1)-cube q, asked of X.membership one arrow at a
+    time (so through the face criterion, or a cube set of the arrow
+    dimension when X holds one)."""
+    n = X.step + 1
+    return all(X.membership(n + i, arrow(q, tuple(alpha[x] for x in q), n, i))
+               for q in X.cubes(n))

@@ -73,6 +73,19 @@ def test_unknown_kind_is_a_spec_error(tmp_path, capsys):
     assert run_main(tmp_path, {"kind": "nope"}) == 2
 
 
+def test_successive_main_calls_give_independent_reports(tmp_path, capsys):
+    # the parser is built once per process; its options must not carry over
+    spec = {"kind": "export", "cubespace": Z2D1}
+    assert run_main(tmp_path, spec, "--format", "text", "--n-max", "1") == 0
+    text = capsys.readouterr().out
+    assert "n_max: 1" in text and not text.startswith("{")
+    assert run_main(tmp_path, spec, "--n-max", "2") == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_max"] == 2 and sorted(out["tables"]) == ["1", "2"]
+    assert run_main(tmp_path, spec) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == 3
+
+
 def test_malformed_json_is_a_spec_error(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -124,6 +137,19 @@ def test_translations_of_d2z2():
     out = cli.run(spec)
     assert out["sizes"] == [2, 2]
     assert out["transitive"]
+
+
+@pytest.mark.parametrize("moduli,k,sizes", [((3,), 2, [3, 3]), ((2, 2), 1, [4]), ((2,), 3, [2, 2, 2])],
+                         ids=["D2(Z/3)", "D1(Z/2xZ/2)", "D3(Z/2)"])
+def test_translations_of_abelian_spaces(tmp_path, capsys, moduli, k, sizes):
+    # D3(Z/2) certifies its candidates on arrows of dimension 5 to 7
+    space = {"source": "group", "group": {"type": "cyclic_product", "moduli": list(moduli)},
+             "filtration": {"type": "maximal_degree_k", "k": k}}
+    start = time.perf_counter()
+    assert run_main(tmp_path, {"kind": "translations", "cubespace": space}) == 0
+    assert time.perf_counter() - start < 6.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["sizes"] == sizes and out["transitive"]
 
 
 H3_SPACE = {"source": "group", "group": {"type": "heisenberg", "modulus": 3},
@@ -194,6 +220,18 @@ def test_poly_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("spec error: /domain_filtration:") and "poly cap" in err
+
+
+def test_poly_closure_past_its_cap_is_a_spec_error(tmp_path, capsys, monkeypatch):
+    # the weight-0 closure of a map Z/3 -> Z/3 holds more than two maps
+    from nilcube import poly
+
+    monkeypatch.setattr(poly, "CLOSURE_CAP", 2)
+    assert run_main(tmp_path, _poly_spec(3, 1)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("spec error: /domain_filtration:")
+    assert "poly.CLOSURE_CAP = 2" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_poly_below_the_cube_cap_exits_0():

@@ -5,10 +5,11 @@ import itertools
 
 import pytest
 
+import oracles
 from nilcube import cubegroups as cg
 from nilcube import groups as gr
 from nilcube import translations as tr
-from nilcube.cubespace import GroupCubespace, abelian_Dk
+from nilcube.cubespace import ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms
 from nilcube.structure import factor, structure_group
 
 
@@ -24,6 +25,65 @@ def test_translations_of_d1zm_are_exactly_the_shifts():
             slow = tr.is_translation(X, alpha, 1, all_dims=True, n_max=3)
             assert fast == slow
             assert fast == (alpha in shifts)
+
+
+_CERTIFIED_SPACES = {
+    "D1(Z/4)": lambda request: abelian_Dk(gr.CyclicProduct((4,)), 1),
+    "D1(Z/2xZ/2)": lambda request: abelian_Dk(gr.CyclicProduct((2, 2)), 1),
+    "D2(Z/2)": lambda request: abelian_Dk(gr.CyclicProduct((2,)), 2),
+    "D2(Z/3)": lambda request: abelian_Dk(gr.CyclicProduct((3,)), 2),
+    "D3(Z/2)": lambda request: abelian_Dk(gr.CyclicProduct((2,)), 3),
+    "coset_space": lambda request: request.getfixturevalue("coset_space"),
+}
+
+
+def _certificate_agrees_with_arrows(X, heights):
+    """Both routes on every bijection and height; the verdicts by height."""
+    verdicts = {}
+    for i in heights:
+        certify = tr.translation_certifier(X, i)
+        verdicts[i] = []
+        for alpha in itertools.permutations(range(X.size)):
+            want = oracles.is_translation_by_arrows(X, alpha, i)
+            assert certify(alpha) == tr.is_translation(X, alpha, i) == want, (i, alpha)
+            verdicts[i].append(want)
+    return verdicts
+
+
+@pytest.mark.parametrize("name", sorted(_CERTIFIED_SPACES))
+def test_certificate_matches_the_per_arrow_route(request, name):
+    X = _CERTIFIED_SPACES[name](request)
+    verdicts = _certificate_agrees_with_arrows(X, range(1, X.step + 1))
+    # every height has a translation (the identity) and a non-translation,
+    # except on two points, where the swap is a translation of every height
+    assert all(any(v) for v in verdicts.values())
+    assert X.size == 2 or all(not all(v) for v in verdicts.values())
+
+
+def test_certificate_answers_the_alpha_free_faces_once():
+    # D1(Z/2) without the degenerate square (0, 1, 0, 1): the arrow faces
+    # of height 2 that never read alpha include that square, restricted
+    # from the cube (0, 1, 1, 0), so no bijection is a translation there
+    squares = abelian_Dk(gr.CyclicProduct((2,)), 1).cubes(2) - {(0, 1, 0, 1)}
+    assert (0, 1, 1, 0) in squares
+    X = ExplicitCubespace(2, {1: list(itertools.product((0, 1), repeat=2)), 2: squares}, step=1)
+    assert not check_axioms(X, 2).composition_ok
+    verdicts = _certificate_agrees_with_arrows(X, (1, 2))
+    assert verdicts[2] == [False, False]
+
+
+def test_certificate_falls_back_to_arrows_on_a_table_of_the_arrow_dimension():
+    # D1(Z/2) with a 3-cube table that leaves out the arrows of the swap:
+    # membership looks arrows up in that table, so the swap is no height-1
+    # translation there, although every face of its arrows is a cube
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    swap = (1, 0)
+    arrows = {cg.arrow(q, tuple(swap[x] for x in q), 2, 1) for q in d1.cubes(2)}
+    tables = {n: d1.cubes(n) for n in (1, 2)}
+    plain = ExplicitCubespace(2, tables, step=1)
+    doctored = ExplicitCubespace(2, {**tables, 3: d1.cubes(3) - arrows}, step=1)
+    assert tr.is_translation(plain, swap, 1)
+    assert _certificate_agrees_with_arrows(doctored, (1,))[1] == [True, False]
 
 
 def test_translation_tower_of_d2z2(d2z2):
