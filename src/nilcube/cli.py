@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 mathematical failure (witness in the report),
 
 n_max (the spec field, else --n-max, default 3) lies in 1..N_MAX_CAP;
 check and extend report the exact axiom scan of cubespace.check_axioms.
+One size rule refuses a question whose cube sets read more than CUBE_CAP
+maps to build.  The other limits bound what no cube count does: N_MAX_CAP
+the 2^n length of one cube, BRUTE_FORCE_CAP the bijections searched,
+CLOSURE_CAP the derivative closure, COCYCLE_TABLE_CAP the candidate
+tables, and check_axioms's composition_budget (see CUBE_CAP).
 
 Object schemas (all cube values in colex vertex order):
   group:      {"type": "cyclic_product", "moduli": [..]}
@@ -61,14 +66,15 @@ from .groups import (
 # each: decompose on D1(Z/2) takes about 1.4 s at 10
 N_MAX_CAP = 10
 
-# check enumerates every cube up to dimension n_max, decompose up to
-# max(step+1, n_max), and translation towers enumerate the (step+1)-cubes
-# and certify every candidate against their distinct face restrictions
-# (translations.translation_certifier); a group or coset space with more
-# cubes there (counted upstairs, in the group) is refused first.  poly
-# checks the image of every domain cube up to dimension deg(G.)+1 and
-# refuses more than CUBE_CAP of them in all.  H2 and D3(Z/2) have 32,768
-# 3- and 4-cubes; their translation towers take about 1.2 and 1.0 s.
+# the maps the cube sets of a question may read to build (count_cubes):
+# check, export and extend's M(rho) 1..n_max, decompose 1..max(step+1,
+# n_max), translations step+1, poly the domain 0..deg(G.)+1, a cocycle its
+# domain k+1.  H2 and D3(Z/2) have 32,768 3- and 4-cubes, and translation
+# towers of 1.2 and 1.0 s.  No count bounds N_MAX_CAP (the 2^n length of
+# one cube), translations.BRUTE_FORCE_CAP (the bijections searched),
+# poly.CLOSURE_CAP (the derivative closure), cohomology.COCYCLE_TABLE_CAP
+# (the candidate tables, until ROADMAP item 6) or check_axioms's budget
+# and seed (kept only for perfbench/analysis.py, until ROADMAP item 1).
 CUBE_CAP = 10 ** 5
 
 
@@ -204,6 +210,7 @@ def build_cocycle(spec, X, A, ptr="/cocycle"):
             raise SpecError(p + "/0", "a degree-%d cocycle takes %d-cubes" % (k, k + 1))
         # a value outside A breaks the automorphism-sign law below
         table[tuple(_ints(entry[0], p + "/0"))] = _int(entry[1], p + "/1")
+    _refuse_many_cubes(X, [k + 1], "cocycle", ptr + "/k")
     rho = Cocycle(X, k, A, table)
     bad = validate_cocycle(rho)
     if bad is not None:
@@ -288,7 +295,7 @@ def _axiom_report_json(rep: cs.AxiomReport):
 
 def run_check(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    _refuse_many_cubes(X, opts["n_max"], "check")
+    _refuse_many_cubes(X, range(1, opts["n_max"] + 1), "check")
     rep = _construct("/cubespace", cs.check_axioms, X, opts["n_max"])
     out = {"kind": "check", "size": X.size, "axioms": _axiom_report_json(rep)}
     if not rep.is_nilspace:
@@ -338,11 +345,8 @@ def run_poly(spec, opts):
     g = _elements(_need(spec, "map", "/"), G, "/map")
     if len(g) != H.order:
         raise SpecError("/map", "expected %d values" % H.order)
-    top = gfilt.degree + 1
-    count = sum(cg.count_cubes(hfilt, n) for n in range(top + 1))
-    if count > CUBE_CAP:
-        raise SpecError("/domain_filtration", "%d cubes of dimension at most %d above the poly "
-                        "cap %d" % (count, top, CUBE_CAP))
+    _refuse_many_cubes(cs.GroupCubespace(hfilt), range(gfilt.degree + 2), "poly",
+                       "/domain_filtration")
     try:
         is_poly = poly.is_polynomial(g, hfilt, gfilt)
     except poly.ClosureBlowup:
@@ -359,21 +363,20 @@ def run_poly(spec, opts):
 
 
 def _need_step(X, kind):
-    """Decomposition and translation towers need a step bound s and cubes
-    up to dimension s + 1, which an explicit space may not have."""
+    """Decomposition and translation towers need a step bound."""
     if X.step is None:
         raise SpecError("/cubespace", "%s needs a cubespace with a step bound" % kind)
-    _construct("/cubespace", X.membership, X.step + 1, (0,) * (2 << X.step))
 
 
-def _refuse_many_cubes(X, n, kind):
-    """A group or coset space with more than CUBE_CAP cubes of dimension
-    n is refused before any of them is enumerated."""
-    if isinstance(X, (cs.GroupCubespace, cs.CosetCubespace)):
-        count = cg.count_cubes(X.filt, n)
-        if count > CUBE_CAP:
-            raise SpecError("/cubespace", "%d cubes of dimension %d above the %s cap %d"
-                            % (count, n, kind, CUBE_CAP))
+def _refuse_many_cubes(X, dims, kind, ptr="/cubespace"):
+    """Refuse, before any is built, cube sets of the dimensions dims
+    whose builds read more than CUBE_CAP maps in all."""
+    total = 0
+    for n in dims:
+        total += _construct(ptr, X.count_cubes, n, CUBE_CAP - total)
+        if total > CUBE_CAP:
+            raise SpecError(ptr, "the cubes of dimensions %s read more than %d maps to build, "
+                            "above the %s cap" % (list(dims), CUBE_CAP, kind))
 
 
 def run_decompose(spec, opts):
@@ -381,7 +384,7 @@ def run_decompose(spec, opts):
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
     _need_step(X, "decompose")
-    _refuse_many_cubes(X, max(X.step + 1, opts["n_max"]), "decomposition")
+    _refuse_many_cubes(X, range(1, max(X.step + 1, opts["n_max"]) + 1), "decomposition")
     try:
         dec = decompose(X, n_max=opts["n_max"])
     except ValueError as e:
@@ -406,7 +409,7 @@ def run_translations(spec, opts):
     if X.size > BRUTE_FORCE_CAP:
         raise SpecError("/cubespace", "size %d above the brute-force cap %d"
                         % (X.size, BRUTE_FORCE_CAP))
-    _refuse_many_cubes(X, X.step + 1, "translation")
+    _refuse_many_cubes(X, [X.step + 1], "translation")
     try:
         tw = translation_tower(X)
     except ValueError as e:
@@ -448,6 +451,7 @@ def run_extend(spec, opts):
     A = build_abelian(_need(spec, "A", "/"))
     rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)
     M = _construct("/cubespace", coh.build_extension, rho)
+    _refuse_many_cubes(M, range(1, opts["n_max"] + 1), "extension")
     rep = _construct("/cubespace", cs.check_axioms, M, opts["n_max"])
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,
            "axioms": _axiom_report_json(rep)}
@@ -464,8 +468,7 @@ def run_extend(spec, opts):
 def run_export(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
     n_max = opts["n_max"]
-    if X.size ** (1 << n_max) > 10 ** 9:
-        raise SpecError("/cubespace", "export size beyond cap")
+    _refuse_many_cubes(X, range(1, n_max + 1), "export")
     tables = {str(n): sorted(list(q) for q in _construct("/cubespace", X.cubes, n))
               for n in range(1, n_max + 1)}
     return {"kind": "export", "size": X.size, "step": X.step, "tables": tables}

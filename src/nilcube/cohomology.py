@@ -23,7 +23,6 @@ from .cubespace import Cubespace
 from .groups import FiniteAbelianGroup, solve_abelian_linear_system
 from .structure import ExtensionData
 
-_TABLE_CAP = 1_000_000
 COCYCLE_TABLE_CAP = 1 << 20  # candidate tables enumerate_cocycles may try
 
 
@@ -43,11 +42,6 @@ class Cocycle:
     @property
     def domain_dim(self) -> int:
         return self.k + 1
-
-
-def _check_table_size(X: Cubespace, n: int):
-    if X.size ** (1 << n) > _TABLE_CAP and len(X.cubes(n)) > _TABLE_CAP:
-        raise ValueError("cocycle table too large")
 
 
 def cocycle_sub(r1: Cocycle, r2: Cocycle) -> Cocycle:
@@ -71,22 +65,19 @@ def validate_cocycle(rho: Cocycle):
             if rho.table.get(qq) != want:
                 return ("automorphism", q, theta)
     half = 1 << (n - 1)
+    by_lower = {}  # the cubes of dom by their lower facet, in the order of dom
+    for q in dom:
+        by_lower.setdefault(q[:half], []).append(q)
     for q1 in dom:
-        hi = q1[half:]
-        for q2 in dom:
-            if q2[:half] != hi:
-                continue
+        for q2 in by_lower.get(q1[half:], ()):
             c = q1[:half] + q2[half:]
-            if c not in dom:
-                continue
-            if rho.table[c] != A.op(rho.table[q1], rho.table[q2]):
+            if c in dom and rho.table[c] != A.op(rho.table[q1], rho.table[q2]):
                 return ("concatenation", q1, q2)
     return None
 
 
 def coboundary_of(X: Cubespace, f: Sequence[int], k: int, A: FiniteAbelianGroup) -> Cocycle:
     """The degree-k coboundary q |-> sigma_{k+1}(f o q)."""
-    _check_table_size(X, k + 1)
     table = {}
     for q in X.cubes(k + 1):
         table[q] = sigma([f[x] for x in q], k + 1, A)
@@ -119,10 +110,10 @@ def cocycles_equivalent(r1: Cocycle, r2: Cocycle) -> bool:
 def enumerate_cocycles(X: Cubespace, k: int, A: FiniteAbelianGroup):
     """All valid degree-k cocycle tables by exhaustive enumeration
     (intended for tiny spaces).  Past COCYCLE_TABLE_CAP tables this
-    raises as soon as the (k+1)-cubes listed so far pass it."""
-    for count, _ in enumerate(X._cube_sets.get(k + 1) or X._enumerate_cubes(k + 1), 1):
-        if A.order ** count > COCYCLE_TABLE_CAP:
-            raise ValueError("cocycle enumeration too large")
+    raises before the (k+1)-cubes are built: |A| >= 2 passes it on
+    more cubes than the cap has bits."""
+    if A.order ** X.count_cubes(k + 1, COCYCLE_TABLE_CAP.bit_length()) > COCYCLE_TABLE_CAP:
+        raise ValueError("cocycle enumeration too large")
     dom = sorted(X.cubes(k + 1))
     out = []
     for vals in itertools.product(range(A.order), repeat=len(dom)):

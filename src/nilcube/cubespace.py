@@ -24,6 +24,7 @@ is closure of the cube sets under generators (`composition_violation`).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -103,17 +104,25 @@ class Cubespace:
 
     def cubes(self, n: int) -> frozenset:
         """The full cube set of dimension n (cached)."""
-        if n in self._cube_sets:
-            return self._cube_sets[n]
-        if n == 0:
-            out = frozenset((x,) for x in range(self.size))
-        else:
-            out = frozenset(self._enumerate_cubes(n))
-        self._cube_sets[n] = out
-        return out
+        if n not in self._cube_sets:
+            self._cube_sets[n] = frozenset(
+                self._enumerate_cubes(n) if n else ((x,) for x in range(self.size)))
+        return self._cube_sets[n]
 
     def _enumerate_cubes(self, n: int):
         return self._scan_maps(n, corner=False)
+
+    def count_cubes(self, n: int, cap: int) -> int:
+        """|Cu^n| when building cubes(n) reads at most cap maps, else some
+        number above cap.  The face-pruned scan reads a map per point it
+        tries at a vertex; a finished scan is kept as the cube set."""
+        if n not in self._cube_sets:
+            points = _ReadCounter(self.size, cap)
+            found = frozenset(self._scan_maps(n, False, points))
+            if points.reads > cap:
+                return points.reads
+            self._cube_sets[n] = found
+        return len(self._cube_sets[n])
 
     def _pruning_faces(self, n: int):
         """Index tables of the faces of dimension 1..n-1 (at most step+1)
@@ -179,6 +188,17 @@ class Cubespace:
         return [x for x in range(self.size) if test(corner_values + (x,))]
 
 
+class _ReadCounter:
+    """Scan candidates: every point at each vertex until cap are read."""
+
+    def __init__(self, size: int, cap: int):
+        self.points, self.cap, self.reads = range(size), cap, 0
+
+    def __getitem__(self, vertex: int):
+        self.reads += len(self.points)
+        return self.points if self.reads <= self.cap else ()
+
+
 # ---------------------------------------------------------------------------
 # concrete spaces
 
@@ -199,6 +219,9 @@ class GroupCubespace(Cubespace):
 
     def _enumerate_cubes(self, n):
         return set(cg.enumerate_cubes(self.filt, n))
+
+    def count_cubes(self, n, cap):
+        return cg.count_cubes(self.filt, n)
 
 
 def abelian_Dk(A: FiniteGroup, k: int) -> Cubespace:
@@ -238,6 +261,10 @@ class ImageCubespace(Cubespace):
 
     def _enumerate_cubes(self, n):
         return {self.project_cube(q) for q in self.X.cubes(n)}
+
+    def count_cubes(self, n, cap):
+        upstairs = self.X.count_cubes(n, cap)
+        return upstairs if upstairs > cap else len(self.cubes(n))
 
     def lift(self, n: int, values: Sequence[int]) -> Optional[tuple]:
         """The first n-cube of X, in the scan's colex order with each
@@ -285,11 +312,12 @@ class ProductCubespace(Cubespace):
         return self.X.membership(n, xs) and self.Y.membership(n, ys)
 
     def _enumerate_cubes(self, n):
-        out = []
-        for qx in self.X.cubes(n):
-            for qy in self.Y.cubes(n):
-                out.append(tuple(self.encode(a, b) for a, b in zip(qx, qy)))
-        return out
+        return [tuple(map(self.encode, qx, qy))
+                for qx in self.X.cubes(n) for qy in self.Y.cubes(n)]
+
+    def count_cubes(self, n, cap):
+        cx = self.X.count_cubes(n, cap)
+        return cx if cx > cap else cx * self.Y.count_cubes(n, cap // max(cx, 1))
 
 
 class ArrowCubespace(Cubespace):
@@ -317,13 +345,12 @@ class ArrowCubespace(Cubespace):
         return self.X.membership(n + self.k, cg.arrow(q0, q1, n, self.k))
 
     def _enumerate_cubes(self, n):
-        out = []
-        for q0 in self.X.cubes(n):
-            for q1 in self.X.cubes(n):
-                pair = tuple(self.encode(a, b) for a, b in zip(q0, q1))
-                if self._membership(n, pair):
-                    out.append(pair)
-        return out
+        pairs = (tuple(map(self.encode, q0, q1)) for q0 in self.X.cubes(n) for q1 in self.X.cubes(n))
+        return [pair for pair in pairs if self._membership(n, pair)]
+
+    def count_cubes(self, n, cap):
+        pairs = self.X.count_cubes(n, math.isqrt(cap)) ** 2
+        return pairs if pairs > cap else len(self.cubes(n))
 
 
 class SliceCubespace(Cubespace):
@@ -496,8 +523,7 @@ def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, 
     pruned depth-first search and scans candidate closures; the inferred
     step is the smallest k with unique closing at dimension k+1.
     """
-    totals = itertools.accumulate((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1))
-    if any(total > composition_budget for total in totals):  # stops at the first
+    if sum((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1)) > composition_budget:
         raise ValueError("n_max = %d: the morphisms alone pass the composition budget" % n_max)
     comp_wit, checks = composition_violation([X.cubes(a) for a in range(n_max + 1)])
     pairs = X.cubes(1)

@@ -184,9 +184,11 @@ def test_translations_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, m, k,
     ({"source": "group", "group": HEIS, "filtration": {"type": "lcs"}}, 3, 0),
     (_dk(4, 1), 2, 0),
     (_dk(2, 2), 2, 0),
-], ids=["D4(Z/2)", "H2", "D1(Z/4)", "D2(Z/2)"])
+    ({"source": "product", "factors": [_dk(2, 1), _dk(2, 2)]}, 8, 2),
+], ids=["D4(Z/2)", "H2", "D1(Z/4)", "D2(Z/2)", "D1(Z/2)xD2(Z/2)-n_max-8"])
 def test_decompose_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, spec, n_max, code):
-    # D4(Z/2) needs its 2^31 cubes of dimension 5 to build the top factor
+    # D4(Z/2) needs its 2^31 cubes of dimension 5 to build the top factor;
+    # the product has 2^46 cubes of dimension 8
     start = time.perf_counter()
     assert run_main(tmp_path, {"kind": "decompose", "cubespace": spec, "n_max": n_max}) == code
     err = capsys.readouterr().err
@@ -202,6 +204,36 @@ def test_check_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("spec error: /cubespace:") and "check cap" in err
+
+
+H2_SPACE = {"source": "group", "group": HEIS, "filtration": {"type": "lcs"}}
+# a degree-2 cocycle on H3 is a table on its 14,348,907 3-cubes
+H3_K2_COCYCLE = {"k": 2, "entries": [[[0] * 8, 0]]}
+
+
+@pytest.mark.parametrize("spec,code,pointer,kind", [
+    ({"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": H2_SPACE, "k": 1}},
+     2, "/cubespace", "check"),
+    ({"kind": "check", "n_max": 3, "cubespace": {"source": "arrow", "base": H2_SPACE, "k": 1}},
+     2, "/cubespace", "check"),
+    ({"kind": "cohomology", "op": "is_coboundary", "A": [2], "cubespace": H3_SPACE,
+      "cocycle": H3_K2_COCYCLE}, 2, "/cocycle/k", "cocycle"),
+    ({"kind": "check", "cubespace": {"source": "extension", "base": H3_SPACE, "A": [2],
+                                     "cocycle": H3_K2_COCYCLE}},
+     2, "/cubespace/cocycle/k", "cocycle"),
+    ({"kind": "check", "cubespace": {"source": "partial", "base": H2_SPACE, "point": 3}},
+     1, None, None),
+], ids=["arrow-H2-n_max-2", "arrow-H2-n_max-3", "is-coboundary-H3-k-2", "extension-H3-k-2",
+        "partial-H2"])
+def test_derived_space_or_cocycle_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys, spec,
+                                                                     code, pointer, kind):
+    # the arrow space of H2 pairs its 1,024 2-cubes: 1,048,576 pairs to test
+    start = time.perf_counter()
+    assert run_main(tmp_path, spec) == code
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("spec error: %s:" % pointer) and "%s cap" % kind in err
 
 
 def _poly_spec(m, k):
@@ -552,8 +584,6 @@ def _fuzz_bases():
                                         "tables": _export_tables(tables)}},
         {"kind": "check", "cubespace": {"source": "explicit", "size": 2, "step": 1,
                                         "tables": _export_tables(doctored)}},
-        # explicit spaces only: a group space whose degree k becomes 8
-        # asks for the cube sets of D_8(Z/2), far beyond memory
         {"kind": "decompose", "n_max": 2,
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(tables)}},
@@ -566,8 +596,7 @@ def _fuzz_bases():
         {"kind": "translations",
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(doctored)}},
-        # no n_max: at 8 the product has 2^46 cubes of dimension 8
-        {"kind": "decompose", "cubespace": product},
+        {"kind": "decompose", "n_max": 2, "cubespace": product},
         {"kind": "translations", "cubespace": product},
         {"kind": "cohomology", "op": "is_coboundary", "A": [2],
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
@@ -580,7 +609,9 @@ def _fuzz_bases():
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(tables)},
          "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
-    ]
+    ] + [{"kind": kind, "n_max": 2, "cubespace": space}
+         for space in (H2_SPACE, Z2D2, dict(H2_SPACE, source="coset", gamma=[1]))
+         for kind in ("check", "decompose", "translations", "export")]
 
 
 FUZZ_BASES = _fuzz_bases()

@@ -417,6 +417,35 @@ def test_cube_test_matches_membership_before_and_after_the_cube_set(name):
         assert [test(q) for q in maps] == want
 
 
+def _count_spaces():
+    """The spaces of KERNEL_SPACES (group, coset, factor, M(rho), explicit)
+    and a product, an arrow and a slice space: every kind that counts its
+    cubes in its own way."""
+    _G, filt = gr.make_heisenberg(2)
+
+    def dk(m, k):
+        return abelian_Dk(gr.CyclicProduct((m,)), k)
+
+    return dict(KERNEL_SPACES, **{
+        "D1(Z/2) x D2(Z/2)": lambda: ProductCubespace(dk(2, 1), dk(2, 2)),
+        "arrow D1(Z/3)": lambda: ArrowCubespace(dk(3, 1), 1),
+        "slice H2": lambda: SliceCubespace(GroupCubespace(filt), 3),
+    })
+
+
+COUNT_SPACES = _count_spaces()
+
+
+@pytest.mark.parametrize("cap", [10, 10 ** 5])
+@pytest.mark.parametrize("name", sorted(COUNT_SPACES))
+def test_a_count_within_the_cap_is_the_size_of_the_cube_set(name, cap):
+    make = COUNT_SPACES[name]
+    for n in range(4):
+        got = make().count_cubes(n, cap)
+        if got <= cap:
+            assert got == len(make().cubes(n)), n
+
+
 def test_face_getters_restrict_like_the_index_tables():
     q = tuple(range(100, 132))
     for n in range(6):
