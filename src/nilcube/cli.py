@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 mathematical failure (witness in the report),
 n_max (the spec field, else --n-max, default 3) lies in 1..N_MAX_CAP;
 check and extend report the exact axiom scan of cubespace.check_axioms.
 One size rule refuses a question whose cube sets read more than CUBE_CAP
-maps to build.  The other limits bound what no cube count does: N_MAX_CAP
-the 2^n length of one cube, BRUTE_FORCE_CAP the bijections searched,
-CLOSURE_CAP the derivative closure, COCYCLE_TABLE_CAP the candidate
-tables, and check_axioms's composition_budget (see CUBE_CAP).
+maps to build, or whose cocycle laws have more than CUBE_CAP entries.  The
+other limits bound what no cube count does: N_MAX_CAP the 2^n length of
+one cube, BRUTE_FORCE_CAP the bijections searched, CLOSURE_CAP the
+derivative closure, and check_axioms's composition_budget (see CUBE_CAP).
 
 Object schemas (all cube values in colex vertex order):
   group:      {"type": "cyclic_product", "moduli": [..]}
@@ -67,14 +67,14 @@ from .groups import (
 N_MAX_CAP = 10
 
 # the maps the cube sets of a question may read to build (count_cubes):
-# check, export and extend's M(rho) 1..n_max, decompose 1..max(step+1,
-# n_max), translations step+1, poly the domain 0..deg(G.)+1, a cocycle its
-# domain k+1.  H2 and D3(Z/2) have 32,768 3- and 4-cubes, and translation
-# towers of 1.2 and 1.0 s.  No count bounds N_MAX_CAP (the 2^n length of
-# one cube), translations.BRUTE_FORCE_CAP (the bijections searched),
-# poly.CLOSURE_CAP (the derivative closure), cohomology.COCYCLE_TABLE_CAP
-# (the candidate tables, until ROADMAP item 6) or check_axioms's budget
-# and seed (kept only for perfbench/analysis.py, until ROADMAP item 1).
+# check, export and extend's M(rho) 1..n_max (|Cu^n(X)| |Cu^n(D_d(A))|),
+# decompose 1..max(step+1, n_max), translations step+1, poly the domain
+# 0..deg(G.)+1, a cocycle its domain k+1; also count_classes's law rows
+# times (k+1)-cubes (24,576 on D1(Z/4) at k = 1).  H2 and D3(Z/2) have
+# 32,768 3- and 4-cubes.  No count bounds N_MAX_CAP (one cube's length),
+# translations.BRUTE_FORCE_CAP (the bijections searched), poly.CLOSURE_CAP
+# (the derivative closure) or check_axioms's budget and seed (kept only
+# for perfbench/analysis.py, until ROADMAP item 1).
 CUBE_CAP = 10 ** 5
 
 
@@ -431,10 +431,9 @@ def run_cohomology(spec, opts):
     op = _need(spec, "op", "/")
     if op == "count_classes":
         k = _natural(spec, "k", "/")
-        cocycles = _construct("/k", coh.enumerate_cocycles, X, k, A)
-        classes = coh.cohomology_classes(cocycles)
-        return {"kind": "cohomology", "op": op, "k": k,
-                "cocycles": len(cocycles), "classes": len(classes)}
+        _refuse_many_cubes(X, [k + 1], "cocycle", "/k")
+        cocycles, classes = _construct("/k", coh.count_cocycle_classes, X, k, A, CUBE_CAP)
+        return {"kind": "cohomology", "op": op, "k": k, "cocycles": cocycles, "classes": classes}
     if op == "is_coboundary":
         rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)
         f = coh.is_coboundary(rho)
@@ -449,8 +448,8 @@ def run_extend(spec, opts):
 
     X = build_cubespace(_need(spec, "cubespace", "/"))
     A = build_abelian(_need(spec, "A", "/"))
-    rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)
-    M = _construct("/cubespace", coh.build_extension, rho)
+    rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)  # validated there
+    M = _construct("/cubespace", coh.ExtensionSpace, rho)
     _refuse_many_cubes(M, range(1, opts["n_max"] + 1), "extension")
     rep = _construct("/cubespace", cs.check_axioms, M, opts["n_max"])
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,

@@ -2,6 +2,10 @@
 the model space M(rho), cross-section cocycles, and the tricube
 alternating sum.
 
+Cocycle counts and coboundaries are linear algebra over A (one Smith
+elimination), with table enumeration as the oracle; M(rho) builds its
+cube sets fibre by fibre.
+
 An extension is a `structure.ExtensionData`; whether it is a degree-k
 bundle is decided by `structure.verify_degree_k_bundle`, the check that
 `structure.decompose` runs on every level of a nilspace.
@@ -19,8 +23,8 @@ from typing import Dict, List, Sequence
 
 from . import cubes as cb
 from .cubegroups import sigma
-from .cubespace import Cubespace
-from .groups import FiniteAbelianGroup, solve_abelian_linear_system
+from .cubespace import Cubespace, abelian_Dk
+from .groups import FiniteAbelianGroup, abelian_kernel_order, solve_abelian_linear_system
 from .structure import ExtensionData
 
 COCYCLE_TABLE_CAP = 1 << 20  # candidate tables enumerate_cocycles may try
@@ -36,9 +40,6 @@ class Cocycle:
     A: FiniteAbelianGroup
     table: Dict[tuple, int]
 
-    def __call__(self, q) -> int:
-        return self.table[tuple(q)]
-
     @property
     def domain_dim(self) -> int:
         return self.k + 1
@@ -50,20 +51,18 @@ def cocycle_sub(r1: Cocycle, r2: Cocycle) -> Cocycle:
     return Cocycle(r1.X, r1.k, A, {q: A.op(v, A.inv(r2.table[q])) for q, v in r1.table.items()})
 
 
-def validate_cocycle(rho: Cocycle):
-    """None, or a witness describing the first failing law.  The sign
-    law is checked on the automorphism generators, which suffices."""
-    X, A, n = rho.X, rho.A, rho.domain_dim
-    dom = X.cubes(n)
-    if set(rho.table) != dom:
-        return ("domain", None)
+def _sign_laws(dom: frozenset, n: int):
+    """(theta, q, q o theta, r(theta) odd) per generator theta and q in
+    dom: the law rho(q o theta) = (-1)^r(theta) rho(q), false off dom."""
     for theta, tbl, r in cb.automorphism_generator_tables(n):
         act = cb.index_getter(tbl)
         for q in dom:
-            qq = act(q)
-            want = rho.table[q] if r % 2 == 0 else A.inv(rho.table[q])
-            if rho.table.get(qq) != want:
-                return ("automorphism", q, theta)
+            yield theta, q, act(q), r % 2 == 1
+
+
+def _concatenations(dom: frozenset, n: int):
+    """(q1, q2, c) for the law rho(c) = rho(q1) + rho(q2): q1's upper
+    facet is q2's lower one, c their outer facets, all in dom."""
     half = 1 << (n - 1)
     by_lower = {}  # the cubes of dom by their lower facet, in the order of dom
     for q in dom:
@@ -71,8 +70,23 @@ def validate_cocycle(rho: Cocycle):
     for q1 in dom:
         for q2 in by_lower.get(q1[half:], ()):
             c = q1[:half] + q2[half:]
-            if c in dom and rho.table[c] != A.op(rho.table[q1], rho.table[q2]):
-                return ("concatenation", q1, q2)
+            if c in dom:
+                yield q1, q2, c
+
+
+def validate_cocycle(rho: Cocycle):
+    """None, or a witness describing the first failing law.  The sign
+    law is checked on the automorphism generators, which suffices."""
+    X, A, n = rho.X, rho.A, rho.domain_dim
+    dom = X.cubes(n)
+    if set(rho.table) != dom:
+        return ("domain", None)
+    for theta, q, qq, odd in _sign_laws(dom, n):
+        if rho.table.get(qq) != (A.inv(rho.table[q]) if odd else rho.table[q]):
+            return ("automorphism", q, theta)
+    for q1, q2, c in _concatenations(dom, n):
+        if rho.table[c] != A.op(rho.table[q1], rho.table[q2]):
+            return ("concatenation", q1, q2)
     return None
 
 
@@ -84,17 +98,20 @@ def coboundary_of(X: Cubespace, f: Sequence[int], k: int, A: FiniteAbelianGroup)
     return Cocycle(X, k, A, table)
 
 
+def _coboundary_row(size: int, q: tuple) -> list:
+    """The coefficients of f in sigma(f o q)."""
+    coeffs = [0] * size
+    for j, x in enumerate(q):
+        coeffs[x] += 1 if bin(j).count("1") % 2 == 0 else -1
+    return coeffs
+
+
 def is_coboundary(rho: Cocycle):
     """A function f with coboundary_of(f) = rho, or None.  Exact: the
     defining equations are integer-linear over A and solved by Smith
     normal form."""
     X, A = rho.X, rho.A
-    eqs = []
-    for q in X.cubes(rho.domain_dim):
-        coeffs = [0] * X.size
-        for j, x in enumerate(q):
-            coeffs[x] += 1 if bin(j).count("1") % 2 == 0 else -1
-        eqs.append((coeffs, rho.table[q]))
+    eqs = [(_coboundary_row(X.size, q), rho.table[q]) for q in X.cubes(rho.domain_dim)]
     f = solve_abelian_linear_system(A, X.size, eqs)
     if f is None:
         return None
@@ -123,6 +140,45 @@ def enumerate_cocycles(X: Cubespace, k: int, A: FiniteAbelianGroup):
     return out
 
 
+def _law_rows(dom: frozenset, n: int):
+    """The laws of validate_cocycle as integer rows over the positions of
+    dom that every cocycle annuls; None for a sign law that leaves dom."""
+    pos = {q: i for i, q in enumerate(dom)}
+
+    def row(*terms):
+        out = [0] * len(dom)
+        for q, c in terms:
+            out[pos[q]] += c
+        return out
+
+    for _theta, q, qq, odd in _sign_laws(dom, n):
+        yield row((qq, 1), (q, 1 if odd else -1)) if qq in pos else None
+    for q1, q2, c in _concatenations(dom, n):
+        yield row((c, 1), (q1, -1), (q2, -1))
+
+
+def count_cocycle_classes(X: Cubespace, k: int, A: FiniteAbelianGroup, cap=None):
+    """(|Z^k|, |Z^k / B^k|) for the degree-k cocycles on X in A: Z^k is
+    the kernel of the law rows, B^k the image of f -> sigma(f o q), of
+    order |A|^|X| / |ker|; (0, 0) when no table obeys the sign law.  A
+    ValueError once the rows as generated times the (k+1)-cubes pass cap
+    entries."""
+    dom = X.cubes(k + 1)
+    rows = []
+    for row in _law_rows(dom, k + 1):
+        if row is None:
+            return 0, 0
+        rows.append(row)
+        if cap is not None and len(rows) * len(dom) > cap:
+            raise ValueError("the cocycle law system has more than %d entries" % cap)
+    # a law and its negative, or a repeated law, cut out the same kernel
+    unique = dict.fromkeys(tuple(r if next((c for c in r if c), 0) >= 0 else [-c for c in r])
+                           for r in rows if any(r))
+    z = abelian_kernel_order(A, len(dom), list(unique))
+    ker = abelian_kernel_order(A, X.size, [_coboundary_row(X.size, q) for q in dom])
+    return z, z * ker // A.order ** X.size
+
+
 def cohomology_classes(cocycles: Sequence[Cocycle]):
     """Group a list of cocycles into equivalence classes (difference a
     coboundary); returns the list of classes (lists of cocycles)."""
@@ -146,7 +202,8 @@ class ExtensionSpace(Cubespace):
     points are pairs (x, z) in X x A.  A map f is a cube iff its base
     part is a cube of X and, on dimension d+1 (and on every (d+1)-face
     in higher dimensions), rho of the base equals minus the alternating
-    sum of the fibre part."""
+    sum of the fibre part.  The cubes over a base cube are therefore
+    empty or a coset of the cubes of D_d(A), added pointwise in A."""
 
     provenance = "extension"
 
@@ -157,13 +214,11 @@ class ExtensionSpace(Cubespace):
         self.d = rho.k  # extension degree; special dimension is d+1
         if self.base.step is None:
             raise ValueError("the base needs a step bound")
+        self.fibre_space = abelian_Dk(self.A, self.d)
         super().__init__(self.base.size * self.A.order, step=max(self.base.step + 1, self.d))
 
     def encode(self, x: int, z: int) -> int:
         return x * self.A.order + z
-
-    def decode(self, p: int):
-        return divmod(p, self.A.order)
 
     def _special_ok(self, xs: tuple, zs: tuple) -> bool:
         return self.rho.table[xs] == self.A.inv(sigma(zs, self.d + 1, self.A))
@@ -182,6 +237,22 @@ class ExtensionSpace(Cubespace):
             if not self._special_ok(face(xs), face(zs)):
                 return False
         return True
+
+    def _enumerate_cubes(self, n):
+        """Per base cube q, the first lift by the scan of the fibres over
+        q plus each n-cube of D_d(A); nothing over a q with no lift."""
+        m, op = self.A.order, self.A.op
+        out = []
+        for q in self.base.cubes(n):
+            lift = next(self._scan_maps(n, False, [range(x * m, x * m + m) for x in q]), None)
+            if lift is not None:
+                out.extend(tuple(y - y % m + op(y % m, a) for y, a in zip(lift, c))
+                           for c in self.fibre_space.cubes(n))
+        return out
+
+    def count_cubes(self, n, cap):
+        bound = self.base.count_cubes(n, cap) * self.fibre_space.count_cubes(n, cap)
+        return bound if bound > cap else len(self.cubes(n))
 
     def as_extension_data(self) -> ExtensionData:
         pi = [p // self.A.order for p in range(self.size)]

@@ -492,16 +492,19 @@ def abelian_invariants(G: FiniteGroup):
     return tuple(invariants)
 
 
-def smith_normal_form(M):
+def smith_normal_form(M, companion=None):
     """Integer Smith normal form with transforms: returns (U, D, V) with
     U*M*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
 
+    The row operations act on companion C (the identity by default), so
+    U is U*C: a solver passes its constants, a kernel count empty rows.
     Plain row/column reduction; fine at the matrix sizes that arise here.
     """
     D = [list(row) for row in M]
     r = len(D)
     c = len(D[0]) if r else 0
-    U = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
+    U = ([list(row) for row in companion] if companion is not None
+         else [[1 if i == j else 0 for j in range(r)] for i in range(r)])
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_op(i, j, k):  # row_i += k * row_j
@@ -620,21 +623,18 @@ def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equati
     r = num_unknowns
     if not equations:
         return [0] * r
-    if r == 0:
-        return [] if all(eq[1] == 0 for eq in equations) else None
     M = [list(eq[0]) for eq in equations]
-    U, D, V = smith_normal_form(M)
-    consts = [A.tuple_of(eq[1]) for eq in equations]
+    # U*c for the constants c, one column per invariant factor
+    UC, D, V = smith_normal_form(M, [A.tuple_of(eq[1]) for eq in equations])
     ncomp = len(A.invariants)
     # solve per invariant factor
     sol_components = []  # per component: list of length r residues
     for t in range(ncomp):
         d = A.invariants[t]
-        c = [row[t] for row in consts]
-        uc = [sum(U[i][j] * c[j] for j in range(len(c))) % d for i in range(len(c))]
+        uc = [row[t] % d for row in UC]
         y = [0] * r
         ok = True
-        for i in range(len(c)):
+        for i in range(len(uc)):
             e = D[i][i] if i < min(len(D), r) else 0
             if i < r:
                 res = _solve_mod(e, uc[i], d)
@@ -661,3 +661,13 @@ def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equati
         if acc != const:
             raise AssertionError("solver produced a non-solution")
     return out
+
+
+def abelian_kernel_order(A: FiniteAbelianGroup, num_unknowns: int, rows) -> int:
+    """|{x in A^num_unknowns : sum_j row[j] x_j = 0 for every row}| for
+    integer rows of that length: the product of gcd(e, d) over the
+    invariant factors d of A and the Smith diagonal entries e, a zero or
+    missing e counting as d."""
+    _, D, _ = smith_normal_form(rows, [()] * len(rows))
+    diag = [D[i][i] for i in range(min(len(rows), num_unknowns))]
+    return prod(gcd(e, d) for e in diag for d in A.invariants) * A.order ** (num_unknowns - len(diag))

@@ -328,6 +328,20 @@ def test_cohomology_class_count():
     assert out["cocycles"] == 2 and out["classes"] == 2
 
 
+@pytest.mark.parametrize("space,A,k,counts", [
+    (Z2D1, [2], 3, (2, 2)),
+    (dict(Z2D1, group={"type": "cyclic_product", "moduli": [3]}), [3], 1, (9, 3)),
+    (dict(Z2D1, group={"type": "cyclic_product", "moduli": [3]}), [3], 2, (9, 9)),
+    (dict(Z2D1, group={"type": "cyclic_product", "moduli": [4]}), [4], 1, (64, 4)),
+], ids=["d1z2-k3", "d1z3-k1", "d1z3-k2", "d1z4-z4"])
+def test_cohomology_class_count_past_the_table_cap(space, A, k, counts):
+    # |A|^|Cu^(k+1)| tables are past cohomology.COCYCLE_TABLE_CAP, the
+    # law systems within cli.CUBE_CAP entries
+    spec = {"kind": "cohomology", "cubespace": space, "A": A, "op": "count_classes", "k": k}
+    out = cli.run(spec)
+    assert (out["cocycles"], out["classes"]) == counts
+
+
 def test_cohomology_is_coboundary():
     entries = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 1, 1, 0], 0],
                [[1, 0, 0, 1], 0], [[1, 0, 1, 0], 0], [[1, 1, 0, 0], 0], [[1, 1, 1, 1], 0]]
@@ -528,9 +542,10 @@ D1 = {"type": "maximal_degree_k", "k": 1}
     ({"kind": "check", "cubespace": _explicit(2, {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]})},
      "/cubespace"),
     ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": -1}, "/k"),
-    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": 3}, "/k"),
-    # D_1(Z/2) has 2^10 cubes of dimension 9; the cap of 2^20 tables is
-    # passed after 21 of them, long before the face-criterion scan ends
+    # 1,408 law rows on the 128 3-cubes of D_2(Z/2): 180,224 entries
+    ({"kind": "cohomology", "cubespace": Z2D2, "A": [2], "op": "count_classes", "k": 2}, "/k"),
+    # counting the 9-cubes of a step-1 space prunes the scan by 2-faces,
+    # and this explicit space has no table of 2-cubes to test them on
     ({"kind": "cohomology", "A": [2], "op": "count_classes", "k": 8,
       "cubespace": {"source": "explicit", "size": 2, "step": 1,
                     "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]}}}, "/k"),

@@ -33,3 +33,14 @@ def test_cohomology_census_on_d1_z2(capsys):
     out = capsys.readouterr().out
     assert "D_1(Z/2), A=Z/2, k=1: 2 cocycles, 1 coboundaries, 2 classes" in out
     assert out.count("nilspace=True") == 2
+
+
+def test_cohomology_census_past_the_table_cap(capsys):
+    # 3^27 tables on the 2-cubes of D_1(Z/3): counted, not enumerated
+    census = _load("cohomology_census").census
+    start = time.perf_counter()
+    census(3, 3, 1)
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert "D_1(Z/3), A=Z/3, k=1: 9 cocycles, 3 coboundaries, 3 classes" in out
+    assert "nilspace" not in out
