@@ -1,5 +1,7 @@
 """Batch command-line front end: JSON problem descriptions in, JSON or
-text reports out.
+text reports out.  A JSON report is one line with sorted keys (pipe it
+through `python -m json.tool` to indent it); --format text prints one
+"key: value" line per key.
 
 Exit codes: 0 success, 1 mathematical failure (witness in the report),
 2 malformed problem specification.
@@ -502,7 +504,7 @@ def run(spec: Dict[str, Any], n_max: int = 3):
 
 def _emit(report, fmt):
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(json.dumps(report, sort_keys=True))
     else:
         for key in sorted(report):
             print("%s: %r" % (key, report[key]))

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -124,19 +124,6 @@ class Cubespace:
             self._cube_sets[n] = found
         return len(self._cube_sets[n])
 
-    def _pruning_faces(self, n: int):
-        """Index tables of the faces of dimension 1..n-1 (at most step+1)
-        grouped by their colex-largest vertex, used to prune depth-first
-        scans: a face is checked once its last vertex is assigned.  The
-        faces through the top vertex sit under 2^n - 1, which a corner
-        scan never reaches."""
-        maxdim = n - 1 if self.step is None else min(n - 1, self.step + 1)
-        by_last: Dict[int, list] = {}
-        for dim in range(1, maxdim + 1):
-            for tbl in cb.face_index_tables(dim, n):
-                by_last.setdefault(max(tbl), []).append((dim, tbl))
-        return by_last
-
     def _scan_maps(self, n: int, corner: bool, candidates=None):
         """DFS over vertex assignments in colex order with face pruning,
         yielding the maps found in that order.  candidates[i] lists the
@@ -148,16 +135,15 @@ class Cubespace:
         domain = total - 1 if corner else total
         if candidates is None:
             candidates = [range(self.size)] * domain
-        tests = {dim: self._cube_test(dim) for dim in range(n + 1)}
-        by_last = {i: [(tests[dim], cb.index_getter(tbl)) for dim, tbl in faces]
-                   for i, faces in self._pruning_faces(n).items()}
+        tests = [self._cube_test(dim) for dim in range(n + 1)]
+        layout = _pruning_layout(n, n - 1 if self.step is None else min(n - 1, self.step + 1))
         values = [0] * domain
         pending = [iter(candidates[0])]  # untried candidates per assigned vertex
         while pending:
             i = len(pending) - 1
             for values[i] in pending[i]:
-                for test, face in by_last.get(i, ()):
-                    if not test(face(values)):
+                for dim, face in layout[i]:
+                    if not tests[dim](face(values)):
                         break
                 else:
                     break  # every face ending at i is a cube: descend
@@ -186,6 +172,20 @@ class Cubespace:
         self._require_points(corner_values)
         test = self._cube_test(n)
         return [x for x in range(self.size) if test(corner_values + (x,))]
+
+
+@lru_cache(maxsize=None)
+def _pruning_layout(n: int, maxdim: int):
+    """Per vertex i of {0,1}^n, the pairs (dim, getter) of the faces of
+    dimension 1..maxdim whose colex-largest vertex is i, memoized: a
+    depth-first scan checks a face once its last vertex is assigned.  The
+    faces through the top vertex sit under 2^n - 1, which a corner scan
+    never reaches."""
+    layout = [[] for _ in range(1 << n)]
+    for dim in range(1, maxdim + 1):
+        for tbl, face in zip(cb.face_index_tables(dim, n), cb.face_getters(dim, n)):
+            layout[max(tbl)].append((dim, face))
+    return tuple(map(tuple, layout))
 
 
 class _ReadCounter:

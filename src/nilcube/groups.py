@@ -3,7 +3,10 @@ algebra over finite abelian groups.
 
 Group elements are integer indices 0..order-1 with 0 the identity.
 Structured groups (cyclic products, Heisenberg mod m) compute the law on
-the fly; table groups materialize and validate the axioms.
+the fly, and declare what their type settles: their generators (the unit
+vectors, the two elementary matrices) and, for cyclic products,
+commutativity.  Table and quotient groups materialize or derive the law,
+find greedy generators and test commutativity pair by pair.
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ class FiniteGroup:
             a = self.op(a, a)
             e >>= 1
         return out
+
+    def generators(self) -> list:
+        """A list of elements that generates the whole group: the greedy
+        generating_set by default; structured groups declare theirs."""
+        return generating_set(self, frozenset(self.elements()))
 
     def is_abelian(self) -> bool:
         return all(
@@ -98,6 +106,18 @@ class CyclicProduct(FiniteGroup):
         self.moduli = tuple(moduli)
         self.order = prod(self.moduli)
 
+    def generators(self):
+        """The unit vectors of the factors other than Z/1."""
+        gens, place = [], 1
+        for m in self.moduli:
+            if m > 1:
+                gens.append(place)
+            place *= m
+        return gens
+
+    def is_abelian(self):
+        return True
+
     def tuple_of(self, a: int):
         out = []
         for m in self.moduli:
@@ -148,6 +168,10 @@ class Heisenberg(FiniteGroup):
             raise ValueError("modulus must be at least 2")
         self.m = m
         self.order = m ** 3
+
+    def generators(self):
+        """The elementary matrices (1,0,0) and (0,1,0)."""
+        return [1, self.m]
 
     def tuple_of(self, x: int):
         m = self.m
@@ -323,11 +347,12 @@ def validate_filtration(filt: Filtration):
 
 def lower_central_series(G: FiniteGroup) -> Filtration:
     """G = G_0 = G_1 >= G_2 = [G, G_1] >= ... down to the trivial group.
-    One greedy generating set X of G serves every level, and the
+    X = G.generators() serves every level (a structured group declares
+    it, so the whole group is never closed to prove it spans), and the
     generators commutator_subgroup finds for G_j are the Y of
     [G, G_j]: no level derives a generating set again."""
     full = frozenset(G.elements())
-    X = generating_set(G, full)
+    X = G.generators()
     chain, Y = [full, full], X
     while chain[-1] != frozenset({0}):
         nxt, Y = commutator_subgroup(G, full, chain[-1], (X, Y))

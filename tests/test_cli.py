@@ -465,6 +465,49 @@ def test_text_format(tmp_path, capsys):
     assert "is_cube: True" in out
 
 
+# one spec of each kind, answered (exit 0) or failed with a witness (exit 1)
+ONE_SPEC_PER_KIND = {
+    "check": {"kind": "check", "cubespace": {"source": "arrow", "base": Z2D1, "k": 1},
+              "n_max": 2},
+    "factorize": {"kind": "factorize", "group": {"type": "cyclic_product", "moduli": [4]},
+                  "filtration": {"type": "maximal_degree_k", "k": 1},
+                  "cube": {"n": 2, "values": [0, 1, 0, 2]}},
+    "complete": {"kind": "complete", "group": HEIS, "filtration": {"type": "lcs"},
+                 "corner": {"n": 2, "values": [0, 1, 2]}},
+    "poly": {"kind": "poly", "domain_group": {"type": "cyclic_product", "moduli": [3]},
+             "domain_filtration": {"type": "lcs"},
+             "target_group": {"type": "cyclic_product", "moduli": [3]},
+             "target_filtration": {"type": "maximal_degree_k", "k": 2}, "map": [0, 1, 1]},
+    "decompose": {"kind": "decompose", "cubespace": Z2D2, "n_max": 2},
+    "translations": {"kind": "translations", "cubespace": Z2D2},
+    "cohomology": {"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes",
+                   "k": 1},
+    "extend": {"kind": "extend", "cubespace": Z2D1, "A": [2], "n_max": 2,
+               "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
+    "export": {"kind": "export", "cubespace": Z2D1, "n_max": 2},
+}
+
+
+def _sorted_object(pairs):
+    keys = [k for k, _ in pairs]
+    assert keys == sorted(keys)
+    return dict(pairs)
+
+
+@pytest.mark.parametrize("kind", sorted(ONE_SPEC_PER_KIND))
+def test_json_report_is_one_line_with_sorted_keys(tmp_path, capsys, kind):
+    spec = ONE_SPEC_PER_KIND[kind]
+    try:
+        code, want = 0, cli.run(spec)
+    except cli.MathFailure as e:
+        code, want = 1, e.report
+    assert run_main(tmp_path, spec) == code
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and out.count("\n") == 1
+    # JSON has no tuples: a witness tuple reads back as a list
+    assert json.loads(out, object_pairs_hook=_sorted_object) == json.loads(json.dumps(want))
+
+
 @pytest.mark.parametrize("spec,pointer", [
     ({"kind": "factorize", "group": {"type": "cyclic_product", "moduli": [2]},
       "filtration": {"type": "maximal_degree_k", "k": 1},

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from nilcube import cubegroups as cg
 from nilcube import cubes as cb
+from nilcube import cubespace as cs_module
 from nilcube import groups as gr
 from nilcube.cubespace import (
     ArrowCubespace,
@@ -241,10 +242,19 @@ def _face_based_pruning(n, step, include_top):
     return by_last
 
 
+def _layout_tables(n, maxdim):
+    """_pruning_layout(n, maxdim) with each getter read back as the index
+    table it applies (a getter applied to 0..2^n-1 gives its table), and
+    the vertices without faces left out."""
+    identity = tuple(range(1 << n))
+    return {i: [(dim, face(identity)) for dim, face in faces]
+            for i, faces in enumerate(cs_module._pruning_layout(n, maxdim)) if faces}
+
+
 @pytest.mark.parametrize("step", [None, 0, 1, 2])
 def test_memoised_pruning_and_premise_tables_match_faces(step):
     for n in range(1, 6):
-        got = Cubespace(2, step=step)._pruning_faces(n)
+        got = _layout_tables(n, n - 1 if step is None else min(n - 1, step + 1))
         top = (1 << n) - 1
         assert got == _face_based_pruning(n, step, include_top=True)
         # a corner scan never reaches the faces through the top vertex
@@ -252,6 +262,57 @@ def test_memoised_pruning_and_premise_tables_match_faces(step):
             n, step, include_top=False)
         premise = [tuple(cb.Face.make(n, {i: 0}).face_map().index_table()) for i in range(n)]
         assert list(cb.face_index_tables(n - 1, n)[0::2]) == premise
+
+
+def _reference_scan(X, n, corner):
+    """The maps the face-pruned scan should yield, in its order: vertices
+    assigned in colex order, each point tried in increasing order, and
+    each face of _face_based_pruning asked of membership once its last
+    vertex is assigned."""
+    by_last = _face_based_pruning(n, X.step, include_top=True)
+    domain = (1 << n) - corner
+
+    def extend(prefix):
+        i = len(prefix)
+        if i == domain:
+            if corner or X.membership(n, prefix):
+                yield tuple(prefix)
+            return
+        for x in range(X.size):
+            q = prefix + [x]
+            if all(X.membership(dim, [q[t] for t in tbl]) for dim, tbl in by_last.get(i, ())):
+                yield from extend(q)
+
+    return list(extend([]))
+
+
+def _scan_spaces():
+    from nilcube import cohomology as coh
+
+    h2 = gr.lower_central_series(gr.Heisenberg(2))
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    rho = next(r for r in coh.enumerate_cocycles(d1, 1, gr.FiniteAbelianGroup((2,)))
+               if any(r.table.values()))
+    tables = {1: [(0, 0), (1, 0), (1, 1)], 2: [(0, 0, 0, 0), (1, 1, 1, 1)]}
+    return [pytest.param(make, n_max, id=name) for name, make, n_max in [
+        ("group-D1(Z/3)", lambda: abelian_Dk(gr.CyclicProduct((3,)), 1), 3),
+        ("group-H2", lambda: GroupCubespace(h2), 2),
+        ("coset-H2/<(1,0,0)>", lambda: CosetCubespace(h2, gr.subgroup_closure(h2.group, [1])), 3),
+        ("slice-D2(Z/3)", lambda: SliceCubespace(abelian_Dk(gr.CyclicProduct((3,)), 2), 1), 3),
+        ("M(rho)-D1(Z/2)", lambda: coh.ExtensionSpace(rho), 3),
+        ("explicit-step-1", lambda: ExplicitCubespace(2, tables, step=1), 3),
+        ("explicit-no-step", lambda: ExplicitCubespace(2, tables), 2),
+    ]]
+
+
+@pytest.mark.parametrize("make,n_max", _scan_spaces())
+def test_scan_yields_the_face_pruned_maps_in_order(make, n_max):
+    for n in range(1, n_max + 1):
+        for corner in (False, True):
+            # fresh spaces, so that neither scan sees a cube set the other built
+            want = _reference_scan(make(), n, corner)
+            assert list(make()._scan_maps(n, corner)) == want, (n, corner)
+            assert want  # every space here has cubes and corners in each dimension
 
 
 @pytest.mark.parametrize("size,tables,why", [

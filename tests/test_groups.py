@@ -303,6 +303,8 @@ _ORACLE_GROUPS = {
     "S4": lambda: _symmetric(4),
     "H4/<(0,0,2)>": _h4_mod_2z,
     "Z/2xZ/4": lambda: gr.CyclicProduct((2, 4)),
+    "Z/1xZ/3": lambda: gr.CyclicProduct((1, 3)),
+    "A(2,6)": lambda: gr.FiniteAbelianGroup((2, 6)),
 }
 
 
@@ -331,6 +333,33 @@ def test_generating_set_is_greedy_and_spans():
     assert X == [1, 3]  # (1, 0, 0) and (0, 1, 0)
     assert gr.subgroup_closure(G, X) == full
     assert gr.generating_set(G, frozenset({0})) == []
+
+
+@pytest.mark.parametrize("G", [gr.Heisenberg(m) for m in range(2, 8)]
+                         + [gr.CyclicProduct(m) for m in ((1,), (1, 3), (2, 1, 4), (2, 4))]
+                         + [gr.FiniteAbelianGroup(d) for d in ((), (1,), (2, 6))]
+                         + [_symmetric(3), _h4_mod_2z()],
+                         ids=lambda G: "H%d" % G.m if isinstance(G, gr.Heisenberg)
+                         else "%s%s" % (type(G).__name__, getattr(G, "moduli", "")))
+def test_declared_generators_span_the_group(G):
+    gens = G.generators()
+    assert gr.subgroup_closure(G, gens) == frozenset(G.elements())
+    if isinstance(G, gr.Heisenberg):
+        assert [G.tuple_of(g) for g in gens] == [(1, 0, 0), (0, 1, 0)]
+    elif isinstance(G, gr.CyclicProduct):
+        # one unit vector per factor other than Z/1
+        assert sorted(G.tuple_of(g).index(1) for g in gens) == [
+            i for i, m in enumerate(G.moduli) if m > 1]
+    else:
+        assert gens == gr.generating_set(G, frozenset(G.elements()))
+
+
+@pytest.mark.parametrize("G", [gr.CyclicProduct(m) for m in ((1,), (1, 3), (2, 1, 4), (3, 5))]
+                         + [gr.FiniteAbelianGroup(d) for d in ((), (2, 6))],
+                         ids=lambda G: "%s%s" % (type(G).__name__, G.moduli))
+def test_cyclic_products_are_abelian_by_declaration(G):
+    assert G.is_abelian() is True
+    assert gr.FiniteGroup.is_abelian(G)
 
 
 @pytest.mark.parametrize("G", [gr.CyclicProduct(m) for m in
