@@ -8,11 +8,14 @@ Exit codes: 0 success, 1 mathematical failure (witness in the report),
 
 n_max (the spec field, else --n-max, default 3) lies in 1..N_MAX_CAP;
 check and extend report the exact axiom scan of cubespace.check_axioms.
-One size rule refuses a question whose cube sets read more than CUBE_CAP
-maps to build, or whose cocycle laws have more than CUBE_CAP entries.  The
-other limits bound what no cube count does: N_MAX_CAP the 2^n length of
-one cube, BRUTE_FORCE_CAP the bijections searched, CLOSURE_CAP the
-derivative closure, and check_axioms's composition_budget (see CUBE_CAP).
+One size rule refuses a group or model extension M(rho) of more than
+CUBE_CAP points (its 0-cubes), a question whose cube sets read more than
+CUBE_CAP maps to build, or whose cocycle laws have more than CUBE_CAP
+entries.  The other limits bound what no cube count does: N_MAX_CAP the
+2^n length of one cube, BRUTE_FORCE_CAP the bijections searched,
+CLOSURE_CAP the weight-0 derivative closure (built only for a poly domain
+chain with H_0 != H_1), and check_axioms's composition_budget (see
+CUBE_CAP).
 
 Object schemas (all cube values in colex vertex order):
   group:      {"type": "cyclic_product", "moduli": [..]}
@@ -72,11 +75,14 @@ N_MAX_CAP = 10
 # check, export and extend's M(rho) 1..n_max (|Cu^n(X)| |Cu^n(D_d(A))|),
 # decompose 1..max(step+1, n_max), translations step+1, poly the domain
 # 0..deg(G.)+1, a cocycle its domain k+1; also count_classes's law rows
-# times (k+1)-cubes (24,576 on D1(Z/4) at k = 1).  H2 and D3(Z/2) have
-# 32,768 3- and 4-cubes.  No count bounds N_MAX_CAP (one cube's length),
+# times (k+1)-cubes (24,576 on D1(Z/4) at k = 1), and the points of every
+# group and M(rho) a spec names (its 0-cubes, which a filtration or the
+# fibre D_d(A) holds all of).  H2 and D3(Z/2) have 32,768 3- and 4-cubes.
+# No count bounds N_MAX_CAP (one cube's length),
 # translations.BRUTE_FORCE_CAP (the bijections searched), poly.CLOSURE_CAP
-# (the derivative closure) or check_axioms's budget and seed (kept only
-# for perfbench/analysis.py, until ROADMAP item 1).
+# (the weight-0 derivative closure, which only a domain chain with
+# H_0 != H_1 builds) or check_axioms's budget and seed (kept only for
+# perfbench/analysis.py, until ROADMAP item 1).
 CUBE_CAP = 10 ** 5
 
 
@@ -158,7 +164,23 @@ def _natural(obj, key, ptr):
     return v
 
 
+def _refuse_many_points(size, ptr):
+    """Refuse, before anything is built on them, more than CUBE_CAP
+    points: they are the 0-cubes, and a filtration or a D_d(A) holds
+    them all."""
+    if size > CUBE_CAP:
+        raise SpecError(ptr, "%d points, the 0-cubes, are more than the cube cap %d"
+                        % (size, CUBE_CAP))
+
+
 def build_group(spec, ptr="/group"):
+    """The group spec describes, refused when its order passes CUBE_CAP."""
+    G = _group(spec, ptr)
+    _refuse_many_points(G.order, ptr)
+    return G
+
+
+def _group(spec, ptr):
     t = _need(spec, "type", ptr)
     if t == "cyclic_product":
         moduli = _ints(_need(spec, "moduli", ptr), ptr + "/moduli")
@@ -251,6 +273,7 @@ def build_cubespace(spec, ptr="/cubespace"):
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
         A = build_abelian(_need(spec, "A", ptr), ptr + "/A")
         rho = build_cocycle(_need(spec, "cocycle", ptr), base, A, ptr + "/cocycle")
+        _refuse_many_points(base.size * A.order, ptr + "/A")
         return _construct(ptr, build_extension, rho)
     if src == "explicit":
         raw = _need(spec, "tables", ptr)
@@ -451,6 +474,7 @@ def run_extend(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
     A = build_abelian(_need(spec, "A", "/"))
     rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)  # validated there
+    _refuse_many_points(X.size * A.order, "/A")
     M = _construct("/cubespace", coh.ExtensionSpace, rho)
     _refuse_many_cubes(M, range(1, opts["n_max"] + 1), "extension")
     rep = _construct("/cubespace", cs.check_axioms, M, opts["n_max"])

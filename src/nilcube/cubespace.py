@@ -218,7 +218,7 @@ class GroupCubespace(Cubespace):
         return cg.is_cube(values, self.filt)
 
     def _enumerate_cubes(self, n):
-        return set(cg.enumerate_cubes(self.filt, n))
+        return cg.enumerate_cubes(self.filt, n)
 
     def count_cubes(self, n, cap):
         return cg.count_cubes(self.filt, n)
@@ -245,6 +245,7 @@ class ImageCubespace(Cubespace):
     def __init__(self, X: Cubespace, proj, size: int, step: Optional[int]):
         self.X = X
         self.image = [proj(x) for x in range(X.size)]
+        self._identity = self.image == list(range(X.size))
         self.fibres: List[List[int]] = [[] for _ in range(size)]
         for x, b in enumerate(self.image):
             self.fibres[b].append(x)
@@ -260,6 +261,8 @@ class ImageCubespace(Cubespace):
         return values in self.cubes(n)
 
     def _enumerate_cubes(self, n):
+        if self._identity:  # the cubes of X, shared rather than copied
+            return self.X.cubes(n)
         return {self.project_cube(q) for q in self.X.cubes(n)}
 
     def count_cubes(self, n, cap):

@@ -4,9 +4,11 @@ algebra over finite abelian groups.
 Group elements are integer indices 0..order-1 with 0 the identity.
 Structured groups (cyclic products, Heisenberg mod m) compute the law on
 the fly, and declare what their type settles: their generators (the unit
-vectors, the two elementary matrices) and, for cyclic products,
-commutativity.  Table and quotient groups materialize or derive the law,
-find greedy generators and test commutativity pair by pair.
+vectors, the two elementary matrices), their lower central series (G, G
+for a cyclic product; G, G, Z(G), 1 for Heisenberg mod m) and, for
+cyclic products, commutativity.  Table and quotient groups materialize
+or derive the law, find greedy generators, close commutators for the
+lower central series and test commutativity pair by pair.
 """
 
 from __future__ import annotations
@@ -48,6 +50,23 @@ class FiniteGroup:
         """A list of elements that generates the whole group: the greedy
         generating_set by default; structured groups declare theirs."""
         return generating_set(self, frozenset(self.elements()))
+
+    def lower_central_chain(self) -> tuple:
+        """The lower central series G = G_0 = G_1 >= G_2 = [G, G_1] >= ...
+        down to the trivial group, by commutator closure by default;
+        structured groups declare theirs.  X = G.generators() serves
+        every level, and the generators commutator_subgroup finds for
+        G_j are the Y of [G, G_j]: no level derives a generating set
+        again."""
+        full = frozenset(self.elements())
+        X = self.generators()
+        chain, Y = [full, full], X
+        while chain[-1] != frozenset({0}):
+            nxt, Y = commutator_subgroup(self, full, chain[-1], (X, Y))
+            if nxt == chain[-1]:
+                raise ValueError("lower central series does not reach the trivial subgroup")
+            chain.append(nxt)
+        return tuple(chain)
 
     def is_abelian(self) -> bool:
         return all(
@@ -115,6 +134,11 @@ class CyclicProduct(FiniteGroup):
             place *= m
         return gens
 
+    def lower_central_chain(self):
+        """G, G: an abelian group is its own G_1, and [G, G] is trivial."""
+        full = frozenset(self.elements())
+        return (full, full)
+
     def is_abelian(self):
         return True
 
@@ -172,6 +196,14 @@ class Heisenberg(FiniteGroup):
     def generators(self):
         """The elementary matrices (1,0,0) and (0,1,0)."""
         return [1, self.m]
+
+    def lower_central_chain(self):
+        """G, G, Z(G), 1: the commutator of the elementary matrices is
+        (0,0,1), which generates the centre {(0,0,c)} = {c m^2}, and
+        [G, Z(G)] is trivial."""
+        full = frozenset(self.elements())
+        m2 = self.m * self.m
+        return (full, full, frozenset(range(0, self.order, m2)), frozenset({0}))
 
     def tuple_of(self, x: int):
         m = self.m
@@ -346,20 +378,9 @@ def validate_filtration(filt: Filtration):
 
 
 def lower_central_series(G: FiniteGroup) -> Filtration:
-    """G = G_0 = G_1 >= G_2 = [G, G_1] >= ... down to the trivial group.
-    X = G.generators() serves every level (a structured group declares
-    it, so the whole group is never closed to prove it spans), and the
-    generators commutator_subgroup finds for G_j are the Y of
-    [G, G_j]: no level derives a generating set again."""
-    full = frozenset(G.elements())
-    X = G.generators()
-    chain, Y = [full, full], X
-    while chain[-1] != frozenset({0}):
-        nxt, Y = commutator_subgroup(G, full, chain[-1], (X, Y))
-        if nxt == chain[-1]:
-            raise ValueError("lower central series does not reach the trivial subgroup")
-        chain.append(nxt)
-    return Filtration(G, tuple(chain))
+    """G = G_0 = G_1 >= G_2 = [G, G_1] >= ... down to the trivial group,
+    as G.lower_central_chain() gives it."""
+    return Filtration(G, G.lower_central_chain())
 
 
 def make_heisenberg(m: int):

@@ -31,7 +31,8 @@ class ClosureBlowup(RuntimeError):
     pass
 
 
-# largest derivative closure is_polynomial builds at one weight level
+# largest derivative closure is_polynomial builds at one weight level;
+# only a domain filtration with H_0 != H_1 builds one
 CLOSURE_CAP = 200_000
 
 
@@ -39,20 +40,27 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
     """Check that every iterated derivative with directions h_j in
     H_{i_j} lands in G_{i_1 + ... + i_n}.
 
-    Weight-0 directions (h in H_0) are allowed by the definition, so the
-    check closes each weight level under weight-0 derivatives before
-    stepping up; it stops at total weight deg(G.)+1, where the target
-    subgroup is trivial and further derivatives stay trivial.
+    The check steps up one weight level at a time with positive-weight
+    directions and stops at total weight deg(G.)+1, where the target
+    subgroup is trivial and further derivatives stay trivial (a
+    direction whose weight would pass it lies in the H_i that reaches it
+    exactly).  Weight-0 directions (h in H_0) are allowed by the
+    definition.  When H_0 = H_1, as for every lower central series and
+    maximal degree-k filtration, a weight-0 direction is also a weight-1
+    direction, whose condition G_{w+1} <= G_w is stronger: the derivative
+    it gives is checked one level up, so nothing more is needed.
+    Otherwise each weight level is first closed under weight-0
+    derivatives, at most CLOSURE_CAP maps a level (ClosureBlowup).
     """
     H, G = hfilt.group, gfilt.group
     top = gfilt.degree + 1
     level_sets = {0: {tuple(g)}}
     hdeg = hfilt.degree
+    h0 = sorted(hfilt.subgroup(0)) if hfilt.subgroup(0) != hfilt.subgroup(1) else ()
     for w in range(top + 1):
         # close level w under weight-0 derivatives
         current = level_sets.get(w, set())
-        frontier = list(current)
-        h0 = sorted(hfilt.subgroup(0))
+        frontier = list(current) if h0 else []
         while frontier:
             f = frontier.pop()
             for h in h0:
@@ -74,9 +82,10 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
             Hi = hfilt.subgroup(i)
             if Hi == frozenset({0}):
                 continue
+            directions = sorted(Hi)
             tgt = level_sets.setdefault(w + i, set())
             for f in current:
-                for h in sorted(Hi):
+                for h in directions:
                     tgt.add(derivative(f, H, G, h))
     return True
 

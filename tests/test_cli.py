@@ -3,9 +3,14 @@
 import copy
 import io
 import json
+import os
+import random
+import resource
+import subprocess
 import sys
 import time
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -255,15 +260,31 @@ def test_poly_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
 
 
 def test_poly_closure_past_its_cap_is_a_spec_error(tmp_path, capsys, monkeypatch):
-    # the weight-0 closure of a map Z/3 -> Z/3 holds more than two maps
+    # only a domain chain with H_0 != H_1 closes under weight-0
+    # derivatives; that of the identity Z/4 -> Z/4 holds more than two maps
     from nilcube import poly
 
     monkeypatch.setattr(poly, "CLOSURE_CAP", 2)
-    assert run_main(tmp_path, _poly_spec(3, 1)) == 2
+    spec = _poly_spec(4, 1)
+    spec["domain_filtration"] = {"type": "explicit", "chain": [[0, 1, 2, 3], [0, 2]]}
+    assert run_main(tmp_path, spec) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("spec error: /domain_filtration:")
     assert "poly.CLOSURE_CAP = 2" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_poly_on_a_random_map_decides_without_the_weight_0_closure(tmp_path, capsys):
+    # an lcs domain has H_0 = H_1, so no weight-0 closure is built
+    spec = _poly_spec(16, 1)
+    rng = random.Random(16)
+    spec["map"] = [rng.randrange(16) for _ in range(16)]
+    start = time.perf_counter()
+    assert run_main(tmp_path, spec) == 0
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_polynomial"] is False and out["is_cube_morphism"] is False
+    assert out["agreement"]
 
 
 def test_poly_below_the_cube_cap_exits_0():
@@ -354,6 +375,36 @@ def test_cohomology_is_coboundary():
 # the nonzero degree-1 cocycle on the degree-1 structure of Z/2
 EXTEND_ENTRIES = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 1, 1, 0], 1],
                   [[1, 0, 0, 1], 1], [[1, 0, 1, 0], 0], [[1, 1, 0, 0], 0], [[1, 1, 1, 1], 0]]
+
+
+ZERO_COCYCLE = {"k": 1, "entries": [[q, 0] for q, _ in EXTEND_ENTRIES]}
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    ({"kind": "factorize", "group": {"type": "heisenberg", "modulus": 400},
+      "filtration": {"type": "lcs"}, "cube": {"n": 0, "values": [0]}}, "/group"),
+    ({"kind": "factorize", "group": {"type": "cyclic_product", "moduli": [10 ** 8]},
+      "filtration": {"type": "lcs"}, "cube": {"n": 0, "values": [0]}}, "/group"),
+    ({"kind": "extend", "cubespace": Z2D1, "A": [10 ** 8], "cocycle": ZERO_COCYCLE}, "/A"),
+    ({"kind": "check", "cubespace": {"source": "extension", "base": Z2D1, "A": [10 ** 8],
+                                     "cocycle": ZERO_COCYCLE}}, "/cubespace/A"),
+], ids=["H400", "Z/10^8", "extend-A-10^8", "extension-A-10^8"])
+def test_points_past_the_cube_cap_exit_2_at_once(spec, pointer):
+    # a filtration holds the whole group, and D_1(A) every element of A:
+    # building one for these orders (64,000,000 and 10^8) runs out of
+    # memory, so the run gets a 2 GB address-space limit of its own
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    src = Path(cli.__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nilcube.cli"], input=json.dumps(spec),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert time.perf_counter() - start < 1.0
+    assert proc.stderr.startswith("spec error: %s:" % pointer)
+    assert "cube cap" in proc.stderr and proc.stdout == ""
 
 
 def test_extend_round_trip():

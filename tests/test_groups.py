@@ -354,6 +354,18 @@ def test_declared_generators_span_the_group(G):
         assert gens == gr.generating_set(G, frozenset(G.elements()))
 
 
+@pytest.mark.parametrize("G", [gr.Heisenberg(m) for m in range(2, 8)]
+                         + [gr.CyclicProduct(m) for m in ((1,), (1, 3), (2, 1, 4), (2, 4))]
+                         + [gr.FiniteAbelianGroup(d) for d in ((), (1,), (2, 6))],
+                         ids=lambda G: "H%d" % G.m if isinstance(G, gr.Heisenberg)
+                         else "%s%s" % (type(G).__name__, G.moduli))
+def test_declared_lower_central_series_matches_all_pairs(G):
+    declared = gr.lower_central_series(G).chain
+    assert declared == _lower_central_series_all_pairs(G)
+    # the commutator closure every other group takes agrees as well
+    assert declared == gr.Filtration(G, gr.FiniteGroup.lower_central_chain(G)).chain
+
+
 @pytest.mark.parametrize("G", [gr.CyclicProduct(m) for m in ((1,), (1, 3), (2, 1, 4), (3, 5))]
                          + [gr.FiniteAbelianGroup(d) for d in ((), (2, 6))],
                          ids=lambda G: "%s%s" % (type(G).__name__, G.moduli))

@@ -79,6 +79,31 @@ def test_polynomials_closed_under_product_and_inverse():
         assert poly.is_polynomial(poly.pointwise_inverse(g1, Z3), hfilt, gfilt)
 
 
+def test_leibman_with_a_nonabelian_target():
+    # every map Z/4 -> H_2 (4,096 maps) by both routes; the products and
+    # inverses of the polynomial maps are maps Z/4 -> H_2 too, so both
+    # verdicts on them are looked up rather than computed again
+    Z4 = gr.CyclicProduct((4,))
+    hfilt = gr.lower_central_series(Z4)
+    H2, gfilt = gr.make_heisenberg(2)
+    verdicts = {}
+    for g in itertools.product(range(H2.order), repeat=Z4.order):
+        verdicts[g] = (poly.is_polynomial(g, hfilt, gfilt),
+                       poly.is_cube_morphism(g, hfilt, gfilt)[0])
+        assert verdicts[g][0] == verdicts[g][1], g
+    polys = [g for g, (is_poly, _) in verdicts.items() if is_poly]
+    assert len(polys) == 128
+    noncommuting = 0
+    for g1 in polys:
+        assert verdicts[poly.pointwise_inverse(g1, H2)] == (True, True)
+        for g2 in polys:
+            product = poly.pointwise_product(g1, g2, H2)
+            assert verdicts[product] == (True, True)
+            noncommuting += product != poly.pointwise_product(g2, g1, H2)
+    # the theorem says more than linearity here: products depend on order
+    assert noncommuting > 0
+
+
 @given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_binomial_form_restricts_to_cube(seed, n):

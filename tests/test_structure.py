@@ -145,20 +145,39 @@ def test_bundle_verification_witnesses_each_failure(d2z2):
         "fibre-correspondence", 2, (0, 0, 0, 0))
 
 
-@pytest.mark.parametrize(
+_DECOMPOSE_SPACES = pytest.mark.parametrize(
     "space", ["heis2_space", "coset_space", "d1z2", "d1z3", (4, 1), "d2z2", (3, 2)],
     ids=["H2", "coset", "D1(Z/2)", "D1(Z/3)", "D1(Z/4)", "D2(Z/2)", "D2(Z/3)"])
+
+
+def _decompose_space(space, request):
+    """A fixture space, or D_k(Z/m) for space = (m, k)."""
+    if isinstance(space, tuple):
+        return abelian_Dk(gr.CyclicProduct((space[0],)), space[1])
+    return request.getfixturevalue(space)
+
+
+@_DECOMPOSE_SPACES
 def test_every_decompose_level_is_a_degree_k_bundle(space, request):
-    if isinstance(space, tuple):  # (m, k): D_k(Z/m)
-        X = abelian_Dk(gr.CyclicProduct((space[0],)), space[1])
-    else:
-        X = request.getfixturevalue(space)
+    X = _decompose_space(space, request)
     dec = stc.decompose(X, n_max=3)
     assert len(dec.extensions) == dec.step
     for i, ext in enumerate(dec.extensions, start=1):
         assert ext.k == i and ext.Y is dec.factors[i] and ext.X is dec.factors[i - 1]
         for n_max in (2, 3):
             assert stc.verify_degree_k_bundle(ext, n_max) is None
+
+
+@_DECOMPOSE_SPACES
+def test_every_factor_cube_set_is_the_projected_set(space, request):
+    X = _decompose_space(space, request)
+    factors = stc.decompose(X, n_max=2).factors
+    # the top factor projects by the identity and shares X's cube sets
+    assert factors[-1].image == list(range(X.size))
+    for n in range(1, X.step + 2):
+        assert factors[-1].cubes(n) is X.cubes(n)
+        for F in factors:
+            assert F.cubes(n) == {tuple(F.image[x] for x in q) for q in X.cubes(n)}
 
 
 def test_decompose_names_the_level_that_is_not_a_bundle(d2z2, monkeypatch):
