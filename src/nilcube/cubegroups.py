@@ -29,14 +29,18 @@ def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
 
 def _thresholds(n: int, weights):
     """Required filtration level for the coefficient at F(v), per vertex:
-    weight of v, or the weighted sum over supp(v)."""
-    out = []
-    for v in range(1 << n):
-        if weights is None:
-            out.append(bin(v).count("1"))
-        else:
-            out.append(sum(weights[i] for i in range(n) if (v >> i) & 1))
-    return out
+    weight of v, or the weighted sum over supp(v).  Weights must number
+    n, one per coordinate; any other count is a ValueError."""
+    if weights is None:
+        return [v.bit_count() for v in range(1 << n)]
+    _require_weights(n, weights)
+    return [sum(weights[i] for i in range(n) if (v >> i) & 1) for v in range(1 << n)]
+
+
+def _require_weights(n: int, weights):
+    if len(weights) != n:
+        raise ValueError("%d weights for a cube of dimension %d: it needs %d, one per coordinate"
+                         % (len(weights), n, n))
 
 
 @dataclass
@@ -63,34 +67,53 @@ def factorize(values: Sequence[int], filt: Filtration, weights=None):
     """Unique factorization of a map {0,1}^n -> G into upper-face
     coefficients, or a Reject naming the first coefficient that fails its
     subgroup condition.  A value that is not an element index of G is a
-    ValueError."""
+    ValueError.
+
+    Coefficients are found in vertex order; each nontrivial one is
+    multiplied into the running products of the vertices strictly above
+    it, reached by stepping through the supersets of its vertex: 3^n
+    steps in all, with no table built and nothing cached."""
     n = _cube_dimension(values)
     G = filt.group
     _require_elements(G, values, "vertex")
     thresholds = _thresholds(n, weights)
-    coeffs = [0] * (1 << n)
-    partial = [0] * (1 << n)
-    for i in range(1 << n):
-        g = G.op(G.inv(partial[i]), values[i])
-        if g not in filt.subgroup(thresholds[i]):
+    op, inv, subgroup = G.op, G.inv, filt.subgroup
+    size = 1 << n
+    coeffs = [0] * size
+    partial = [0] * size
+    for i in range(size):
+        g = op(inv(partial[i]), values[i])
+        if g not in subgroup(thresholds[i]):
             return Reject(i, g, thresholds[i])
         coeffs[i] = g
         if g != 0:
-            for w in range(i, 1 << n):
-                if w & i == i:
-                    partial[w] = G.op(partial[w], g)
+            w = (i + 1) | i  # the least proper superset of i
+            while w < size:
+                partial[w] = op(partial[w], g)
+                w = (w + 1) | i
     return coeffs
 
 
 def multiply_out(coeffs: Sequence[int], n: int, G: FiniteGroup):
     """Pointwise product q(w) = prod over v <= w (colex increasing) of
-    the coefficient at F(v)."""
-    values = [0] * (1 << n)
-    for w in range(1 << n):
-        acc = 0
-        for v in range(w + 1):
-            if w & v == v:
-                acc = G.op(acc, coeffs[v])
+    the coefficient at F(v).  The coefficients must number 2^n; any other
+    count is a ValueError.  The subsets of each w are stepped through in
+    increasing order: 3^n steps in all, with no table built and nothing
+    cached."""
+    size = 1 << n
+    if len(coeffs) != size:
+        raise ValueError("%d coefficients for a cube of dimension %d: it needs 2^%d = %d"
+                         % (len(coeffs), n, n, size))
+    op = G.op
+    values = [0] * size
+    for w in range(size):
+        acc = op(0, coeffs[0])
+        # the nonempty subsets of w in increasing order; after w itself
+        # (v - w) & w wraps round to 0
+        v = w & -w
+        while v:
+            acc = op(acc, coeffs[v])
+            v = (v - w) & w
         values[w] = acc
     return tuple(values)
 
@@ -127,6 +150,8 @@ def enumerate_cubes(filt: Filtration, n: int, weights=None):
     each multiplied out: the coefficients on the lower half vary in the
     outer loop (they determine q), those on the upper half in the inner
     one (they determine r)."""
+    if weights is not None:
+        _require_weights(n, weights)
     if n == 0:
         for g in sorted(filt.subgroup(0)):
             yield (g,)
@@ -224,7 +249,7 @@ def arrow_membership(q0, q1, n: int, k: int, filt: Filtration, weights=None) -> 
         ell = k
         w0 = None
     else:
-        assert len(weights) == n + k
+        _require_weights(n + k, weights)
         ell = sum(weights[n:])
         w0 = weights[:n]
     if not is_cube(q0, filt, w0):

@@ -3,14 +3,16 @@
 Each one decides a question by a route the library does not take: the
 defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
-coset of the top subgroup, completion by scanning every point, and
-translations certified one arrow at a time.
+coset of the top subgroup, completion by scanning every point,
+translations certified one arrow at a time, and the upper-face
+factorization and its multiply-out by filtering every vertex pair.
 """
 
 from typing import Sequence
 
 from nilcube import cubes
-from nilcube.cubegroups import _cube_dimension, arrow, complete_corner, sigma
+from nilcube.cubegroups import Reject, _cube_dimension, _require_elements, arrow, \
+    complete_corner, sigma
 from nilcube.groups import FiniteGroup, Filtration
 
 
@@ -109,3 +111,43 @@ def is_translation_by_arrows(X, alpha: Sequence[int], i: int) -> bool:
     n = X.step + 1
     return all(X.membership(n + i, arrow(q, tuple(alpha[x] for x in q), n, i))
                for q in X.cubes(n))
+
+
+def factorize_by_vertex_filter(values: Sequence[int], filt: Filtration, weights=None):
+    """Reference for cubegroups.factorize: each nontrivial coefficient is
+    multiplied into the running product of every vertex w >= i, found by
+    testing all vertices from i up (about 4^n/2 pairs)."""
+    n = _cube_dimension(values)
+    G = filt.group
+    _require_elements(G, values, "vertex")
+    thresholds = []
+    for v in range(1 << n):
+        if weights is None:
+            thresholds.append(bin(v).count("1"))
+        else:
+            thresholds.append(sum(weights[i] for i in range(n) if (v >> i) & 1))
+    coeffs = [0] * (1 << n)
+    partial = [0] * (1 << n)
+    for i in range(1 << n):
+        g = G.op(G.inv(partial[i]), values[i])
+        if g not in filt.subgroup(thresholds[i]):
+            return Reject(i, g, thresholds[i])
+        coeffs[i] = g
+        if g != 0:
+            for w in range(i, 1 << n):
+                if w & i == i:
+                    partial[w] = G.op(partial[w], g)
+    return coeffs
+
+
+def multiply_out_by_vertex_filter(coeffs: Sequence[int], n: int, G: FiniteGroup):
+    """Reference for cubegroups.multiply_out: q(w) is the product, over
+    v = 0..w in increasing order, of the coefficients with v <= w."""
+    values = [0] * (1 << n)
+    for w in range(1 << n):
+        acc = 0
+        for v in range(w + 1):
+            if w & v == v:
+                acc = G.op(acc, coeffs[v])
+        values[w] = acc
+    return tuple(values)

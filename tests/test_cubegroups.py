@@ -353,6 +353,44 @@ def test_canonical_completion_has_the_identity_top_coefficient(name):
     assert completed >= 4 * 6
 
 
+@pytest.mark.parametrize("name", ["H2", "H3", "H5", "D2(Z/4)", "D1(Z/6)", "Z/8 > 2Z/8 > 4Z/8"])
+def test_factorize_and_multiply_out_match_the_vertex_filter_oracles(name):
+    """Superset and subset stepping give the vertex-filter loops'
+    coefficients, Reject fields and multiplied-out tuples, on random cubes,
+    the same cubes with one vertex changed and uniform maps, unweighted
+    and weighted, n = 0..6.  Uniform coefficient lists check that the
+    product order is kept in the non-abelian groups."""
+    filt = _tower_filtrations()[name]
+    G = filt.group
+    rng = random.Random("vertex filter " + name)
+    accepted = rejected = 0
+    for n in range(7):
+        for weights in (None, (0, 1), (1, 1), (2, 1, 1)):
+            if weights is not None and len(weights) != n:
+                continue
+            levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, weights)]
+            for _ in range(4):
+                anything = [rng.randrange(G.order) for _ in range(1 << n)]
+                assert (cg.multiply_out(anything, n, G)
+                        == oracles.multiply_out_by_vertex_filter(anything, n, G))
+                coeffs = [rng.choice(lv) for lv in levels]
+                cube = cg.multiply_out(coeffs, n, G)
+                assert cube == oracles.multiply_out_by_vertex_filter(coeffs, n, G)
+                assert cg.factorize(cube, filt, weights) == coeffs
+                perturbed = list(cube)
+                j = rng.randrange(1 << n)
+                perturbed[j] = rng.choice([x for x in G.elements() if x != cube[j]])
+                for values in (cube, perturbed, anything):
+                    got = cg.factorize(values, filt, weights)
+                    assert got == oracles.factorize_by_vertex_filter(values, filt, weights)
+                    if isinstance(got, cg.Reject):
+                        rejected += 1
+                    else:
+                        accepted += 1
+                        assert cg.multiply_out(got, n, G) == tuple(values)
+    assert accepted > 0 and rejected > 0
+
+
 def test_out_of_range_values_are_refused():
     A = gr.CyclicProduct((2,))
     filt = gr.maximal_degree_k_filtration(A, 1)
@@ -400,3 +438,24 @@ def test_the_length_check_is_not_an_assert():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=env, timeout=60)
     assert out.stdout.strip() == "refused", out.stderr
+
+
+@pytest.mark.parametrize("length", [3, 5])
+def test_a_coefficient_list_of_the_wrong_length_is_a_value_error(heis2, length):
+    G, _filt = heis2
+    with pytest.raises(ValueError, match=r"^%d coefficients for a cube of dimension 2: "
+                                         r"it needs 2\^2 = 4$" % length):
+        cg.multiply_out(list(range(length)), 2, G)
+
+
+@pytest.mark.parametrize("weights", [(), (1,), (1, 1, 1)])
+def test_weights_of_the_wrong_length_are_a_value_error(heis2, weights):
+    _G, filt = heis2
+    message = r"^%d weights for a cube of dimension 2: it needs 2" % len(weights)
+    for call in (lambda: cg.factorize([0, 1, 2, 3], filt, weights),
+                 lambda: cg.is_cube([0, 1, 2, 3], filt, weights),
+                 lambda: cg.count_cubes(filt, 2, weights),
+                 lambda: list(cg.enumerate_cubes(filt, 2, weights)),
+                 lambda: cg.arrow_membership((0, 1), (0, 1), 1, 1, filt, weights)):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/."""
 
 import importlib.util
+import re
 import time
 from pathlib import Path
 
@@ -19,10 +20,18 @@ def _load(name):
 def test_membership_bench_agrees_on_cubes_and_non_cubes(capsys):
     bench = _load("membership_bench").bench
     trials = 300
-    cubes = bench("Heisenberg mod 2", gr.make_heisenberg(2)[1], trials, 3, 0)
-    # the genuine half are all cubes; a uniform map of H_2 at n = 3 almost never is
-    assert trials // 2 <= cubes < trials
-    assert "(%d cubes / %d maps)" % (cubes, trials) in capsys.readouterr().out
+    for q in (2, 5):
+        cubes = bench("Heisenberg mod %d" % q, gr.make_heisenberg(q)[1], trials, 3, 0)
+        # the genuine half are all cubes; a uniform map of H_q at n = 3 almost never is
+        assert trials // 2 <= cubes < trials
+        out = capsys.readouterr().out
+        for label in ("factorize", "equations", "binomial", "round trip"):
+            assert re.search(r"^  %s +\d+\.\d{3}s  \(%d cubes / %d maps\)$"
+                             % (label, cubes, trials), out, re.M), label
+        # every cube's corner completes, and so may a non-cube's
+        completed = int(re.search(r"^  complete +\d+\.\d{3}s  \((\d+) completed / %d maps\)$"
+                                  % trials, out, re.M).group(1))
+        assert cubes <= completed <= trials
 
 
 def test_cohomology_census_on_d1_z2(capsys):
