@@ -124,6 +124,13 @@ class Cubespace:
             self._cube_sets[n] = found
         return len(self._cube_sets[n])
 
+    def known_translations(self, i: int) -> frozenset:
+        """Bijections, as tuples of images, that are height-i translations
+        by construction, so that translations.translation_group accepts
+        them without a certificate: none here; group and coset spaces
+        know their left multiplications."""
+        return frozenset()
+
     def _scan_maps(self, n: int, corner: bool, candidates=None):
         """DFS over vertex assignments in colex order with face pruning,
         yielding the maps found in that order.  candidates[i] lists the
@@ -223,6 +230,15 @@ class GroupCubespace(Cubespace):
     def count_cubes(self, n, cap):
         return cg.count_cubes(self.filt, n)
 
+    def known_translations(self, i):
+        """Left multiplication by g in G_i: the arrow <q, g q>_i is the
+        product of the cube g^[F], F the face 1^i of the arrow coordinates
+        (of codimension i), with q extended along them, and Host--Kra
+        cubes form a group."""
+        op = self.filt.group.op
+        return frozenset(tuple(op(g, x) for x in range(self.size))
+                         for g in self.filt.subgroup(i))
+
 
 def abelian_Dk(A: FiniteGroup, k: int) -> Cubespace:
     """The degree-k structure on an abelian group."""
@@ -291,6 +307,13 @@ class CosetCubespace(ImageCubespace):
         self.cosets = CosetSpace(filt.group, Gamma)
         super().__init__(GroupCubespace(filt), self.cosets.project, self.cosets.size,
                          step=max(filt.degree, 0))
+
+    def known_translations(self, i):
+        """The left action of g in G_i: it projects the arrows of the
+        group's left multiplication by g, which are cubes upstairs."""
+        act = self.cosets.act
+        return frozenset(tuple(act(g, c) for c in range(self.size))
+                         for g in self.filt.subgroup(i))
 
 
 class ProductCubespace(Cubespace):

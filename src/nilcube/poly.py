@@ -149,6 +149,4 @@ def cube_to_binomial(values: Sequence[int], filt: Filtration):
     coeffs = cubegroups.factorize(values, filt)
     if isinstance(coeffs, cubegroups.Reject):
         return None
-    form = BinomialForm(n, tuple(coeffs))
-    assert cubegroups.multiply_out(coeffs, n, filt.group) == tuple(values)
-    return form
+    return BinomialForm(n, tuple(coeffs))

@@ -166,15 +166,22 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
     """All height-i translations by depth-first search over partial
     bijections.  Pruning: alpha(x) stays in the level-(i-1) class of x
     (the 0-cube arrow condition) and assigned pairs pass the 1-cube
-    arrow condition; survivors are certified by is_translation."""
+    arrow condition.  A full bijection is accepted when it is one of
+    X.known_translations(i) (a group's or coset space's own left
+    multiplications by G_i), and otherwise when translation_certifier
+    certifies it; the certifier, and with it cubes(step + 1), is built
+    only when the first such bijection is reached."""
     if X.size > BRUTE_FORCE_CAP:
         raise ValueError("brute-force search capped at %d points" % BRUTE_FORCE_CAP)
+    if X.step is None:
+        raise ValueError("the translation certificate needs a step bound")
     size = X.size
     candidates = [
         [y for y in range(size) if related_k(X, i - 1, x, y)] for x in range(size)
     ]
     pairs1 = X.cubes(1)
-    certify = translation_certifier(X, i)
+    known = X.known_translations(i)
+    certify = None
     out = []
     alpha = [-1] * size
     used = [False] * size
@@ -188,9 +195,15 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
         return True
 
     def rec(x):
+        nonlocal certify
         if x == size:
-            if certify(alpha):
-                out.append(tuple(alpha))
+            found = tuple(alpha)
+            if found not in known:
+                if certify is None:
+                    certify = translation_certifier(X, i)
+                if not certify(found):
+                    return
+            out.append(found)
             return
         for y in candidates[x]:
             if used[y]:

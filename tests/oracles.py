@@ -4,7 +4,8 @@ Each one decides a question by a route the library does not take: the
 defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
-translations certified one arrow at a time, and the upper-face
+translations certified one arrow at a time, the translation search
+that certifies every bijection it reaches, and the upper-face
 factorization and its multiply-out by filtering every vertex pair.
 """
 
@@ -14,6 +15,8 @@ from nilcube import cubes
 from nilcube.cubegroups import Reject, _cube_dimension, _require_elements, arrow, \
     complete_corner, sigma
 from nilcube.groups import FiniteGroup, Filtration
+from nilcube.structure import related_k
+from nilcube.translations import translation_certifier
 
 
 def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -111,6 +114,41 @@ def is_translation_by_arrows(X, alpha: Sequence[int], i: int) -> bool:
     n = X.step + 1
     return all(X.membership(n + i, arrow(q, tuple(alpha[x] for x in q), n, i))
                for q in X.cubes(n))
+
+
+def translation_group_certifying_every_leaf(X, i: int):
+    """Reference for translations.translation_group: the same depth-first
+    search and pruning, but every full bijection it reaches is asked of
+    translation_certifier, the space's own left multiplications too."""
+    size = X.size
+    candidates = [[y for y in range(size) if related_k(X, i - 1, x, y)] for x in range(size)]
+    pairs1 = X.cubes(1)
+    certify = translation_certifier(X, i)
+    out = []
+    alpha = [-1] * size
+    used = [False] * size
+
+    def pair_ok(x, z):
+        return all(X.membership(1 + i, arrow((a, b), (alpha[a], alpha[b]), 1, i))
+                   for (a, b) in ((x, z), (z, x)) if (a, b) in pairs1)
+
+    def rec(x):
+        if x == size:
+            if certify(alpha):
+                out.append(tuple(alpha))
+            return
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            alpha[x] = y
+            used[y] = True
+            if all(pair_ok(x, z) for z in range(x)):
+                rec(x + 1)
+            used[y] = False
+        alpha[x] = -1
+
+    rec(0)
+    return out
 
 
 def factorize_by_vertex_filter(values: Sequence[int], filt: Filtration, weights=None):

@@ -2,14 +2,17 @@
 factor."""
 
 import itertools
+from functools import partial
 
 import pytest
 
 import oracles
+from nilcube import cli
 from nilcube import cubegroups as cg
 from nilcube import groups as gr
 from nilcube import translations as tr
-from nilcube.cubespace import ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms
+from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, abelian_Dk, \
+    check_axioms
 from nilcube.structure import factor, structure_group
 
 
@@ -84,6 +87,84 @@ def test_certificate_falls_back_to_arrows_on_a_table_of_the_arrow_dimension():
     doctored = ExplicitCubespace(2, {**tables, 3: d1.cubes(3) - arrows}, step=1)
     assert tr.is_translation(plain, swap, 1)
     assert _certificate_agrees_with_arrows(doctored, (1,))[1] == [True, False]
+
+
+def _dk(moduli, k):
+    return abelian_Dk(gr.CyclicProduct(moduli), k)
+
+
+def _group_and_coset_spaces():
+    """Builders of the group and coset spaces that the tests build, as far
+    as their (step + 1)-cube sets are small enough to build (those of H_3
+    and H_5 are not)."""
+    G, filt = gr.make_heisenberg(2)
+    spaces = {"D%d(Z/%d)" % (k, m): partial(_dk, (m,), k)
+              for m, k in ((2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (3, 2), (4, 2), (2, 3))}
+    spaces["D1(Z/2xZ/2)"] = partial(_dk, (2, 2), 1)
+    spaces["H2"] = partial(GroupCubespace, filt)
+    for g in range(1, G.order):  # g = 0 gives H2 again
+        spaces["H2/<%d>" % g] = partial(CosetCubespace, filt, gr.subgroup_closure(G, [g]))
+    for moduli, k, g in (((6,), 1, 2), ((6,), 1, 3), ((4,), 2, 2), ((2, 2), 1, 1)):
+        A = gr.CyclicProduct(moduli)
+        spaces["D%d(Z/%s)/<%d>" % (k, moduli, g)] = partial(
+            CosetCubespace, gr.maximal_degree_k_filtration(A, k), gr.subgroup_closure(A, [g]))
+    return spaces
+
+
+_SPACES = _group_and_coset_spaces()
+
+
+# H2 itself is compared through the tower fixture below; of its cosets,
+# <1> and <2> are not normal and <4> is the centre
+@pytest.mark.parametrize("name", ["D1(Z/%d)" % m for m in range(2, 7)]
+                         + ["D2(Z/2)", "D2(Z/3)", "D2(Z/4)", "D3(Z/2)", "D1(Z/2xZ/2)",
+                            "H2/<1>", "H2/<2>", "H2/<4>"])
+def test_translation_group_matches_the_search_that_certifies_every_leaf(name):
+    X = _SPACES[name]()
+    heights = range(1, X.step + 1)
+    found = [tr.translation_group(X, i) for i in heights]  # before the oracle builds anything
+    assert found == [oracles.translation_group_certifying_every_leaf(X, i) for i in heights]
+
+
+def test_heisenberg_tower_matches_the_search_that_certifies_every_leaf(heis2_space, heis2_tower):
+    # the search lists bijections in lexicographic order, as the tower does
+    # (the identity, which it puts first, is the least)
+    tower = heis2_tower
+    for i, level in enumerate(tower.heights, 1):
+        found = [tower.bijections[j] for j in level]
+        assert found == oracles.translation_group_certifying_every_leaf(heis2_space, i), i
+
+
+@pytest.mark.parametrize("name", sorted(_SPACES))
+def test_left_multiplications_by_g_i_are_certified_translations(name):
+    X = _SPACES[name]()
+    G = X.filt.group
+    if isinstance(X, CosetCubespace):
+        fibres, project = X.fibres, X.project
+    else:
+        fibres, project = [[x] for x in range(X.size)], (lambda x: x)
+    for i in range(1, X.step + 1):
+        # g acts on the point of each fibre through a representative
+        mults = {tuple(project(G.op(g, f[0])) for f in fibres) for g in X.filt.subgroup(i)}
+        assert X.known_translations(i) == mults
+        certify = tr.translation_certifier(X, i)
+        assert all(certify(alpha) for alpha in mults), i
+
+
+def test_the_tower_of_d3z2_builds_no_certificate():
+    # every translation of D3(Z/2) is a left multiplication, so no leaf of
+    # the search asks for the certificate or the 4-cubes it reads
+    X = _dk((2,), 3)
+    tower = tr.translation_tower(X)
+    assert [len(h) for h in tower.heights] == [2, 2, 2]
+    assert X.step + 1 not in X._cube_sets
+    space = {"source": "group", "group": {"type": "cyclic_product", "moduli": [2]},
+             "filtration": {"type": "maximal_degree_k", "k": 3}}
+    assert cli.run({"kind": "translations", "cubespace": space})["sizes"] == [2, 2, 2]
+    # D2(Z/4) has bijections that pass the pruning but are no translations
+    Y = _dk((4,), 2)
+    tr.translation_tower(Y)
+    assert Y.step + 1 in Y._cube_sets
 
 
 def test_translation_tower_of_d2z2(d2z2):
