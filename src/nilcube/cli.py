@@ -8,14 +8,23 @@ Exit codes: 0 success, 1 mathematical failure (witness in the report),
 
 n_max (the spec field, else --n-max, default 3) lies in 1..N_MAX_CAP;
 check and extend report the exact axiom scan of cubespace.check_axioms.
-One size rule refuses a group or model extension M(rho) of more than
-CUBE_CAP points (its 0-cubes), a question whose cube sets read more than
-CUBE_CAP maps to build, or whose cocycle laws have more than CUBE_CAP
-entries.  The other limits bound what no cube count does: N_MAX_CAP the
-2^n length of one cube, BRUTE_FORCE_CAP the bijections searched,
-CLOSURE_CAP the weight-0 derivative closure (built only for a poly domain
-chain with H_0 != H_1), and check_axioms's composition_budget (see
-CUBE_CAP).
+One size rule refuses a group, explicit space or model extension M(rho)
+of more than CUBE_CAP points (its 0-cubes), a maximal_degree_k
+filtration of more than CUBE_CAP stored levels (k + 1), a question whose
+cube sets read more than CUBE_CAP maps to build, or whose cocycle laws
+have more than CUBE_CAP entries.  The other limits bound what no cube
+count does: N_MAX_CAP the dimension of every cube a question builds,
+BRUTE_FORCE_CAP the bijections searched, CLOSURE_CAP the weight-0
+derivative closure (built only for a poly domain chain with H_0 != H_1),
+and check_axioms's composition_budget (see CUBE_CAP).
+
+The dimensions held to N_MAX_CAP are n_max, step + 1 (decompose,
+translations), k + 1 (a cocycle or count_classes of degree k) and
+deg(G.) + 1 (poly), each raised by what the space asks its base: an
+arrow space of order k decides its n-cubes as (n + k)-cubes of its base,
+a partial space as (n + 1)-cubes.  These are checked before any count.
+A given cube's or corner's n is checked against its value count only:
+2^n is never formed for an n the count cannot match.
 
 Object schemas (all cube values in colex vertex order):
   group:      {"type": "cyclic_product", "moduli": [..]}
@@ -67,18 +76,22 @@ from .groups import (
     validate_filtration,
 )
 
-# every kind handles cubes of each dimension up to n_max, 2^n_max values
-# each: decompose on D1(Z/2) takes about 1.4 s at 10
+# the dimension of every cube a question builds (n_max, step + 1, k + 1,
+# deg(G.) + 1, with what arrow and partial spaces add; see above), so at
+# most 2^N_MAX_CAP values each: decompose on D1(Z/2) takes about 1.4 s at
+# n_max 10
 N_MAX_CAP = 10
 
 # the maps the cube sets of a question may read to build (count_cubes):
 # check, export and extend's M(rho) 1..n_max (|Cu^n(X)| |Cu^n(D_d(A))|),
 # decompose 1..max(step+1, n_max), translations step+1, poly the domain
 # 0..deg(G.)+1, a cocycle its domain k+1; also count_classes's law rows
-# times (k+1)-cubes (24,576 on D1(Z/4) at k = 1), and the points of every
-# group and M(rho) a spec names (its 0-cubes, which a filtration or the
-# fibre D_d(A) holds all of).  H2 and D3(Z/2) have 32,768 3- and 4-cubes.
-# No count bounds N_MAX_CAP (one cube's length),
+# times (k+1)-cubes (24,576 on D1(Z/4) at k = 1), the points of every
+# group, explicit space and M(rho) a spec names (its 0-cubes, which a
+# filtration or the fibre D_d(A) holds all of), and the levels a
+# maximal_degree_k filtration stores.  H2 and D3(Z/2) have 32,768 3- and
+# 4-cubes.
+# No count bounds N_MAX_CAP (the dimension of the cubes built),
 # translations.BRUTE_FORCE_CAP (the bijections searched), poly.CLOSURE_CAP
 # (the weight-0 derivative closure, which only a domain chain with
 # H_0 != H_1 builds) or check_axioms's budget and seed (kept only for
@@ -164,6 +177,18 @@ def _natural(obj, key, ptr):
     return v
 
 
+def _require_length(count, n, missing, ptr):
+    """Refuse a cube (missing = 0) or corner (missing = 1) of dimension n
+    that does not hold 2^n - missing values.  Bit lengths are compared
+    first, so 2^n is formed only for an n that the count can match."""
+    full = count + missing
+    if full.bit_length() == n + 1 and full == 1 << n:
+        return
+    # 2^n is written out in full while it fits in 64 bits
+    want = "%d" % ((1 << n) - missing) if n < 64 else "2^%d%s" % (n, " - 1" * missing)
+    raise SpecError(ptr, "expected %s values" % want)
+
+
 def _refuse_many_points(size, ptr):
     """Refuse, before anything is built on them, more than CUBE_CAP
     points: they are the 0-cubes, and a filtration or a D_d(A) holds
@@ -203,7 +228,11 @@ def build_filtration(spec, G, ptr="/filtration"):
     if t == "lcs":
         return _construct(ptr, lower_central_series, G)
     if t == "maximal_degree_k":
-        return _construct(ptr, maximal_degree_k_filtration, G, _need_int(spec, "k", ptr))
+        k = _need_int(spec, "k", ptr)
+        if k >= CUBE_CAP:
+            raise SpecError(ptr + "/k", "k = %d stores %d filtration levels, more than the "
+                            "cube cap %d" % (k, k + 1, CUBE_CAP))
+        return _construct(ptr, maximal_degree_k_filtration, G, k)
     if t == "explicit":
         levels = _list(_need(spec, "chain", ptr), ptr + "/chain")
         chain = [frozenset(_elements(level, G, "%s/chain/%d" % (ptr, d)))
@@ -225,6 +254,7 @@ def build_cocycle(spec, X, A, ptr="/cocycle"):
     from .cohomology import Cocycle, validate_cocycle
 
     k = _natural(spec, "k", ptr)
+    _refuse_deep_cubes(X, [k + 1], ptr + "/k")
     table = {}
     for i, entry in enumerate(_list(_need(spec, "entries", ptr), ptr + "/entries")):
         p = "%s/entries/%d" % (ptr, i)
@@ -290,6 +320,7 @@ def build_cubespace(spec, ptr="/cubespace"):
         size = _need_int(spec, "size", ptr)
         if size < 1:
             raise SpecError(ptr + "/size", "a cubespace needs at least one point")
+        _refuse_many_points(size, ptr + "/size")
         step = spec.get("step")
         if step is not None and _int(step, ptr + "/step") < 0:
             raise SpecError(ptr + "/step", "step %d is negative" % step)
@@ -333,9 +364,7 @@ def run_factorize(spec, opts):
     filt = build_filtration(_need(spec, "filtration", "/"), G)
     cube = _need(spec, "cube", "/")
     values = _elements(_need(cube, "values", "/cube"), G, "/cube/values")
-    n = _natural(cube, "n", "/cube")
-    if len(values) != 1 << n:
-        raise SpecError("/cube/values", "expected %d values" % (1 << n))
+    _require_length(len(values), _natural(cube, "n", "/cube"), 0, "/cube/values")
     res = cg.factorize(values, filt)
     if isinstance(res, cg.Reject):
         raise MathFailure({
@@ -352,8 +381,7 @@ def run_complete(spec, opts):
     corner = _need(spec, "corner", "/")
     n = _natural(corner, "n", "/corner")
     values = _elements(_need(corner, "values", "/corner"), G, "/corner/values")
-    if len(values) != (1 << n) - 1:
-        raise SpecError("/corner/values", "expected %d values" % ((1 << n) - 1))
+    _require_length(len(values), n, 1, "/corner/values")
     try:
         full = cg.complete_corner(dict(enumerate(values)), n, filt)
     except cg.CornerError as e:
@@ -393,9 +421,21 @@ def _need_step(X, kind):
         raise SpecError("/cubespace", "%s needs a cubespace with a step bound" % kind)
 
 
+def _refuse_deep_cubes(X, dims, ptr):
+    """Refuse, before anything is counted or built, a question about
+    X's cubes of the dimensions dims (a list or range, in increasing
+    order) that asks for cubes of dimension above N_MAX_CAP."""
+    deepest = X.deepest_dimension(dims[-1])
+    if deepest > N_MAX_CAP:
+        raise SpecError(ptr, "the cubes of dimensions up to %d ask for cubes of dimension %d, "
+                        "above the cap %d" % (dims[-1], deepest, N_MAX_CAP))
+
+
 def _refuse_many_cubes(X, dims, kind, ptr="/cubespace"):
     """Refuse, before any is built, cube sets of the dimensions dims
-    whose builds read more than CUBE_CAP maps in all."""
+    that ask for cubes of dimension above N_MAX_CAP, or whose builds read
+    more than CUBE_CAP maps in all."""
+    _refuse_deep_cubes(X, dims, ptr)
     total = 0
     for n in dims:
         total += _construct(ptr, X.count_cubes, n, CUBE_CAP - total)

@@ -250,6 +250,9 @@ class ExtensionSpace(Cubespace):
                            for c in self.fibre_space.cubes(n))
         return out
 
+    def deepest_dimension(self, n):
+        return self.base.deepest_dimension(n)
+
     def count_cubes(self, n, cap):
         bound = self.base.count_cubes(n, cap) * self.fibre_space.count_cubes(n, cap)
         return bound if bound > cap else len(self.cubes(n))

@@ -200,11 +200,18 @@ def complete_corner(corner: dict, n: int, filt: Filtration):
     """Complete a corner (values on all vertices except 1^n) to a cube.
 
     The coefficient of a cube at a vertex v depends only on its values at
-    the vertices below v, so a face {x_i = 0} has the same upper-face
-    coefficients as the whole cube at its own vertices, and every vertex
-    but 1^n lies in one of these faces.  Factorizing the n faces through
-    0^n therefore fixes every coefficient except the one at 1^n; the
-    canonical completion puts the identity there.
+    the vertices below v, so one factorization pass over the vertices
+    0..2^n-2, in factorize's order and with its products, fixes every
+    coefficient except the one at 1^n.  The canonical completion puts the
+    identity there: its top value is the running product the pass holds
+    at 1^n, and its other values are the corner's own.
+
+    A face {x_i = 0} has the same coefficients as the whole cube at its
+    own vertices, so it is a cube exactly when no vertex with x_i = 0 has
+    a coefficient outside its level.  A coefficient outside its level
+    therefore marks the faces named by the zero bits of its vertex; the
+    pass goes on past it (the coefficients after it are still those of
+    the corner's values), and the lowest marked i is the face reported.
 
     A corner whose keys are not exactly 0..2^n-2, or that holds a value
     that is not an element index of the group, is a ValueError; a corner
@@ -216,15 +223,27 @@ def complete_corner(corner: dict, n: int, filt: Filtration):
     G = filt.group
     _require_corner_keys(corner, n)
     _require_elements(G, corner, "corner vertex")
-    coeffs = [0] * (1 << n)
-    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
-    for i, tbl in enumerate(cubes.face_index_tables(n - 1, n)[0::2]):
-        face = factorize([corner[t] for t in tbl], filt)
-        if isinstance(face, Reject):
-            raise CornerError("corner premise fails on the face with coordinate %d = 0" % i)
-        for t, c in zip(tbl, face):
-            coeffs[t] = c
-    return multiply_out(coeffs, n, G)
+    op, inv, subgroup = G.op, G.inv, filt.subgroup
+    top = (1 << n) - 1
+    values = [corner[i] for i in range(top)]
+    partial = [0] * (top + 1)
+    failing = 0  # bit i set: the face {x_i = 0} is not a cube
+    for i in range(top):
+        g = op(inv(partial[i]), values[i])
+        if g not in subgroup(i.bit_count()):
+            failing |= top & ~i
+            if failing & 1:
+                break  # no lower face to find
+        if g != 0:
+            w = (i + 1) | i  # the least proper superset of i
+            while w <= top:
+                partial[w] = op(partial[w], g)
+                w = (w + 1) | i
+    if failing:
+        raise CornerError("corner premise fails on the face with coordinate %d = 0"
+                          % ((failing & -failing).bit_length() - 1))
+    values.append(partial[top])
+    return tuple(values)
 
 
 def arrow(q0: Sequence[int], q1: Sequence[int], n: int, k: int):

@@ -124,6 +124,13 @@ class Cubespace:
             self._cube_sets[n] = found
         return len(self._cube_sets[n])
 
+    def deepest_dimension(self, n: int) -> int:
+        """The largest dimension of the cubes that deciding n-cubes here
+        asks for: n itself, unless the space asks another one about
+        larger cubes (an arrow or a slice space, or a space built on
+        one)."""
+        return n
+
     def known_translations(self, i: int) -> frozenset:
         """Bijections, as tuples of images, that are height-i translations
         by construction, so that translations.translation_group accepts
@@ -281,6 +288,9 @@ class ImageCubespace(Cubespace):
             return self.X.cubes(n)
         return {self.project_cube(q) for q in self.X.cubes(n)}
 
+    def deepest_dimension(self, n):
+        return self.X.deepest_dimension(n)
+
     def count_cubes(self, n, cap):
         upstairs = self.X.count_cubes(n, cap)
         return upstairs if upstairs > cap else len(self.cubes(n))
@@ -341,6 +351,9 @@ class ProductCubespace(Cubespace):
         return [tuple(map(self.encode, qx, qy))
                 for qx in self.X.cubes(n) for qy in self.Y.cubes(n)]
 
+    def deepest_dimension(self, n):
+        return max(self.X.deepest_dimension(n), self.Y.deepest_dimension(n))
+
     def count_cubes(self, n, cap):
         cx = self.X.count_cubes(n, cap)
         return cx if cx > cap else cx * self.Y.count_cubes(n, cap // max(cx, 1))
@@ -374,6 +387,10 @@ class ArrowCubespace(Cubespace):
         pairs = (tuple(map(self.encode, q0, q1)) for q0 in self.X.cubes(n) for q1 in self.X.cubes(n))
         return [pair for pair in pairs if self._membership(n, pair)]
 
+    def deepest_dimension(self, n):
+        """An n-cube here is decided as an (n + k)-cube of X."""
+        return self.X.deepest_dimension(n + self.k)
+
     def count_cubes(self, n, cap):
         pairs = self.X.count_cubes(n, math.isqrt(cap)) ** 2
         return pairs if pairs > cap else len(self.cubes(n))
@@ -395,6 +412,9 @@ class SliceCubespace(Cubespace):
     def _membership(self, n, values):
         const = (self.x,) * (1 << n)
         return self.X.membership(n + 1, cg.arrow(const, tuple(values), n, 1))
+
+    def deepest_dimension(self, n):
+        return self.X.deepest_dimension(n + 1)
 
 
 class ExplicitCubespace(Cubespace):

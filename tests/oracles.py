@@ -5,15 +5,16 @@ defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time, the translation search
-that certifies every bijection it reaches, and the upper-face
-factorization and its multiply-out by filtering every vertex pair.
+that certifies every bijection it reaches, the upper-face
+factorization and its multiply-out by filtering every vertex pair, and
+corner completion face by face.
 """
 
 from typing import Sequence
 
 from nilcube import cubes
-from nilcube.cubegroups import Reject, _cube_dimension, _require_elements, arrow, \
-    complete_corner, sigma
+from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
+    _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
 from nilcube.groups import FiniteGroup, Filtration
 from nilcube.structure import related_k
 from nilcube.translations import translation_certifier
@@ -189,3 +190,24 @@ def multiply_out_by_vertex_filter(coeffs: Sequence[int], n: int, G: FiniteGroup)
                 acc = G.op(acc, coeffs[v])
         values[w] = acc
     return tuple(values)
+
+
+def complete_corner_by_faces(corner: dict, n: int, filt: Filtration):
+    """Reference for cubegroups.complete_corner: factorize each face
+    {x_i = 0} on its own, raising a CornerError at the first that is not
+    a cube, then multiply all 2^n coefficients out with the identity at
+    1^n.  Same ValueErrors, in the same order."""
+    if n < 1:
+        raise CornerError("corners of dimension 0 are disallowed")
+    G = filt.group
+    _require_corner_keys(corner, n)
+    _require_elements(G, corner, "corner vertex")
+    coeffs = [0] * (1 << n)
+    # the (n-1)-faces come in pairs {i: 0}, {i: 1}, i = 0..n-1
+    for i, tbl in enumerate(cubes.face_index_tables(n - 1, n)[0::2]):
+        face = factorize([corner[t] for t in tbl], filt)
+        if isinstance(face, Reject):
+            raise CornerError("corner premise fails on the face with coordinate %d = 0" % i)
+        for t, c in zip(tbl, face):
+            coeffs[t] = c
+    return multiply_out(coeffs, n, G)

@@ -30,6 +30,8 @@ Z2D2 = {
     "group": {"type": "cyclic_product", "moduli": [2]},
     "filtration": {"type": "maximal_degree_k", "k": 2},
 }
+Z2 = {"type": "cyclic_product", "moduli": [2]}
+D1 = {"type": "maximal_degree_k", "k": 1}
 
 
 def run_main(tmp_path, spec, *args):
@@ -380,6 +382,21 @@ EXTEND_ENTRIES = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 
 ZERO_COCYCLE = {"k": 1, "entries": [[q, 0] for q, _ in EXTEND_ENTRIES]}
 
 
+def _run_cli_limited(spec):
+    """The CLI on spec in a process of its own with a 2 GB address-space
+    limit, for specs whose builds would run out of memory; the finished
+    process and its wall time."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
+
+    src = Path(cli.__file__).resolve().parent.parent
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "nilcube.cli"], input=json.dumps(spec),
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit_memory)
+    return proc, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("spec,pointer", [
     ({"kind": "factorize", "group": {"type": "heisenberg", "modulus": 400},
       "filtration": {"type": "lcs"}, "cube": {"n": 0, "values": [0]}}, "/group"),
@@ -392,19 +409,89 @@ ZERO_COCYCLE = {"k": 1, "entries": [[q, 0] for q, _ in EXTEND_ENTRIES]}
 def test_points_past_the_cube_cap_exit_2_at_once(spec, pointer):
     # a filtration holds the whole group, and D_1(A) every element of A:
     # building one for these orders (64,000,000 and 10^8) runs out of
-    # memory, so the run gets a 2 GB address-space limit of its own
-    def limit_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (2 * 10 ** 9, 2 * 10 ** 9))
-
-    src = Path(cli.__file__).resolve().parent.parent
-    start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "nilcube.cli"], input=json.dumps(spec),
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=str(src)), preexec_fn=limit_memory)
+    # memory
+    proc, seconds = _run_cli_limited(spec)
     assert proc.returncode == 2
-    assert time.perf_counter() - start < 1.0
+    assert seconds < 1.0
     assert proc.stderr.startswith("spec error: %s:" % pointer)
     assert "cube cap" in proc.stderr and proc.stdout == ""
+
+
+def _deep_explicit(step):
+    return {"source": "explicit", "size": 2, "step": step,
+            "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]}}
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    # 2^n was formed before the count was compared, and written out in
+    # the message
+    ({"kind": "factorize", "group": Z2, "filtration": D1, "cube": {"n": 10 ** 6, "values": [0, 1]}},
+     "/cube/values"),
+    ({"kind": "factorize", "group": Z2, "filtration": D1,
+      "cube": {"n": 10 ** 11, "values": [0, 1]}}, "/cube/values"),
+    ({"kind": "complete", "group": Z2, "filtration": D1,
+      "corner": {"n": 10 ** 11, "values": [0, 1, 1]}}, "/corner/values"),
+    # a cocycle degree k asks for (k + 1)-cubes
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": 10 ** 6},
+     "/k"),
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "is_coboundary",
+      "cocycle": {"k": 10 ** 11, "entries": EXTEND_ENTRIES}}, "/cocycle/k"),
+    # maximal_degree_k stores k + 1 levels, and its step k asks for
+    # (k + 1)-cubes in translations and decompose
+    ({"kind": "factorize", "group": Z2, "filtration": {"type": "maximal_degree_k", "k": 10 ** 11},
+      "cube": {"n": 1, "values": [0, 1]}}, "/filtration/k"),
+    ({"kind": "translations", "cubespace": dict(Z2D1, filtration={"type": "maximal_degree_k",
+                                                                   "k": 10 ** 6})},
+     "/cubespace/filtration/k"),
+    ({"kind": "translations", "cubespace": dict(Z2D1, filtration={"type": "maximal_degree_k",
+                                                                   "k": cli.CUBE_CAP - 1})},
+     "/cubespace"),
+    # an explicit space's points were not held to the cube cap
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 200000, "step": 1,
+                                     "tables": {"1": [[0, 0]]}}}, "/cubespace/size"),
+    ({"kind": "translations", "cubespace": _deep_explicit(10 ** 6)}, "/cubespace"),
+    ({"kind": "decompose", "n_max": 2, "cubespace": _deep_explicit(10 ** 11)}, "/cubespace"),
+    # an arrow space of order k asks its base about (n + k)-cubes
+    ({"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": Z2D1, "k": 10 ** 6}},
+     "/cubespace"),
+    ({"kind": "check", "n_max": 3, "cubespace": {"source": "partial", "point": 0, "base": {
+        "source": "arrow", "base": Z2D1, "k": cli.N_MAX_CAP - 3}}}, "/cubespace"),
+], ids=["factorize-n-10^6", "factorize-n-10^11", "complete-n-10^11", "count-classes-k-10^6",
+        "cocycle-k-10^11", "filtration-k-10^11", "translations-filtration-k-10^6",
+        "translations-step-above-n-max-cap", "explicit-size-200000",
+        "translations-explicit-step-10^6", "decompose-explicit-step-10^11", "arrow-k-10^6",
+        "partial-of-arrow-past-n-max-cap"])
+def test_huge_size_step_degree_or_dimension_exits_2_at_once(spec, pointer):
+    proc, seconds = _run_cli_limited(spec)
+    assert proc.returncode == 2, proc.stderr
+    assert seconds < 1.0
+    assert proc.stderr.startswith("spec error: %s:" % pointer), proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("spec,code", [
+    # the largest n_max and arrow order whose cubes stay within N_MAX_CAP
+    ({"kind": "check", "n_max": 1, "cubespace": {"source": "arrow", "base": Z2D1,
+                                                 "k": cli.N_MAX_CAP - 1}}, 1),
+    ({"kind": "factorize", "group": Z2, "filtration": {"type": "maximal_degree_k",
+                                                       "k": cli.CUBE_CAP - 1},
+      "cube": {"n": 1, "values": [0, 1]}}, 0),
+], ids=["arrow-at-the-cap", "filtration-levels-at-the-cap"])
+def test_dimension_and_levels_at_their_caps_are_answered(tmp_path, capsys, spec, code):
+    assert run_main(tmp_path, spec) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n", [64, 10 ** 6])
+def test_a_value_count_is_checked_without_writing_out_2_to_the_n(tmp_path, capsys, n):
+    spec = {"kind": "complete", "group": Z2, "filtration": D1,
+            "corner": {"n": n, "values": [0, 1, 1]}}
+    assert_spec_error(tmp_path, capsys, spec, "/corner/values")
+    assert run_main(tmp_path, spec) == 2
+    assert capsys.readouterr().err.rstrip().endswith("expected 2^%d - 1 values" % n)
+    spec["corner"]["n"] = 3
+    assert run_main(tmp_path, spec) == 2
+    assert capsys.readouterr().err.rstrip().endswith("expected 7 values")
 
 
 def test_extend_round_trip():
@@ -616,10 +703,6 @@ def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, sp
     assert_spec_error(tmp_path, capsys, spec, pointer)
 
 
-Z2 = {"type": "cyclic_product", "moduli": [2]}
-D1 = {"type": "maximal_degree_k", "k": 1}
-
-
 @pytest.mark.parametrize("spec,pointer", [
     ({"kind": "check", "cubespace": {"source": "arrow", "base": Z2D1, "k": "x"}},
      "/cubespace/k"),
@@ -718,13 +801,15 @@ def _fuzz_bases():
          "cubespace": {"source": "explicit", "size": 2, "step": 1,
                        "tables": _export_tables(tables)},
          "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}},
+        {"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": Z2D1, "k": 1}},
     ] + [{"kind": kind, "n_max": 2, "cubespace": space}
          for space in (H2_SPACE, Z2D2, dict(H2_SPACE, source="coset", gamma=[1]))
          for kind in ("check", "decompose", "translations", "export")]
 
 
 FUZZ_BASES = _fuzz_bases()
-FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8]
+FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,
+               10 ** 6, 10 ** 11]
 
 
 def _leaf_paths(obj, path=()):

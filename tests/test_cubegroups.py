@@ -353,6 +353,107 @@ def test_canonical_completion_has_the_identity_top_coefficient(name):
     assert completed >= 4 * 6
 
 
+def _completion_filtrations():
+    """The tower filtrations but H4, and one whose points 2Z/8 are a
+    proper subgroup of its group Z/8."""
+    filts = _tower_filtrations()
+    del filts["H4"]
+    z8 = gr.CyclicProduct((8,))
+    even = frozenset({0, 2, 4, 6})
+    filts["2Z/8 > 4Z/8"] = gr.Filtration(z8, (even, even, frozenset({0, 4}), frozenset({0})))
+    assert gr.validate_filtration(filts["2Z/8 > 4Z/8"]) is None
+    return filts
+
+
+def _any_outcome(complete, corner, n, filt):
+    try:
+        return complete(corner, n, filt)
+    except ValueError as e:  # CornerError too
+        return (type(e).__name__, str(e))
+
+
+def _out_of_range(rng, corner, n, G):
+    """The corner with one or two defects: a value outside 0..order-1, a
+    missing vertex, or a key that is not a vertex below the top."""
+    bad = dict(corner)
+    top = (1 << n) - 1
+    for _ in range(rng.randint(1, 2)):
+        defect = rng.randrange(3)
+        if defect == 0 and top:
+            bad[rng.randrange(top)] = rng.choice([-1, G.order, G.order + 7])
+        elif defect == 1 and top:
+            bad.pop(rng.randrange(top), None)
+        else:
+            bad[rng.choice([top, top + 1, -1])] = 0
+    return bad
+
+
+@pytest.mark.parametrize("name", sorted(_completion_filtrations()))
+def test_complete_corner_matches_the_face_by_face_oracle(name):
+    """One pass gives the cube, or the exception type and message, that
+    factorizing each face {x_i = 0} and multiplying out gives: on corners
+    of random cubes, the same corners with one vertex changed, uniform
+    corners and corners with out-of-range values or keys, n = 0..5."""
+    filt = _completion_filtrations()[name]
+    G = filt.group
+    rng = random.Random("faces " + name)
+    seen = set()
+    for n in range(6):
+        top = (1 << n) - 1
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        for _ in range(15):
+            cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+            genuine = dict(enumerate(cube[:top]))
+            perturbed = dict(genuine)
+            if top:
+                j = rng.randrange(top)
+                perturbed[j] = rng.choice([x for x in G.elements() if x != perturbed[j]])
+            uniform = {j: rng.randrange(G.order) for j in range(top)}
+            for corner in (genuine, perturbed, uniform, _out_of_range(rng, uniform, n, G)):
+                got = _any_outcome(cg.complete_corner, corner, n, filt)
+                assert got == _any_outcome(oracles.complete_corner_by_faces, corner, n, filt), \
+                    (n, corner)
+                seen.add(got[0] if isinstance(got[0], str) else "cube")
+    assert seen == {"cube", "CornerError", "ValueError"}
+
+
+class _CountingHeisenberg(gr.Heisenberg):
+    """H_m that counts its group-law calls."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.calls = 0
+
+    def op(self, x, y):
+        self.calls += 1
+        return super().op(x, y)
+
+    def inv(self, x):
+        self.calls += 1
+        return super().inv(x)
+
+
+def test_complete_corner_costs_one_factorization_pass():
+    """On genuine corners of H3, complete_corner makes at most
+    3^n + 2^n - 2 op and inv calls: one inverse and one product per
+    corner vertex, and one product per proper superset of each.  A
+    factorization per face or a multiply-out of all 2^n values costs
+    more (5, 19, 66, 221, 699 at n = 1..5)."""
+    G = _CountingHeisenberg(3)
+    filt = gr.lower_central_series(G)
+    rng = random.Random("counted corners")
+    for n in range(1, 6):
+        top = (1 << n) - 1
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        worst = 0
+        for _ in range(20):
+            cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+            G.calls = 0
+            assert cg.complete_corner(dict(enumerate(cube[:top])), n, filt)[:top] == cube[:top]
+            worst = max(worst, G.calls)
+        assert worst <= 3 ** n + 2 ** n - 2, (n, worst)
+
+
 @pytest.mark.parametrize("name", ["H2", "H3", "H5", "D2(Z/4)", "D1(Z/6)", "Z/8 > 2Z/8 > 4Z/8"])
 def test_factorize_and_multiply_out_match_the_vertex_filter_oracles(name):
     """Superset and subset stepping give the vertex-filter loops'
