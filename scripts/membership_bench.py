@@ -2,7 +2,9 @@
 """Benchmark the three cube-membership routes (factorization, sigma
 equations, binomial extension) on random maps and confirm they agree;
 then time, on the same maps, the round trip multiply_out(factorize(q))
-and the completion of each map's corner.
+and the completion of each map's corner.  Each line gives a route's
+time and, from one more untimed pass, its group-law calls (op, inv):
+the calls repeat exactly for a seed, the times do not.
 
 Half the maps are genuine cubes (random level coefficients multiplied
 out) and half are uniform random maps, so the routes are compared on
@@ -12,12 +14,13 @@ Usage: python3 scripts/membership_bench.py [--trials 20000] [--n 3]
 """
 
 import argparse
+import copy
 import random
 import time
 
 from nilcube import cubegroups as cg
 from nilcube import poly
-from nilcube.groups import CyclicProduct, make_heisenberg, maximal_degree_k_filtration
+from nilcube.groups import CyclicProduct, Filtration, make_heisenberg, maximal_degree_k_filtration
 
 
 def random_maps(filt, trials, n, rng):
@@ -34,14 +37,23 @@ def random_maps(filt, trials, n, rng):
     return maps
 
 
-def _timed(label, fn, maps, what):
-    """fn on every map, timed; print the time and how many results are
-    truthy, and return the results."""
-    t0 = time.perf_counter()
-    res = [fn(v) for v in maps]
-    dt = time.perf_counter() - t0
-    print("  %-10s %.3fs  (%d %s / %d maps)" % (label, dt, sum(map(bool, res)), what, len(maps)))
-    return res
+def counted(filt):
+    """filt over a copy of its group whose op and inv calls are counted:
+    the filtration and the dict of counts."""
+    G = copy.copy(filt.group)
+    calls = {"op": 0, "inv": 0}
+    op, inv = G.op, G.inv
+
+    def counted_op(x, y):
+        calls["op"] += 1
+        return op(x, y)
+
+    def counted_inv(x):
+        calls["inv"] += 1
+        return inv(x)
+
+    G.op, G.inv = counted_op, counted_inv
+    return Filtration(G, filt.chain), calls
 
 
 def _round_trip(v, filt, n):
@@ -56,27 +68,47 @@ def _complete(v, filt, n):
         return None
 
 
+def _routes(filt, n):
+    """(label, question, what a truthy answer is) for each question asked
+    of every map: the three membership routes, the round trip and the
+    completion of the map's corner."""
+    return [
+        ("factorize", lambda v: cg.is_cube(v, filt), "cubes"),
+        ("equations", lambda v: cg.is_cube_by_equations(v, filt), "cubes"),
+        ("binomial", lambda v: poly.cube_to_binomial(v, filt) is not None, "cubes"),
+        ("round trip", lambda v: _round_trip(v, filt, n), "cubes"),
+        ("complete", lambda v: _complete(v, filt, n), "completed"),
+    ]
+
+
 def bench(name, filt, trials, n, seed):
-    """Time each route on the same maps, check that they agree and that
-    some maps are cubes; time the round trip and corner completion on the
-    same maps and check their results.  Return the number of cubes."""
+    """Ask every route of the same maps, timed; then once more, untimed,
+    through counted(filt), and print each route's time, truthy answers
+    and op and inv calls.  Check that the membership routes agree, that
+    some maps are cubes, and the round trip and completions.  Return the
+    number of cubes."""
     rng = random.Random(seed)
     maps = random_maps(filt, trials, n, rng)
-    methods = [
-        ("factorize", lambda v: cg.is_cube(v, filt)),
-        ("equations", lambda v: cg.is_cube_by_equations(v, filt)),
-        ("binomial", lambda v: poly.cube_to_binomial(v, filt) is not None),
-    ]
+    counting, calls = counted(filt)
     print(name)
-    verdicts = [_timed(label, fn, maps, "cubes") for label, fn in methods]
-    assert verdicts[0] == verdicts[1] == verdicts[2], "methods disagree"
-    cubes = sum(verdicts[0])
+    res = {}
+    for (label, fn, what), (_, counted_fn, _) in zip(_routes(filt, n), _routes(counting, n)):
+        t0 = time.perf_counter()
+        res[label] = [fn(v) for v in maps]
+        dt = time.perf_counter() - t0
+        calls.update(op=0, inv=0)
+        for v in maps:
+            counted_fn(v)
+        print("  %-10s %.3fs  (%d %s / %d maps)  op %d, inv %d"
+              % (label, dt, sum(map(bool, res[label])), what, len(maps),
+                 calls["op"], calls["inv"]))
+    verdicts = res["factorize"]
+    assert verdicts == res["equations"] == res["binomial"], "methods disagree"
+    cubes = sum(verdicts)
     assert cubes > 0, "no cube among the maps: acceptance went untested"
-    trips = _timed("round trip", lambda v: _round_trip(v, filt, n), maps, "cubes")
-    assert trips == [v if ok else None for v, ok in zip(maps, verdicts[0])], \
+    assert res["round trip"] == [v if ok else None for v, ok in zip(maps, verdicts)], \
         "multiply_out(factorize(q)) is not q"
-    completions = _timed("complete", lambda v: _complete(v, filt, n), maps, "completed")
-    for v, ok, full in zip(maps, verdicts[0], completions):
+    for v, ok, full in zip(maps, verdicts, res["complete"]):
         # a cube's corner completes; a completion extends its corner
         assert full is not None or not ok, "the corner of a cube was refused"
         assert full is None or (full[:-1] == v[:-1] and cg.is_cube_by_equations(full, filt)), \

@@ -63,59 +63,63 @@ def _cube_dimension(values: Sequence[int]) -> int:
     return n
 
 
+def _multiply_up(c: list, op) -> list:
+    """multiply_out's recursion, in place."""
+    for j in range(len(c).bit_length() - 1):
+        h = 1 << j
+        for w in range(h, len(c)):
+            if w & h and c[w - h]:  # skip a product with the identity
+                c[w] = op(c[w - h], c[w])
+    return c
+
+
+def _divide_down(c: list, op, inv) -> list:
+    """factorize's recursion, in place: _multiply_up undone."""
+    for j in reversed(range(len(c).bit_length() - 1)):
+        h = 1 << j
+        for w in range(h, len(c)):
+            if w & h and c[w - h]:
+                c[w] = op(inv(c[w - h]), c[w])
+    return c
+
+
 def factorize(values: Sequence[int], filt: Filtration, weights=None):
     """Unique factorization of a map {0,1}^n -> G into upper-face
-    coefficients, or a Reject naming the first coefficient that fails its
-    subgroup condition.  A value that is not an element index of G is a
-    ValueError.
+    coefficients, or a Reject naming the first coefficient, in vertex
+    order, that fails its subgroup condition.  A value that is not an
+    element index of G is a ValueError.
 
-    Coefficients are found in vertex order; each nontrivial one is
-    multiplied into the running products of the vertices strictly above
-    it, reached by stepping through the supersets of its vertex: 3^n
-    steps in all, with no table built and nothing cached."""
+    multiply_out's steps are undone from j = n-1 down to 0: each w
+    holding bit j is set to q(w - 2^j)^-1 q(w).  Step j leaves w - 2^j
+    alone, so it is undone exactly, products in their order; n 2^(n-1)
+    steps, nothing cached.  The coefficients are unique, so the first
+    failing one does not depend on the order they are found in."""
     n = _cube_dimension(values)
     G = filt.group
     _require_elements(G, values, "vertex")
     thresholds = _thresholds(n, weights)
-    op, inv, subgroup = G.op, G.inv, filt.subgroup
-    size = 1 << n
-    coeffs = [0] * size
-    partial = [0] * size
-    for i in range(size):
-        g = op(inv(partial[i]), values[i])
-        if g not in subgroup(thresholds[i]):
+    coeffs = _divide_down(list(values), G.op, G.inv)
+    for i, g in enumerate(coeffs):
+        if g not in filt.subgroup(thresholds[i]):
             return Reject(i, g, thresholds[i])
-        coeffs[i] = g
-        if g != 0:
-            w = (i + 1) | i  # the least proper superset of i
-            while w < size:
-                partial[w] = op(partial[w], g)
-                w = (w + 1) | i
     return coeffs
 
 
 def multiply_out(coeffs: Sequence[int], n: int, G: FiniteGroup):
     """Pointwise product q(w) = prod over v <= w (colex increasing) of
     the coefficient at F(v).  The coefficients must number 2^n; any other
-    count is a ValueError.  The subsets of each w are stepped through in
-    increasing order: 3^n steps in all, with no table built and nothing
-    cached."""
+    count is a ValueError.
+
+    For j = 0..n-1, each w holding bit j is set to q(w - 2^j) q(w): n
+    2^(n-1) steps, nothing cached, a product with the identity skipped.
+    Before step j, q(w) is the product over the v <= w that agree with w
+    from bit j up; those with bit j clear come first in colex order and
+    multiply to q(w - 2^j), so the order is kept."""
     size = 1 << n
     if len(coeffs) != size:
         raise ValueError("%d coefficients for a cube of dimension %d: it needs 2^%d = %d"
                          % (len(coeffs), n, n, size))
-    op = G.op
-    values = [0] * size
-    for w in range(size):
-        acc = op(0, coeffs[0])
-        # the nonempty subsets of w in increasing order; after w itself
-        # (v - w) & w wraps round to 0
-        v = w & -w
-        while v:
-            acc = op(acc, coeffs[v])
-            v = (v - w) & w
-        values[w] = acc
-    return tuple(values)
+    return tuple(_multiply_up(list(coeffs), G.op))
 
 
 def is_cube(values: Sequence[int], filt: Filtration, weights=None) -> bool:
@@ -200,18 +204,17 @@ def complete_corner(corner: dict, n: int, filt: Filtration):
     """Complete a corner (values on all vertices except 1^n) to a cube.
 
     The coefficient of a cube at a vertex v depends only on its values at
-    the vertices below v, so one factorization pass over the vertices
-    0..2^n-2, in factorize's order and with its products, fixes every
-    coefficient except the one at 1^n.  The canonical completion puts the
-    identity there: its top value is the running product the pass holds
-    at 1^n, and its other values are the corner's own.
+    the vertices below v, so factorize's recursion on the corner with the
+    identity at 1^n gives the coefficients at 0..2^n-2 of every
+    completion, and at 1^n the inverse c of the product of the others.
+    The canonical completion puts the identity coefficient at 1^n: its
+    top value is inv(c), and its other values are the corner's own.
 
     A face {x_i = 0} has the same coefficients as the whole cube at its
     own vertices, so it is a cube exactly when no vertex with x_i = 0 has
     a coefficient outside its level.  A coefficient outside its level
-    therefore marks the faces named by the zero bits of its vertex; the
-    pass goes on past it (the coefficients after it are still those of
-    the corner's values), and the lowest marked i is the face reported.
+    therefore marks the faces named by the zero bits of its vertex, and
+    the lowest marked i is the face reported.
 
     A corner whose keys are not exactly 0..2^n-2, or that holds a value
     that is not an element index of the group, is a ValueError; a corner
@@ -223,26 +226,19 @@ def complete_corner(corner: dict, n: int, filt: Filtration):
     G = filt.group
     _require_corner_keys(corner, n)
     _require_elements(G, corner, "corner vertex")
-    op, inv, subgroup = G.op, G.inv, filt.subgroup
     top = (1 << n) - 1
     values = [corner[i] for i in range(top)]
-    partial = [0] * (top + 1)
+    coeffs = _divide_down(values + [0], G.op, G.inv)
     failing = 0  # bit i set: the face {x_i = 0} is not a cube
     for i in range(top):
-        g = op(inv(partial[i]), values[i])
-        if g not in subgroup(i.bit_count()):
+        if coeffs[i] not in filt.subgroup(i.bit_count()):
             failing |= top & ~i
             if failing & 1:
                 break  # no lower face to find
-        if g != 0:
-            w = (i + 1) | i  # the least proper superset of i
-            while w <= top:
-                partial[w] = op(partial[w], g)
-                w = (w + 1) | i
     if failing:
         raise CornerError("corner premise fails on the face with coordinate %d = 0"
                           % ((failing & -failing).bit_length() - 1))
-    values.append(partial[top])
+    values.append(G.inv(coeffs[top]))
     return tuple(values)
 
 

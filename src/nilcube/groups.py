@@ -713,7 +713,9 @@ def abelian_kernel_order(A: FiniteAbelianGroup, num_unknowns: int, rows) -> int:
     """|{x in A^num_unknowns : sum_j row[j] x_j = 0 for every row}| for
     integer rows of that length: the product of gcd(e, d) over the
     invariant factors d of A and the Smith diagonal entries e, a zero or
-    missing e counting as d."""
-    _, D, _ = smith_normal_form(rows, [()] * len(rows))
+    missing e counting as d.  A matrix and its transpose have the same
+    diagonal: the one with fewer columns is reduced, for a smaller V."""
+    M = list(zip(*rows)) if len(rows) < num_unknowns else rows
+    _, D, _ = smith_normal_form(M, [()] * len(M))
     diag = [D[i][i] for i in range(min(len(rows), num_unknowns))]
     return prod(gcd(e, d) for e in diag for d in A.invariants) * A.order ** (num_unknowns - len(diag))

@@ -808,6 +808,18 @@ def _fuzz_bases():
 
 
 FUZZ_BASES = _fuzz_bases()
+def test_count_classes_just_under_the_point_cap_is_answered_at_once():
+    # the coboundary matrix has a column per point: its Smith diagonal is
+    # taken from the transpose, whose column transform is rows x rows
+    spec = copy.deepcopy(next(s for s in FUZZ_BASES if s.get("op") == "count_classes"))
+    spec["cubespace"]["size"] = 99999
+    proc, seconds = _run_cli_limited(spec)
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 1.0
+    out = json.loads(proc.stdout)
+    assert (out["cocycles"], out["classes"]) == (2, 2)
+
+
 FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,
                10 ** 6, 10 ** 11]
 

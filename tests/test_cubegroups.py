@@ -433,30 +433,75 @@ class _CountingHeisenberg(gr.Heisenberg):
         return super().inv(x)
 
 
-def test_complete_corner_costs_one_factorization_pass():
-    """On genuine corners of H3, complete_corner makes at most
-    3^n + 2^n - 2 op and inv calls: one inverse and one product per
-    corner vertex, and one product per proper superset of each.  A
-    factorization per face or a multiply-out of all 2^n values costs
-    more (5, 19, 66, 221, 699 at n = 1..5)."""
+def _counted_h3_cubes(rng, n):
+    """H3 counting its group-law calls, its filtration, and three maps of
+    dimension n: a random cube, the cube with one vertex changed and a
+    uniform map."""
     G = _CountingHeisenberg(3)
     filt = gr.lower_central_series(G)
+    levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+    cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
+    perturbed = list(cube)
+    j = rng.randrange(1 << n)
+    perturbed[j] = (perturbed[j] + 1 + rng.randrange(G.order - 1)) % G.order
+    return G, filt, (cube, tuple(perturbed), tuple(rng.randrange(G.order) for _ in cube))
+
+
+def test_complete_corner_costs_one_factorization_pass():
+    """complete_corner makes at most n 2^n + 1 op and inv calls on H3:
+    one product and one inverse per step of the transform, and the
+    inverse of the top coefficient.  A walk through the supersets of
+    each vertex makes more from n = 2 on: 11, 33, 92, 253 at n = 2..5."""
     rng = random.Random("counted corners")
     for n in range(1, 6):
         top = (1 << n) - 1
-        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
         worst = 0
         for _ in range(20):
-            cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
-            G.calls = 0
-            assert cg.complete_corner(dict(enumerate(cube[:top])), n, filt)[:top] == cube[:top]
-            worst = max(worst, G.calls)
-        assert worst <= 3 ** n + 2 ** n - 2, (n, worst)
+            G, filt, maps = _counted_h3_cubes(rng, n)
+            for values in maps:
+                G.calls = 0
+                try:
+                    cg.complete_corner(dict(enumerate(values[:top])), n, filt)
+                except cg.CornerError:
+                    pass
+                worst = max(worst, G.calls)
+        assert worst <= n * 2 ** n + 1, (n, worst)
+
+
+def test_factorize_costs_n_2_to_the_n_calls():
+    """factorize makes at most n 2^(n-1) products and as many inverses
+    on H3, on cubes and on maps that are not.  A walk through the
+    supersets of each vertex makes more: 13, 35, 90, 233 at n = 2..5."""
+    rng = random.Random("counted factorizations")
+    for n in range(1, 6):
+        worst = 0
+        for _ in range(20):
+            G, filt, maps = _counted_h3_cubes(rng, n)
+            for values in maps:
+                G.calls = 0
+                cg.factorize(values, filt)
+                worst = max(worst, G.calls)
+        assert worst <= n * 2 ** n, (n, worst)
+
+
+def test_multiply_out_costs_n_2_to_the_n_minus_1_products():
+    """multiply_out makes at most n 2^(n-1) products on H3, against the
+    3^n of a walk through the subsets of each vertex."""
+    rng = random.Random("counted products")
+    for n in range(1, 6):
+        worst = 0
+        for _ in range(20):
+            G, _filt, maps = _counted_h3_cubes(rng, n)
+            for coeffs in maps:
+                G.calls = 0
+                cg.multiply_out(coeffs, n, G)
+                worst = max(worst, G.calls)
+        assert worst <= n * 2 ** (n - 1), (n, worst)
 
 
 @pytest.mark.parametrize("name", ["H2", "H3", "H5", "D2(Z/4)", "D1(Z/6)", "Z/8 > 2Z/8 > 4Z/8"])
 def test_factorize_and_multiply_out_match_the_vertex_filter_oracles(name):
-    """Superset and subset stepping give the vertex-filter loops'
+    """factorize and multiply_out give the vertex-filter loops'
     coefficients, Reject fields and multiplied-out tuples, on random cubes,
     the same cubes with one vertex changed and uniform maps, unweighted
     and weighted, n = 0..6.  Uniform coefficient lists check that the
@@ -490,6 +535,46 @@ def test_factorize_and_multiply_out_match_the_vertex_filter_oracles(name):
                         accepted += 1
                         assert cg.multiply_out(got, n, G) == tuple(values)
     assert accepted > 0 and rejected > 0
+
+
+_HIGH_DIMENSIONS = [(name, n) for name, n_max in (("D1(Z/2)", 10), ("Z/8 > 2Z/8 > 4Z/8", 10),
+                                                  ("H2", 8))
+                    for n in range(7, n_max + 1)]
+
+
+@pytest.mark.parametrize("name,n", _HIGH_DIMENSIONS)
+def test_transforms_match_the_oracles_in_high_dimension(name, n):
+    """factorize, multiply_out and complete_corner against the
+    vertex-filter and face-by-face oracles at n = 7..10 (n = 7..8 on
+    H2), where most transform steps run on the upper coordinates: random
+    cubes, the same cubes with one vertex changed and uniform maps, twice
+    unweighted and twice with random weights 0..2."""
+    if name == "D1(Z/2)":
+        filt = gr.maximal_degree_k_filtration(gr.CyclicProduct((2,)), 1)
+    else:
+        filt = _tower_filtrations()[name]
+    G = filt.group
+    rng = random.Random("high %s %d" % (name, n))
+    top = (1 << n) - 1
+    for weights in (None, None) + tuple(tuple(rng.randrange(3) for _ in range(n))
+                                        for _ in range(2)):
+        coeffs = [rng.choice(sorted(filt.subgroup(t))) for t in cg._thresholds(n, weights)]
+        cube = cg.multiply_out(coeffs, n, G)
+        assert cube == oracles.multiply_out_by_vertex_filter(coeffs, n, G)
+        assert cg.factorize(cube, filt, weights) == coeffs
+        perturbed = list(cube)
+        j = rng.randrange(1 << n)
+        perturbed[j] = rng.choice([x for x in G.elements() if x != cube[j]])
+        anything = [rng.randrange(G.order) for _ in cube]
+        assert (cg.multiply_out(anything, n, G)
+                == oracles.multiply_out_by_vertex_filter(anything, n, G))
+        for values in (cube, perturbed, anything):
+            assert (cg.factorize(values, filt, weights)
+                    == oracles.factorize_by_vertex_filter(values, filt, weights))
+            if weights is None:
+                corner = dict(enumerate(values[:top]))
+                assert (_any_outcome(cg.complete_corner, corner, n, filt)
+                        == _any_outcome(oracles.complete_corner_by_faces, corner, n, filt))
 
 
 def test_out_of_range_values_are_refused():

@@ -17,21 +17,35 @@ def _load(name):
     return mod
 
 
+def _bench_line(label, what, trials, out):
+    """The route's line: (truthy answers, op calls, inv calls)."""
+    m = re.search(r"^  %s +\d+\.\d{3}s  \((\d+) %s / %d maps\)  op (\d+), inv (\d+)$"
+                  % (label, what, trials), out, re.M)
+    assert m, label
+    return tuple(map(int, m.groups()))
+
+
 def test_membership_bench_agrees_on_cubes_and_non_cubes(capsys):
     bench = _load("membership_bench").bench
-    trials = 300
+    trials, n = 300, 3
     for q in (2, 5):
-        cubes = bench("Heisenberg mod %d" % q, gr.make_heisenberg(q)[1], trials, 3, 0)
+        cubes = bench("Heisenberg mod %d" % q, gr.make_heisenberg(q)[1], trials, n, 0)
         # the genuine half are all cubes; a uniform map of H_q at n = 3 almost never is
         assert trials // 2 <= cubes < trials
         out = capsys.readouterr().out
-        for label in ("factorize", "equations", "binomial", "round trip"):
-            assert re.search(r"^  %s +\d+\.\d{3}s  \(%d cubes / %d maps\)$"
-                             % (label, cubes, trials), out, re.M), label
+        lines = {label: _bench_line(label, "cubes", trials, out)
+                 for label in ("factorize", "equations", "binomial", "round trip")}
+        assert all(line[0] == cubes for line in lines.values())
+        # one divide-down transform per map: at most n 2^(n-1) products and inverses
+        assert 0 < sum(lines["factorize"][1:]) <= trials * n * 2 ** n
         # every cube's corner completes, and so may a non-cube's
-        completed = int(re.search(r"^  complete +\d+\.\d{3}s  \((\d+) completed / %d maps\)$"
-                                  % trials, out, re.M).group(1))
+        completed = _bench_line("complete", "completed", trials, out)[0]
         assert cubes <= completed <= trials
+        # the counts come from the seed alone
+        bench("Heisenberg mod %d" % q, gr.make_heisenberg(q)[1], trials, n, 0)
+        again = capsys.readouterr().out
+        assert all(_bench_line(label, "cubes", trials, again) == line
+                   for label, line in lines.items())
 
 
 def test_cohomology_census_on_d1_z2(capsys):
