@@ -33,7 +33,7 @@ def census(m, a, k):
     print(line)
     for rho in cocycles:
         M = coh.build_extension(rho)
-        rep = check_axioms(M, 3, composition_budget=100_000)
+        rep = check_axioms(M, 3)
         tag = "zero" if not any(rho.table.values()) else "nonzero"
         print("    %s cocycle -> M(rho): %d points, nilspace=%s, step=%s"
               % (tag, M.size, rep.is_nilspace, rep.step))

@@ -109,12 +109,19 @@ def _coboundary_row(size: int, q: tuple) -> list:
 def is_coboundary(rho: Cocycle):
     """A function f with coboundary_of(f) = rho, or None.  Exact: the
     defining equations are integer-linear over A and solved by Smith
-    normal form."""
+    normal form.  A point on no (k+1)-cube has a zero column, so f is 0
+    there and only the points on some cube are unknowns."""
     X, A = rho.X, rho.A
-    eqs = [(_coboundary_row(X.size, q), rho.table[q]) for q in X.cubes(rho.domain_dim)]
-    f = solve_abelian_linear_system(A, X.size, eqs)
-    if f is None:
+    dom = X.cubes(rho.domain_dim)
+    points = sorted({x for q in dom for x in q})
+    column = {x: j for j, x in enumerate(points)}
+    eqs = [(_coboundary_row(len(points), [column[x] for x in q]), rho.table[q]) for q in dom]
+    solution = solve_abelian_linear_system(A, len(points), eqs)
+    if solution is None:
         return None
+    f = [0] * X.size
+    for x, fx in zip(points, solution):
+        f[x] = fx
     check = coboundary_of(X, f, rho.k, A)
     assert check.table == rho.table
     return f

@@ -27,20 +27,10 @@ def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
     return out
 
 
-def _thresholds(n: int, weights):
+def _thresholds(n: int):
     """Required filtration level for the coefficient at F(v), per vertex:
-    weight of v, or the weighted sum over supp(v).  Weights must number
-    n, one per coordinate; any other count is a ValueError."""
-    if weights is None:
-        return [v.bit_count() for v in range(1 << n)]
-    _require_weights(n, weights)
-    return [sum(weights[i] for i in range(n) if (v >> i) & 1) for v in range(1 << n)]
-
-
-def _require_weights(n: int, weights):
-    if len(weights) != n:
-        raise ValueError("%d weights for a cube of dimension %d: it needs %d, one per coordinate"
-                         % (len(weights), n, n))
+    vertex v needs level |v|, the weight of v."""
+    return [v.bit_count() for v in range(1 << n)]
 
 
 @dataclass
@@ -83,11 +73,12 @@ def _divide_down(c: list, op, inv) -> list:
     return c
 
 
-def factorize(values: Sequence[int], filt: Filtration, weights=None):
+def factorize(values: Sequence[int], filt: Filtration):
     """Unique factorization of a map {0,1}^n -> G into upper-face
     coefficients, or a Reject naming the first coefficient, in vertex
-    order, that fails its subgroup condition.  A value that is not an
-    element index of G is a ValueError.
+    order, outside its level: the coefficient at F(v) must lie in
+    G_|v| (_thresholds).  A value that is not an element index of G is
+    a ValueError.
 
     multiply_out's steps are undone from j = n-1 down to 0: each w
     holding bit j is set to q(w - 2^j)^-1 q(w).  Step j leaves w - 2^j
@@ -97,7 +88,7 @@ def factorize(values: Sequence[int], filt: Filtration, weights=None):
     n = _cube_dimension(values)
     G = filt.group
     _require_elements(G, values, "vertex")
-    thresholds = _thresholds(n, weights)
+    thresholds = _thresholds(n)
     coeffs = _divide_down(list(values), G.op, G.inv)
     for i, g in enumerate(coeffs):
         if g not in filt.subgroup(thresholds[i]):
@@ -122,8 +113,8 @@ def multiply_out(coeffs: Sequence[int], n: int, G: FiniteGroup):
     return tuple(_multiply_up(list(coeffs), G.op))
 
 
-def is_cube(values: Sequence[int], filt: Filtration, weights=None) -> bool:
-    return not isinstance(factorize(values, filt, weights), Reject)
+def is_cube(values: Sequence[int], filt: Filtration) -> bool:
+    return not isinstance(factorize(values, filt), Reject)
 
 
 def is_cube_by_equations(values: Sequence[int], filt: Filtration) -> bool:
@@ -143,35 +134,31 @@ def is_cube_by_equations(values: Sequence[int], filt: Filtration) -> bool:
     return True
 
 
-def enumerate_cubes(filt: Filtration, n: int, weights=None):
+def enumerate_cubes(filt: Filtration, n: int):
     """All cubes of dimension n, by the recursion on the top coordinate
-    Cu^n(G) = {(q, q r) : q in Cu^{n-1}(G), r in Cu^{n-1}(G_{+w})}, w the
-    last weight (1 without weights) and G_{+w} the shifted filtration;
-    Cu^0 is the points of G_0.  The (n-1)-cubes r are listed once per
-    call, and each n-cube costs 2^(n-1) group operations.
+    Cu^n(G) = {(q, q r) : q in Cu^{n-1}(G), r in Cu^{n-1}(G_{+1})},
+    G_{+1} the shifted filtration; Cu^0 is the points of G_0.  The
+    (n-1)-cubes r are listed once per call, and each n-cube costs
+    2^(n-1) group operations.
 
     The order is that of the coefficient tuples in itertools.product,
     each multiplied out: the coefficients on the lower half vary in the
     outer loop (they determine q), those on the upper half in the inner
     one (they determine r)."""
-    if weights is not None:
-        _require_weights(n, weights)
     if n == 0:
         for g in sorted(filt.subgroup(0)):
             yield (g,)
         return
     op = filt.group.op
-    lower = None if weights is None else weights[:n - 1]
-    shift = 1 if weights is None else weights[n - 1]
-    upper = list(enumerate_cubes(shift_filtration(filt, shift), n - 1, lower))
-    for q in enumerate_cubes(filt, n - 1, lower):
+    upper = list(enumerate_cubes(shift_filtration(filt, 1), n - 1))
+    for q in enumerate_cubes(filt, n - 1):
         for r in upper:
             yield q + tuple(map(op, q, r))
 
 
-def count_cubes(filt: Filtration, n: int, weights=None) -> int:
+def count_cubes(filt: Filtration, n: int) -> int:
     total = 1
-    for t in _thresholds(n, weights):
+    for t in _thresholds(n):
         total *= len(filt.subgroup(t))
     return total
 
@@ -253,21 +240,14 @@ def arrow(q0: Sequence[int], q1: Sequence[int], n: int, k: int):
     return tuple(out)
 
 
-def arrow_membership(q0, q1, n: int, k: int, filt: Filtration, weights=None) -> bool:
+def arrow_membership(q0, q1, n: int, k: int, filt: Filtration) -> bool:
     """Membership of the k-arrow in Cu^{n+k}, decided by the filtered
-    splitting: q0 a cube, and q0^{-1} q1 a cube of the shifted
-    filtration (shift = sum of the final k weights).  Only its test calls
-    it so far: ROADMAP item 5 (translation towers) is to certify arrows of
-    group spaces with it instead of the face criterion."""
+    splitting: q0 a cube of filt, and q0^{-1} q1 a cube of the shifted
+    filtration G_{+k}.  Only its test calls it so far: ROADMAP item 5
+    (translation towers) is to certify arrows of group spaces with it
+    instead of the face criterion."""
     G = filt.group
-    if weights is None:
-        ell = k
-        w0 = None
-    else:
-        _require_weights(n + k, weights)
-        ell = sum(weights[n:])
-        w0 = weights[:n]
-    if not is_cube(q0, filt, w0):
+    if not is_cube(q0, filt):
         return False
     diff = tuple(G.op(G.inv(a), b) for a, b in zip(q0, q1))
-    return is_cube(diff, shift_filtration(filt, ell), w0)
+    return is_cube(diff, shift_filtration(filt, k))

@@ -80,9 +80,6 @@ class CubeMorphism:
                 out.append(1 - v[arg])
         return tuple(out)
 
-    def __call__(self, v: Vertex) -> Vertex:
-        return self.apply(v)
-
     def vertex_table(self):
         """List of image vertices indexed by source vertex index."""
         return [self.apply(bits_of(j, self.m)) for j in range(1 << self.m)]
@@ -106,12 +103,6 @@ class Face:
     @property
     def dim(self) -> int:
         return self.n - len(self.fixed)
-
-    def contains(self, v: Vertex) -> bool:
-        return all(v[c] == b for c, b in self.fixed)
-
-    def vertices(self):
-        return [v for v in vertices(self.n) if self.contains(v)]
 
     def face_map(self) -> CubeMorphism:
         """The canonical face map onto this face: free coordinates carry
@@ -183,9 +174,6 @@ class CubeAutomorphism:
     def apply(self, v: Vertex) -> Vertex:
         return tuple(v[p] ^ f for p, f in zip(self.perm, self.flips))
 
-    def __call__(self, v):
-        return self.apply(v)
-
     def r(self) -> int:
         """Number of reflections, i.e. ones in theta(0^n)."""
         return sum(self.flips)
@@ -196,13 +184,6 @@ class CubeAutomorphism:
         )
         return CubeMorphism(self.n, self.n, coords)
 
-    def compose(self, other: "CubeAutomorphism") -> "CubeAutomorphism":
-        """self o other (other applied first)."""
-        # self(other(v))[j] = other(v)[perm[j]] ^ flips[j]
-        #                   = v[other.perm[perm[j]]] ^ other.flips[perm[j]] ^ flips[j]
-        perm = tuple(other.perm[p] for p in self.perm)
-        flips = tuple(other.flips[p] ^ f for p, f in zip(self.perm, self.flips))
-        return CubeAutomorphism(perm, flips)
 
 def automorphism_group(n: int):
     """All n! * 2^n automorphisms of {0,1}^n."""

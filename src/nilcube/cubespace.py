@@ -339,9 +339,6 @@ class ProductCubespace(Cubespace):
     def encode(self, x: int, y: int) -> int:
         return x * self.Y.size + y
 
-    def decode(self, p: int):
-        return divmod(p, self.Y.size)
-
     def _membership(self, n, values):
         xs = tuple(p // self.Y.size for p in values)
         ys = tuple(p % self.Y.size for p in values)

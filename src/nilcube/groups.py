@@ -62,7 +62,7 @@ class FiniteGroup:
         X = self.generators()
         chain, Y = [full, full], X
         while chain[-1] != frozenset({0}):
-            nxt, Y = commutator_subgroup(self, full, chain[-1], (X, Y))
+            nxt, Y = commutator_subgroup(self, X, Y)
             if nxt == chain[-1]:
                 raise ValueError("lower central series does not reach the trivial subgroup")
             chain.append(nxt)
@@ -266,27 +266,21 @@ def generating_set(G: FiniteGroup, H: frozenset) -> list:
     return gens
 
 
-def commutator_subgroup(G: FiniteGroup, H: frozenset, K: frozenset, generators=None):
-    """[H, K], the subgroup generated by all [h, k], for H and K
-    subgroups of G (arbitrary subsets give a wrong answer).
+def commutator_subgroup(G: FiniteGroup, X: list, Y: list):
+    """([H, K], generators of it) for H = <X> and K = <Y> subgroups of
+    G, the subgroup generated by all [h, k].
 
-    Built from generating sets X of H and Y of K: [H, K] is the normal
-    closure of <[x, y] : x in X, y in Y> in <H, K> (Robinson, A Course
-    in the Theory of Groups, section 5.1), so the commutators of
-    generators are closed under conjugation by X and Y.  A subgroup is
-    closed under conjugation by x once the conjugates of its generators
-    are in it.  A commutator or conjugate becomes a generator only when
-    it is not yet in the span, so each generator at least doubles it:
-    the cost is O(|G| |X| |Y|) group operations instead of |H| |K|
-    commutators, and the generators found number at most log2 |[H, K]|.
-
-    X and Y are greedy generating sets (generating_set) by default.
-    With generators = (X, Y), generating sets the caller already has,
-    they are used as they are, and the result is the pair ([H, K],
-    the generators found): lower_central_series reuses those as the Y
-    of its next level instead of deriving a generating set again.
+    [H, K] is the normal closure of <[x, y] : x in X, y in Y> in <H, K>
+    (Robinson, A Course in the Theory of Groups, section 5.1), so the
+    commutators of generators are closed under conjugation by X and Y.
+    A subgroup is closed under conjugation by x once the conjugates of
+    its generators are in it.  A commutator or conjugate becomes a
+    generator only when it is not yet in the span, so each generator at
+    least doubles it: the cost is O(|G| |X| |Y|) group operations instead
+    of |H| |K| commutators, and the generators found number at most
+    log2 |[H, K]|.  lower_central_chain reuses them as the Y of its next
+    level instead of deriving a generating set again.
     """
-    X, Y = generators or (generating_set(G, H), generating_set(G, K))
     gens, N = [], frozenset({0})
 
     def add(t):
@@ -304,7 +298,7 @@ def commutator_subgroup(G: FiniteGroup, H: frozenset, K: frozenset, generators=N
         for c in conjugators:
             add(G.op(G.op(G.inv(c), gens[i]), c))
         i += 1
-    return N if generators is None else (N, gens)
+    return N, gens
 
 
 def is_normal(G: FiniteGroup, N: frozenset) -> bool:
@@ -538,19 +532,19 @@ def abelian_invariants(G: FiniteGroup):
     return tuple(invariants)
 
 
-def smith_normal_form(M, companion=None):
-    """Integer Smith normal form with transforms: returns (U, D, V) with
-    U*M*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
+def smith_normal_form(M, companion):
+    """Integer Smith normal form with transforms: returns (U*C, D, V)
+    with U*M*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
 
-    The row operations act on companion C (the identity by default), so
-    U is U*C: a solver passes its constants, a kernel count empty rows.
+    The row operations act on the companion C, one row per row of M, so
+    the first entry is U*C: a solver passes its constants, a kernel
+    count empty rows, and the identity gives U itself.
     Plain row/column reduction; fine at the matrix sizes that arise here.
     """
     D = [list(row) for row in M]
     r = len(D)
     c = len(D[0]) if r else 0
-    U = ([list(row) for row in companion] if companion is not None
-         else [[1 if i == j else 0 for j in range(r)] for i in range(r)])
+    U = [list(row) for row in companion]
     V = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     def row_op(i, j, k):  # row_i += k * row_j

@@ -110,13 +110,6 @@ class BinomialForm:
     n: int
     coefficients: tuple
 
-    def validate(self, filt: Filtration):
-        th = cubegroups._thresholds(self.n, None)
-        for v, g in enumerate(self.coefficients):
-            if g not in filt.subgroup(th[v]):
-                return cubegroups.Reject(v, g, th[v])
-        return None
-
 
 def binomial_coefficient_weight(t: Sequence[int], v_idx: int) -> int:
     """binom(t, v) = product over j in supp(v) of t_j (binomials with

@@ -4,7 +4,8 @@ Each one decides a question by a route the library does not take: the
 defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
-translations certified one arrow at a time, the translation search
+translations certified one arrow at a time or by their definition in
+every dimension, the translation search
 that certifies every bijection it reaches, the upper-face
 factorization and its multiply-out by filtering every vertex pair, and
 corner completion face by face.
@@ -17,7 +18,7 @@ from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_co
     _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
 from nilcube.groups import FiniteGroup, Filtration
 from nilcube.structure import related_k
-from nilcube.translations import translation_certifier
+from nilcube.translations import _arrows_are_cubes, translation_certifier
 
 
 def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -117,6 +118,13 @@ def is_translation_by_arrows(X, alpha: Sequence[int], i: int) -> bool:
                for q in X.cubes(n))
 
 
+def is_translation_by_definition(X, alpha: Sequence[int], i: int, n_max: int) -> bool:
+    """Reference for translations.is_translation by the raw definition:
+    <q, alpha o q>_i is an (n+i)-cube for every n-cube q of every
+    dimension n <= n_max, not only n = step + 1."""
+    return all(_arrows_are_cubes(X, alpha, n, i) for n in range(n_max + 1))
+
+
 def translation_group_certifying_every_leaf(X, i: int):
     """Reference for translations.translation_group: the same depth-first
     search and pruning, but every full bijection it reaches is asked of
@@ -152,19 +160,14 @@ def translation_group_certifying_every_leaf(X, i: int):
     return out
 
 
-def factorize_by_vertex_filter(values: Sequence[int], filt: Filtration, weights=None):
+def factorize_by_vertex_filter(values: Sequence[int], filt: Filtration):
     """Reference for cubegroups.factorize: each nontrivial coefficient is
     multiplied into the running product of every vertex w >= i, found by
     testing all vertices from i up (about 4^n/2 pairs)."""
     n = _cube_dimension(values)
     G = filt.group
     _require_elements(G, values, "vertex")
-    thresholds = []
-    for v in range(1 << n):
-        if weights is None:
-            thresholds.append(bin(v).count("1"))
-        else:
-            thresholds.append(sum(weights[i] for i in range(n) if (v >> i) & 1))
+    thresholds = [bin(v).count("1") for v in range(1 << n)]
     coeffs = [0] * (1 << n)
     partial = [0] * (1 << n)
     for i in range(1 << n):

@@ -820,6 +820,18 @@ def test_count_classes_just_under_the_point_cap_is_answered_at_once():
     assert (out["cocycles"], out["classes"]) == (2, 2)
 
 
+def test_is_coboundary_just_under_the_point_cap_is_answered_at_once():
+    # only the points on some 2-cube are unknowns: f is 0 on the others
+    spec = copy.deepcopy(next(s for s in FUZZ_BASES if s.get("op") == "is_coboundary"))
+    spec["cubespace"]["size"] = 99999
+    proc, seconds = _run_cli_limited(spec)
+    assert proc.returncode == 0, proc.stderr
+    assert seconds < 1.0
+    out = json.loads(proc.stdout)
+    # the cocycle of EXTEND_ENTRIES is the nontrivial class on D_1(Z/2)
+    assert (out["is_coboundary"], out["function"]) == (False, None)
+
+
 FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,
                10 ** 6, 10 ** 11]
 

@@ -76,7 +76,7 @@ def test_automorphism_sign_law(d1z3):
 def test_model_extension_is_a_nilspace(d1z2):
     for rho in _all_cocycles(d1z2, 1, Z2):
         M = coh.build_extension(rho)
-        rep = check_axioms(M, 3, composition_budget=200_000)
+        rep = check_axioms(M, 3)
         assert rep.is_nilspace
         data = M.as_extension_data()
         assert stc.verify_degree_k_bundle(data, 2) is None
@@ -85,7 +85,7 @@ def test_model_extension_is_a_nilspace(d1z2):
 def test_nonzero_degree1_extension_of_d1z2_is_z4(d1z2):
     nz = [rho for rho in _all_cocycles(d1z2, 1, Z2) if any(rho.table.values())][0]
     M = coh.build_extension(nz)
-    rep = check_axioms(M, 3, composition_budget=200_000)
+    rep = check_axioms(M, 3)
     assert rep.step == 1
     ref = abelian_Dk(gr.CyclicProduct((4,)), 1)
     # 1-step, 4 points, ergodic: it must be D_1(Z/4) up to relabelling;
@@ -170,6 +170,18 @@ def test_is_coboundary_on_degree_2_tables_of_h2(heis2_space):
     rho = coh.coboundary_of(X, [rng.randrange(A.order) for _ in range(X.size)], 2, A)
     f = coh.is_coboundary(rho)
     assert f is not None and coh.coboundary_of(X, f, 2, A).table == rho.table
+
+
+def test_is_coboundary_is_0_on_the_points_of_no_cube(d1z2):
+    # D_1(Z/2) on the points 0, 1 and two points 2, 3 on no 2-cube: only
+    # 0 and 1 are unknowns, and f is 0 at 2 and 3
+    X = ExplicitCubespace(4, {1: sorted(d1z2.cubes(1)) + [(2, 2), (3, 3)],
+                              2: sorted(d1z2.cubes(2))})
+    A = gr.FiniteAbelianGroup((4,))
+    rho = coh.coboundary_of(X, [1, 3, 2, 1], 1, A)
+    f = coh.is_coboundary(rho)
+    assert f is not None and f[2:] == [0, 0]
+    assert coh.coboundary_of(X, f, 1, A).table == rho.table
 
 
 # the cube set of dimension 2 is not closed under the cube symmetries

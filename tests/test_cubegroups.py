@@ -53,7 +53,7 @@ def test_sigma_concatenation_identity():
 def test_factorize_multiply_out_round_trip(seed, n):
     rng = random.Random(seed)
     G, filt = gr.make_heisenberg(3)
-    th = cg._thresholds(n, None)
+    th = cg._thresholds(n)
     coeffs = [rng.choice(sorted(filt.subgroup(t))) for t in th]
     values = cg.multiply_out(coeffs, n, G)
     got = cg.factorize(values, filt)
@@ -88,22 +88,12 @@ def test_cube_counts():
     assert cg.count_cubes(filt, 3) == 32768
 
 
-def test_weighted_cubes_match_unit_weights():
-    G, filt = gr.make_heisenberg(2)
-    plain = set(cg.enumerate_cubes(filt, 2))
-    weighted = set(cg.enumerate_cubes(filt, 2, weights=(1, 1)))
-    assert plain == weighted
-    # weight-0 in one direction frees that edge completely
-    w0 = set(cg.enumerate_cubes(filt, 2, weights=(0, 1)))
-    assert plain < w0
-
-
 def test_complete_corner_matches_bruteforce_unique():
     G, filt = gr.make_heisenberg(2)
     rng = random.Random(11)
     n = 3
     for _ in range(60):
-        th = cg._thresholds(n, None)
+        th = cg._thresholds(n)
         coeffs = [rng.choice(sorted(filt.subgroup(t))) for t in th]
         full = cg.multiply_out(coeffs, n, G)
         corner = {i: full[i] for i in range((1 << n) - 1)}
@@ -180,10 +170,10 @@ def test_enumerate_cubes_equals_membership_scan():
     assert enumerated == scanned
 
 
-def _enumerate_cubes_by_coefficients(filt, n, weights=None):
+def _enumerate_cubes_by_coefficients(filt, n):
     """Every coefficient tuple in itertools.product order, multiplied
     out: the oracle for the top-coordinate recursion."""
-    pools = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, weights)]
+    pools = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
     for coeffs in itertools.product(*pools):
         yield cg.multiply_out(coeffs, n, filt.group)
 
@@ -197,24 +187,27 @@ _ENUMERATION_FILTRATIONS = {
     "Z/8 > 2Z/8 > 4Z/8": lambda: gr.Filtration(gr.CyclicProduct((8,)), (
         frozenset(range(8)), frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}))),
     "H2 shifted by 1": lambda: gr.shift_filtration(gr.make_heisenberg(2)[1], 1),
+    "H3 shifted by 1": lambda: gr.shift_filtration(gr.make_heisenberg(3)[1], 1),
+    "D2(Z/4) shifted by 2": lambda: gr.shift_filtration(
+        gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENUMERATION_FILTRATIONS))
 def test_enumerate_cubes_matches_coefficient_product_as_a_sequence(name):
+    """The recursion shifts the filtration once per coordinate, so the
+    shifted filtrations check shifts by up to 7 at n = 5."""
     filt = _ENUMERATION_FILTRATIONS[name]()
     compared = 0
-    for n in range(4):
-        patterns = [None, (1,) * n, tuple(range(n)), tuple(range(n))[::-1],
-                    (0,) + (1,) * (n - 1) if n else ()]
-        for weights in patterns:
-            if cg.count_cubes(filt, n, weights) > 40_000:
-                continue
-            got = list(cg.enumerate_cubes(filt, n, weights))
-            assert got == list(_enumerate_cubes_by_coefficients(filt, n, weights))
-            assert len(got) == cg.count_cubes(filt, n, weights)
-            compared += 1
-    assert compared >= 10
+    for n in range(6):
+        if cg.count_cubes(filt, n) > 40_000:
+            continue
+        got = list(cg.enumerate_cubes(filt, n))
+        assert got == list(_enumerate_cubes_by_coefficients(filt, n))
+        assert len(got) == cg.count_cubes(filt, n)
+        compared += 1
+    # H3 has 59,049 2-cubes, so it compares n = 0, 1 only
+    assert compared >= 2
 
 
 def _complete_corner_rebuilding(corner, n, filt):
@@ -246,7 +239,7 @@ def _rebuild(corner, n, filt):
     qcoeffs = cg.factorize(qfull, qfilt)
     assert not isinstance(qcoeffs, cg.Reject)
     lifted = []
-    for t, gbar in zip(cg._thresholds(n, None), qcoeffs):
+    for t, gbar in zip(cg._thresholds(n), qcoeffs):
         lvl = filt.subgroup(min(t, d))
         lifted.append(min(g for g in lvl if Q.project(g) == gbar))
     values = list(cg.multiply_out(lifted, n, G))
@@ -307,7 +300,7 @@ def test_complete_corner_matches_quotient_recursion_oracle(name):
     refusals = 0
     for n in range(1, 5):
         top = (1 << n) - 1
-        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
         for _ in range(6):
             cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
             genuine = dict(enumerate(cube[:top]))
@@ -334,7 +327,7 @@ def test_canonical_completion_has_the_identity_top_coefficient(name):
     completed = 0
     for n in range(1, 5):
         top = (1 << n) - 1
-        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
         for _ in range(6):
             cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
             genuine = dict(enumerate(cube[:top]))
@@ -400,7 +393,7 @@ def test_complete_corner_matches_the_face_by_face_oracle(name):
     seen = set()
     for n in range(6):
         top = (1 << n) - 1
-        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
         for _ in range(15):
             cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
             genuine = dict(enumerate(cube[:top]))
@@ -439,7 +432,7 @@ def _counted_h3_cubes(rng, n):
     uniform map."""
     G = _CountingHeisenberg(3)
     filt = gr.lower_central_series(G)
-    levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, None)]
+    levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
     cube = cg.multiply_out([rng.choice(lv) for lv in levels], n, G)
     perturbed = list(cube)
     j = rng.randrange(1 << n)
@@ -511,29 +504,26 @@ def test_factorize_and_multiply_out_match_the_vertex_filter_oracles(name):
     rng = random.Random("vertex filter " + name)
     accepted = rejected = 0
     for n in range(7):
-        for weights in (None, (0, 1), (1, 1), (2, 1, 1)):
-            if weights is not None and len(weights) != n:
-                continue
-            levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n, weights)]
-            for _ in range(4):
-                anything = [rng.randrange(G.order) for _ in range(1 << n)]
-                assert (cg.multiply_out(anything, n, G)
-                        == oracles.multiply_out_by_vertex_filter(anything, n, G))
-                coeffs = [rng.choice(lv) for lv in levels]
-                cube = cg.multiply_out(coeffs, n, G)
-                assert cube == oracles.multiply_out_by_vertex_filter(coeffs, n, G)
-                assert cg.factorize(cube, filt, weights) == coeffs
-                perturbed = list(cube)
-                j = rng.randrange(1 << n)
-                perturbed[j] = rng.choice([x for x in G.elements() if x != cube[j]])
-                for values in (cube, perturbed, anything):
-                    got = cg.factorize(values, filt, weights)
-                    assert got == oracles.factorize_by_vertex_filter(values, filt, weights)
-                    if isinstance(got, cg.Reject):
-                        rejected += 1
-                    else:
-                        accepted += 1
-                        assert cg.multiply_out(got, n, G) == tuple(values)
+        levels = [sorted(filt.subgroup(t)) for t in cg._thresholds(n)]
+        for _ in range(4):
+            anything = [rng.randrange(G.order) for _ in range(1 << n)]
+            assert (cg.multiply_out(anything, n, G)
+                    == oracles.multiply_out_by_vertex_filter(anything, n, G))
+            coeffs = [rng.choice(lv) for lv in levels]
+            cube = cg.multiply_out(coeffs, n, G)
+            assert cube == oracles.multiply_out_by_vertex_filter(coeffs, n, G)
+            assert cg.factorize(cube, filt) == coeffs
+            perturbed = list(cube)
+            j = rng.randrange(1 << n)
+            perturbed[j] = rng.choice([x for x in G.elements() if x != cube[j]])
+            for values in (cube, perturbed, anything):
+                got = cg.factorize(values, filt)
+                assert got == oracles.factorize_by_vertex_filter(values, filt)
+                if isinstance(got, cg.Reject):
+                    rejected += 1
+                else:
+                    accepted += 1
+                    assert cg.multiply_out(got, n, G) == tuple(values)
     assert accepted > 0 and rejected > 0
 
 
@@ -547,8 +537,8 @@ def test_transforms_match_the_oracles_in_high_dimension(name, n):
     """factorize, multiply_out and complete_corner against the
     vertex-filter and face-by-face oracles at n = 7..10 (n = 7..8 on
     H2), where most transform steps run on the upper coordinates: random
-    cubes, the same cubes with one vertex changed and uniform maps, twice
-    unweighted and twice with random weights 0..2."""
+    cubes, the same cubes with one vertex changed and uniform maps, four
+    times."""
     if name == "D1(Z/2)":
         filt = gr.maximal_degree_k_filtration(gr.CyclicProduct((2,)), 1)
     else:
@@ -556,12 +546,11 @@ def test_transforms_match_the_oracles_in_high_dimension(name, n):
     G = filt.group
     rng = random.Random("high %s %d" % (name, n))
     top = (1 << n) - 1
-    for weights in (None, None) + tuple(tuple(rng.randrange(3) for _ in range(n))
-                                        for _ in range(2)):
-        coeffs = [rng.choice(sorted(filt.subgroup(t))) for t in cg._thresholds(n, weights)]
+    for _ in range(4):
+        coeffs = [rng.choice(sorted(filt.subgroup(t))) for t in cg._thresholds(n)]
         cube = cg.multiply_out(coeffs, n, G)
         assert cube == oracles.multiply_out_by_vertex_filter(coeffs, n, G)
-        assert cg.factorize(cube, filt, weights) == coeffs
+        assert cg.factorize(cube, filt) == coeffs
         perturbed = list(cube)
         j = rng.randrange(1 << n)
         perturbed[j] = rng.choice([x for x in G.elements() if x != cube[j]])
@@ -569,12 +558,11 @@ def test_transforms_match_the_oracles_in_high_dimension(name, n):
         assert (cg.multiply_out(anything, n, G)
                 == oracles.multiply_out_by_vertex_filter(anything, n, G))
         for values in (cube, perturbed, anything):
-            assert (cg.factorize(values, filt, weights)
-                    == oracles.factorize_by_vertex_filter(values, filt, weights))
-            if weights is None:
-                corner = dict(enumerate(values[:top]))
-                assert (_any_outcome(cg.complete_corner, corner, n, filt)
-                        == _any_outcome(oracles.complete_corner_by_faces, corner, n, filt))
+            assert (cg.factorize(values, filt)
+                    == oracles.factorize_by_vertex_filter(values, filt))
+            corner = dict(enumerate(values[:top]))
+            assert (_any_outcome(cg.complete_corner, corner, n, filt)
+                    == _any_outcome(oracles.complete_corner_by_faces, corner, n, filt))
 
 
 def test_out_of_range_values_are_refused():
@@ -632,16 +620,3 @@ def test_a_coefficient_list_of_the_wrong_length_is_a_value_error(heis2, length):
     with pytest.raises(ValueError, match=r"^%d coefficients for a cube of dimension 2: "
                                          r"it needs 2\^2 = 4$" % length):
         cg.multiply_out(list(range(length)), 2, G)
-
-
-@pytest.mark.parametrize("weights", [(), (1,), (1, 1, 1)])
-def test_weights_of_the_wrong_length_are_a_value_error(heis2, weights):
-    _G, filt = heis2
-    message = r"^%d weights for a cube of dimension 2: it needs 2" % len(weights)
-    for call in (lambda: cg.factorize([0, 1, 2, 3], filt, weights),
-                 lambda: cg.is_cube([0, 1, 2, 3], filt, weights),
-                 lambda: cg.count_cubes(filt, 2, weights),
-                 lambda: list(cg.enumerate_cubes(filt, 2, weights)),
-                 lambda: cg.arrow_membership((0, 1), (0, 1), 1, 1, filt, weights)):
-        with pytest.raises(ValueError, match=message):
-            call()

@@ -25,6 +25,15 @@ def test_face_index_tables_cache_agrees():
         assert tables == fresh
 
 
+def _compose(a, b):
+    """a o b (b applied first):
+    a(b(v))[j] = b(v)[a.perm[j]] ^ a.flips[j]
+               = v[b.perm[a.perm[j]]] ^ b.flips[a.perm[j]] ^ a.flips[j]."""
+    perm = tuple(b.perm[p] for p in a.perm)
+    flips = tuple(b.flips[p] ^ f for p, f in zip(a.perm, a.flips))
+    return cb.CubeAutomorphism(perm, flips)
+
+
 def test_automorphism_generators_generate_the_group_and_are_memoised():
     for n in range(5):
         entries = cb.automorphism_generator_tables(n)
@@ -38,7 +47,7 @@ def test_automorphism_generators_generate_the_group_and_are_memoised():
         while frontier:
             a = frontier.pop()
             for s in gens:
-                b = a.compose(s)
+                b = _compose(a, s)
                 if b not in closure:
                     closure.add(b)
                     frontier.append(b)
@@ -53,9 +62,9 @@ def test_automorphism_group_sizes_and_closure():
         tables = {tuple(a.to_morphism().vertex_table()) for a in auts}
         for a in auts:
             for b in auts:
-                c = a.compose(b)
+                c = _compose(a, b)
                 assert tuple(c.to_morphism().vertex_table()) in tables
-            assert any(all(a.compose(b).apply(v) == v for v in cb.vertices(n)) for b in auts)
+            assert any(all(_compose(a, b).apply(v) == v for v in cb.vertices(n)) for b in auts)
 
 
 def test_gray_order_adjacency():

@@ -25,7 +25,7 @@ def test_translations_of_d1zm_are_exactly_the_shifts():
         # cross-check the sufficiency shortcut against the raw definition
         for alpha in itertools.permutations(range(m)):
             fast = tr.is_translation(X, alpha, 1)
-            slow = tr.is_translation(X, alpha, 1, all_dims=True, n_max=3)
+            slow = oracles.is_translation_by_definition(X, alpha, 1, 3)
             assert fast == slow
             assert fast == (alpha in shifts)
 
