@@ -11,12 +11,13 @@ check and extend report the exact axiom scan of cubespace.check_axioms.
 One size rule refuses a group, explicit space or model extension M(rho)
 of more than CUBE_CAP points (its 0-cubes), a maximal_degree_k
 filtration of more than CUBE_CAP stored levels (k + 1), a question whose
-cube sets read more than CUBE_CAP maps to build, or whose cocycle laws
-have more than CUBE_CAP entries.  The other limits bound what no cube
-count does: N_MAX_CAP the dimension of every cube a question builds,
-BRUTE_FORCE_CAP the bijections searched, CLOSURE_CAP the weight-0
-derivative closure (built only for a poly domain chain with H_0 != H_1),
-and check_axioms's composition_budget (see CUBE_CAP).
+cube sets (or, for decompose, level relations) read more than CUBE_CAP
+maps to build, or whose cocycle laws have more than CUBE_CAP entries.
+The other limits bound what no cube count does: N_MAX_CAP the dimension
+of every cube a question builds, BRUTE_FORCE_CAP the bijections
+searched, CLOSURE_CAP the weight-0 derivative closure (built only for a
+poly domain chain with H_0 != H_1), and check_axioms's
+composition_budget (see CUBE_CAP).
 
 The dimensions held to N_MAX_CAP are n_max, step + 1 (decompose,
 translations), k + 1 (a cocycle or count_classes of degree k) and
@@ -84,7 +85,8 @@ N_MAX_CAP = 10
 
 # the maps the cube sets of a question may read to build (count_cubes):
 # check, export and extend's M(rho) 1..n_max (|Cu^n(X)| |Cu^n(D_d(A))|),
-# decompose 1..max(step+1, n_max), translations step+1, poly the domain
+# decompose 1..max(step+1, n_max) and (step+1) C(|X|, 2) one-flip maps
+# for its level relations, translations step+1, poly the domain
 # 0..deg(G.)+1, a cocycle its domain k+1; also count_classes's law rows
 # times (k+1)-cubes (24,576 on D1(Z/4) at k = 1), the points of every
 # group, explicit space and M(rho) a spec names (its 0-cubes, which a
@@ -450,6 +452,11 @@ def run_decompose(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
     _need_step(X, "decompose")
     _refuse_many_cubes(X, range(1, max(X.step + 1, opts["n_max"]) + 1), "decomposition")
+    # the level relations of X_0..X_step read a one-flip map per pair of points
+    flips = (X.step + 1) * (X.size * (X.size - 1) // 2)
+    if flips > CUBE_CAP:
+        raise SpecError("/cubespace", "the level relations read %d one-flip maps, above the "
+                        "decomposition cap %d" % (flips, CUBE_CAP))
     try:
         dec = decompose(X, n_max=opts["n_max"])
     except ValueError as e:

@@ -1,10 +1,10 @@
 """Canonical factors and abelian-bundle structure of finite ergodic
-nilspaces: the one-flip relations, factor cubespaces, local translations
-on fibres, structure groups with two independent addition constructions,
-the degree-k bundle check (the one check for decomposition levels, model
-extensions and translation bundles), and cube-morphism checks.  A factor
-is a `cubespace.ImageCubespace`, whose `lift` finds a cube upstairs over
-a factor cube.
+nilspaces: the one-flip relations, factor cubespaces, structure groups
+(the action by one-flip corner completions, its addition checked
+against a two-vertex corner), the degree-k bundle check (the one check
+for decomposition levels, model extensions and translation bundles),
+and cube-morphism checks.  A factor is a `cubespace.ImageCubespace`,
+whose `lift` finds a cube upstairs over a factor cube.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def factor(X: Cubespace, k: int) -> FactorCubespace:
 
 
 # ---------------------------------------------------------------------------
-# local translations and the structure group
+# the structure group
 
 
 def _one_flip_corner(k: int, x0: int, x1: int, y0: int):
@@ -68,21 +68,11 @@ def _one_flip_corner(k: int, x0: int, x1: int, y0: int):
     return vals
 
 
-def local_translation(X: Cubespace, k: int, x0: int, x1: int):
-    """The fibre translation sending x0 to x1 on a k-step space: y0 in
-    the level-(k-1) class of x0 maps to the unique completion of the
-    one-flip corner.  Returns a dict."""
-    out = {}
-    for y0 in range(X.size):
-        if not related_k(X, k - 1, x0, y0):
-            continue
-        sols = X.completions(k + 1, _one_flip_corner(k, x0, x1, y0))
-        if len(sols) != 1:
-            raise ValueError(
-                "completion not unique (%d found): the space is not %d-step" % (len(sols), k)
-            )
-        out[y0] = sols[0]
-    return out
+def _unique_completion(X: Cubespace, n: int, corner, what: str, at: tuple) -> int:
+    sols = X.completions(n, corner)
+    if len(sols) != 1:
+        raise ValueError("%s not well defined at %r: %d completions" % (what, at, len(sols)))
+    return sols[0]
 
 
 @dataclass
@@ -101,75 +91,42 @@ class StructureGroup:
         return self.action[a][x]
 
 
-def _unique_completion(X: Cubespace, n: int, corner) -> int:
-    sols = X.completions(n, corner)
-    if len(sols) != 1:
-        raise ValueError("expected a unique completion, found %d" % len(sols))
-    return sols[0]
-
-
 def structure_group(X: Cubespace, k: int) -> StructureGroup:
-    """Structure group of a k-step ergodic cubespace at its top level.
+    """Structure group of a k-step ergodic cubespace at its top level
+    (k >= 1).
 
     Elements are the points of the fibre through the smallest point b.
-    Addition y1 + y2 is the local translation taking b to y1, applied to
-    y2.  Addition is recomputed by a second route (a corner that is b
-    everywhere except y1 and y2 at two weight-k vertices, whose unique
-    completion is the sum) and the two must agree.  The action on a
-    general point x places the group element and x at the two ends of an
-    arrowed one-flip cube.
+    The element y moves x to the unique completion of the one-flip
+    corner that is b on the lower face except y at its top vertex and x
+    on the upper face; addition y1 + y2 is y2 moving y1.  Addition is
+    recomputed by a second route (a corner that is b everywhere except
+    y1 and y2 at two weight-k vertices, whose unique completion is the
+    sum) and the two must agree.
     """
     b = 0
-    fibre = sorted(y for y in range(X.size) if related_k(X, k - 1, b, y))
+    fibre = [y for y in range(X.size) if related_k(X, k - 1, b, y)]
     index_in_fibre = {y: i for i, y in enumerate(fibre)}
-    m = len(fibre)
+    action = [[_unique_completion(X, k + 1, _one_flip_corner(k, b, x, y), "action", (y, x))
+               for x in range(X.size)] for y in fibre]
+    table = [[index_in_fibre.get(moves[y1]) for moves in action] for y1 in fibre]
+    if any(None in row for row in table):
+        raise ValueError("fibre translation left the fibre")
 
-    trans = {y1: local_translation(X, k, b, y1) for y1 in fibre}
-    table = [[0] * m for _ in range(m)]
+    v1 = (1 << k) - 1  # a weight-k vertex below the top
+    v2 = v1 ^ 1 | (1 << k)  # another weight-k vertex
     for i, y1 in enumerate(fibre):
         for j, y2 in enumerate(fibre):
-            s = trans[y1][y2]
-            if s not in index_in_fibre:
-                raise ValueError("fibre translation left the fibre")
-            table[i][j] = index_in_fibre[s]
-
-    if k >= 1:
-        total = 1 << (k + 1)
-        v1 = (1 << k) - 1  # a weight-k vertex below the top
-        v2 = ((1 << k) - 1) ^ 1 | (1 << k)  # another weight-k vertex
-        assert v1 != v2 and bin(v1).count("1") == bin(v2).count("1") == k
-        for i, y1 in enumerate(fibre):
-            for j, y2 in enumerate(fibre):
-                corner = [b] * (total - 1)
-                corner[v1] = y1
-                corner[v2] = y2
-                if index_in_fibre.get(_unique_completion(X, k + 1, corner)) != table[i][j]:
-                    raise ValueError("the two addition constructions disagree")
+            corner = [b] * ((2 << k) - 1)
+            corner[v1] = y1
+            corner[v2] = y2
+            s = _unique_completion(X, k + 1, corner, "addition", (y1, y2))
+            if index_in_fibre.get(s) != table[i][j]:
+                raise ValueError("the two addition constructions disagree")
 
     group = TableGroup(table)
     if not group.is_abelian():
         raise ValueError("structure candidate is not abelian")
-    invariants = tuple(abelian_invariants(group))
-
-    # action tables: place the group element at the open slot opposite x
-    half = 1 << k
-    action = [[0] * X.size for _ in range(m)]
-    for i, ya in enumerate(fibre):
-        for x in range(X.size):
-            # f(v,0) = b except ya at 0^k; f(v,1) = x except the unknown at 0^k
-            z_candidates = []
-            for z in range(X.size):
-                vals = [b] * half + [x] * half
-                vals[0] = ya
-                vals[half] = z
-                if X.membership(k + 1, vals):
-                    z_candidates.append(z)
-            if len(z_candidates) != 1:
-                raise ValueError(
-                    "action not well defined at (%d, %d): %d candidates" % (ya, x, len(z_candidates))
-                )
-            action[i][x] = z_candidates[0]
-    return StructureGroup(k, b, fibre, group, invariants, action)
+    return StructureGroup(k, b, fibre, group, tuple(abelian_invariants(group)), action)
 
 
 # ---------------------------------------------------------------------------

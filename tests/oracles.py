@@ -7,8 +7,9 @@ coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
 every dimension, the translation search
 that certifies every bijection it reaches, the upper-face
-factorization and its multiply-out by filtering every vertex pair, and
-corner completion face by face.
+factorization and its multiply-out by filtering every vertex pair,
+corner completion face by face, and the structure group from local
+translations with its action found by scanning every point.
 """
 
 from typing import Sequence
@@ -16,8 +17,8 @@ from typing import Sequence
 from nilcube import cubes
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
     _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
-from nilcube.groups import FiniteGroup, Filtration
-from nilcube.structure import related_k
+from nilcube.groups import FiniteGroup, Filtration, TableGroup, abelian_invariants
+from nilcube.structure import StructureGroup, _one_flip_corner, related_k
 from nilcube.translations import _arrows_are_cubes, translation_certifier
 
 
@@ -214,3 +215,54 @@ def complete_corner_by_faces(corner: dict, n: int, filt: Filtration):
         for t, c in zip(tbl, face):
             coeffs[t] = c
     return multiply_out(coeffs, n, G)
+
+
+def local_translation(X, k: int, x0: int, x1: int):
+    """The fibre translation sending x0 to x1 on a k-step space: y0 in
+    the level-(k-1) class of x0 maps to the unique completion of the
+    one-flip corner.  Returns a dict."""
+    out = {}
+    for y0 in range(X.size):
+        if not related_k(X, k - 1, x0, y0):
+            continue
+        sols = X.completions(k + 1, _one_flip_corner(k, x0, x1, y0))
+        if len(sols) != 1:
+            raise ValueError(
+                "completion not unique (%d found): the space is not %d-step" % (len(sols), k)
+            )
+        out[y0] = sols[0]
+    return out
+
+
+def structure_group_by_local_translations(X, k: int) -> StructureGroup:
+    """Reference for structure.structure_group: y1 + y2 is the local
+    translation taking the base point b to y1, applied to y2, and ya
+    moves x to the one point z that makes the arrowed one-flip map (b
+    except ya at 0^k below, x except z at 0^k above) a cube, found by
+    asking membership of every point.  No second addition check."""
+    b = 0
+    fibre = sorted(y for y in range(X.size) if related_k(X, k - 1, b, y))
+    index_in_fibre = {y: i for i, y in enumerate(fibre)}
+    trans = {y1: local_translation(X, k, b, y1) for y1 in fibre}
+    table = [[index_in_fibre[trans[y1][y2]] for y2 in fibre] for y1 in fibre]
+    group = TableGroup(table)
+    if not group.is_abelian():
+        raise ValueError("structure candidate is not abelian")
+    half = 1 << k
+    action = []
+    for ya in fibre:
+        row = []
+        for x in range(X.size):
+            zs = []
+            for z in range(X.size):
+                vals = [b] * half + [x] * half
+                vals[0] = ya
+                vals[half] = z
+                if X.membership(k + 1, vals):
+                    zs.append(z)
+            if len(zs) != 1:
+                raise ValueError("action not well defined at (%d, %d): %d candidates"
+                                 % (ya, x, len(zs)))
+            row.append(zs[0])
+        action.append(row)
+    return StructureGroup(k, b, fibre, group, tuple(abelian_invariants(group)), action)

@@ -342,7 +342,7 @@ def test_decompose_of_a_non_nilspace_reports_the_reason(tmp_path, capsys):
     assert "Traceback" not in captured.err
     out = json.loads(captured.out)
     assert out["kind"] == "decompose" and not out["decomposed"]
-    assert "completion not unique" in out["reason"]
+    assert "action not well defined" in out["reason"]
 
 
 def test_cohomology_class_count():
@@ -830,6 +830,70 @@ def test_is_coboundary_just_under_the_point_cap_is_answered_at_once():
     out = json.loads(proc.stdout)
     # the cocycle of EXTEND_ENTRIES is the nontrivial class on D_1(Z/2)
     assert (out["is_coboundary"], out["function"]) == (False, None)
+
+
+def _decompose_of_padded_d1z2(size):
+    """The decompose fuzz base on D_1(Z/2)'s tables, with size points."""
+    spec = copy.deepcopy(next(s for s in FUZZ_BASES if s["kind"] == "decompose"))
+    spec["cubespace"]["size"] = size
+    return spec
+
+
+@pytest.mark.parametrize("size", [2000, 99999])
+def test_decompose_with_too_many_point_pairs_exits_2_at_once(size):
+    # the level relations of X_0 and X_1 read a one-flip map per pair of
+    # points: 2 C(2000, 2) = 3,998,000 are more than the cube cap
+    proc, seconds = _run_cli_limited(_decompose_of_padded_d1z2(size))
+    assert proc.returncode == 2, proc.stderr
+    assert seconds < 1.0
+    assert proc.stderr.startswith("spec error: /cubespace: the level relations read "
+                                  "%d one-flip maps" % (size * (size - 1)))
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def test_decompose_with_few_point_pairs_reports_the_reason():
+    # 2 C(300, 2) = 89,700 one-flip maps are under the cap: point 2 lies on
+    # no square with 0, so no corner through both completes
+    proc, _ = _run_cli_limited(_decompose_of_padded_d1z2(300))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    out = json.loads(proc.stdout)
+    assert not out["decomposed"]
+    assert out["reason"] == "action not well defined at (0, 2): 0 completions"
+
+
+# Point-cap sweep specs left out because they still take seconds, each
+# with the open ROADMAP item that mends it: (kind, n_max, reason).
+POINT_CAP_SLOW = (
+    ("check", 1, "ROADMAP item 3"),  # corners x points are not counted
+)
+
+
+def _sizes_just_under_the_point_cap(obj):
+    """A copy of obj with every "size" leaf set to 99,999."""
+    if isinstance(obj, dict):
+        return {key: 99999 if key == "size" else _sizes_just_under_the_point_cap(value)
+                for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [_sizes_just_under_the_point_cap(value) for value in obj]
+    return obj
+
+
+# each fuzz base with a size, by index, at its own n_max and at n_max 1,
+# where the cube counts refuse least
+POINT_CAP_SWEEP = [
+    (i, n_max) for i, spec in enumerate(FUZZ_BASES) if '"size"' in json.dumps(spec)
+    for n_max in (spec.get("n_max", 3), 1)
+    if (spec["kind"], n_max) not in {(kind, n) for kind, n, _ in POINT_CAP_SLOW}]
+
+
+@pytest.mark.parametrize("base,n_max", POINT_CAP_SWEEP, ids=[
+    "%s-%d-n_max-%d" % (FUZZ_BASES[i]["kind"], i, n_max) for i, n_max in POINT_CAP_SWEEP])
+def test_every_space_just_under_the_point_cap_exits_at_once(base, n_max):
+    spec = dict(_sizes_just_under_the_point_cap(FUZZ_BASES[base]), n_max=n_max)
+    proc, seconds = _run_cli_limited(spec)
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr
+    assert seconds < 1.0
 
 
 FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,

@@ -11,8 +11,9 @@ from nilcube import cohomology as coh
 from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube import structure as stc
-from nilcube.cubespace import (ExplicitCubespace, GroupCubespace, abelian_Dk, check_axioms,
-                               equivalence_violation)
+from nilcube.cubespace import (CosetCubespace, Cubespace, ExplicitCubespace, GroupCubespace,
+                               ProductCubespace, abelian_Dk, check_axioms, equivalence_violation)
+from oracles import structure_group_by_local_translations
 
 
 def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
@@ -52,8 +53,10 @@ def test_factor_at_top_level_is_identity_relabelling(d2z2):
 
 
 def test_local_translation_is_a_fibre_bijection(heis2_space):
-    t = stc.local_translation(heis2_space, 2, 0, 4)
-    assert set(t.keys()) == {0, 4}
+    # the action of a fibre element, restricted to the base fibre
+    sg = stc.structure_group(heis2_space, 2)
+    assert sg.fibre == [0, 4]
+    t = {y: sg.act(sg.fibre.index(4), y) for y in sg.fibre}
     assert set(t.values()) == {0, 4}
     assert t[0] == 4
 
@@ -77,6 +80,95 @@ def test_structure_group_of_heisenberg_top_level(heis2_space, heis2):
     z = [g for g in sg.fibre if g != 0][0]
     for x in range(G.order):
         assert sg.act(sg.fibre.index(z), x) == G.op(x, z)
+
+
+def _explicit_product():
+    """Explicit D_1(Z/2) x explicit D_2(Z/2), a 4-point space of step 2."""
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    d2 = abelian_Dk(gr.CyclicProduct((2,)), 2)
+    return ProductCubespace(ExplicitCubespace(2, {n: d1.cubes(n) for n in (1, 2)}, step=1),
+                            ExplicitCubespace(2, {n: d2.cubes(n) for n in (1, 2, 3)}, step=2))
+
+
+def _assert_matches_oracle(sg, X, k):
+    ref = structure_group_by_local_translations(X, k)
+    assert sg.fibre == ref.fibre
+    assert sg.group.table == ref.group.table
+    assert sg.invariants == ref.invariants
+    assert sg.action == ref.action
+
+
+_STRUCTURE_SPACES = pytest.mark.parametrize("space,k", [
+    ("d2z2", 2), ((4, 1), 1), ((4, 1), 2), ("heis2_space", 2), ("product", 2),
+], ids=["D2(Z/2)", "D1(Z/4)", "D1(Z/4)-k2", "H2", "explicit-product"])
+
+
+@_STRUCTURE_SPACES
+def test_structure_group_completes_one_corner_per_entry(space, k, request, monkeypatch):
+    # one completion per action entry and per two-vertex sum, and one
+    # level relation per point (the fibre): the addition table is read
+    # from the action
+    X = _decompose_space(space, request)
+    calls = {"completions": 0, "related_k": 0}
+    completions, related_k = Cubespace.completions, stc.related_k
+
+    def counted_completions(self, n, corner):
+        calls["completions"] += 1
+        return completions(self, n, corner)
+
+    def counted_related_k(*args):
+        calls["related_k"] += 1
+        return related_k(*args)
+
+    monkeypatch.setattr(Cubespace, "completions", counted_completions)
+    monkeypatch.setattr(stc, "related_k", counted_related_k)
+    sg = stc.structure_group(X, k)
+    m = len(sg.fibre)
+    assert calls == {"completions": m * (X.size + m), "related_k": X.size}
+
+
+@_STRUCTURE_SPACES
+def test_structure_group_matches_the_local_translations(space, k, request):
+    X = _decompose_space(space, request)
+    _assert_matches_oracle(stc.structure_group(X, k), X, k)
+
+
+def _quotient_invariants(G, sub, normal):
+    """Invariants of the abelian quotient sub / normal, both subgroups of
+    G with normal inside sub."""
+    reps, index = gr.left_cosets(G, normal)
+    cosets = sorted({index[g] for g in sub})
+    label = {c: i for i, c in enumerate(cosets)}
+    table = [[label[index[G.op(reps[a], reps[b])]] for b in cosets] for a in cosets]
+    return gr.abelian_invariants(gr.TableGroup(table))
+
+
+def _heis2_coset(gamma):
+    G, filt = gr.make_heisenberg(2)
+    return CosetCubespace(filt, gr.subgroup_closure(G, [gamma]))
+
+
+@pytest.mark.parametrize("space", [
+    lambda: GroupCubespace(gr.make_heisenberg(2)[1]),
+    lambda: _heis2_coset(1), lambda: _heis2_coset(2), lambda: _heis2_coset(4),
+    lambda: abelian_Dk(gr.CyclicProduct((4,)), 2),
+    lambda: abelian_Dk(gr.CyclicProduct((4,)), 1),
+    lambda: abelian_Dk(gr.CyclicProduct((2,)), 3),
+], ids=["H2", "H2/<1>", "H2/<2>", "H2/<4>", "D2(Z/4)", "D1(Z/4)", "D3(Z/2)"])
+def test_structure_groups_are_the_filtration_quotients(space):
+    # with G_0 = G_1, the level-i structure group of G/Gamma is
+    # G_i / G_{i+1}(Gamma n G_i)
+    X = space()
+    filt = X.filt
+    G = filt.group
+    gamma = X.cosets.Gamma if isinstance(X, CosetCubespace) else frozenset({0})
+    assert filt.subgroup(0) == filt.subgroup(1)
+    dec = stc.decompose(X, n_max=1)
+    for i, (sg, level) in enumerate(zip(dec.groups, dec.levels), start=1):
+        Gi = filt.subgroup(i)
+        normal = gr.subgroup_closure(G, filt.subgroup(i + 1) | (gamma & Gi))
+        assert level.group_invariants == _quotient_invariants(G, Gi, normal)
+        _assert_matches_oracle(sg, dec.factors[i], i)
 
 
 def test_decompose_d2z2(d2z2):
@@ -151,7 +243,10 @@ _DECOMPOSE_SPACES = pytest.mark.parametrize(
 
 
 def _decompose_space(space, request):
-    """A fixture space, or D_k(Z/m) for space = (m, k)."""
+    """A fixture space, D_k(Z/m) for space = (m, k), or the explicit
+    product."""
+    if space == "product":
+        return _explicit_product()
     if isinstance(space, tuple):
         return abelian_Dk(gr.CyclicProduct((space[0],)), space[1])
     return request.getfixturevalue(space)
