@@ -300,13 +300,13 @@ def build_cubespace(spec, ptr="/cubespace"):
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
         return _construct(ptr + "/point", cs.SliceCubespace, base, _need_int(spec, "point", ptr))
     if src == "extension":
-        from .cohomology import build_extension
+        from .cohomology import ExtensionSpace
 
         base = build_cubespace(_need(spec, "base", ptr), ptr + "/base")
         A = build_abelian(_need(spec, "A", ptr), ptr + "/A")
         rho = build_cocycle(_need(spec, "cocycle", ptr), base, A, ptr + "/cocycle")
         _refuse_many_points(base.size * A.order, ptr + "/A")
-        return _construct(ptr, build_extension, rho)
+        return _construct(ptr, ExtensionSpace, rho)  # build_cocycle validated rho
     if src == "explicit":
         raw = _need(spec, "tables", ptr)
         if not isinstance(raw, dict):

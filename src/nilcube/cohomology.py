@@ -212,8 +212,6 @@ class ExtensionSpace(Cubespace):
     sum of the fibre part.  The cubes over a base cube are therefore
     empty or a coset of the cubes of D_d(A), added pointwise in A."""
 
-    provenance = "extension"
-
     def __init__(self, rho: Cocycle):
         self.rho = rho
         self.base = rho.X

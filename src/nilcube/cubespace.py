@@ -41,8 +41,6 @@ class Cubespace:
     is known), which raises ValueError on a dimension it cannot answer;
     from step + 2 on membership is the face criterion."""
 
-    provenance = "abstract"
-
     def __init__(self, size: int, step: Optional[int] = None):
         if size <= 0:
             raise ValueError("empty cubespaces are rejected")
@@ -222,8 +220,6 @@ class GroupCubespace(Cubespace):
     factorized up to dimension deg + 1 (past it the face criterion reads
     the built cube sets instead of refactorizing large tuples)."""
 
-    provenance = "group"
-
     def __init__(self, filt: Filtration):
         self.filt = filt
         super().__init__(filt.group.order, step=max(filt.degree, 0))
@@ -262,8 +258,6 @@ class ImageCubespace(Cubespace):
     step + 2 membership looks the map up among the projected cubes; lift
     finds a cube upstairs over a given map by the face-pruned scan of X
     restricted to the fibres."""
-
-    provenance = "image"
 
     def __init__(self, X: Cubespace, proj, size: int, step: Optional[int]):
         self.X = X
@@ -310,8 +304,6 @@ class CosetCubespace(ImageCubespace):
     """Left coset space of a subgroup (not necessarily normal), the image
     of the group space, of step at most the degree of the filtration."""
 
-    provenance = "coset"
-
     def __init__(self, filt: Filtration, Gamma):
         self.filt = filt
         self.cosets = CosetSpace(filt.group, Gamma)
@@ -327,8 +319,6 @@ class CosetCubespace(ImageCubespace):
 
 
 class ProductCubespace(Cubespace):
-    provenance = "product"
-
     def __init__(self, X: Cubespace, Y: Cubespace):
         self.X, self.Y = X, Y
         step = None
@@ -359,8 +349,6 @@ class ProductCubespace(Cubespace):
 class ArrowCubespace(Cubespace):
     """X |><|_k X: pairs whose k-arrow is a cube of X.  k-step (for X of
     step <= k it can be non-ergodic)."""
-
-    provenance = "arrow"
 
     def __init__(self, X: Cubespace, k: int):
         if k < 1:
@@ -397,8 +385,6 @@ class SliceCubespace(Cubespace):
     """The cubespace structure on X seen from a base point x: q is a cube
     iff the 1-arrow <x, q> is one.  Drops the step by one."""
 
-    provenance = "partial"
-
     def __init__(self, X: Cubespace, x: int):
         if not 0 <= x < X.size:
             raise ValueError("base point out of range")
@@ -418,8 +404,6 @@ class ExplicitCubespace(Cubespace):
     """Cube sets given as explicit tables (imported, doctored, or built
     by hand).  Each table is the built cube set of its dimension; a
     dimension below step + 2 without a table cannot be answered."""
-
-    provenance = "explicit"
 
     def __init__(self, size: int, tables: Dict[int, Iterable[tuple]], step: Optional[int] = None):
         dims = sorted(tables)
@@ -450,12 +434,9 @@ class RestrictedCubespace(Cubespace):
     """A subset of a cubespace with the induced cube sets (used for
     translation bundles)."""
 
-    provenance = "restricted"
-
     def __init__(self, X: Cubespace, points: Sequence[int]):
         self.X = X
         self.points = list(points)
-        self._back = {p: i for i, p in enumerate(self.points)}
         super().__init__(len(self.points), step=X.step)
 
     def _membership(self, n, values):

@@ -475,61 +475,34 @@ class FiniteAbelianGroup(CyclicProduct):
         self.moduli = self.invariants = invs
         self.order = prod(invs)
 
-    def scale(self, e: int, a: int) -> int:
-        return self.index_of(tuple(e * x for x in self.tuple_of(a)))
-
-
-def _prime_factors(n: int):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
 
 def abelian_invariants(G: FiniteGroup):
-    """Invariant factors of a finite abelian group, from p-torsion counts."""
+    """Invariant factors of a finite abelian group: the Smith diagonal,
+    without its 1s, of the relations among its generators g_1, ..., g_r.
+    The row of g_j is e_j x_j - sum_i c_i x_i = 0, with e_j the least
+    e > 0 that puts e g_j in the span of the earlier generators, where
+    it is sum_i c_i g_i.  These rows generate every relation: the last
+    nonzero coefficient of a relation, at x_j, is a multiple of e_j, so
+    subtracting a multiple of row j shortens it."""
     if not G.is_abelian():
         raise ValueError("group is not abelian")
-    n = G.order
-    if n == 1:
-        return ()
-    primary = {}  # prime -> exponents of cyclic p-power factors, descending
-    for p in _prime_factors(n):
-        # s[i] = log_p #{x : p^i x = 0}; s[i] - s[i-1] counts the cyclic
-        # p-factors of order >= p^i
-        s = [0]
-        while True:
-            i = len(s)
-            tor = sum(1 for a in G.elements() if G.power(a, p ** i) == 0)
-            e = 0
-            while p ** e < tor:
-                e += 1
-            assert p ** e == tor
-            if e == s[-1]:
-                break
-            s.append(e)
-        counts = [s[i] - s[i - 1] for i in range(1, len(s))]
-        exps = []
-        for i, c in enumerate(counts, start=1):
-            nxt = counts[i] if i < len(counts) else 0
-            exps.extend([i] * (c - nxt))
-        primary[p] = sorted(exps, reverse=True)
-    r = max(len(v) for v in primary.values())
-    invariants = []
-    for slot in range(r):
-        d = 1
-        for p, exps in primary.items():
-            if slot < len(exps):
-                d *= p ** exps[slot]
-        invariants.append(d)
-    invariants.reverse()  # smallest first, divisibility chain
-    return tuple(invariants)
+    gens = G.generators()
+    r = len(gens)
+    span = {0: (0,) * r}  # each element of the span -> its coefficients
+    rows = []
+    for j, g in enumerate(gens):
+        x, e = g, 1
+        while x not in span:
+            x, e = G.op(x, g), e + 1
+        rows.append([-c for c in span[x][:j]] + [e] + [0] * (r - j - 1))
+        layer = dict(span)
+        for y, cs in span.items():
+            for t in range(1, e):
+                y = G.op(y, g)
+                layer[y] = cs[:j] + (t,) + cs[j + 1:]
+        span = layer
+    _, D, _ = smith_normal_form(rows, [()] * r)
+    return tuple(D[i][i] for i in range(r) if D[i][i] != 1)
 
 
 def smith_normal_form(M, companion):
@@ -640,8 +613,6 @@ def smith_normal_form(M, companion):
 def _solve_mod(e: int, b: int, d: int):
     """Solutions x of e*x = b (mod d), as (particular, modulus-of-kernel)
     or None."""
-    if d == 1:
-        return 0, 1
     g = gcd(e % d, d)
     if b % g != 0:
         return None
@@ -697,7 +668,7 @@ def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equati
     for coeffs, const in equations:
         acc = 0
         for cf, x in zip(coeffs, out):
-            acc = A.op(acc, A.scale(cf, x))
+            acc = A.op(acc, A.power(x, cf))
         if acc != const:
             raise AssertionError("solver produced a non-solution")
     return out

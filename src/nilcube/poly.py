@@ -79,10 +79,7 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
             break
         # step up with positive-weight directions
         for i in range(1, min(hdeg, top - w) + 1):
-            Hi = hfilt.subgroup(i)
-            if Hi == frozenset({0}):
-                continue
-            directions = sorted(Hi)
+            directions = sorted(hfilt.subgroup(i))
             tgt = level_sets.setdefault(w + i, set())
             for f in current:
                 for h in directions:

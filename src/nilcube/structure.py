@@ -42,8 +42,6 @@ class FactorCubespace(ImageCubespace):
     """The canonical k-step factor: points are level-k classes, cubes the
     projections of the cubes upstairs."""
 
-    provenance = "factor"
-
     def __init__(self, X: Cubespace, k: int):
         self.k = k
         self.classes = sim_classes(X, k)
@@ -126,7 +124,7 @@ def structure_group(X: Cubespace, k: int) -> StructureGroup:
     group = TableGroup(table)
     if not group.is_abelian():
         raise ValueError("structure candidate is not abelian")
-    return StructureGroup(k, b, fibre, group, tuple(abelian_invariants(group)), action)
+    return StructureGroup(k, b, fibre, group, abelian_invariants(group), action)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ translations certified one arrow at a time or by their definition in
 every dimension, the translation search
 that certifies every bijection it reaches, the upper-face
 factorization and its multiply-out by filtering every vertex pair,
-corner completion face by face, and the structure group from local
-translations with its action found by scanning every point.
+corner completion face by face, the structure group from local
+translations with its action found by scanning every point, and
+invariant factors from p-torsion counts.
 """
 
 from typing import Sequence
@@ -17,7 +18,7 @@ from typing import Sequence
 from nilcube import cubes
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
     _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
-from nilcube.groups import FiniteGroup, Filtration, TableGroup, abelian_invariants
+from nilcube.groups import FiniteGroup, Filtration, TableGroup
 from nilcube.structure import StructureGroup, _one_flip_corner, related_k
 from nilcube.translations import _arrows_are_cubes, translation_certifier
 
@@ -265,4 +266,58 @@ def structure_group_by_local_translations(X, k: int) -> StructureGroup:
                                  % (ya, x, len(zs)))
             row.append(zs[0])
         action.append(row)
-    return StructureGroup(k, b, fibre, group, tuple(abelian_invariants(group)), action)
+    return StructureGroup(k, b, fibre, group, abelian_invariants_by_torsion(group), action)
+
+
+def _prime_factors(n: int):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def abelian_invariants_by_torsion(G: FiniteGroup):
+    """Reference for groups.abelian_invariants: the invariant factors
+    of a finite abelian group from its p-torsion counts."""
+    if not G.is_abelian():
+        raise ValueError("group is not abelian")
+    n = G.order
+    if n == 1:
+        return ()
+    primary = {}  # prime -> exponents of cyclic p-power factors, descending
+    for p in _prime_factors(n):
+        # s[i] = log_p #{x : p^i x = 0}; s[i] - s[i-1] counts the cyclic
+        # p-factors of order >= p^i
+        s = [0]
+        while True:
+            i = len(s)
+            tor = sum(1 for a in G.elements() if G.power(a, p ** i) == 0)
+            e = 0
+            while p ** e < tor:
+                e += 1
+            assert p ** e == tor
+            if e == s[-1]:
+                break
+            s.append(e)
+        counts = [s[i] - s[i - 1] for i in range(1, len(s))]
+        exps = []
+        for i, c in enumerate(counts, start=1):
+            nxt = counts[i] if i < len(counts) else 0
+            exps.extend([i] * (c - nxt))
+        primary[p] = sorted(exps, reverse=True)
+    r = max(len(v) for v in primary.values())
+    invariants = []
+    for slot in range(r):
+        d = 1
+        for p, exps in primary.items():
+            if slot < len(exps):
+                d *= p ** exps[slot]
+        invariants.append(d)
+    invariants.reverse()  # smallest first, divisibility chain
+    return tuple(invariants)

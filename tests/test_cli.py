@@ -381,6 +381,11 @@ EXTEND_ENTRIES = [[[0, 0, 0, 0], 0], [[0, 0, 1, 1], 0], [[0, 1, 0, 1], 0], [[0, 
 
 ZERO_COCYCLE = {"k": 1, "entries": [[q, 0] for q, _ in EXTEND_ENTRIES]}
 
+# the model extension M(rho) of D_1(Z/2) by Z/2 for that cocycle: four
+# points, with structure group Z/4 at level 1
+EXTENSION_SPACE = {"source": "extension", "base": Z2D1, "A": [2],
+                   "cocycle": {"k": 1, "entries": EXTEND_ENTRIES}}
+
 
 def _run_cli_limited(spec):
     """The CLI on spec in a process of its own with a 2 GB address-space
@@ -501,6 +506,41 @@ def test_extend_round_trip():
     assert out["obvious_section_round_trip"]
     assert out["axioms"]["is_nilspace"]
     assert out["size"] == 4
+
+
+def test_extension_source_validates_its_cocycle_once(monkeypatch):
+    from nilcube import cohomology as coh
+
+    calls = []
+    validate = coh.validate_cocycle
+
+    def counted(rho):
+        calls.append(rho)
+        return validate(rho)
+
+    monkeypatch.setattr(coh, "validate_cocycle", counted)
+    reports = {}
+    for kind in ("check", "decompose", "export"):
+        code, out, err = _call_main(json.dumps({"kind": kind, "n_max": 2,
+                                                "cubespace": EXTENSION_SPACE}))
+        assert (code, err) == (0, "")
+        reports[kind] = json.loads(out)
+    assert len(calls) == 3
+    assert reports["check"] == {
+        "axioms": {"completion": {"1": {"complete": True, "corners": 4, "unique": False},
+                                  "2": {"complete": True, "corners": 64, "unique": True}},
+                   "composition_checks": 308, "composition_ok": True,
+                   "composition_witness": None, "ergodic_ok": True, "ergodic_witness": None,
+                   "is_nilspace": True, "n_max": 2, "step": 1},
+        "kind": "check", "n_max": 2, "size": 4}
+    assert reports["decompose"] == {
+        "factor_sizes": [1, 4, 4], "kind": "decompose",
+        "levels": [{"fibre_size": 4, "invariants": [4], "k": 1, "verified_dims": [1, 2]},
+                   {"fibre_size": 1, "invariants": [], "k": 2, "verified_dims": [1, 2]}],
+        "n_max": 2, "step": 2}
+    export = reports["export"]
+    assert (export["size"], export["step"]) == (4, 2)
+    assert {n: len(qs) for n, qs in export["tables"].items()} == {"1": 16, "2": 64}
 
 
 def test_export_reimport_round_trip():
@@ -804,7 +844,9 @@ def _fuzz_bases():
         {"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": Z2D1, "k": 1}},
     ] + [{"kind": kind, "n_max": 2, "cubespace": space}
          for space in (H2_SPACE, Z2D2, dict(H2_SPACE, source="coset", gamma=[1]))
-         for kind in ("check", "decompose", "translations", "export")]
+         for kind in ("check", "decompose", "translations", "export")
+    ] + [{"kind": kind, "n_max": 2, "cubespace": EXTENSION_SPACE}
+         for kind in ("check", "decompose", "export")]
 
 
 FUZZ_BASES = _fuzz_bases()

@@ -3,13 +3,14 @@ algebra."""
 
 import itertools
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcube import groups as gr
+from oracles import abelian_invariants_by_torsion
 
 
 def test_cyclic_product_axioms_and_indexing():
@@ -109,6 +110,52 @@ def test_abelian_invariants(moduli, want):
     assert gr.abelian_invariants(G) == want
 
 
+def _sorted_moduli(bound, least=2):
+    """Every nondecreasing tuple of moduli >= least with product <= bound,
+    the empty tuple first."""
+    yield ()
+    for m in range(least, bound + 1):
+        for rest in _sorted_moduli(bound // m, m):
+            yield (m,) + rest
+
+
+def _relabelled(G, rng):
+    """G as a TableGroup with its nonidentity elements renumbered at
+    random."""
+    label = [0] + rng.sample(range(1, G.order), G.order - 1)
+    back = {x: a for a, x in enumerate(label)}
+    return gr.TableGroup([[label[G.op(back[x], back[y])] for y in range(G.order)]
+                          for x in range(G.order)])
+
+
+def _abelian_family(rng):
+    """Cyclic products of order <= 400 with their factors in either order,
+    tables of order <= 64 relabelled at random, quotients of cyclic
+    products of order <= 144 by random subgroups, and H_m / [H_m, H_m]
+    for m = 2..5."""
+    tuples = list(_sorted_moduli(400))[1:]
+    groups = [gr.CyclicProduct(ms[::rng.choice((1, -1))]) for ms in rng.sample(tuples, 90)]
+    small = [ms for ms in tuples if prod(ms) <= 64]
+    groups += [_relabelled(gr.CyclicProduct(ms), rng) for ms in rng.sample(small, 40)]
+    for ms in rng.sample([ms for ms in tuples if prod(ms) <= 144], 110):
+        G = gr.CyclicProduct(ms)
+        gens = rng.sample(range(G.order), rng.randrange(1, 3))
+        groups.append(gr.QuotientGroup(G, gr.subgroup_closure(G, gens)))
+    for m in range(2, 6):
+        H = gr.Heisenberg(m)
+        groups.append(gr.QuotientGroup(H, H.lower_central_chain()[2]))
+    return groups
+
+
+def test_abelian_invariants_match_the_torsion_counts():
+    groups = _abelian_family(random.Random(24))
+    assert len(groups) == 244
+    for G in groups:
+        assert gr.abelian_invariants(G) == abelian_invariants_by_torsion(G), G.order
+    with pytest.raises(ValueError):
+        gr.abelian_invariants(gr.Heisenberg(2))
+
+
 def test_smith_normal_form_random():
     rng = random.Random(7)
     for _ in range(150):
@@ -173,7 +220,7 @@ def test_finite_abelian_group_is_the_invariant_factor_cyclic_product():
             assert [A.op(a, b) for b in A.elements()] == [C.op(a, b) for b in C.elements()]
     A = gr.FiniteAbelianGroup((2, 4))  # the first factor varies fastest
     assert A.tuple_of(3) == (1, 1) and A.index_of((1, 3)) == 7
-    assert A.scale(3, A.index_of((1, 1))) == A.index_of((1, 3))
+    assert A.power(A.index_of((1, 1)), 3) == A.index_of((1, 3))
     for trivial in [(), (1,), (1, 1)]:
         T = gr.FiniteAbelianGroup(trivial)
         assert T.order == 1 and T.invariants == () and T.tuple_of(0) == ()

@@ -13,7 +13,7 @@ from nilcube import groups as gr
 from nilcube import structure as stc
 from nilcube.cubespace import (CosetCubespace, Cubespace, ExplicitCubespace, GroupCubespace,
                                ProductCubespace, abelian_Dk, check_axioms, equivalence_violation)
-from oracles import structure_group_by_local_translations
+from oracles import abelian_invariants_by_torsion, structure_group_by_local_translations
 
 
 def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
@@ -135,12 +135,12 @@ def test_structure_group_matches_the_local_translations(space, k, request):
 
 def _quotient_invariants(G, sub, normal):
     """Invariants of the abelian quotient sub / normal, both subgroups of
-    G with normal inside sub."""
+    G with normal inside sub, by the p-torsion oracle."""
     reps, index = gr.left_cosets(G, normal)
     cosets = sorted({index[g] for g in sub})
     label = {c: i for i, c in enumerate(cosets)}
     table = [[label[index[G.op(reps[a], reps[b])]] for b in cosets] for a in cosets]
-    return gr.abelian_invariants(gr.TableGroup(table))
+    return abelian_invariants_by_torsion(gr.TableGroup(table))
 
 
 def _heis2_coset(gamma):

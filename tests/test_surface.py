@@ -1,6 +1,7 @@
 """The library surface: every top-level definition in src/nilcube is
-reached from outside its own unit tests, and every defaulted parameter
-of a function there is set by some caller.
+reached from outside its own unit tests, every method and class-level
+assignment of a class there is used, and every defaulted parameter of a
+function there is set by some caller.
 
 The roots are the names that the console script, scripts/, perfbench/
 (whose tracer resolves its targets with getattr, so its strings count)
@@ -10,11 +11,14 @@ names it.  A parameter with a default is set when a call in src or in
 the root files passes it, by position or keyword, other than a call
 that only passes on a parameter of the caller that is itself never
 set.  Names are matched by identifier, so a name defined in two modules
-is reached, and its parameters are set, in both.
+is reached, and its parameters are set, in both.  A class member is
+used when its name is a root or when src code outside its own body
+reads it.
 """
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,6 +105,47 @@ def test_every_definition_in_src_is_reached():
     unreached = sorted("%s.%s" % key for key in defs
                        if key not in reached and not key[1].startswith("__"))
     assert not unreached, "reached by no root: " + ", ".join(unreached)
+
+
+def _reads(tree):
+    """How often code in tree reads each identifier, as a name or an
+    attribute; assignments to it are not reads."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+
+
+def _class_members():
+    """(module.class.name, name, reads of name in its own body) for every
+    method and class-level assignment of a class in src/nilcube.  The
+    annotated fields of a dataclass are the data its constructor sets,
+    not members here."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name in names:
+                    out.append(("%s.%s.%s" % (path.stem, cls.name, name), name,
+                                _reads(node)[name]))
+    return out
+
+
+def test_every_class_member_in_src_is_used():
+    reads = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        reads += _reads(ast.parse(path.read_text()))
+    roots = _roots()
+    unused = sorted(member for member, name, own in _class_members()
+                    if not name.startswith("__") and name not in roots and reads[name] == own)
+    assert not unused, "used by no code: " + ", ".join(unused)
 
 
 def test_api_names_are_defined_and_named_by_their_document():
