@@ -7,7 +7,8 @@ Exit codes: 0 success, 1 mathematical failure (witness in the report),
 2 malformed problem specification.
 
 n_max (the spec field, else --n-max, default 3) lies in 1..N_MAX_CAP;
-check and extend report the exact axiom scan of cubespace.check_axioms.
+check and extend report the exact axiom scan of cubespace.check_axioms,
+whose completion counts are read from the cube sets it builds.
 One size rule refuses a group, explicit space or model extension M(rho)
 of more than CUBE_CAP points (its 0-cubes), a maximal_degree_k
 filtration of more than CUBE_CAP stored levels (k + 1), a question whose
@@ -32,6 +33,7 @@ Object schemas (all cube values in colex vertex order):
               {"type": "heisenberg", "modulus": m}
               {"type": "table", "table": [[..]]}
               {"type": "quotient", "group": {..}, "normal": [elements]}
+              ("normal" not a normal subgroup: exit 2 at /group/normal)
   filtration: {"type": "lcs"} | {"type": "maximal_degree_k", "k": k}
               | {"type": "explicit", "chain": [[elements], ..]}
   cubespace:  {"source": "group", "group": {..}, "filtration": {..}}

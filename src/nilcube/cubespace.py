@@ -23,8 +23,8 @@ is closure of the cube sets under generators (`composition_violation`).
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import itemgetter
@@ -543,9 +543,9 @@ def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, 
     """Full nilspace axiom scan up to dimension n_max, exact: composition
     by composition_violation on Cu^0..Cu^n_max, never sampled.  An n_max
     with more morphisms m -> n (m, n <= n_max) than composition_budget is
-    a ValueError; seed is ignored.  Completion enumerates corners by
-    pruned depth-first search and scans candidate closures; the inferred
-    step is the smallest k with unique closing at dimension k+1.
+    a ValueError; seed is ignored.  Corners come from the pruned scan,
+    their completions from the n-cubes built for composition; the
+    inferred step is the smallest k with unique closing at dimension k+1.
     """
     if sum((2 + 2 * m) ** n for m in range(n_max + 1) for n in range(n_max + 1)) > composition_budget:
         raise ValueError("n_max = %d: the morphisms alone pass the composition budget" % n_max)
@@ -556,7 +556,8 @@ def check_axioms(X: Cubespace, n_max: int, composition_budget: int = 2_000_000, 
     completion: Dict[int, CompletionLevel] = {}
     for n in range(1, n_max + 1):
         corners = X.corners(n)
-        counts = [len(X.completions(n, c)) for c in corners]
+        closings = Counter(q[:-1] for q in X.cubes(n))
+        counts = [closings[c] for c in corners]
         witness = next((c for c, k in zip(corners, counts) if not k), None)
         completion[n] = CompletionLevel(len(corners), witness is None,
                                         all(k == 1 for k in counts), witness)
@@ -664,40 +665,30 @@ def simplicial_extend(X: Cubespace, S: int, pattern: Iterable[tuple], f: Dict[tu
 
     `pattern` lists the vertices of the pattern; `f` assigns points to
     exactly those vertices.  The result restricted to the pattern is f.
+    Vertices are held by colex index, whose set bits are the support.
     """
     pattern = set(tuple(v) for v in pattern)
     if set(f) != pattern:
         raise ValueError("assignment domain must equal the pattern")
-    supports = {frozenset(i for i, b in enumerate(v) if b) for v in pattern}
-    # downward closure check
-    for h in supports:
-        for i in h:
-            if h - {i} not in supports:
-                raise ValueError("pattern is not support-closed")
-    values = dict(f)
-    have = set(supports)
-    all_supports = [frozenset(c) for r in range(S + 1) for c in itertools.combinations(range(S), r)]
-    for h in sorted(all_supports, key=lambda h: (len(h), sorted(h))):
-        if h in have:
+
+    def support(w):
+        return [i for i in range(S) if w >> i & 1]
+
+    values = {cb.vertex_index(v): x for v, x in f.items()}
+    if any(w & ~(1 << i) not in values for w in values for i in support(w)):
+        raise ValueError("pattern is not support-closed")
+    for w in sorted(range(1 << S), key=lambda w: (w.bit_count(), support(w))):
+        if w in values:
             continue
-        # h is minimal missing: all proper subsets are present
-        coords = sorted(h)
-        m = len(coords)
-        corner = []
-        for j in range((1 << m) - 1):
-            v = [0] * S
-            for t, cidx in enumerate(coords):
-                v[cidx] = (j >> t) & 1
-            corner.append(values[tuple(v)])
-        sols = X.completions(m, corner)
+        # w is minimal missing: every vertex below it has a value
+        coords = support(w)
+        corner = [values[sum((j >> t & 1) << c for t, c in enumerate(coords))]
+                  for j in range((1 << len(coords)) - 1)]
+        sols = X.completions(len(coords), corner)
         if not sols:
-            raise ValueError("pattern does not extend: no completion at support %s" % sorted(h))
-        top = [0] * S
-        for cidx in coords:
-            top[cidx] = 1
-        values[tuple(top)] = min(sols)
-        have.add(h)
-    return values
+            raise ValueError("pattern does not extend: no completion at support %s" % coords)
+        values[w] = min(sols)
+    return {cb.bits_of(w, S): x for w, x in values.items()}
 
 
 def is_tricube_morphism(X: Cubespace, t: Dict[tuple, int], n: int) -> bool:

@@ -417,30 +417,6 @@ def left_cosets(G: FiniteGroup, S: frozenset):
     return reps, index
 
 
-class QuotientGroup(FiniteGroup):
-    def __init__(self, G: FiniteGroup, N: frozenset):
-        if not is_normal(G, N):
-            raise ValueError("subgroup is not normal")
-        self.base = G
-        self.N = N
-        self.reps, self._index = left_cosets(G, N)
-        self.order = len(self.reps)
-
-    def project(self, g: int) -> int:
-        return self._index[g]
-
-    def op(self, a, b):
-        return self._index[self.base.op(self.reps[a], self.reps[b])]
-
-    def inv(self, a):
-        return self._index[self.base.inv(self.reps[a])]
-
-
-def quotient(G: FiniteGroup, N: frozenset):
-    Q = QuotientGroup(G, N)
-    return Q, Q.project
-
-
 class CosetSpace:
     """Left cosets g*Gamma of a subgroup with the left G-action; points
     indexed by sorted minimal representatives, identity coset first."""
@@ -456,6 +432,31 @@ class CosetSpace:
 
     def act(self, g: int, coset_idx: int) -> int:
         return self._index[self.group.op(g, self.reps[coset_idx])]
+
+
+class QuotientGroup(CosetSpace, FiniteGroup):
+    """G/N for a normal subgroup N: the coset space of N with the induced
+    law aN * bN = (ab)N, a acting on the coset bN.  N without 0 or not
+    closed under the law is refused before normality is checked."""
+
+    def __init__(self, G: FiniteGroup, N: frozenset):
+        if 0 not in N or any(G.op(a, b) not in N for a in N for b in N):
+            raise ValueError("the normal set is not a subgroup")
+        if not is_normal(G, N):
+            raise ValueError("subgroup is not normal")
+        super().__init__(G, N)
+        self.order = self.size
+
+    def op(self, a, b):
+        return self.act(self.reps[a], b)
+
+    def inv(self, a):
+        return self.project(self.group.inv(self.reps[a]))
+
+
+def quotient(G: FiniteGroup, N: frozenset):
+    Q = QuotientGroup(G, N)
+    return Q, Q.project
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +612,14 @@ def smith_normal_form(M, companion):
 
 
 def _solve_mod(e: int, b: int, d: int):
-    """Solutions x of e*x = b (mod d), as (particular, modulus-of-kernel)
-    or None."""
+    """A solution x of e*x = b (mod d), or None."""
     g = gcd(e % d, d)
     if b % g != 0:
         return None
     if g == d:
-        return 0, 1  # e = 0 mod d, b = 0 mod d: anything works, kernel is all
+        return 0  # e = 0 mod d, b = 0 mod d: anything works
     ee, bb, dd = (e % d) // g, (b // g) % (d // g), d // g
-    x = (bb * pow(ee, -1, dd)) % dd
-    return x, dd
+    return (bb * pow(ee, -1, dd)) % dd
 
 
 def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equations):
@@ -648,11 +647,10 @@ def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equati
         for i in range(len(uc)):
             e = D[i][i] if i < min(len(D), r) else 0
             if i < r:
-                res = _solve_mod(e, uc[i], d)
-                if res is None:
+                y[i] = _solve_mod(e, uc[i], d)
+                if y[i] is None:
                     ok = False
                     break
-                y[i] = res[0]
             elif uc[i] % d != 0:
                 # equation row with no remaining unknown: 0 = const
                 ok = False

@@ -38,19 +38,12 @@ def sim_classes(X: Cubespace, k: int) -> List[List[int]]:
     return partition(X.size, pairs)
 
 
-class FactorCubespace(ImageCubespace):
-    """The canonical k-step factor: points are level-k classes, cubes the
-    projections of the cubes upstairs."""
-
-    def __init__(self, X: Cubespace, k: int):
-        self.k = k
-        self.classes = sim_classes(X, k)
-        class_of = {x: i for i, cls in enumerate(self.classes) for x in cls}
-        super().__init__(X, class_of.__getitem__, len(self.classes), step=k)
-
-
-def factor(X: Cubespace, k: int) -> FactorCubespace:
-    return FactorCubespace(X, k)
+def factor(X: Cubespace, k: int) -> ImageCubespace:
+    """The canonical k-step factor: the image of X under the class map
+    of the level-k relation, so its fibres are sim_classes(X, k)."""
+    classes = sim_classes(X, k)
+    class_of = {x: i for i, cls in enumerate(classes) for x in cls}
+    return ImageCubespace(X, class_of.__getitem__, len(classes), step=k)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +72,6 @@ class StructureGroup:
     ergodic cubespace."""
 
     k: int
-    base_point: int
     fibre: List[int]  # points of the base fibre, group elements in order
     group: TableGroup  # addition table on the fibre (identity = base point)
     invariants: Tuple[int, ...]
@@ -124,7 +116,7 @@ def structure_group(X: Cubespace, k: int) -> StructureGroup:
     group = TableGroup(table)
     if not group.is_abelian():
         raise ValueError("structure candidate is not abelian")
-    return StructureGroup(k, b, fibre, group, abelian_invariants(group), action)
+    return StructureGroup(k, fibre, group, abelian_invariants(group), action)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +147,7 @@ class ExtensionData:
 @dataclass
 class Decomposition:
     step: int
-    factors: List[FactorCubespace]
+    factors: List[ImageCubespace]
     groups: List[StructureGroup]
     levels: List[BundleLevel]
     extensions: List[ExtensionData]  # extensions[i-1]: X_i -> X_{i-1}

@@ -13,11 +13,10 @@ from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from . import cubes as cb
-from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
+from .cubespace import ArrowCubespace, Cubespace, ImageCubespace, RestrictedCubespace, partition
 from .groups import Filtration, TableGroup, validate_filtration
 from .structure import (
     ExtensionData,
-    FactorCubespace,
     analyze_morphism,
     factor,
     related_k,
@@ -299,10 +298,10 @@ class TranslationBundle:
 
     X: Cubespace
     i: int
-    base: FactorCubespace  # X_{k-1}
+    base: ImageCubespace  # X_{k-1}
     abar: tuple
     T: RestrictedCubespace
-    Tstar: FactorCubespace
+    Tstar: ImageCubespace
     gamma: List[int]  # Tstar class -> base point
     extension_report: Optional[tuple]  # None when the extension validates
 
@@ -329,7 +328,7 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
     T = RestrictedCubespace(A, pts)
     Tstar = factor(T, k - 1)
     gamma = []
-    for cls in Tstar.classes:
+    for cls in Tstar.fibres:
         firsts = {base.project(A.decode(T.points[p])[0]) for p in cls}
         if len(firsts) != 1:
             raise ValueError("first-coordinate projection is not constant on classes")
@@ -345,22 +344,19 @@ def _validate_bundle_extension(X, base, A, T, Tstar, gamma, degree, n_max):
     structure group of X acting through the second coordinate."""
     k = X.step
     sg = structure_group(factor(X, k), k)
-    pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.classes) for p in cls}
+    pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
+
+    def moved(a, p):
+        x0, x1 = A.decode(T.points[p])
+        return pair_class[A.encode(x0, sg.act(a, x1))]
 
     def act(a, c):
-        p = T.points[Tstar.classes[c][0]]
-        x0, x1 = A.decode(p)
-        moved = A.encode(x0, sg.act(a, x1))
-        return pair_class[moved]
+        return moved(a, Tstar.fibres[c][0])
 
     # well-definedness across class representatives
-    for c, cls in enumerate(Tstar.classes):
+    for c, cls in enumerate(Tstar.fibres):
         for a in range(len(sg.fibre)):
-            images = {act(a, c)}
-            for p in cls:
-                x0, x1 = A.decode(T.points[p])
-                images.add(pair_class[A.encode(x0, sg.act(a, x1))])
-            if len(images) != 1:
+            if len({moved(a, p) for p in cls}) != 1:
                 return ("action-not-well-defined", c, a)
     return verify_degree_k_bundle(ExtensionData(Tstar, base, gamma, sg.group, degree, act), n_max)
 
@@ -396,7 +392,7 @@ def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1, n_max: i
         beta = [-1] * X.size
         good = True
         for x in range(X.size):
-            cls = Tstar.classes[choice[base.project(x)]]
+            cls = Tstar.fibres[choice[base.project(x)]]
             partners = {
                 A.decode(tb.T.points[p])[1]
                 for p in cls

@@ -9,10 +9,12 @@ every dimension, the translation search
 that certifies every bijection it reaches, the upper-face
 factorization and its multiply-out by filtering every vertex pair,
 corner completion face by face, the structure group from local
-translations with its action found by scanning every point, and
-invariant factors from p-torsion counts.
+translations with its action found by scanning every point, invariant
+factors from p-torsion counts, and simplicial extension over supports
+held as sets.
 """
 
+import itertools
 from typing import Sequence
 
 from nilcube import cubes
@@ -266,7 +268,7 @@ def structure_group_by_local_translations(X, k: int) -> StructureGroup:
                                  % (ya, x, len(zs)))
             row.append(zs[0])
         action.append(row)
-    return StructureGroup(k, b, fibre, group, abelian_invariants_by_torsion(group), action)
+    return StructureGroup(k, fibre, group, abelian_invariants_by_torsion(group), action)
 
 
 def _prime_factors(n: int):
@@ -321,3 +323,41 @@ def abelian_invariants_by_torsion(G: FiniteGroup):
         invariants.append(d)
     invariants.reverse()  # smallest first, divisibility chain
     return tuple(invariants)
+
+
+def simplicial_extend_by_supports(X, S: int, pattern, f: dict):
+    """Reference for cubespace.simplicial_extend: the supports of the
+    vertices as frozensets, every subset of range(S) listed by
+    itertools.combinations and filled in order of size, then of its
+    sorted coordinates."""
+    pattern = set(tuple(v) for v in pattern)
+    if set(f) != pattern:
+        raise ValueError("assignment domain must equal the pattern")
+    supports = {frozenset(i for i, b in enumerate(v) if b) for v in pattern}
+    for h in supports:
+        for i in h:
+            if h - {i} not in supports:
+                raise ValueError("pattern is not support-closed")
+    values = dict(f)
+    have = set(supports)
+    all_supports = [frozenset(c) for r in range(S + 1) for c in itertools.combinations(range(S), r)]
+    for h in sorted(all_supports, key=lambda h: (len(h), sorted(h))):
+        if h in have:
+            continue
+        coords = sorted(h)
+        m = len(coords)
+        corner = []
+        for j in range((1 << m) - 1):
+            v = [0] * S
+            for t, cidx in enumerate(coords):
+                v[cidx] = (j >> t) & 1
+            corner.append(values[tuple(v)])
+        sols = X.completions(m, corner)
+        if not sols:
+            raise ValueError("pattern does not extend: no completion at support %s" % sorted(h))
+        top = [0] * S
+        for cidx in coords:
+            top[cidx] = 1
+        values[tuple(top)] = min(sols)
+        have.add(h)
+    return values

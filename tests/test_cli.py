@@ -32,6 +32,8 @@ Z2D2 = {
 }
 Z2 = {"type": "cyclic_product", "moduli": [2]}
 D1 = {"type": "maximal_degree_k", "k": 1}
+# H2 / <(0,0,1)>, the Klein four-group: cosets numbered by least elements
+H2_MOD_CENTRE = {"type": "quotient", "group": HEIS, "normal": [0, 4]}
 
 
 def run_main(tmp_path, spec, *args):
@@ -561,6 +563,13 @@ def test_coset_source():
     assert out["axioms"]["is_nilspace"]
 
 
+def test_quotient_source():
+    # 0 + 3 = 1 + 2 in (Z/2)^2: the square is a parallelogram
+    spec = next(s for s in FUZZ_BASES if s.get("group") == H2_MOD_CENTRE)
+    assert cli.run(spec) == {"kind": "factorize", "n_max": 3, "is_cube": True,
+                             "coefficients": [0, 1, 2, 0]}
+
+
 def test_arrow_source_fails_ergodicity(tmp_path, capsys):
     spec = {"kind": "check", "cubespace": {"source": "arrow", "base": Z2D1, "k": 1},
             "n_max": 2}
@@ -704,7 +713,14 @@ def test_out_of_range_element_is_a_spec_error(tmp_path, capsys, spec, pointer):
     ({"type": "heisenberg", "modulus": 1}, {"type": "lcs"}, "/group/modulus"),
     ({"type": "table", "table": [[0, 1], [1, 1]]}, {"type": "lcs"}, "/group/table"),
     (HEIS, {"type": "maximal_degree_k", "k": 1}, "/filtration"),
-], ids=["heisenberg-modulus-1", "table-not-a-group", "maximal-degree-k-non-abelian"])
+    (dict(H2_MOD_CENTRE, normal=[1]), {"type": "lcs"}, "/group/normal"),
+    (dict(H2_MOD_CENTRE, normal=[0, 1]), {"type": "lcs"}, "/group/normal"),
+    (dict(H2_MOD_CENTRE, normal=[4, 4]), {"type": "lcs"}, "/group/normal"),
+    ({"type": "quotient", "group": {"type": "cyclic_product", "moduli": [4]}, "normal": [0, 1]},
+     {"type": "lcs"}, "/group/normal"),
+], ids=["heisenberg-modulus-1", "table-not-a-group", "maximal-degree-k-non-abelian",
+        "quotient-by-a-set-without-0", "quotient-by-a-subgroup-not-normal",
+        "quotient-by-a-repeated-element-not-0", "quotient-by-a-set-not-closed"])
 def test_unbuildable_group_or_filtration_is_a_spec_error(tmp_path, capsys, group, filtration,
                                                          pointer):
     spec = {"kind": "factorize", "group": group, "filtration": filtration,
@@ -846,7 +862,9 @@ def _fuzz_bases():
          for space in (H2_SPACE, Z2D2, dict(H2_SPACE, source="coset", gamma=[1]))
          for kind in ("check", "decompose", "translations", "export")
     ] + [{"kind": kind, "n_max": 2, "cubespace": EXTENSION_SPACE}
-         for kind in ("check", "decompose", "export")]
+         for kind in ("check", "decompose", "export")
+    ] + [{"kind": "factorize", "group": H2_MOD_CENTRE, "filtration": {"type": "lcs"},
+          "cube": {"n": 2, "values": [0, 1, 2, 3]}}]
 
 
 FUZZ_BASES = _fuzz_bases()
@@ -906,9 +924,7 @@ def test_decompose_with_few_point_pairs_reports_the_reason():
 
 # Point-cap sweep specs left out because they still take seconds, each
 # with the open ROADMAP item that mends it: (kind, n_max, reason).
-POINT_CAP_SLOW = (
-    ("check", 1, "ROADMAP item 3"),  # corners x points are not counted
-)
+POINT_CAP_SLOW = ()
 
 
 def _sizes_just_under_the_point_cap(obj):

@@ -373,6 +373,43 @@ def test_simplicial_extension_rejects_non_closed_pattern(d1z2):
         simplicial_extend(d1z2, 2, [(1, 1)], {(1, 1): 0})
 
 
+def _random_pattern(rng, S):
+    """Vertices of {0,1}^S: the vertices below a few random ones, with one
+    more vertex (perhaps breaking support-closure) now and then."""
+    tops = rng.sample(range(1 << S), rng.randint(0, min(3, 1 << S)))
+    ws = {w for w in range(1 << S) if any(w & t == w for t in tops)}
+    if rng.random() < 0.2:
+        ws.add(rng.randrange(1 << S))
+    return [cb.bits_of(w, S) for w in sorted(ws)]
+
+
+def test_simplicial_extension_matches_the_support_set_oracle(heis2_space):
+    # random values on the pattern: many extend, some lack a completion,
+    # some patterns are not support-closed or differ from f's domain
+    rng = random.Random(2024)
+    spaces = [(abelian_Dk(gr.CyclicProduct((m,)), k), 4) for m, k in ((2, 1), (2, 2), (3, 1))]
+    spaces.append((heis2_space, 3))
+    outcomes = {"extends": 0, "raises": 0}
+    for X, max_S in spaces:
+        for _ in range(300):
+            S = rng.randint(0, max_S)
+            pattern = _random_pattern(rng, S)
+            f = {v: rng.randrange(X.size) for v in pattern}
+            if pattern and rng.random() < 0.05:
+                del f[pattern[-1]]
+            try:
+                want = oracles.simplicial_extend_by_supports(X, S, pattern, f)
+            except ValueError as e:
+                with pytest.raises(ValueError) as got:
+                    simplicial_extend(X, S, pattern, f)
+                assert str(got.value) == str(e)
+                outcomes["raises"] += 1
+            else:
+                assert list(simplicial_extend(X, S, pattern, f).items()) == list(want.items())
+                outcomes["extends"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
 def test_concatenation(d1z3):
     cubes = sorted(d1z3.cubes(2))
     rng = random.Random(7)

@@ -164,6 +164,7 @@ def test_structure_groups_are_the_filtration_quotients(space):
     gamma = X.cosets.Gamma if isinstance(X, CosetCubespace) else frozenset({0})
     assert filt.subgroup(0) == filt.subgroup(1)
     dec = stc.decompose(X, n_max=1)
+    assert [F.fibres for F in dec.factors] == [stc.sim_classes(X, i) for i in range(dec.step + 1)]
     for i, (sg, level) in enumerate(zip(dec.groups, dec.levels), start=1):
         Gi = filt.subgroup(i)
         normal = gr.subgroup_closure(G, filt.subgroup(i + 1) | (gamma & Gi))
@@ -201,7 +202,7 @@ def test_decompose_coset_space(coset_space):
 def test_bundle_verification_rejects_doctored_action(d2z2):
     sg = stc.structure_group(d2z2, 2)
     bad = stc.StructureGroup(
-        sg.k, sg.base_point, sg.fibre, sg.group, sg.invariants,
+        sg.k, sg.fibre, sg.group, sg.invariants,
         [[0, 1], [0, 1]],  # the non-identity element acts trivially
     )
     base = stc.factor(d2z2, 1)

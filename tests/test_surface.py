@@ -1,7 +1,7 @@
 """The library surface: every top-level definition in src/nilcube is
-reached from outside its own unit tests, every method and class-level
-assignment of a class there is used, and every defaulted parameter of a
-function there is set by some caller.
+reached from outside its own unit tests, every method, class-level
+assignment and annotated field of a class there is used, and every
+defaulted parameter of a function there is set by some caller.
 
 The roots are the names that the console script, scripts/, perfbench/
 (whose tracer resolves its targets with getattr, so its strings count)
@@ -117,9 +117,8 @@ def _reads(tree):
 
 def _class_members():
     """(module.class.name, name, reads of name in its own body) for every
-    method and class-level assignment of a class in src/nilcube.  The
-    annotated fields of a dataclass are the data its constructor sets,
-    not members here."""
+    method, class-level assignment and annotated field of a class in
+    src/nilcube."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for cls in ast.walk(ast.parse(path.read_text())):
@@ -130,6 +129,8 @@ def _class_members():
                     names = [node.name]
                 elif isinstance(node, ast.Assign):
                     names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    names = [node.target.id]
                 else:
                     continue
                 for name in names:
