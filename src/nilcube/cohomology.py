@@ -8,7 +8,9 @@ cube sets fibre by fibre.
 
 An extension is a `structure.ExtensionData`; whether it is a degree-k
 bundle is decided by `structure.verify_degree_k_bundle`, the check that
-`structure.decompose` runs on every level of a nilspace.
+`structure.decompose` runs on every level of a nilspace, and whether it
+has a cube-preserving section by one linear system
+(`morphism_section`).
 
 A cocycle of degree d takes values in a finite abelian group and is
 stored as a table on the enumerated (d+1)-cubes (full value tuples in
@@ -315,6 +317,19 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     bad = validate_cocycle(rho)
     assert bad is None, bad
     return rho
+
+
+def morphism_section(ext: ExtensionData):
+    """A section of ext.pi that is a cube morphism X -> Y, or None when
+    there is none.  One exists exactly when the cocycle of any cross
+    section s is a coboundary (Antolin Camarena & Szegedy); for s the
+    first point of each fibre and rho_s the coboundary of f, s moved by
+    -f is one."""
+    s = [ext.pi.index(x) for x in range(ext.X.size)]
+    f = is_coboundary(cross_section_cocycle(ext, s))
+    if f is None:
+        return None
+    return [ext.act(ext.A.inv(fx), y) for fx, y in zip(f, s)]
 
 
 # ---------------------------------------------------------------------------

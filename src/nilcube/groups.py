@@ -477,14 +477,18 @@ class FiniteAbelianGroup(CyclicProduct):
         self.order = prod(invs)
 
 
-def abelian_invariants(G: FiniteGroup):
-    """Invariant factors of a finite abelian group: the Smith diagonal,
-    without its 1s, of the relations among its generators g_1, ..., g_r.
-    The row of g_j is e_j x_j - sum_i c_i x_i = 0, with e_j the least
-    e > 0 that puts e g_j in the span of the earlier generators, where
-    it is sum_i c_i g_i.  These rows generate every relation: the last
+def abelian_coordinates(G: FiniteGroup):
+    """(A, coords): the invariant-factor form A of a finite abelian group
+    and the isomorphism G -> A as the list coords, coords[g] the index
+    in A of g.  A is the Smith diagonal, without its 1s, of the
+    relations among the generators g_1, ..., g_r of G.  The row of g_j
+    is e_j x_j - sum_i c_i x_i = 0, with e_j the least e > 0 that puts
+    e g_j in the span of the earlier generators, where it is
+    sum_i c_i g_i.  These rows generate every relation: the last
     nonzero coefficient of a relation, at x_j, is a multiple of e_j, so
-    subtracting a multiple of row j shortens it."""
+    subtracting a multiple of row j shortens it.  With U M V = D the
+    element sum_i c_i g_i has coordinates (c V)_i mod d_i, since V
+    carries the relation rows onto the rows of D."""
     if not G.is_abelian():
         raise ValueError("group is not abelian")
     gens = G.generators()
@@ -502,8 +506,18 @@ def abelian_invariants(G: FiniteGroup):
                 y = G.op(y, g)
                 layer[y] = cs[:j] + (t,) + cs[j + 1:]
         span = layer
-    _, D, _ = smith_normal_form(rows, [()] * r)
-    return tuple(D[i][i] for i in range(r) if D[i][i] != 1)
+    _, D, V = smith_normal_form(rows, [()] * r)
+    kept = [i for i in range(r) if D[i][i] != 1]
+    A = FiniteAbelianGroup([D[i][i] for i in kept])
+    coords = [0] * G.order
+    for g, cs in span.items():
+        coords[g] = A.index_of([sum(c * row[i] for c, row in zip(cs, V)) for i in kept])
+    return A, coords
+
+
+def abelian_invariants(G: FiniteGroup):
+    """Invariant factors of a finite abelian group (abelian_coordinates)."""
+    return abelian_coordinates(G)[0].invariants
 
 
 def smith_normal_form(M, companion):

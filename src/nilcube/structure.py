@@ -1,19 +1,21 @@
 """Canonical factors and abelian-bundle structure of finite ergodic
 nilspaces: the one-flip relations, factor cubespaces, structure groups
 (the action by one-flip corner completions, its addition checked
-against a two-vertex corner), the degree-k bundle check (the one check
-for decomposition levels, model extensions and translation bundles),
-and cube-morphism checks.  A factor is a `cubespace.ImageCubespace`,
-whose `lift` finds a cube upstairs over a factor cube.
+against a two-vertex corner, the group a `groups.FiniteAbelianGroup`)
+and the degree-k bundle check (the one check for decomposition levels,
+model extensions and translation bundles).  A factor is a
+`cubespace.ImageCubespace`, whose `lift` finds a cube upstairs over a
+factor cube.  Whether an extension has a cube-preserving section is
+`cohomology.morphism_section`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .cubegroups import enumerate_cubes
-from .groups import FiniteGroup, TableGroup, abelian_invariants, maximal_degree_k_filtration
+from .groups import FiniteAbelianGroup, TableGroup, abelian_coordinates, maximal_degree_k_filtration
 from .cubespace import Cubespace, ImageCubespace, partition
 
 
@@ -72,10 +74,9 @@ class StructureGroup:
     ergodic cubespace."""
 
     k: int
-    fibre: List[int]  # points of the base fibre, group elements in order
-    group: TableGroup  # addition table on the fibre (identity = base point)
-    invariants: Tuple[int, ...]
-    action: List[List[int]]  # action[a][x] moves x by the a-th element
+    fibre: List[int]  # fibre[a]: the point that element a moves the base point to
+    group: FiniteAbelianGroup  # element 0 is the base point
+    action: List[List[int]]  # action[a][x] moves x by the element a
 
     def act(self, a: int, x: int) -> int:
         return self.action[a][x]
@@ -91,7 +92,8 @@ def structure_group(X: Cubespace, k: int) -> StructureGroup:
     on the upper face; addition y1 + y2 is y2 moving y1.  Addition is
     recomputed by a second route (a corner that is b everywhere except
     y1 and y2 at two weight-k vertices, whose unique completion is the
-    sum) and the two must agree.
+    sum) and the two must agree.  The group is returned in
+    invariant-factor form, the fibre and the action reindexed by it.
     """
     b = 0
     fibre = [y for y in range(X.size) if related_k(X, k - 1, b, y)]
@@ -113,10 +115,9 @@ def structure_group(X: Cubespace, k: int) -> StructureGroup:
             if index_in_fibre.get(s) != table[i][j]:
                 raise ValueError("the two addition constructions disagree")
 
-    group = TableGroup(table)
-    if not group.is_abelian():
-        raise ValueError("structure candidate is not abelian")
-    return StructureGroup(k, fibre, group, abelian_invariants(group), action)
+    A, coords = abelian_coordinates(TableGroup(table))
+    at = sorted(range(len(fibre)), key=coords.__getitem__)  # fibre position of each element
+    return StructureGroup(k, [fibre[j] for j in at], A, [action[j] for j in at])
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +140,7 @@ class ExtensionData:
     Y: Cubespace
     X: Cubespace
     pi: List[int]  # Y point -> X point
-    A: FiniteGroup  # abelian
+    A: FiniteAbelianGroup
     k: int
     act: Callable[[int, int], int]  # (a, y) -> y shifted by a
 
@@ -212,21 +213,6 @@ def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
         if bad is not None:
             raise ValueError("level %d is not a degree-%d bundle: %r" % (i, i, bad))
         groups.append(sg)
-        levels.append(BundleLevel(i, sg.invariants, len(sg.fibre), tuple(range(1, n_max + 1))))
+        levels.append(BundleLevel(i, sg.group.invariants, len(sg.fibre), tuple(range(1, n_max + 1))))
         extensions.append(ext)
     return Decomposition(k, factors, groups, levels, extensions)
-
-
-# ---------------------------------------------------------------------------
-# morphisms
-
-
-def analyze_morphism(f: Sequence[int], X: Cubespace, Y: Cubespace, n_max: int):
-    """Check that f maps every cube of X to a cube of Y up to dimension
-    n_max; returns (True, None) or (False, witness_cube)."""
-    for n in range(n_max + 1):
-        for q in X.cubes(n):
-            img = tuple(f[x] for x in q)
-            if not Y.membership(n, img):
-                return (False, q)
-    return (True, None)

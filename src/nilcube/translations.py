@@ -1,11 +1,12 @@
 """Translations of a finite cubespace: height-i translation detection,
 the groups Tran_i(X) and their filtration, the bundle of translation
-pairs T and its factor T*, and the section-search lifting criterion.
+pairs T and its factor T*, and lifting a translation of the top factor
+by one linear system: it lifts exactly when T* -> X_{k-1} has a
+cube-preserving section, which `cohomology.morphism_section` decides.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -13,11 +14,11 @@ from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from . import cubes as cb
-from .cubespace import ArrowCubespace, Cubespace, ImageCubespace, RestrictedCubespace, partition
+from .cohomology import morphism_section
+from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
 from .groups import Filtration, TableGroup, validate_filtration
 from .structure import (
     ExtensionData,
-    analyze_morphism,
     factor,
     related_k,
     structure_group,
@@ -212,9 +213,9 @@ def generated_translation_group(X: Cubespace, i: int, seeds: Sequence[Sequence[i
     """The group generated by a seed set of certified height-i
     translations: their closure under composition, which holds the
     inverses, since a bijection of a finite set has one of its powers as
-    inverse.  Only its test calls it so far: the first step of ROADMAP
-    item 5 (translation towers) keeps this closure incrementally and
-    skips the certificate of a candidate already inside it."""
+    inverse.  Only its test calls it so far: step 2 of ROADMAP item 5
+    (translation towers) keeps this closure incrementally and skips the
+    certificate of a candidate already inside it."""
     ident = tuple(range(X.size))
     for s in seeds:
         if not is_translation(X, s, i):
@@ -291,19 +292,18 @@ def translation_action_transitive(tower: TranslationTower) -> bool:
 @dataclass
 class TranslationBundle:
     """For a k-step space X and a height-i translation abar of the
-    (k-1)-factor: T is the subspace of X |><|_i X of pairs (x0, x1) with
-    pi(x1) = abar(pi(x0)); Tstar its (k-1)-factor; gamma the projection
-    Tstar -> X_{k-1} through the first coordinate.  Tstar is a
-    degree-(k-i) extension of the factor with the top structure group."""
+    (k-1)-factor X_{k-1}: T is the subspace of X |><|_i X of pairs
+    (x0, x1) with pi(x1) = abar(pi(x0)).  extension is its (k-1)-factor
+    Tstar as a degree-(k-i) extension of X_{k-1}: it projects through
+    the first coordinate, and the top structure group of X acts through
+    the second."""
 
     X: Cubespace
     i: int
-    base: ImageCubespace  # X_{k-1}
     abar: tuple
     T: RestrictedCubespace
-    Tstar: ImageCubespace
-    gamma: List[int]  # Tstar class -> base point
-    extension_report: Optional[tuple]  # None when the extension validates
+    extension: ExtensionData  # Tstar -> X_{k-1}, both ImageCubespaces
+    extension_report: Optional[tuple]  # None when it validates (only the action if not validate)
 
 
 def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
@@ -333,16 +333,6 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
         if len(firsts) != 1:
             raise ValueError("first-coordinate projection is not constant on classes")
         gamma.append(firsts.pop())
-    report = None
-    if validate:
-        report = _validate_bundle_extension(X, base, A, T, Tstar, gamma, k - i, BUNDLE_N_MAX)
-    return TranslationBundle(X, i, base, tuple(abar), T, Tstar, gamma, report)
-
-
-def _validate_bundle_extension(X, base, A, T, Tstar, gamma, degree, n_max):
-    """Check Tstar -> base is a degree-(k-i) extension with the top
-    structure group of X acting through the second coordinate."""
-    k = X.step
     sg = structure_group(factor(X, k), k)
     pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
 
@@ -350,15 +340,21 @@ def _validate_bundle_extension(X, base, A, T, Tstar, gamma, degree, n_max):
         x0, x1 = A.decode(T.points[p])
         return pair_class[A.encode(x0, sg.act(a, x1))]
 
-    def act(a, c):
-        return moved(a, Tstar.fibres[c][0])
+    ext = ExtensionData(Tstar, base, gamma, sg.group, k - i,
+                        lambda a, c: moved(a, Tstar.fibres[c][0]))
+    return TranslationBundle(X, i, tuple(abar), T, ext, _validate_bundle_extension(ext, moved, validate))
 
-    # well-definedness across class representatives
-    for c, cls in enumerate(Tstar.fibres):
-        for a in range(len(sg.fibre)):
+
+def _validate_bundle_extension(ext: ExtensionData, moved, full: bool):
+    """None, or why Tstar -> X_{k-1} is not a degree-(k-i) bundle.  The
+    action moved(a, p) of a on a pair p of T must not depend on the
+    representative p of its Tstar class; only when full are the cube
+    axioms of the bundle checked too."""
+    for c, cls in enumerate(ext.Y.fibres):
+        for a in ext.A.elements():
             if len({moved(a, p) for p in cls}) != 1:
                 return ("action-not-well-defined", c, a)
-    return verify_degree_k_bundle(ExtensionData(Tstar, base, gamma, sg.group, degree, act), n_max)
+    return verify_degree_k_bundle(ext, BUNDLE_N_MAX) if full else None
 
 
 @dataclass
@@ -366,47 +362,34 @@ class LiftResult:
     found: bool
     section: Optional[List[int]]  # base point -> Tstar class
     beta: Optional[tuple]  # the lifted translation, if found
-    searched: int = 0  # sections examined (exhaustion certificate)
 
 
-def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1, n_max: int = 3) -> LiftResult:
-    """Search for a cube-preserving section m of gamma: Tstar -> X_{k-1};
-    from a section, beta(x) is the unique partner of x in the class
-    m(pi(x)).  A returned lift is certified as a height-i translation
-    covering abar.  When no section exists at this scale the search is
-    exhaustive and says so."""
+def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> LiftResult:
+    """Lift abar through the top factor: it lifts exactly when
+    Tstar -> X_{k-1} has a cube-preserving section m, which
+    cohomology.morphism_section finds or refutes by one linear system.
+    From m, beta(x) is the unique partner of x in the class m(pi(x)).
+    beta is certified as a height-i translation covering abar; a
+    section whose beta fails that raises a ValueError.  A "no lift"
+    answer is not certified: it assumes Tstar is a degree-(k-i) bundle,
+    as when X is a k-step nilspace, and checks only that the action on
+    Tstar is well defined (a ValueError if not)."""
     tb = translation_bundle(X, abar, i, validate=False)
-    base, Tstar, gamma = tb.base, tb.Tstar, tb.gamma
+    if tb.extension_report is not None:
+        raise ValueError("Tstar is not a bundle over the factor: %r" % (tb.extension_report,))
+    m = morphism_section(tb.extension)
+    if m is None:
+        return LiftResult(False, None, None)
+    base, Tstar = tb.extension.X, tb.extension.Y
     A = tb.T.X  # the ambient arrow space
-    fibres = [
-        [c for c in range(Tstar.size) if gamma[c] == x] for x in range(base.size)
-    ]
-    searched = 0
-    if any(not f for f in fibres):
-        return LiftResult(False, None, None, searched)
-    for choice in itertools.product(*fibres):
-        searched += 1
-        ok, _w = analyze_morphism(list(choice), base, Tstar, n_max)
-        if not ok:
-            continue
-        beta = [-1] * X.size
-        good = True
-        for x in range(X.size):
-            cls = Tstar.fibres[choice[base.project(x)]]
-            partners = {
-                A.decode(tb.T.points[p])[1]
-                for p in cls
-                if A.decode(tb.T.points[p])[0] == x
-            }
-            if len(partners) != 1:
-                good = False
-                break
-            beta[x] = partners.pop()
-        if not good or sorted(beta) != list(range(X.size)):
-            continue
-        if not is_translation(X, beta, i):
-            continue
-        if any(base.project(beta[x]) != abar[base.project(x)] for x in range(X.size)):
-            continue
-        return LiftResult(True, list(choice), tuple(beta), searched)
-    return LiftResult(False, None, None, searched)
+    beta = []
+    for x in range(X.size):
+        pairs = (A.decode(tb.T.points[p]) for p in Tstar.fibres[m[base.project(x)]])
+        partners = {x1 for x0, x1 in pairs if x0 == x}
+        if len(partners) != 1:
+            raise ValueError("the section has %d partners of point %d" % (len(partners), x))
+        beta.append(partners.pop())
+    if not is_translation(X, beta, i) or any(
+            base.project(beta[x]) != abar[base.project(x)] for x in range(X.size)):
+        raise ValueError("the section does not lift abar to a height-%d translation" % i)
+    return LiftResult(True, m, tuple(beta))

@@ -40,6 +40,18 @@ def d2z2():
 
 
 @pytest.fixture(scope="session")
+def model_extensions(d1z2):
+    """M(rho0) and M(rho1) over D_1(Z/2) for the two degree-2 cocycles in
+    Z/2, the zero one first: the first splits, the second does not."""
+    from nilcube import cohomology as coh
+    from nilcube.groups import FiniteAbelianGroup
+
+    rhos = coh.enumerate_cocycles(d1z2, 2, FiniteAbelianGroup((2,)))
+    assert [any(rho.table.values()) for rho in rhos] == [False, True]
+    return [coh.build_extension(rho) for rho in rhos]
+
+
+@pytest.fixture(scope="session")
 def heis2_tower(heis2_space):
     from nilcube.translations import translation_tower
 

@@ -5,8 +5,9 @@ defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
-every dimension, the translation search
-that certifies every bijection it reaches, the upper-face
+every dimension, the translation search that certifies every bijection
+it reaches, cube morphisms checked cube by cube, morphism sections and
+translation lifts by a search over every section, the upper-face
 factorization and its multiply-out by filtering every vertex pair,
 corner completion face by face, the structure group from local
 translations with its action found by scanning every point, invariant
@@ -22,7 +23,8 @@ from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_co
     _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
 from nilcube.groups import FiniteGroup, Filtration, TableGroup
 from nilcube.structure import StructureGroup, _one_flip_corner, related_k
-from nilcube.translations import _arrows_are_cubes, translation_certifier
+from nilcube.translations import LiftResult, _arrows_are_cubes, is_translation, \
+    translation_bundle, translation_certifier
 
 
 def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -268,7 +270,59 @@ def structure_group_by_local_translations(X, k: int) -> StructureGroup:
                                  % (ya, x, len(zs)))
             row.append(zs[0])
         action.append(row)
-    return StructureGroup(k, fibre, group, abelian_invariants_by_torsion(group), action)
+    return StructureGroup(k, fibre, group, action)
+
+
+def analyze_morphism(f: Sequence[int], X, Y, n_max: int):
+    """Whether f maps every cube of X to a cube of Y up to dimension
+    n_max: (True, None) or (False, the first cube whose image is not)."""
+    for n in range(n_max + 1):
+        for q in X.cubes(n):
+            if not Y.membership(n, tuple(f[x] for x in q)):
+                return (False, q)
+    return (True, None)
+
+
+def sections(ext):
+    """Every section of the projection ext.pi, in lexicographic order."""
+    fibres = [[y for y in range(ext.Y.size) if ext.pi[y] == x] for x in range(ext.X.size)]
+    return itertools.product(*fibres)
+
+
+def morphism_section_by_search(ext, n_max: int):
+    """Reference for cohomology.morphism_section: the first section that
+    analyze_morphism accepts up to dimension n_max, or None."""
+    return next((list(s) for s in sections(ext) if analyze_morphism(s, ext.X, ext.Y, n_max)[0]),
+                None)
+
+
+def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
+    """Reference for translations.try_lift_translation: (LiftResult, the
+    number of sections examined).  Each section of Tstar -> X_{k-1} that
+    analyze_morphism accepts up to dimension 3 gives a candidate beta,
+    beta(x) the unique partner of x in its class, and the first that is
+    a certified height-i translation covering abar is the lift; when
+    none is, every section has been examined."""
+    tb = translation_bundle(X, abar, i, validate=False)
+    base, Tstar = tb.extension.X, tb.extension.Y
+    A = tb.T.X  # the ambient arrow space
+    searched = 0
+    for choice in sections(tb.extension):
+        searched += 1
+        if not analyze_morphism(choice, base, Tstar, 3)[0]:
+            continue
+        beta = []
+        for x in range(X.size):
+            pairs = (A.decode(tb.T.points[p]) for p in Tstar.fibres[choice[base.project(x)]])
+            partners = {x1 for x0, x1 in pairs if x0 == x}
+            if len(partners) != 1:
+                break
+            beta.append(partners.pop())
+        else:
+            if (sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
+                    and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
+                return LiftResult(True, list(choice), tuple(beta)), searched
+    return LiftResult(False, None, None), searched
 
 
 def _prime_factors(n: int):

@@ -151,7 +151,14 @@ def test_abelian_invariants_match_the_torsion_counts():
     groups = _abelian_family(random.Random(24))
     assert len(groups) == 244
     for G in groups:
-        assert gr.abelian_invariants(G) == abelian_invariants_by_torsion(G), G.order
+        # coords is a bijection onto A, and its inverse adds the unit
+        # vectors of A correctly, which makes coords a homomorphism
+        A, coords = gr.abelian_coordinates(G)
+        assert A.invariants == abelian_invariants_by_torsion(G), G.order
+        assert sorted(coords) == list(A.elements())
+        element = {c: g for g, c in enumerate(coords)}
+        assert all(element[A.op(a, u)] == G.op(element[a], element[u])
+                   for a in A.elements() for u in A.generators())
     with pytest.raises(ValueError):
         gr.abelian_invariants(gr.Heisenberg(2))
 

@@ -36,9 +36,7 @@ API = (
 
 # Defaulted parameters kept although no caller sets them, each with the
 # open ROADMAP item that needs it: (function, parameter, reason).
-PARAMETERS = (
-    ("try_lift_translation", "n_max", "ROADMAP item 5"),
-)
+PARAMETERS = ()
 
 IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 

@@ -2,7 +2,7 @@
 factor."""
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 
@@ -11,8 +11,8 @@ from nilcube import cli
 from nilcube import cubegroups as cg
 from nilcube import groups as gr
 from nilcube import translations as tr
-from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, abelian_Dk, \
-    check_axioms
+from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, \
+    ProductCubespace, abelian_Dk, check_axioms
 from nilcube.structure import factor, structure_group
 
 
@@ -238,8 +238,26 @@ def test_translation_bundle_and_lift_on_d2z2(d2z2):
     assert tb.extension_report is None
     res = tr.try_lift_translation(d2z2, [0], i=1)
     assert res.found
-    assert res.searched >= 1
+    assert oracles.analyze_morphism(res.section, tb.extension.X, tb.extension.Y, 3) == (True, None)
     assert tr.is_translation(d2z2, res.beta, 1)
+
+
+def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypatch):
+    # the linear system reads the action off the first pair of each Tstar
+    # class, so a structure group whose action differs across a class
+    # must be refused before a "no lift" could be trusted
+    real = structure_group
+
+    def doctored(X, k):
+        sg = real(X, k)
+        sg.action = [list(range(X.size)), [1, 1]]
+        return sg
+
+    monkeypatch.setattr(tr, "structure_group", doctored)
+    tb = tr.translation_bundle(d2z2, [0], i=1, validate=False)
+    assert tb.extension_report == ("action-not-well-defined", 0, 1)
+    with pytest.raises(ValueError, match="not a bundle over the factor"):
+        tr.try_lift_translation(d2z2, [0], i=1)
 
 
 def test_lift_translation_on_heisenberg_factor(heis2_space):
@@ -248,11 +266,51 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
     cands = tr.translation_group(base, 1)
     moved = [a for a in cands if a != tuple(range(base.size))]
     abar = moved[0]
-    # n_max=2 keeps the section scan cheap; the found lift is certified
-    # independently by is_translation below
-    res = tr.try_lift_translation(heis2_space, abar, i=1, n_max=2)
+    # the found lift is certified independently by is_translation below
+    res = tr.try_lift_translation(heis2_space, abar, i=1)
     assert res.found
     beta = res.beta
     assert tr.is_translation(heis2_space, beta, 1)
     for x in range(heis2_space.size):
         assert base.project(beta[x]) == abar[base.project(x)]
+
+
+@lru_cache(maxsize=None)
+def _lift_space(name):
+    """A space of _SPACES, or D_1(Z/2) x D_2(Z/2), built once for all its
+    lift cases."""
+    if name == "D1(Z/2)xD2(Z/2)":
+        return ProductCubespace(_dk((2,), 1), _dk((2,), 2))
+    return _SPACES[name]()
+
+
+@pytest.mark.parametrize("space,i,abar", [
+    ("H2", 1, (1, 0, 3, 2)), ("H2", 2, (0, 1, 2, 3)),
+    ("H2/<1>", 1, (1, 0)), ("H2/<1>", 2, (0, 1)),
+    ("H2/<2>", 1, (1, 0)), ("H2/<2>", 2, (0, 1)),
+    ("H2/<4>", 1, (2, 3, 0, 1)), ("H2/<4>", 2, (0, 1, 2, 3)),
+    ("D2(Z/2)", 1, (0,)), ("D2(Z/2)", 2, (0,)), ("D1(Z/4)", 1, (0,)),
+    ("D2(Z/4)", 1, (0,)), ("D2(Z/4)", 2, (0,)),
+    ("D3(Z/2)", 2, (0,)), ("D3(Z/2)", 3, (0,)),
+    ("D2(Z/3)", 1, (0,)), ("D2(Z/3)", 2, (0,)),
+    ("D1(Z/2)xD2(Z/2)", 1, (1, 0)), ("D1(Z/2)xD2(Z/2)", 2, (0, 1)),
+    ("M(rho0)", 1, (1, 0)), ("M(rho0)", 2, (0, 1)),
+    ("M(rho1)", 1, (0, 1)), ("M(rho1)", 1, (1, 0)), ("M(rho1)", 2, (0, 1)),
+])
+def test_linear_lift_agrees_with_the_section_search(space, i, abar, request):
+    fixtures = {"H2": "heis2_space", "H2/<1>": "coset_space", "D2(Z/2)": "d2z2"}
+    if space in fixtures:
+        X = request.getfixturevalue(fixtures[space])
+    elif space.startswith("M("):
+        X = request.getfixturevalue("model_extensions")[int(space[5])]
+    else:
+        X = _lift_space(space)
+    res = tr.try_lift_translation(X, abar, i)
+    ref, searched = oracles.try_lift_translation_by_search(X, abar, i)
+    assert res.found == ref.found
+    # the base shift of M(rho1) is the one translation that does not lift:
+    # the search exhausts its 4 sections
+    if (space, i, abar) == ("M(rho1)", 1, (1, 0)):
+        assert not res.found and searched == 4
+    else:
+        assert res.found and tr.is_translation(X, res.beta, i)
