@@ -12,8 +12,10 @@ whose completion counts are read from the cube sets it builds.
 One size rule refuses a group, explicit space or model extension M(rho)
 of more than CUBE_CAP points (its 0-cubes), a maximal_degree_k
 filtration of more than CUBE_CAP stored levels (k + 1), a question whose
-cube sets (or, for decompose, level relations) read more than CUBE_CAP
-maps to build, or whose cocycle laws have more than CUBE_CAP entries.
+cube sets (or, for decompose, level relations; for check and extend at
+n_max >= 2, also the |X|^2 maps the 2-corner scan reads at its second
+vertex) read more than CUBE_CAP maps to build, or whose cocycle laws
+have more than CUBE_CAP entries.
 The other limits bound what no cube count does: N_MAX_CAP the dimension
 of every cube a question builds, BRUTE_FORCE_CAP the bijections
 searched, CLOSURE_CAP the weight-0 derivative closure (built only for a
@@ -88,8 +90,10 @@ N_MAX_CAP = 10
 # the maps the cube sets of a question may read to build (count_cubes):
 # check, export and extend's M(rho) 1..n_max (|Cu^n(X)| |Cu^n(D_d(A))|),
 # decompose 1..max(step+1, n_max) and (step+1) C(|X|, 2) one-flip maps
-# for its level relations, translations step+1, poly the domain
-# 0..deg(G.)+1, a cocycle its domain k+1; also count_classes's law rows
+# for its level relations, translations step+1, poly the domain's
+# deg(G.)+1, a cocycle its domain k+1; also, for check and extend at
+# n_max >= 2, the |X|^2 maps the 2-corner scan reads at its second vertex
+# (every point after every point), count_classes's law rows
 # times (k+1)-cubes (24,576 on D1(Z/4) at k = 1), the points of every
 # group, explicit space and M(rho) a spec names (its 0-cubes, which a
 # filtration or the fibre D_d(A) holds all of), and the levels a
@@ -355,7 +359,7 @@ def _axiom_report_json(rep: cs.AxiomReport):
 
 def run_check(spec, opts):
     X = build_cubespace(_need(spec, "cubespace", "/"))
-    _refuse_many_cubes(X, range(1, opts["n_max"] + 1), "check")
+    _refuse_axiom_scan(X, opts["n_max"], "check")
     rep = _construct("/cubespace", cs.check_axioms, X, opts["n_max"])
     out = {"kind": "check", "size": X.size, "axioms": _axiom_report_json(rep)}
     if not rep.is_nilspace:
@@ -402,8 +406,7 @@ def run_poly(spec, opts):
     g = _elements(_need(spec, "map", "/"), G, "/map")
     if len(g) != H.order:
         raise SpecError("/map", "expected %d values" % H.order)
-    _refuse_many_cubes(cs.GroupCubespace(hfilt), range(gfilt.degree + 2), "poly",
-                       "/domain_filtration")
+    _refuse_many_cubes(cs.GroupCubespace(hfilt), [gfilt.degree + 1], "poly", "/domain_filtration")
     try:
         is_poly = poly.is_polynomial(g, hfilt, gfilt)
     except poly.ClosureBlowup:
@@ -435,17 +438,26 @@ def _refuse_deep_cubes(X, dims, ptr):
                         "above the cap %d" % (dims[-1], deepest, N_MAX_CAP))
 
 
-def _refuse_many_cubes(X, dims, kind, ptr="/cubespace"):
+def _refuse_many_cubes(X, dims, kind, ptr="/cubespace", corner_reads=0):
     """Refuse, before any is built, cube sets of the dimensions dims
-    that ask for cubes of dimension above N_MAX_CAP, or whose builds read
-    more than CUBE_CAP maps in all."""
+    that ask for cubes of dimension above N_MAX_CAP, or whose builds read,
+    with corner_reads, more than CUBE_CAP maps in all."""
     _refuse_deep_cubes(X, dims, ptr)
-    total = 0
+    if corner_reads > CUBE_CAP:
+        raise SpecError(ptr, "the 2-corner scan reads %d maps at its second vertex, above the "
+                        "%s cap %d" % (corner_reads, kind, CUBE_CAP))
+    total = corner_reads
     for n in dims:
         total += _construct(ptr, X.count_cubes, n, CUBE_CAP - total)
         if total > CUBE_CAP:
             raise SpecError(ptr, "the cubes of dimensions %s read more than %d maps to build, "
                             "above the %s cap" % (list(dims), CUBE_CAP, kind))
+
+
+def _refuse_axiom_scan(X, n_max, kind):
+    """Refuse check_axioms up to n_max by its cube sets 1..n_max and, from
+    n_max 2 on, the |X|^2 maps its 2-corner scan reads at the second vertex."""
+    _refuse_many_cubes(X, range(1, n_max + 1), kind, corner_reads=X.size ** 2 * (n_max >= 2))
 
 
 def run_decompose(spec, opts):
@@ -525,7 +537,7 @@ def run_extend(spec, opts):
     rho = build_cocycle(_need(spec, "cocycle", "/"), X, A)  # validated there
     _refuse_many_points(X.size * A.order, "/A")
     M = _construct("/cubespace", coh.ExtensionSpace, rho)
-    _refuse_many_cubes(M, range(1, opts["n_max"] + 1), "extension")
+    _refuse_axiom_scan(M, opts["n_max"], "extension")
     rep = _construct("/cubespace", cs.check_axioms, M, opts["n_max"])
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,
            "axioms": _axiom_report_json(rep)}

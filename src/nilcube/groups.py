@@ -9,6 +9,9 @@ for a cyclic product; G, G, Z(G), 1 for Heisenberg mod m) and, for
 cyclic products, commutativity.  Table and quotient groups materialize
 or derive the law, find greedy generators, close commutators for the
 lower central series and test commutativity pair by pair.
+Invariant factors, abelian coordinates, linear systems over a finite
+abelian group and their kernel orders read the diagonal of one Smith
+normal form, a single pivot-and-clear loop.
 """
 
 from __future__ import annotations
@@ -522,12 +525,16 @@ def abelian_invariants(G: FiniteGroup):
 
 def smith_normal_form(M, companion):
     """Integer Smith normal form with transforms: returns (U*C, D, V)
-    with U*M*V = D, U and V unimodular, D diagonal with d1 | d2 | ...
+    with U*M*V = D, U and V unimodular, D diagonal and nonnegative with
+    d1 | d2 | ..., the zeros last.
 
     The row operations act on the companion C, one row per row of M, so
     the first entry is U*C: a solver passes its constants, a kernel
     count empty rows, and the identity gives U itself.
-    Plain row/column reduction; fine at the matrix sizes that arise here.
+    One pivot-and-clear loop: the least entry of the block from (t, t)
+    on clears row and column t, a nonzero remainder becoming the pivot.
+    Where the finished diagonal has d_i not dividing d_{i+1}, column i+1
+    is added into column i and the loop re-enters at i.
     """
     D = [list(row) for row in M]
     r = len(D)
@@ -556,25 +563,29 @@ def smith_normal_form(M, companion):
             row[i], row[j] = row[j], row[i]
 
     def move_pivot(t):
-        """Move the least nonzero |D[i][j]|, i, j >= t, to (t, t); False
-        if there is none."""
-        piv = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if D[i][j] != 0 and (best is None or abs(D[i][j]) < best):
-                    best = abs(D[i][j])
-                    piv = (i, j)
+        """Move the least nonzero |D[i][j]|, i, j >= t, the first in
+        row-major order on a tie, to (t, t); False if there is none."""
+        piv = min(((abs(D[i][j]), i, j) for i in range(t, r) for j in range(t, c) if D[i][j]),
+                  default=None)
         if piv is None:
             return False
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        swap_rows(t, piv[1])
+        swap_cols(t, piv[2])
         return True
 
     t = 0
-    while t < min(r, c):
-        if not move_pivot(t):
-            break
+    while True:
+        if t == min(r, c) or not move_pivot(t):
+            # D is diagonal, its t nonzero entries first.  Re-entered at i,
+            # the pivot search finds an entry below |d_i|, or d_i first,
+            # whose remainder of d_{i+1} then takes its place: d_i falls
+            # and d_1..d_{i-1} stay, so the loop ends.
+            i = next((i for i in range(t - 1) if D[i + 1][i + 1] % D[i][i]), None)
+            if i is None:
+                break
+            col_op(i, i + 1, 1)
+            t = i
+            continue
         while True:
             # clear column t
             dirty = False
@@ -595,29 +606,6 @@ def smith_normal_form(M, companion):
             if not dirty:
                 break
         t += 1
-    # fix divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(r, c) - 1):
-            a, b = D[i][i], D[i + 1][i + 1]
-            if b % (a if a else 1) != 0 or (a == 0 and b != 0):
-                # fold D[i+1][i+1] into position i via a column add, then
-                # re-eliminate from i, searching for a fresh pivot each round
-                col_op(i, i + 1, 1)
-                while move_pivot(i):
-                    dirty = False
-                    for k in range(i + 1, r):
-                        if D[k][i] != 0:
-                            row_op(k, i, -(D[k][i] // D[i][i]))
-                            dirty = dirty or D[k][i] != 0
-                    for j in range(i + 1, c):
-                        if D[i][j] != 0:
-                            col_op(j, i, -(D[i][j] // D[i][i]))
-                            dirty = dirty or D[i][j] != 0
-                    if not dirty:
-                        break
-                changed = True
     for i in range(min(r, c)):
         if D[i][i] < 0:
             D[i] = [-x for x in D[i]]
@@ -651,28 +639,17 @@ def solve_abelian_linear_system(A: FiniteAbelianGroup, num_unknowns: int, equati
     # U*c for the constants c, one column per invariant factor
     UC, D, V = smith_normal_form(M, [A.tuple_of(eq[1]) for eq in equations])
     ncomp = len(A.invariants)
-    # solve per invariant factor
+    # solve per invariant factor: row i of D reads d_i y_i = (U c)_i
     sol_components = []  # per component: list of length r residues
-    for t in range(ncomp):
-        d = A.invariants[t]
+    for t, d in enumerate(A.invariants):
         uc = [row[t] % d for row in UC]
-        y = [0] * r
-        ok = True
-        for i in range(len(uc)):
-            e = D[i][i] if i < min(len(D), r) else 0
-            if i < r:
-                y[i] = _solve_mod(e, uc[i], d)
-                if y[i] is None:
-                    ok = False
-                    break
-            elif uc[i] % d != 0:
-                # equation row with no remaining unknown: 0 = const
-                ok = False
-                break
-        if not ok:
+        if any(uc[r:]):
+            return None  # a row past the unknowns reads 0 = const
+        y = [_solve_mod(D[i][i], b, d) for i, b in enumerate(uc[:r])]
+        if None in y:
             return None
-        x = [sum(V[i][j] * y[j] for j in range(r)) % d for i in range(r)]
-        sol_components.append(x)
+        y += [0] * (r - len(y))
+        sol_components.append([sum(V[i][j] * y[j] for j in range(r)) % d for i in range(r)])
     out = []
     for i in range(r):
         out.append(A.index_of(tuple(sol_components[t][i] for t in range(ncomp))))

@@ -88,13 +88,15 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
 
 
 def is_cube_morphism(g: Sequence[int], hfilt: Filtration, gfilt: Filtration):
-    """Check g o q is a cube of G. for every cube q of H., dimension up
-    to deg(G.)+1.  Returns (True, None), or (False, a witness cube)."""
-    for n in range(gfilt.degree + 2):
-        for q in cubegroups.enumerate_cubes(hfilt, n):
-            image = tuple(g[x] for x in q)
-            if not cubegroups.is_cube(image, gfilt):
-                return (False, q)
+    """Check g o q is a cube of G. for every (k+1)-cube q of H., k =
+    deg(G.), which decides every dimension: above k + 1 by the face
+    criterion, and below it an n-cube q is a face of the (k+1)-cube q o
+    pi, pi dropping the last k + 1 - n coordinates, so g o q is a face of
+    the cube g o q o pi.  Returns (True, None), or (False, a witness
+    (k+1)-cube)."""
+    for q in cubegroups.enumerate_cubes(hfilt, gfilt.degree + 1):
+        if not cubegroups.is_cube(tuple(g[x] for x in q), gfilt):
+            return (False, q)
     return (True, None)
 
 

@@ -6,13 +6,14 @@ characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
 every dimension, the translation search that certifies every bijection
-it reaches, cube morphisms checked cube by cube, morphism sections and
-translation lifts by a search over every section, the upper-face
-factorization and its multiply-out by filtering every vertex pair,
-corner completion face by face, the structure group from local
-translations with its action found by scanning every point, invariant
-factors from p-torsion counts, and simplicial extension over supports
-held as sets.
+it reaches, cube morphisms checked cube by cube (between cubespaces up
+to n_max, between filtered groups in every dimension up to deg + 1),
+morphism sections and translation lifts by a search over every section,
+the upper-face factorization and its multiply-out by filtering every
+vertex pair, corner completion face by face, the structure group from
+local translations with its action found by scanning every point,
+invariant factors from p-torsion counts, and simplicial extension over
+supports held as sets.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from typing import Sequence
 
 from nilcube import cubes
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
-    _require_elements, arrow, complete_corner, factorize, multiply_out, sigma
+    _require_elements, arrow, complete_corner, enumerate_cubes, factorize, is_cube, \
+    multiply_out, sigma
 from nilcube.groups import FiniteGroup, Filtration, TableGroup
 from nilcube.structure import StructureGroup, _one_flip_corner, related_k
 from nilcube.translations import LiftResult, _arrows_are_cubes, is_translation, \
@@ -271,6 +273,19 @@ def structure_group_by_local_translations(X, k: int) -> StructureGroup:
             row.append(zs[0])
         action.append(row)
     return StructureGroup(k, fibre, group, action)
+
+
+def is_cube_morphism_in_every_dimension(g: Sequence[int], hfilt: Filtration,
+                                        gfilt: Filtration):
+    """Reference for poly.is_cube_morphism: g o q is a cube of G. for
+    every cube q of H. of every dimension up to deg(G.) + 1, dimension
+    by dimension.  (True, None), or (False, the first cube whose image
+    is not)."""
+    for n in range(gfilt.degree + 2):
+        for q in enumerate_cubes(hfilt, n):
+            if not is_cube(tuple(g[x] for x in q), gfilt):
+                return (False, q)
+    return (True, None)
 
 
 def analyze_morphism(f: Sequence[int], X, Y, n_max: int):

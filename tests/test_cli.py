@@ -133,6 +133,27 @@ def test_poly_verdicts_agree():
     assert out["is_polynomial"] == out["is_cube_morphism"]
 
 
+@pytest.mark.parametrize("target,target_filtration,g,witness", [
+    # D2(Z/9) holds every map of dimension at most 2, so the first
+    # failing cube of x -> x^3 is a 3-cube in any order of dimension
+    ({"type": "cyclic_product", "moduli": [9]}, {"type": "maximal_degree_k", "k": 2},
+     [x ** 3 % 9 for x in range(9)], [0, 1, 1, 2, 1, 2, 2, 3]),
+    # the lcs of H2 rejects the 2-cube (0, 1, 1, 2) already; the witness
+    # is the 3-cube that repeats it along its first coordinate
+    ({"type": "heisenberg", "modulus": 2}, {"type": "lcs"},
+     [3, 4, 1, 6], [0, 0, 1, 1, 1, 1, 2, 2]),
+], ids=["cubic-Z9-to-D2", "Z4-to-H2"])
+def test_poly_witness_is_a_cube_of_dimension_degree_plus_one(target, target_filtration, g, witness):
+    m = len(g)
+    spec = {"kind": "poly",
+            "domain_group": {"type": "cyclic_product", "moduli": [m]},
+            "domain_filtration": {"type": "lcs"},
+            "target_group": target, "target_filtration": target_filtration, "map": g}
+    out = cli.run(spec)
+    assert out["is_polynomial"] is False and out["is_cube_morphism"] is False
+    assert out["witness"] == witness
+
+
 def test_decompose_heisenberg():
     spec = {"kind": "decompose",
             "cubespace": {"source": "group", "group": HEIS, "filtration": {"type": "lcs"}}}
@@ -292,7 +313,7 @@ def test_poly_on_a_random_map_decides_without_the_weight_0_closure(tmp_path, cap
 
 
 def test_poly_below_the_cube_cap_exits_0():
-    # 19,530 cubes of Z/5 up to dimension 5
+    # the 15,625 5-cubes of Z/5
     out = cli.run(_poly_spec(5, 4))
     assert out["is_polynomial"] and out["is_cube_morphism"]
 
@@ -937,11 +958,12 @@ def _sizes_just_under_the_point_cap(obj):
     return obj
 
 
-# each fuzz base with a size, by index, at its own n_max and at n_max 1,
+# each fuzz base with a size, by index, at its own n_max, at n_max 2, the
+# first with a corner scan past its first two vertices, and at n_max 1,
 # where the cube counts refuse least
 POINT_CAP_SWEEP = [
     (i, n_max) for i, spec in enumerate(FUZZ_BASES) if '"size"' in json.dumps(spec)
-    for n_max in (spec.get("n_max", 3), 1)
+    for n_max in dict.fromkeys((spec.get("n_max", 3), 2, 1))
     if (spec["kind"], n_max) not in {(kind, n) for kind, n, _ in POINT_CAP_SLOW}]
 
 
@@ -952,6 +974,32 @@ def test_every_space_just_under_the_point_cap_exits_at_once(base, n_max):
     proc, seconds = _run_cli_limited(spec)
     assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr
     assert seconds < 1.0
+
+
+def _check_of_padded_d1z2(size):
+    """The check fuzz base on D_1(Z/2)'s tables, with size points, at n_max 2."""
+    spec = copy.deepcopy(next(s for s in FUZZ_BASES if s["kind"] == "check"))
+    spec["cubespace"]["size"] = size
+    return dict(spec, n_max=2)
+
+
+@pytest.mark.parametrize("size", [317, 99999])
+def test_check_past_the_corner_scan_cap_exits_2_at_once(size):
+    # the 2-corner scan tries every point after every point at its second
+    # vertex, which no cube set counts: the tables hold only 2 points
+    proc, seconds = _run_cli_limited(_check_of_padded_d1z2(size))
+    assert proc.returncode == 2, proc.stderr
+    assert seconds < 1.0
+    assert proc.stderr.startswith("spec error: /cubespace: the 2-corner scan reads %d maps "
+                                  "at its second vertex, above the check cap" % size ** 2)
+
+
+def test_check_under_the_corner_scan_cap_answers():
+    # 316^2 = 99,856 maps: the padded points lie on no 1-cube
+    proc, _ = _run_cli_limited(_check_of_padded_d1z2(316))
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["size"] == 316 and out["axioms"]["ergodic_ok"] is False
 
 
 FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,
@@ -994,3 +1042,74 @@ def test_fuzzed_spec_exits_0_1_or_2_without_traceback(data):
         assert err.startswith("spec error: /")
     else:
         json.loads(out)
+
+
+# -- relabelling fuzz: explicit spaces with their points renumbered
+
+# report fields that name points, elements or maps, so change with the labels
+LABELLED_FIELDS = {"composition_witness", "ergodic_witness", "elements", "heights",
+                   "function", "reason", "witness"}
+
+
+def _relabel_space(space, rng):
+    """(space with the points of each explicit table renumbered by a seeded
+    permutation, that permutation if space itself is explicit, else None)."""
+    if space.get("source") == "explicit":
+        perm = rng.sample(range(space["size"]), space["size"])
+        return dict(space, tables={n: [[perm[x] for x in q] for q in qs]
+                                   for n, qs in space["tables"].items()}), perm
+    if space.get("source") == "product":
+        return dict(space, factors=[_relabel_space(f, rng)[0] for f in space["factors"]]), None
+    return space, None
+
+
+def _relabelled(spec, rng):
+    """spec with its cubespace relabelled, and a cocycle on it alike."""
+    space, perm = _relabel_space(spec["cubespace"], rng)
+    out = dict(spec, cubespace=space)
+    if "cocycle" in spec:
+        out["cocycle"] = dict(spec["cocycle"], entries=[[[perm[x] for x in q], a]
+                                                        for q, a in spec["cocycle"]["entries"]])
+    return out
+
+
+def _invariant_part(code, out, err):
+    """The exit code with the report less its labelled fields, or the
+    pointer of a spec error."""
+    def strip(obj):
+        if isinstance(obj, dict):
+            return {k: strip(v) for k, v in obj.items() if k not in LABELLED_FIELDS}
+        return obj
+    return code, (err.split(":")[1] if code == 2 else strip(json.loads(out)))
+
+
+def _relabelling_bases():
+    """The FUZZ_BASES specs on explicit tables, and check, decompose,
+    translations and count_classes on the explicit tables of D_1(Z/4),
+    D_2(Z/2) and D_2(Z/3)."""
+    from nilcube.cubespace import abelian_Dk
+    from nilcube.groups import CyclicProduct
+
+    bases = [s for s in FUZZ_BASES if '"explicit"' in json.dumps(s)]
+    for m, k in ((4, 1), (2, 2), (3, 2)):
+        X = abelian_Dk(CyclicProduct((m,)), k)
+        space = {"source": "explicit", "size": m, "step": k,
+                 "tables": _export_tables({n: X.cubes(n) for n in range(1, k + 2)})}
+        bases += [{"kind": "check", "n_max": 2, "cubespace": space},
+                  {"kind": "decompose", "n_max": 2, "cubespace": space},
+                  {"kind": "translations", "cubespace": space},
+                  {"kind": "cohomology", "op": "count_classes", "A": [2], "k": 1,
+                   "cubespace": space}]
+    return bases
+
+
+RELABELLING_BASES = _relabelling_bases()
+
+
+@pytest.mark.parametrize("spec", RELABELLING_BASES, ids=[
+    "%d-%s" % (i, s.get("op", s["kind"])) for i, s in enumerate(RELABELLING_BASES)])
+def test_relabelled_explicit_spaces_give_the_same_invariant_answers(spec):
+    want = _invariant_part(*_call_main(json.dumps(spec)))
+    rng = random.Random(json.dumps(spec, sort_keys=True))
+    for _ in range(5):
+        assert _invariant_part(*_call_main(json.dumps(_relabelled(spec, rng)))) == want

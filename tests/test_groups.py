@@ -163,30 +163,74 @@ def test_abelian_invariants_match_the_torsion_counts():
         gr.abelian_invariants(gr.Heisenberg(2))
 
 
+def _assert_smith_normal_form(M):
+    """smith_normal_form(M) is exact: U M V = D with U and V unimodular,
+    D diagonal, d1 | d2 | ..., nonnegative with the zeros last."""
+    rows, cols = len(M), len(M[0])
+    U, D, V = gr.smith_normal_form(M, _identity(rows))
+    UM = [[sum(U[i][t] * M[t][j] for t in range(rows)) for j in range(cols)] for i in range(rows)]
+    assert [[sum(UM[i][t] * V[t][j] for t in range(cols)) for j in range(cols)]
+            for i in range(rows)] == D, M
+    assert all(D[i][j] == 0 for i in range(rows) for j in range(cols) if i != j), (M, D)
+    diag = [D[i][i] for i in range(min(rows, cols))]
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0, (M, diag)
+    assert all(d >= 0 for d in diag)
+    assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+    return diag
+
+
 def test_smith_normal_form_random():
+    # dense matrices up to 3x3, sparse ones up to 6x6, signed permutations
+    # of diagonals with entries 2..8 up to 6x6, and every such diagonal of
+    # size 4: on these the divisibility chain often breaks after the first
+    # elimination, some twice, as diag(4, 6, 7, 4) does
     rng = random.Random(7)
     for _ in range(150):
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(1, 4)
-        M = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
-        U, D, V = gr.smith_normal_form(M, _identity(rows))
-        # U * M * V == D
-        prod = [[sum(U[i][t] * M[t][j] for t in range(rows)) for j in range(cols)] for i in range(rows)]
-        prod = [[sum(prod[i][t] * V[t][j] for t in range(cols)) for j in range(cols)] for i in range(rows)]
-        assert prod == D
-        # diagonal with divisibility
-        diag = [D[i][i] for i in range(min(rows, cols))]
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert D[i][j] == 0
-        for a, b in zip(diag, diag[1:]):
-            if a != 0:
-                assert b % a == 0
-        # nonnegative, zero entries last, U and V unimodular
-        assert all(d >= 0 for d in diag)
-        assert [d != 0 for d in diag] == sorted((d != 0 for d in diag), reverse=True)
-        assert abs(_det(U)) == 1 and abs(_det(V)) == 1
+        rows, cols = rng.randrange(1, 4), rng.randrange(1, 4)
+        _assert_smith_normal_form([[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)])
+    for _ in range(400):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        _assert_smith_normal_form([[rng.choice((0, 0, 0, rng.randrange(-9, 10))) for _ in range(cols)]
+                                   for _ in range(rows)])
+    for _ in range(400):
+        n = rng.randrange(1, 7)
+        perm = rng.sample(range(n), n)
+        _assert_smith_normal_form([[rng.choice((1, -1)) * rng.randrange(2, 9) if perm[i] == j else 0
+                                    for j in range(n)] for i in range(n)])
+    for diag in itertools.product(range(2, 9), repeat=4):
+        _assert_smith_normal_form([[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+# a signed permutation of diag(4, 6, 7, 4): Z/2 + Z/4 + Z/84
+SIGNED_4_6_7_4 = [[0, 0, -4, 0], [0, 6, 0, 0], [0, 0, 0, 7], [-4, 0, 0, 0]]
+
+
+def test_smith_normal_form_of_a_signed_4_6_7_4():
+    assert _assert_smith_normal_form(SIGNED_4_6_7_4) == [1, 2, 4, 84]
+
+
+@pytest.mark.parametrize("invariants", [(8,), (168,)])
+def test_solver_on_the_signed_permutation_of_4_6_7_4(invariants):
+    # 200 right-hand sides M x for seeded x: each system is solvable, and
+    # the solver's answer satisfies it (it raises on a non-solution)
+    A = gr.FiniteAbelianGroup(invariants)
+    rng = random.Random(invariants[0])
+    for _ in range(200):
+        x = [rng.randrange(A.order) for _ in range(4)]
+        eqs = [(row, sum(c * v for c, v in zip(row, x)) % A.order) for row in SIGNED_4_6_7_4]
+        got = gr.solve_abelian_linear_system(A, 4, eqs)
+        assert got is not None
+        assert all(sum(c * v for c, v in zip(row, got)) % A.order == b for row, b in eqs)
+
+
+def test_abelian_coordinates_of_4_4_6_7_are_a_homomorphism():
+    G = gr.CyclicProduct((4, 4, 6, 7))
+    A, coords = gr.abelian_coordinates(G)
+    assert A.invariants == (2, 4, 84)
+    assert sorted(coords) == list(A.elements())
+    assert all(coords[G.op(g, u)] == A.op(coords[g], coords[u])
+               for g in G.elements() for u in G.generators())
 
 
 def _identity(r):
@@ -205,16 +249,17 @@ def _det(M):
     ([[2, 0], [0, 3]], [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]]),
     ([[0, 2], [3, 0]], [[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -2], [1, -3]]),
     ([[4, 0, 0], [0, 6, 0], [0, 0, 10]],
-     [[-1, 1, 0], [-3, 2, -1], [15, -10, 6]], [[2, 0, 0], [0, 2, 0], [0, 0, 60]],
-     [[1, -3, -15], [1, -2, -10], [0, 1, 6]]),
+     [[-1, 1, 0], [9, -6, 7], [-15, 10, -12]], [[2, 0, 0], [0, 2, 0], [0, 0, 60]],
+     [[1, 6, 105], [1, 4, 70], [0, -1, -18]]),
     ([[2, 0, 0], [0, 0, 0], [0, 0, 3]],
      [[-1, 0, 1], [-3, 0, 2], [0, 1, 0]], [[1, 0, 0], [0, 6, 0], [0, 0, 0]],
      [[1, -3, 0], [0, 0, 1], [1, -2, 0]]),
     ([[6, 4], [4, 6]], [[-1, 1], [3, -2]], [[2, 0], [0, 10]], [[0, 1], [1, 1]]),
 ], ids=["diag-2-3", "antidiag-2-3", "diag-4-6-10", "diag-2-0-3", "6-4-4-6"])
 def test_smith_normal_form_divisibility_fix_up_is_pinned(M, U, D, V):
-    # the divisibility fix-up re-reduces after a column mix; these
-    # transforms are the ones it has always produced
+    # where the divisibility chain breaks, column i + 1 is added into
+    # column i and the elimination re-enters at i; these are the
+    # transforms it produces
     assert gr.smith_normal_form(M, _identity(len(M))) == (U, D, V)
 
 

@@ -104,6 +104,35 @@ def test_leibman_with_a_nonabelian_target():
     assert noncommuting > 0
 
 
+def _morphism_cases():
+    """(domain filtration, target filtration, maps): every map Z/3 -> Z/3
+    and Z/4 -> Z/4 into the degree-1 and degree-2 filtrations, and 300
+    seeded maps Z/4 -> H_2, each domain with its lower central series."""
+    for m in (3, 4):
+        Z = gr.CyclicProduct((m,))
+        maps = list(itertools.product(range(m), repeat=m))
+        for k in (1, 2):
+            yield gr.lower_central_series(Z), gr.maximal_degree_k_filtration(Z, k), maps
+    Z4 = gr.CyclicProduct((4,))
+    H2, gfilt = gr.make_heisenberg(2)
+    rng = random.Random(4)
+    yield (gr.lower_central_series(Z4), gfilt,
+           [tuple(rng.randrange(H2.order) for _ in range(4)) for _ in range(300)])
+
+
+def test_cube_morphism_by_the_top_dimension_matches_every_dimension():
+    from oracles import is_cube_morphism_in_every_dimension
+
+    for hfilt, gfilt, maps in _morphism_cases():
+        top = gfilt.degree + 1
+        for g in maps:
+            ok, witness = poly.is_cube_morphism(g, hfilt, gfilt)
+            assert ok == is_cube_morphism_in_every_dimension(g, hfilt, gfilt)[0], g
+            if not ok:
+                assert len(witness) == 1 << top and cg.is_cube(witness, hfilt)
+                assert not cg.is_cube(tuple(g[x] for x in witness), gfilt)
+
+
 @given(st.integers(0, 10_000), st.integers(1, 3))
 @settings(max_examples=80, deadline=None)
 def test_binomial_form_restricts_to_cube(seed, n):
