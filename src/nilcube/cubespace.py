@@ -9,9 +9,11 @@ order.  A built cube set (`Cubespace.cubes`) is the one membership cache.
 Past it one rule needs only the step: a map into a space of step k is a
 cube exactly when its (k+1)-faces are (the face criterion), which answers
 from dimension step + 2 on; below it each space's own oracle answers.
-`Cubespace._scan_maps` is the one depth-first search for cubes: it lists
-cubes and corners, and lifts maps through image spaces (coset spaces,
-canonical factors) by scanning only the fibres.
+`depth_first` is the one depth-first search: `Cubespace._scan_maps` runs
+it with the face layout to list cubes and corners and to lift maps
+through image spaces (coset spaces, canonical factors) by scanning only
+the fibres, and `translations.translation_group` runs it over partial
+bijections.
 
 Every loop that asks "is this restriction a cube?" (the face criterion,
 the scan's pruning, corner completion) takes its restrictions with
@@ -137,35 +139,22 @@ class Cubespace:
         return frozenset()
 
     def _scan_maps(self, n: int, corner: bool, candidates=None):
-        """DFS over vertex assignments in colex order with face pruning,
-        yielding the maps found in that order.  candidates[i] lists the
-        points tried at vertex i (default: every point).  With
-        corner=True, the top vertex is omitted and only faces inside the
-        corner domain are checked, yielding exactly the corners;
-        otherwise it yields exactly the cubes among the candidates."""
+        """depth_first over vertex assignments in colex order with face
+        pruning: an iterator of the maps found, in the search's order.
+        candidates[i] lists the points tried at vertex i (default: every
+        point).  With corner=True, the top vertex is omitted and only
+        faces inside the corner domain are checked, yielding exactly the
+        corners; otherwise the top vertex also tests the whole map,
+        yielding exactly the cubes among the candidates."""
         total = 1 << n
         domain = total - 1 if corner else total
-        if candidates is None:
-            candidates = [range(self.size)] * domain
         tests = [self._cube_test(dim) for dim in range(n + 1)]
         layout = _pruning_layout(n, n - 1 if self.step is None else min(n - 1, self.step + 1))
-        values = [0] * domain
-        pending = [iter(candidates[0])]  # untried candidates per assigned vertex
-        while pending:
-            i = len(pending) - 1
-            for values[i] in pending[i]:
-                for dim, face in layout[i]:
-                    if not tests[dim](face(values)):
-                        break
-                else:
-                    break  # every face ending at i is a cube: descend
-            else:
-                pending.pop()
-                continue
-            if i + 1 < domain:
-                pending.append(iter(candidates[i + 1]))
-            elif corner or tests[n](tuple(values)):
-                yield tuple(values)
+        checks = [[(face, tests[dim]) for dim, face in faces] for faces in layout[:domain]]
+        if not corner:
+            checks[-1].append((tuple, tests[n]))
+        return depth_first([range(self.size)] * domain if candidates is None else candidates,
+                           checks)
 
     def corners(self, n: int):
         """All corners: maps on {0,1}^n minus the top vertex whose
@@ -198,6 +187,33 @@ def _pruning_layout(n: int, maxdim: int):
         for tbl, face in zip(cb.face_index_tables(dim, n), cb.face_getters(dim, n)):
             layout[max(tbl)].append((dim, face))
     return tuple(map(tuple, layout))
+
+
+def depth_first(candidates, checks):
+    """Depth-first search over assignments values[0..m-1], m = len(checks):
+    a candidate from candidates[i] stays at position i only when
+    test(get(values)) holds for every (get, test) in checks[i], where get
+    reads positions up to i.  Yields the full assignments as tuples, in
+    the order of the candidates.  candidates[i] is read once each time
+    the search reaches position i."""
+    m = len(checks)
+    values = [0] * m
+    pending = [iter(candidates[0])]  # untried candidates per assigned position
+    while pending:
+        i = len(pending) - 1
+        for values[i] in pending[i]:
+            for get, test in checks[i]:
+                if not test(get(values)):
+                    break
+            else:
+                break  # every check at i passes: descend
+        else:
+            pending.pop()
+            continue
+        if i + 1 < m:
+            pending.append(iter(candidates[i + 1]))
+        else:
+            yield tuple(values)
 
 
 class _ReadCounter:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class FiniteGroup:
@@ -238,21 +238,29 @@ def element_range_violation(G: FiniteGroup, values):
     return None
 
 
-def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
-    """The subgroup generated: the products of generators, found from the
-    identity by right multiplication.  In a finite group the inverse of
-    g is a power of g, so inverses need not be adjoined."""
-    seen = {0}
-    frontier = [0]
-    gens = list(generators)
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.op(x, g)
+def closure(start: Iterable, moves) -> Iterator:
+    """Each element of start, then each element that moves(x) lists for
+    an element x already yielded, each once: the least set that holds
+    start and is closed under moves, element by element."""
+    seen, frontier = set(), []
+    reached = iter(start)
+    while True:
+        for y in reached:
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return frozenset(seen)
+                yield y
+        if not frontier:
+            return
+        reached = moves(frontier.pop())
+
+
+def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
+    """The subgroup generated: the closure of the identity under right
+    multiplication by the generators.  In a finite group the inverse of
+    g is a power of g, so inverses need not be adjoined."""
+    gens = list(generators)
+    return frozenset(closure((0,), lambda x: [G.op(x, g) for g in gens]))
 
 
 def generating_set(G: FiniteGroup, H: frozenset) -> list:

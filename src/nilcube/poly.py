@@ -8,10 +8,11 @@ Z^n never gets materialized: the binomial form is evaluated lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from . import cubegroups
-from .groups import FiniteGroup, Filtration
+from .groups import FiniteGroup, Filtration, closure
 
 
 def derivative(g: Sequence[int], H: FiniteGroup, G: FiniteGroup, h: int):
@@ -50,7 +51,9 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
     direction, whose condition G_{w+1} <= G_w is stronger: the derivative
     it gives is checked one level up, so nothing more is needed.
     Otherwise each weight level is first closed under weight-0
-    derivatives, at most CLOSURE_CAP maps a level (ClosureBlowup).
+    derivatives (groups.closure), at most CLOSURE_CAP maps a level
+    (ClosureBlowup).  Every level lies inside the closed level 0, since
+    H_i <= H_0, so only that closure can pass the cap.
     """
     H, G = hfilt.group, gfilt.group
     top = gfilt.degree + 1
@@ -58,19 +61,12 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
     hdeg = hfilt.degree
     h0 = sorted(hfilt.subgroup(0)) if hfilt.subgroup(0) != hfilt.subgroup(1) else ()
     for w in range(top + 1):
-        # close level w under weight-0 derivatives
         current = level_sets.get(w, set())
-        frontier = list(current) if h0 else []
-        while frontier:
-            f = frontier.pop()
-            for h in h0:
-                df = derivative(f, H, G, h)
-                if df not in current:
-                    current.add(df)
-                    frontier.append(df)
-                    if len(current) > CLOSURE_CAP:
-                        raise ClosureBlowup("derivative closure exceeded cap")
-        level_sets[w] = current
+        if h0:
+            closed = closure(current, lambda f: (derivative(f, H, G, h) for h in h0))
+            current = set(islice(closed, CLOSURE_CAP + 1))
+            if len(current) > CLOSURE_CAP:
+                raise ClosureBlowup("derivative closure exceeded cap")
         Gw = gfilt.subgroup(w)
         for f in current:
             if any(val not in Gw for val in f):

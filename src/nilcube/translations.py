@@ -8,15 +8,15 @@ cube-preserving section, which `cohomology.morphism_section` decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import itemgetter
 from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from . import cubes as cb
 from .cohomology import morphism_section
-from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, partition
-from .groups import Filtration, TableGroup, validate_filtration
+from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, depth_first, partition
+from .groups import Filtration, TableGroup, closure, validate_filtration
 from .structure import (
     ExtensionData,
     factor,
@@ -150,10 +150,12 @@ def compose_bijections(a: Sequence[int], b: Sequence[int]) -> tuple:
 
 
 def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
-    """All height-i translations by depth-first search over partial
-    bijections.  Pruning: alpha(x) stays in the level-(i-1) class of x
-    (the 0-cube arrow condition) and assigned pairs pass the 1-cube
-    arrow condition.  A full bijection is accepted when it is one of
+    """All height-i translations, in lexicographic order, from the
+    depth-first search (cubespace.depth_first) over partial bijections
+    alpha.  alpha(x) is tried among the points in the level-(i-1) class
+    of x (the 0-cube arrow condition), and kept when it is new and, for
+    each earlier z, the i-arrows of the 1-cubes (x, z) and (z, x) are
+    (1+i)-cubes.  A full bijection is accepted when it is one of
     X.known_translations(i) (a group's or coset space's own left
     multiplications by G_i), and otherwise when translation_certifier
     certifies it; the certifier, and with it cubes(step + 1), is built
@@ -162,74 +164,46 @@ def translation_group(X: Cubespace, i: int = 1) -> List[tuple]:
         raise ValueError("brute-force search capped at %d points" % BRUTE_FORCE_CAP)
     if X.step is None:
         raise ValueError("the translation certificate needs a step bound")
-    size = X.size
-    candidates = [
-        [y for y in range(size) if related_k(X, i - 1, x, y)] for x in range(size)
-    ]
-    pairs1 = X.cubes(1)
+    pairs1, arrow_test = X.cubes(1), X._cube_test(1 + i)
+    candidates, checks = [], []
+    for x in range(X.size):
+        candidates.append([y for y in range(X.size) if related_k(X, i - 1, x, y)])
+        checks.append([(itemgetter(slice(x + 1)), _last_is_new)] + [
+            (itemgetter(a, b), partial(_arrow_is_cube, arrow_test, (a, b), i))
+            for z in range(x) for a, b in ((x, z), (z, x)) if (a, b) in pairs1])
     known = X.known_translations(i)
-    certify = None
-    out = []
-    alpha = [-1] * size
-    used = [False] * size
-
-    def pair_ok(x, z):
-        for (a, b) in ((x, z), (z, x)):
-            if (a, b) in pairs1:
-                ar = cg.arrow((a, b), (alpha[a], alpha[b]), 1, i)
-                if not X.membership(1 + i, ar):
-                    return False
-        return True
-
-    def rec(x):
-        nonlocal certify
-        if x == size:
-            found = tuple(alpha)
-            if found not in known:
-                if certify is None:
-                    certify = translation_certifier(X, i)
-                if not certify(found):
-                    return
-            out.append(found)
-            return
-        for y in candidates[x]:
-            if used[y]:
+    out, certify = [], None
+    for alpha in depth_first(candidates, checks):
+        if alpha not in known:
+            certify = certify or translation_certifier(X, i)
+            if not certify(alpha):
                 continue
-            alpha[x] = y
-            used[y] = True
-            if all(pair_ok(x, z) for z in range(x)):
-                rec(x + 1)
-            used[y] = False
-        alpha[x] = -1
-
-    rec(0)
-    # rec refers to itself; dropping that reference frees X's caches now
-    # instead of at the next full garbage collection
-    rec = None
+        out.append(alpha)
     return out
+
+
+def _last_is_new(values: Sequence[int]) -> bool:
+    return values[-1] not in values[:-1]
+
+
+def _arrow_is_cube(test, q: tuple, i: int, image: tuple) -> bool:
+    """Whether the i-arrow <q, image>_i of the 1-cube q passes test."""
+    return test(cg.arrow(q, image, 1, i))
 
 
 def generated_translation_group(X: Cubespace, i: int, seeds: Sequence[Sequence[int]]) -> List[tuple]:
     """The group generated by a seed set of certified height-i
-    translations: their closure under composition, which holds the
-    inverses, since a bijection of a finite set has one of its powers as
-    inverse.  Only its test calls it so far: step 2 of ROADMAP item 5
-    (translation towers) keeps this closure incrementally and skips the
+    translations: the closure of the identity under right composition
+    by the seeds (groups.closure), which holds the inverses, since a
+    bijection of a finite set has one of its powers as inverse.  Only
+    its test calls it so far: step 2 of ROADMAP item 5 (translation
+    towers) can keep this closure with the same loop and skip the
     certificate of a candidate already inside it."""
-    ident = tuple(range(X.size))
     for s in seeds:
         if not is_translation(X, s, i):
             raise ValueError("seed is not a height-%d translation" % i)
-    group = {ident}
-    frontier = [tuple(s) for s in seeds]
-    while frontier:
-        a = frontier.pop()
-        for g in list(group):
-            for c in (compose_bijections(g, a), compose_bijections(a, g)):
-                if c not in group:
-                    group.add(c)
-                    frontier.append(c)
-    return sorted(group)
+    return sorted(closure([tuple(range(X.size))],
+                          lambda a: (compose_bijections(a, s) for s in seeds)))
 
 
 @dataclass

@@ -5,28 +5,31 @@ defining recursion of the alternating product, the face and modular
 characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
-every dimension, the translation search that certifies every bijection
-it reaches, cube morphisms checked cube by cube (between cubespaces up
-to n_max, between filtered groups in every dimension up to deg + 1),
-morphism sections and translation lifts by a search over every section,
-the upper-face factorization and its multiply-out by filtering every
-vertex pair, corner completion face by face, the structure group from
-local translations with its action found by scanning every point,
-invariant factors from p-torsion counts, and simplicial extension over
-supports held as sets.
+every dimension, the translation search as a recursion (accepting what
+the library accepts, or certifying every bijection it reaches),
+closures under composition, right multiplication and weight-0
+derivatives kept by a frontier of their own, cube morphisms checked
+cube by cube (between cubespaces up to n_max, between filtered groups
+in every dimension up to deg + 1), morphism sections and translation
+lifts by a search over every section, the upper-face factorization and
+its multiply-out by filtering every vertex pair, corner completion face
+by face, the structure group from local translations with its action
+found by scanning every point, invariant factors from p-torsion counts,
+and simplicial extension over supports held as sets.
 """
 
+import functools
 import itertools
 from typing import Sequence
 
-from nilcube import cubes
+from nilcube import cubes, poly
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
     _require_elements, arrow, complete_corner, enumerate_cubes, factorize, is_cube, \
     multiply_out, sigma
 from nilcube.groups import FiniteGroup, Filtration, TableGroup
 from nilcube.structure import StructureGroup, _one_flip_corner, related_k
-from nilcube.translations import LiftResult, _arrows_are_cubes, is_translation, \
-    translation_bundle, translation_certifier
+from nilcube.translations import LiftResult, _arrows_are_cubes, compose_bijections, \
+    is_translation, translation_bundle, translation_certifier
 
 
 def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -133,14 +136,13 @@ def is_translation_by_definition(X, alpha: Sequence[int], i: int, n_max: int) ->
     return all(_arrows_are_cubes(X, alpha, n, i) for n in range(n_max + 1))
 
 
-def translation_group_certifying_every_leaf(X, i: int):
-    """Reference for translations.translation_group: the same depth-first
-    search and pruning, but every full bijection it reaches is asked of
-    translation_certifier, the space's own left multiplications too."""
+def _translation_search_by_recursion(X, i: int, accept):
+    """The full bijections that translations.translation_group's search
+    reaches, as the recursion it was written as before it ran on
+    cubespace.depth_first, kept when accept(alpha) holds."""
     size = X.size
     candidates = [[y for y in range(size) if related_k(X, i - 1, x, y)] for x in range(size)]
     pairs1 = X.cubes(1)
-    certify = translation_certifier(X, i)
     out = []
     alpha = [-1] * size
     used = [False] * size
@@ -151,7 +153,7 @@ def translation_group_certifying_every_leaf(X, i: int):
 
     def rec(x):
         if x == size:
-            if certify(alpha):
+            if accept(tuple(alpha)):
                 out.append(tuple(alpha))
             return
         for y in candidates[x]:
@@ -166,6 +168,86 @@ def translation_group_certifying_every_leaf(X, i: int):
 
     rec(0)
     return out
+
+
+def translation_group_by_recursion(X, i: int):
+    """Reference for translations.translation_group: the recursive search,
+    accepting a bijection that is one of X.known_translations(i) or that
+    translation_certifier, built at the first other bijection, certifies."""
+    known = X.known_translations(i)
+    certifier = functools.lru_cache(maxsize=None)(lambda: translation_certifier(X, i))
+    return _translation_search_by_recursion(
+        X, i, lambda alpha: alpha in known or certifier()(alpha))
+
+
+def translation_group_certifying_every_leaf(X, i: int):
+    """Reference for translations.translation_group: the same search and
+    pruning, but every full bijection it reaches is asked of
+    translation_certifier, the space's own left multiplications too."""
+    return _translation_search_by_recursion(X, i, translation_certifier(X, i))
+
+
+def generated_translation_group_by_two_sided_composition(X, i: int, seeds):
+    """Reference for translations.generated_translation_group: each new
+    bijection composed with every one found so far, on both sides."""
+    for s in seeds:
+        if not is_translation(X, s, i):
+            raise ValueError("seed is not a height-%d translation" % i)
+    group = {tuple(range(X.size))}
+    frontier = [tuple(s) for s in seeds]
+    while frontier:
+        a = frontier.pop()
+        for g in list(group):
+            for c in (compose_bijections(g, a), compose_bijections(a, g)):
+                if c not in group:
+                    group.add(c)
+                    frontier.append(c)
+    return sorted(group)
+
+
+def subgroup_closure_by_frontier(G: FiniteGroup, generators) -> frozenset:
+    """Reference for groups.subgroup_closure: the products of generators
+    found from the identity by a frontier of its own."""
+    seen = {0}
+    frontier = [0]
+    gens = list(generators)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = G.op(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+def is_polynomial_by_frontier(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> bool:
+    """Reference for poly.is_polynomial: each weight level closed under
+    weight-0 derivatives by a frontier of its own, raising ClosureBlowup
+    when an added map takes the level past poly.CLOSURE_CAP."""
+    H, G = hfilt.group, gfilt.group
+    top = gfilt.degree + 1
+    level_sets = {0: {tuple(g)}}
+    h0 = sorted(hfilt.subgroup(0)) if hfilt.subgroup(0) != hfilt.subgroup(1) else ()
+    for w in range(top + 1):
+        current = level_sets.get(w, set())
+        frontier = list(current) if h0 else []
+        while frontier:
+            f = frontier.pop()
+            for h in h0:
+                df = poly.derivative(f, H, G, h)
+                if df not in current:
+                    current.add(df)
+                    frontier.append(df)
+                    if len(current) > poly.CLOSURE_CAP:
+                        raise poly.ClosureBlowup("derivative closure exceeded cap")
+        Gw = gfilt.subgroup(w)
+        if any(val not in Gw for f in current for val in f):
+            return False
+        for i in range(1, min(hfilt.degree, top - w) + 1):
+            level_sets.setdefault(w + i, set()).update(
+                poly.derivative(f, H, G, h) for f in current for h in sorted(hfilt.subgroup(i)))
+    return True
 
 
 def factorize_by_vertex_filter(values: Sequence[int], filt: Filtration):

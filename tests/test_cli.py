@@ -1052,12 +1052,22 @@ LABELLED_FIELDS = {"composition_witness", "ergodic_witness", "elements", "height
 
 
 def _relabel_space(space, rng):
-    """(space with the points of each explicit table renumbered by a seeded
-    permutation, that permutation if space itself is explicit, else None)."""
+    """(space with the points of each explicit table, or the elements of a
+    group table other than the identity 0, renumbered by a seeded
+    permutation, that permutation if space itself is explicit or a group,
+    else None)."""
     if space.get("source") == "explicit":
         perm = rng.sample(range(space["size"]), space["size"])
         return dict(space, tables={n: [[perm[x] for x in q] for q in qs]
                                    for n, qs in space["tables"].items()}), perm
+    if space.get("source") == "group" and space["group"]["type"] == "table":
+        rows = space["group"]["table"]
+        perm = [0] + rng.sample(range(1, len(rows)), len(rows) - 1)
+        table = [[None] * len(rows) for _ in rows]
+        for a, row in enumerate(rows):
+            for b, c in enumerate(row):
+                table[perm[a]][perm[b]] = perm[c]
+        return dict(space, group={"type": "table", "table": table}), perm
     if space.get("source") == "product":
         return dict(space, factors=[_relabel_space(f, rng)[0] for f in space["factors"]]), None
     return space, None
@@ -1084,11 +1094,12 @@ def _invariant_part(code, out, err):
 
 
 def _relabelling_bases():
-    """The FUZZ_BASES specs on explicit tables, and check, decompose,
+    """The FUZZ_BASES specs on explicit tables; check, decompose,
     translations and count_classes on the explicit tables of D_1(Z/4),
-    D_2(Z/2) and D_2(Z/3)."""
+    D_2(Z/2) and D_2(Z/3); and check, decompose and translations on the
+    Cayley tables of Z/4 and H_2 with their lower central series."""
     from nilcube.cubespace import abelian_Dk
-    from nilcube.groups import CyclicProduct
+    from nilcube.groups import CyclicProduct, Heisenberg
 
     bases = [s for s in FUZZ_BASES if '"explicit"' in json.dumps(s)]
     for m, k in ((4, 1), (2, 2), (3, 2)):
@@ -1100,6 +1111,13 @@ def _relabelling_bases():
                   {"kind": "translations", "cubespace": space},
                   {"kind": "cohomology", "op": "count_classes", "A": [2], "k": 1,
                    "cubespace": space}]
+    for G in (CyclicProduct((4,)), Heisenberg(2)):
+        table = [[G.op(a, b) for b in G.elements()] for a in G.elements()]
+        space = {"source": "group", "group": {"type": "table", "table": table},
+                 "filtration": {"type": "lcs"}}
+        bases += [{"kind": "check", "n_max": 2, "cubespace": space},
+                  {"kind": "decompose", "n_max": 2, "cubespace": space},
+                  {"kind": "translations", "cubespace": space}]
     return bases
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcube import groups as gr
-from oracles import abelian_invariants_by_torsion
+from oracles import abelian_invariants_by_torsion, subgroup_closure_by_frontier
 
 
 def test_cyclic_product_axioms_and_indexing():
@@ -429,6 +429,15 @@ def test_commutator_subgroup_matches_all_pairs(name):
             gr.lower_central_series(G)
     else:
         assert gr.lower_central_series(G).chain == want
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_GROUPS))
+def test_subgroup_closure_matches_the_frontier_loop(name):
+    G = _ORACLE_GROUPS[name]()
+    rng = random.Random(name)
+    for k in (0, 1, 1, 1, 2, 2, 2, 3, 3):
+        gens = [rng.randrange(G.order) for _ in range(k)]
+        assert gr.subgroup_closure(G, gens) == subgroup_closure_by_frontier(G, gens), gens
 
 
 def test_generating_set_is_greedy_and_spans():

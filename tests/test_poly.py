@@ -4,9 +4,11 @@ binomial extensions."""
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nilcube import cubegroups as cg
 from nilcube import groups as gr
 from nilcube import poly
@@ -62,6 +64,36 @@ def test_hom_poly_agree_exhaustively_small():
         # polynomial here only when the group is small enough; record
         # the counts so regressions show up
         assert n_poly == H.order ** H.order
+
+
+def _verdict(is_polynomial, g, hfilt, gfilt):
+    try:
+        return is_polynomial(g, hfilt, gfilt)
+    except poly.ClosureBlowup:
+        return "blowup"
+
+
+@pytest.mark.parametrize("cap", [poly.CLOSURE_CAP, 16])
+def test_weight_0_closure_matches_the_frontier_loop(cap, monkeypatch):
+    # domain chains with H_0 != H_1, the only ones that close a level
+    # under weight-0 derivatives; at the small cap some levels blow up
+    monkeypatch.setattr(poly, "CLOSURE_CAP", cap)
+    H2 = gr.Heisenberg(2)
+    domains = [gr.Filtration(gr.CyclicProduct((4,)), ({0, 1, 2, 3}, {0, 2})),
+               gr.Filtration(H2, (set(H2.elements()), {0, H2.index_of((0, 0, 1))}))]
+    targets = [gr.maximal_degree_k_filtration(gr.CyclicProduct((m,)), k)
+               for m, k in ((2, 1), (2, 2), (4, 1), (4, 2))]
+    rng = random.Random(cap)
+    seen = set()
+    for hfilt in domains:
+        assert gr.validate_filtration(hfilt) is None
+        for gfilt in targets:
+            for _ in range(20):
+                g = tuple(rng.randrange(gfilt.group.order) for _ in range(hfilt.group.order))
+                want = _verdict(oracles.is_polynomial_by_frontier, g, hfilt, gfilt)
+                assert _verdict(poly.is_polynomial, g, hfilt, gfilt) == want, g
+                seen.add(want)
+    assert seen == ({True, False, "blowup"} if cap == 16 else {True, False})
 
 
 def test_polynomials_closed_under_product_and_inverse():

@@ -63,13 +63,26 @@ def test_certificate_matches_the_per_arrow_route(request, name):
     assert X.size == 2 or all(not all(v) for v in verdicts.values())
 
 
+def _d1z2_without_a_square():
+    """D1(Z/2) as tables, less the degenerate square (0, 1, 0, 1)."""
+    squares = abelian_Dk(gr.CyclicProduct((2,)), 1).cubes(2) - {(0, 1, 0, 1)}
+    return ExplicitCubespace(2, {1: list(itertools.product((0, 1), repeat=2)), 2: squares}, step=1)
+
+
+def _d1z2_without_the_arrows_of_the_swap():
+    """D1(Z/2) as tables up to dimension 3, less the arrows of the swap
+    in the 3-cubes."""
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    arrows = {cg.arrow(q, tuple(1 - x for x in q), 2, 1) for q in d1.cubes(2)}
+    return ExplicitCubespace(2, {1: d1.cubes(1), 2: d1.cubes(2), 3: d1.cubes(3) - arrows}, step=1)
+
+
 def test_certificate_answers_the_alpha_free_faces_once():
     # D1(Z/2) without the degenerate square (0, 1, 0, 1): the arrow faces
     # of height 2 that never read alpha include that square, restricted
     # from the cube (0, 1, 1, 0), so no bijection is a translation there
-    squares = abelian_Dk(gr.CyclicProduct((2,)), 1).cubes(2) - {(0, 1, 0, 1)}
-    assert (0, 1, 1, 0) in squares
-    X = ExplicitCubespace(2, {1: list(itertools.product((0, 1), repeat=2)), 2: squares}, step=1)
+    X = _d1z2_without_a_square()
+    assert (0, 1, 1, 0) in X.cubes(2)
     assert not check_axioms(X, 2).composition_ok
     verdicts = _certificate_agrees_with_arrows(X, (1, 2))
     assert verdicts[2] == [False, False]
@@ -80,13 +93,10 @@ def test_certificate_falls_back_to_arrows_on_a_table_of_the_arrow_dimension():
     # membership looks arrows up in that table, so the swap is no height-1
     # translation there, although every face of its arrows is a cube
     d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
-    swap = (1, 0)
-    arrows = {cg.arrow(q, tuple(swap[x] for x in q), 2, 1) for q in d1.cubes(2)}
-    tables = {n: d1.cubes(n) for n in (1, 2)}
-    plain = ExplicitCubespace(2, tables, step=1)
-    doctored = ExplicitCubespace(2, {**tables, 3: d1.cubes(3) - arrows}, step=1)
-    assert tr.is_translation(plain, swap, 1)
-    assert _certificate_agrees_with_arrows(doctored, (1,))[1] == [True, False]
+    plain = ExplicitCubespace(2, {n: d1.cubes(n) for n in (1, 2)}, step=1)
+    assert tr.is_translation(plain, (1, 0), 1)
+    assert _certificate_agrees_with_arrows(_d1z2_without_the_arrows_of_the_swap(), (1,))[1] == [
+        True, False]
 
 
 def _dk(moduli, k):
@@ -124,6 +134,34 @@ def test_translation_group_matches_the_search_that_certifies_every_leaf(name):
     heights = range(1, X.step + 1)
     found = [tr.translation_group(X, i) for i in heights]  # before the oracle builds anything
     assert found == [oracles.translation_group_certifying_every_leaf(X, i) for i in heights]
+
+
+def _searched_space(name, request):
+    """A space of _SPACES, M(rho0), M(rho1), D1(Z/2) x D2(Z/2), or one of
+    the D1(Z/2) tables that fail the axioms, built afresh (the M(rho) are
+    the session's)."""
+    if name.startswith("M("):
+        return request.getfixturevalue("model_extensions")[int(name[5])]
+    if name == "D1(Z/2)xD2(Z/2)":
+        return ProductCubespace(_dk((2,), 1), _dk((2,), 2))
+    if name == "D1(Z/2) less a square":
+        return _d1z2_without_a_square()
+    if name == "D1(Z/2) less the swap's arrows":
+        return _d1z2_without_the_arrows_of_the_swap()
+    return _SPACES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_SPACES) + [
+    "M(rho0)", "M(rho1)", "D1(Z/2)xD2(Z/2)", "D1(Z/2) less a square",
+    "D1(Z/2) less the swap's arrows"])
+def test_translation_group_matches_the_recursive_search(name, request):
+    # the depth-first kernel, on the same checks in the same order, lists
+    # what the recursion lists, in its order; the explicit tables fail
+    # the axioms, so they reach bijections that the certificate refuses
+    X = _searched_space(name, request)
+    heights = range(1, X.step + 1)
+    found = [tr.translation_group(X, i) for i in heights]
+    assert found == [oracles.translation_group_by_recursion(X, i) for i in heights]
 
 
 def test_heisenberg_tower_matches_the_search_that_certifies_every_leaf(heis2_space, heis2_tower):
@@ -203,8 +241,42 @@ def test_tran_k_matches_structure_group_on_coset_space(coset_space):
 
 def test_generated_group_recovers_tower(d2z2):
     tower = tr.translation_tower(d2z2)
-    gen = tr.generated_translation_group(d2z2, 1, tower.bijections[1:2])
+    seeds = tower.bijections[1:2]
+    gen = tr.generated_translation_group(d2z2, 1, seeds)
     assert set(gen) <= set(tower.bijections)
+    assert gen == oracles.generated_translation_group_by_two_sided_composition(d2z2, 1, seeds)
+
+
+# ROADMAP item 11: a transitive tower is a filtered group whose coset
+# space by the stabilizer of a point is X again
+_TRANSITIVE_TOWERS = ["D1(Z/4)", "D2(Z/3)", "D2(Z/4)", "D1(Z/2xZ/2)", "D3(Z/2)",
+                      "H2/<1>", "H2/<2>", "H2/<4>", "D1(Z/2)xD2(Z/2)", "M(rho0)", "H2"]
+
+
+@pytest.mark.parametrize("name", _TRANSITIVE_TOWERS)
+def test_the_tower_rebuilds_the_space_as_the_coset_space_of_a_stabilizer(name, request):
+    if name == "H2":  # its 3-cubes upstairs number 2^24
+        X, tower, n_max = (request.getfixturevalue("heis2_space"),
+                           request.getfixturevalue("heis2_tower"), 2)
+    else:
+        X = _searched_space(name, request)
+        tower, n_max = tr.translation_tower(X), X.step + 1
+    assert tr.translation_action_transitive(tower)
+    stabilizer = frozenset(j for j, a in enumerate(tower.bijections) if a[0] == 0)
+    model = CosetCubespace(tower.filtration, stabilizer)
+    # the coset g Stab(0) goes to g(0)
+    point = [tower.bijections[coset[0]][0] for coset in model.fibres]
+    assert sorted(point) == list(range(X.size))
+    for n in range(n_max + 1):
+        assert {tuple(point[c] for c in q) for q in model.cubes(n)} == X.cubes(n), n
+
+
+def test_the_tower_of_a_non_split_extension_is_not_transitive(model_extensions):
+    # the base shift of M(rho1) does not lift (see the lift test below),
+    # so every translation keeps the fibres {0, 1} and {2, 3}
+    tower = tr.translation_tower(model_extensions[1])
+    assert not tr.translation_action_transitive(tower)
+    assert {frozenset(a[:2]) for a in tower.bijections} == {frozenset({0, 1})}
 
 
 def _translation_cubes(tower, n):
@@ -279,9 +351,7 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
 def _lift_space(name):
     """A space of _SPACES, or D_1(Z/2) x D_2(Z/2), built once for all its
     lift cases."""
-    if name == "D1(Z/2)xD2(Z/2)":
-        return ProductCubespace(_dk((2,), 1), _dk((2,), 2))
-    return _SPACES[name]()
+    return _searched_space(name, None)
 
 
 @pytest.mark.parametrize("space,i,abar", [
