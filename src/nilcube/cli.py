@@ -345,7 +345,8 @@ def _axiom_report_json(rep: cs.AxiomReport):
         "ergodic_ok": rep.ergodic_ok,
         "ergodic_witness": rep.ergodic_witness,
         "completion": {
-            str(n): {"corners": l.corners, "complete": l.complete, "unique": l.unique}
+            str(n): {"corners": l.corners, "complete": l.complete, "unique": l.unique,
+                     "witness": l.witness}
             for n, l in rep.completion.items()
         },
         "is_nilspace": rep.is_nilspace,
@@ -542,7 +543,7 @@ def run_extend(spec, opts):
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,
            "axioms": _axiom_report_json(rep)}
     try:
-        back = coh.cross_section_cocycle(M.as_extension_data(), M.obvious_section())
+        back = coh.cross_section_cocycle(M.extension, [ys[0] for ys in M.extension.fibres])
         out["obvious_section_round_trip"] = back.table == rho.table
     except ValueError as e:  # a base cube that does not lift to M
         out.update(obvious_section_round_trip=False, reason=str(e))

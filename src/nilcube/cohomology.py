@@ -3,13 +3,15 @@ the model space M(rho), cross-section cocycles, and the tricube
 alternating sum.
 
 Cocycle counts and coboundaries are linear algebra over A (one Smith
-elimination), with table enumeration as the oracle; M(rho) builds its
-cube sets fibre by fibre.
+elimination), with table enumeration as the oracle.
 
-An extension is a `structure.ExtensionData`; whether it is a degree-k
-bundle is decided by `structure.verify_degree_k_bundle`, the check that
-`structure.decompose` runs on every level of a nilspace, and whether it
-has a cube-preserving section by one linear system
+An extension is a `structure.ExtensionData`, which holds its fibres,
+its fibre space D_k(A) and the lift of a base cube; M(rho) carries one
+as its `extension` field and builds its cube sets from it, a lift per
+base cube moved by the cubes of D_d(A).  Whether an extension is a
+degree-k bundle is decided by `structure.verify_degree_k_bundle`, the
+check that `structure.decompose` runs on every level of a nilspace, and
+whether it has a cube-preserving section by one linear system
 (`morphism_section`).
 
 A cocycle of degree d takes values in a finite abelian group and is
@@ -25,7 +27,7 @@ from typing import Dict, List, Sequence
 
 from . import cubes as cb
 from .cubegroups import sigma
-from .cubespace import Cubespace, abelian_Dk
+from .cubespace import Cubespace
 from .groups import FiniteAbelianGroup, abelian_kernel_order, solve_abelian_linear_system
 from .structure import ExtensionData
 
@@ -212,7 +214,8 @@ class ExtensionSpace(Cubespace):
     part is a cube of X and, on dimension d+1 (and on every (d+1)-face
     in higher dimensions), rho of the base equals minus the alternating
     sum of the fibre part.  The cubes over a base cube are therefore
-    empty or a coset of the cubes of D_d(A), added pointwise in A."""
+    empty or a coset of the cubes of D_d(A), added pointwise in A.  The
+    point (x, z) is x |A| + z, so extension.fibres[x][z] is (x, z)."""
 
     def __init__(self, rho: Cocycle):
         self.rho = rho
@@ -221,11 +224,10 @@ class ExtensionSpace(Cubespace):
         self.d = rho.k  # extension degree; special dimension is d+1
         if self.base.step is None:
             raise ValueError("the base needs a step bound")
-        self.fibre_space = abelian_Dk(self.A, self.d)
-        super().__init__(self.base.size * self.A.order, step=max(self.base.step + 1, self.d))
-
-    def encode(self, x: int, z: int) -> int:
-        return x * self.A.order + z
+        m, op = self.A.order, self.A.op
+        super().__init__(self.base.size * m, step=max(self.base.step + 1, self.d))
+        self.extension = ExtensionData(self, self.base, [p // m for p in range(self.size)],
+                                       self.A, self.d, lambda a, y: y - y % m + op(y % m, a))
 
     def _special_ok(self, xs: tuple, zs: tuple) -> bool:
         return self.rho.table[xs] == self.A.inv(sigma(zs, self.d + 1, self.A))
@@ -246,33 +248,22 @@ class ExtensionSpace(Cubespace):
         return True
 
     def _enumerate_cubes(self, n):
-        """Per base cube q, the first lift by the scan of the fibres over
-        q plus each n-cube of D_d(A); nothing over a q with no lift."""
-        m, op = self.A.order, self.A.op
+        """Per base cube q, extension.lift(n, q) moved by each n-cube of
+        D_d(A); nothing over a q with no lift."""
+        ext = self.extension
         out = []
         for q in self.base.cubes(n):
-            lift = next(self._scan_maps(n, False, [range(x * m, x * m + m) for x in q]), None)
+            lift = ext.lift(n, q)
             if lift is not None:
-                out.extend(tuple(y - y % m + op(y % m, a) for y, a in zip(lift, c))
-                           for c in self.fibre_space.cubes(n))
+                out.extend(tuple(map(ext.act, c, lift)) for c in ext.fibre_space.cubes(n))
         return out
 
     def deepest_dimension(self, n):
         return self.base.deepest_dimension(n)
 
     def count_cubes(self, n, cap):
-        bound = self.base.count_cubes(n, cap) * self.fibre_space.count_cubes(n, cap)
+        bound = self.base.count_cubes(n, cap) * self.extension.fibre_space.count_cubes(n, cap)
         return bound if bound > cap else len(self.cubes(n))
-
-    def as_extension_data(self) -> ExtensionData:
-        pi = [p // self.A.order for p in range(self.size)]
-        return ExtensionData(
-            self, self.base, pi, self.A, self.d,
-            lambda a, y: (y // self.A.order) * self.A.order + self.A.op(y % self.A.order, a),
-        )
-
-    def obvious_section(self) -> List[int]:
-        return [self.encode(x, 0) for x in range(self.base.size)]
 
 
 def build_extension(rho: Cocycle) -> ExtensionSpace:
@@ -282,34 +273,29 @@ def build_extension(rho: Cocycle) -> ExtensionSpace:
     return ExtensionSpace(rho)
 
 
-def _fibre_difference(ext: ExtensionData, y1: int, y2: int) -> int:
-    """The unique a with act(a, y1) = y2."""
-    for a in range(ext.A.order):
-        if ext.act(a, y1) == y2:
-            return a
-    raise ValueError("points are not in one fibre")
-
-
 def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     """The cocycle generated by a cross section s of a degree-k
     extension: rho_s(q) = sigma_{k+1}(f o q') for any cube lift q' of q,
-    with f(y) = s(pi(y)) - y.  Independence of the lift is spot-checked
-    against the lift found with every fibre searched in reverse."""
+    with f(y) = s(pi(y)) - y, so f(a moving s(x)) = -a.  An action that
+    does not reach each point of a fibre from s(x) exactly once is a
+    ValueError.  Independence of the lift is spot-checked against the
+    lift found with every fibre searched in reverse."""
     Y, X, A, k = ext.Y, ext.X, ext.A, ext.k
     if any(ext.pi[s[x]] != x for x in range(X.size)):
         raise ValueError("not a section")
-    f = [_fibre_difference(ext, y, s[ext.pi[y]]) for y in range(Y.size)]
-    fibres: Dict[int, List[int]] = {}
-    for y in range(Y.size):
-        fibres.setdefault(ext.pi[y], []).append(y)
-    rev = {x: list(reversed(ys)) for x, ys in fibres.items()}
+    f = {}
+    for x, ys in enumerate(ext.fibres):
+        diff = {ext.act(a, s[x]): A.inv(a) for a in range(A.order)}
+        if len(diff) != A.order or sorted(diff) != ys:
+            raise ValueError("points are not in one fibre")
+        f.update(diff)
     table = {}
     for q in X.cubes(k + 1):
-        lift = next(Y._scan_maps(k + 1, False, [fibres[x] for x in q]), None)
+        lift = ext.lift(k + 1, q)
         if lift is None:
             raise ValueError("base cube does not lift")
         val = sigma([f[y] for y in lift], k + 1, A)
-        lift2 = next(Y._scan_maps(k + 1, False, [rev[x] for x in q]))
+        lift2 = next(Y._scan_maps(k + 1, False, [ext.fibres[x][::-1] for x in q]))
         val2 = sigma([f[y] for y in lift2], k + 1, A)
         assert val == val2, "cross-section value depends on the lift"
         table[q] = val
@@ -325,7 +311,7 @@ def morphism_section(ext: ExtensionData):
     section s is a coboundary (Antolin Camarena & Szegedy); for s the
     first point of each fibre and rho_s the coboundary of f, s moved by
     -f is one."""
-    s = [ext.pi.index(x) for x in range(ext.X.size)]
+    s = [ys[0] for ys in ext.fibres]
     f = is_coboundary(cross_section_cocycle(ext, s))
     if f is None:
         return None

@@ -11,9 +11,9 @@ cube exactly when its (k+1)-faces are (the face criterion), which answers
 from dimension step + 2 on; below it each space's own oracle answers.
 `depth_first` is the one depth-first search: `Cubespace._scan_maps` runs
 it with the face layout to list cubes and corners and to lift maps
-through image spaces (coset spaces, canonical factors) by scanning only
-the fibres, and `translations.translation_group` runs it over partial
-bijections.
+through image spaces (coset spaces, canonical factors) and extensions
+(`structure.ExtensionData.lift`) by scanning only the fibres, and
+`translations.translation_group` runs it over partial bijections.
 
 Every loop that asks "is this restriction a cube?" (the face criterion,
 the scan's pruning, corner completion) takes its restrictions with

@@ -2,8 +2,10 @@
 nilspaces: the one-flip relations, factor cubespaces, structure groups
 (the action by one-flip corner completions, its addition checked
 against a two-vertex corner, the group a `groups.FiniteAbelianGroup`)
-and the degree-k bundle check (the one check for decomposition levels,
-model extensions and translation bundles).  A factor is a
+and the degree-k extension record `ExtensionData`, the one form of each
+level of a nilspace, each model M(rho) and each translation bundle: it
+holds the fibres, D_k(A) and the lift of a base cube.  Its degree-k
+bundle check is `verify_degree_k_bundle`.  A factor is a
 `cubespace.ImageCubespace`, whose `lift` finds a cube upstairs over a
 factor cube.  Whether an extension has a cube-preserving section is
 `cohomology.morphism_section`.
@@ -11,12 +13,11 @@ factor cube.  Whether an extension has a cube-preserving section is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .cubegroups import enumerate_cubes
-from .groups import FiniteAbelianGroup, TableGroup, abelian_coordinates, maximal_degree_k_filtration
-from .cubespace import Cubespace, ImageCubespace, partition
+from .groups import FiniteAbelianGroup, TableGroup, abelian_coordinates
+from .cubespace import Cubespace, ImageCubespace, abelian_Dk, partition
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +136,8 @@ class BundleLevel:
 @dataclass
 class ExtensionData:
     """A candidate degree-k extension Y -> X: pi projects points, and the
-    abelian group A acts on Y by act(a, y)."""
+    abelian group A acts on Y by act(a, y).  The fibres and the fibre
+    space D_k(A) are computed once, at construction."""
 
     Y: Cubespace
     X: Cubespace
@@ -143,6 +145,20 @@ class ExtensionData:
     A: FiniteAbelianGroup
     k: int
     act: Callable[[int, int], int]  # (a, y) -> y shifted by a
+    fibres: List[List[int]] = field(init=False)  # fibres[x]: pi^-1(x), increasing
+    fibre_space: Cubespace = field(init=False)  # D_k(A)
+
+    def __post_init__(self):
+        self.fibres = [[] for _ in range(self.X.size)]
+        for y, x in enumerate(self.pi):
+            self.fibres[x].append(y)
+        self.fibre_space = abelian_Dk(self.A, self.k)
+
+    def lift(self, n: int, q: Sequence[int]) -> Optional[tuple]:
+        """The first n-cube of Y over the base cube q, in Y's scan order
+        with each fibre tried in increasing order; None when there is
+        none."""
+        return next(self.Y._scan_maps(n, False, [self.fibres[x] for x in q]), None)
 
 
 @dataclass
@@ -163,8 +179,7 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
     cube are the degree-k perturbations of any one of them (else
     ("fibre-correspondence", n, base cube)).  The last condition makes
     every difference of two cubes over one base cube a degree-k cube."""
-    Y, X, A, k = ext.Y, ext.X, ext.A, ext.k
-    afilt = maximal_degree_k_filtration(A, k)
+    Y, X, A = ext.Y, ext.X, ext.A
     for y in range(Y.size):
         seen = {ext.act(a, y) for a in range(A.order)}
         if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
@@ -181,10 +196,10 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
         if set(by_proj) != xcubes:
             missing = sorted(xcubes - set(by_proj))[0]
             return ("projection-not-onto", n, missing)
-        acubes = list(enumerate_cubes(afilt, n))
+        acubes = ext.fibre_space.cubes(n)
         for pq, qs in by_proj.items():
             ref = next(iter(qs))
-            pert = {tuple(ext.act(a, y) for a, y in zip(av, ref)) for av in acubes}
+            pert = {tuple(map(ext.act, av, ref)) for av in acubes}
             if pert != qs:
                 return ("fibre-correspondence", n, pq)
     return None
@@ -205,9 +220,7 @@ def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
         Xprev = factors[i - 1]
         sg = structure_group(Xi, i)
         # the factor map X_i -> X_{i-1} factors through the points of X
-        to_prev = [0] * Xi.size
-        for x in range(X.size):
-            to_prev[Xi.project(x)] = Xprev.project(x)
+        to_prev = [Xprev.project(cls[0]) for cls in Xi.fibres]
         ext = ExtensionData(Xi, Xprev, to_prev, sg.group, i, sg.act)
         bad = verify_degree_k_bundle(ext, n_max)
         if bad is not None:

@@ -3,6 +3,8 @@ the groups Tran_i(X) and their filtration, the bundle of translation
 pairs T and its factor T*, and lifting a translation of the top factor
 by one linear system: it lifts exactly when T* -> X_{k-1} has a
 cube-preserving section, which `cohomology.morphism_section` decides.
+The bundle is a `structure.ExtensionData`; its cube axioms are checked
+by `structure.verify_degree_k_bundle`, not here.
 """
 
 from __future__ import annotations
@@ -17,16 +19,9 @@ from . import cubes as cb
 from .cohomology import morphism_section
 from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, depth_first, partition
 from .groups import Filtration, TableGroup, closure, validate_filtration
-from .structure import (
-    ExtensionData,
-    factor,
-    related_k,
-    structure_group,
-    verify_degree_k_bundle,
-)
+from .structure import ExtensionData, factor, related_k, structure_group
 
 BRUTE_FORCE_CAP = 12
-BUNDLE_N_MAX = 3  # dimensions up to which translation_bundle verifies T* -> base
 
 
 def is_translation(X: Cubespace, alpha: Sequence[int], i: int = 1) -> bool:
@@ -272,16 +267,28 @@ class TranslationBundle:
     the first coordinate, and the top structure group of X acts through
     the second."""
 
-    X: Cubespace
-    i: int
-    abar: tuple
     T: RestrictedCubespace
     extension: ExtensionData  # Tstar -> X_{k-1}, both ImageCubespaces
-    extension_report: Optional[tuple]  # None when it validates (only the action if not validate)
+
+    def covering(self, section: Sequence[int]) -> Optional[tuple]:
+        """beta for a section of Tstar -> X_{k-1}: beta(x) is the unique
+        partner of x in the class section(pi(x)); None when some point
+        has no partner there or more than one."""
+        arrows, base, Tstar = self.T.X, self.extension.X, self.extension.Y
+        beta = []
+        for x in range(arrows.X.size):
+            pairs = (arrows.decode(self.T.points[p]) for p in Tstar.fibres[section[base.project(x)]])
+            partners = {x1 for x0, x1 in pairs if x0 == x}
+            if len(partners) != 1:
+                return None
+            beta.append(partners.pop())
+        return tuple(beta)
 
 
-def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
-                       validate: bool = True) -> TranslationBundle:
+def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1) -> TranslationBundle:
+    """The bundle of abar.  The action of the structure group on a pair
+    p of T must not depend on the representative p of its Tstar class
+    (else a ValueError); the cube axioms of the bundle are not checked."""
     if X.step is None or X.step < 1:
         raise ValueError("needs a space of known positive step")
     k = X.step
@@ -314,21 +321,14 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1,
         x0, x1 = A.decode(T.points[p])
         return pair_class[A.encode(x0, sg.act(a, x1))]
 
+    for c, cls in enumerate(Tstar.fibres):
+        for a in sg.group.elements():
+            if len({moved(a, p) for p in cls}) != 1:
+                raise ValueError("Tstar is not a bundle over the factor: %r"
+                                 % (("action-not-well-defined", c, a),))
     ext = ExtensionData(Tstar, base, gamma, sg.group, k - i,
                         lambda a, c: moved(a, Tstar.fibres[c][0]))
-    return TranslationBundle(X, i, tuple(abar), T, ext, _validate_bundle_extension(ext, moved, validate))
-
-
-def _validate_bundle_extension(ext: ExtensionData, moved, full: bool):
-    """None, or why Tstar -> X_{k-1} is not a degree-(k-i) bundle.  The
-    action moved(a, p) of a on a pair p of T must not depend on the
-    representative p of its Tstar class; only when full are the cube
-    axioms of the bundle checked too."""
-    for c, cls in enumerate(ext.Y.fibres):
-        for a in ext.A.elements():
-            if len({moved(a, p) for p in cls}) != 1:
-                return ("action-not-well-defined", c, a)
-    return verify_degree_k_bundle(ext, BUNDLE_N_MAX) if full else None
+    return TranslationBundle(T, ext)
 
 
 @dataclass
@@ -347,23 +347,14 @@ def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> LiftR
     section whose beta fails that raises a ValueError.  A "no lift"
     answer is not certified: it assumes Tstar is a degree-(k-i) bundle,
     as when X is a k-step nilspace, and checks only that the action on
-    Tstar is well defined (a ValueError if not)."""
-    tb = translation_bundle(X, abar, i, validate=False)
-    if tb.extension_report is not None:
-        raise ValueError("Tstar is not a bundle over the factor: %r" % (tb.extension_report,))
+    Tstar is well defined (translation_bundle raises if not)."""
+    tb = translation_bundle(X, abar, i)
     m = morphism_section(tb.extension)
     if m is None:
         return LiftResult(False, None, None)
-    base, Tstar = tb.extension.X, tb.extension.Y
-    A = tb.T.X  # the ambient arrow space
-    beta = []
-    for x in range(X.size):
-        pairs = (A.decode(tb.T.points[p]) for p in Tstar.fibres[m[base.project(x)]])
-        partners = {x1 for x0, x1 in pairs if x0 == x}
-        if len(partners) != 1:
-            raise ValueError("the section has %d partners of point %d" % (len(partners), x))
-        beta.append(partners.pop())
-    if not is_translation(X, beta, i) or any(
+    beta = tb.covering(m)
+    base = tb.extension.X
+    if beta is None or not is_translation(X, beta, i) or any(
             base.project(beta[x]) != abar[base.project(x)] for x in range(X.size)):
         raise ValueError("the section does not lift abar to a height-%d translation" % i)
-    return LiftResult(True, m, tuple(beta))
+    return LiftResult(True, m, beta)

@@ -400,25 +400,17 @@ def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
     beta(x) the unique partner of x in its class, and the first that is
     a certified height-i translation covering abar is the lift; when
     none is, every section has been examined."""
-    tb = translation_bundle(X, abar, i, validate=False)
+    tb = translation_bundle(X, abar, i)
     base, Tstar = tb.extension.X, tb.extension.Y
-    A = tb.T.X  # the ambient arrow space
     searched = 0
     for choice in sections(tb.extension):
         searched += 1
         if not analyze_morphism(choice, base, Tstar, 3)[0]:
             continue
-        beta = []
-        for x in range(X.size):
-            pairs = (A.decode(tb.T.points[p]) for p in Tstar.fibres[choice[base.project(x)]])
-            partners = {x1 for x0, x1 in pairs if x0 == x}
-            if len(partners) != 1:
-                break
-            beta.append(partners.pop())
-        else:
-            if (sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
-                    and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
-                return LiftResult(True, list(choice), tuple(beta)), searched
+        beta = tb.covering(choice)
+        if (beta is not None and sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
+                and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
+            return LiftResult(True, list(choice), beta), searched
     return LiftResult(False, None, None), searched
 
 

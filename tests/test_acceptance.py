@@ -220,8 +220,8 @@ def test_criterion_08_cohomology_round_trips(d1z2):
             M = coh.build_extension(rho)
             rep = check_axioms(M, 3)
             assert rep.is_nilspace
-            data = M.as_extension_data()
-            back = coh.cross_section_cocycle(data, M.obvious_section())
+            data = M.extension
+            back = coh.cross_section_cocycle(data, [ys[0] for ys in data.fibres])
             assert back.table == rho.table
             # brute-force coboundary scan (|A|^|X| = 4 <= 10^6)
             brute = any(
@@ -288,12 +288,17 @@ def test_criterion_10_parallelepiped_equivalence(d1z2, d1z3, d2z2):
         nil = check_axioms(X, 2)
         para = check_parallelepiped_axioms(X, 2)
         assert nil.is_nilspace == para.all_ok == (label is None)
+        if label is None:
+            assert para.witness is None
         if label == "closing":
             assert not para.closing_ok
+            assert para.witness[:2] == ("closing", 2) and not X.completions(2, para.witness[2])
         if label == "ergodic":
-            assert not nil.ergodic_ok and not para.full_p1
+            assert not nil.ergodic_ok and not para.full_p1 and para.witness is None
         if label == "symmetry":
             assert not nil.composition_ok and not para.symmetry_ok
+            # the witness is the last failing check of its dimension
+            assert para.witness == ("symmetric", 2, (0, 0), (0, 1))
     _report(10, "parallelepiped equivalence on 6 instances")
 
 
@@ -305,8 +310,8 @@ def test_criterion_11_translation_bundle_lifting(d2z2):
     base = stc.factor(d2z2, 1)
     abar = [0] * base.size
     assert tr.is_translation(base, abar, 1)
-    tb = tr.translation_bundle(d2z2, abar, i=1, validate=True)
-    assert tb.extension_report is None
+    tb = tr.translation_bundle(d2z2, abar, i=1)
+    assert stc.verify_degree_k_bundle(tb.extension, 3) is None
     res = tr.try_lift_translation(d2z2, abar, i=1)
     assert res.found
     assert oracles.analyze_morphism(res.section, base, tb.extension.Y, 3) == (True, None)

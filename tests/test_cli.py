@@ -550,8 +550,10 @@ def test_extension_source_validates_its_cocycle_once(monkeypatch):
         reports[kind] = json.loads(out)
     assert len(calls) == 3
     assert reports["check"] == {
-        "axioms": {"completion": {"1": {"complete": True, "corners": 4, "unique": False},
-                                  "2": {"complete": True, "corners": 64, "unique": True}},
+        "axioms": {"completion": {"1": {"complete": True, "corners": 4, "unique": False,
+                                        "witness": None},
+                                  "2": {"complete": True, "corners": 64, "unique": True,
+                                        "witness": None}},
                    "composition_checks": 308, "composition_ok": True,
                    "composition_witness": None, "ergodic_ok": True, "ergodic_witness": None,
                    "is_nilspace": True, "n_max": 2, "step": 1},
@@ -564,6 +566,28 @@ def test_extension_source_validates_its_cocycle_once(monkeypatch):
     export = reports["export"]
     assert (export["size"], export["step"]) == (4, 2)
     assert {n: len(qs) for n, qs in export["tables"].items()} == {"1": 16, "2": 64}
+
+
+def test_check_names_a_corner_with_no_completion():
+    # every pair is a 1-cube, but the only squares are (a, b, a, b) and
+    # (a, a, b, b): the corner (0, 1, 1) closes to neither
+    squares = sorted({(a, b, a, b) for a in range(3) for b in range(3)}
+                     | {(a, a, b, b) for a in range(3) for b in range(3)})
+    spec = {"kind": "check", "n_max": 2,
+            "cubespace": {"source": "explicit", "size": 3,
+                          "tables": {"1": [[a, b] for a in range(3) for b in range(3)],
+                                     "2": [list(q) for q in squares]}}}
+    code, out, err = _call_main(json.dumps(spec))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "axioms": {"completion": {"1": {"complete": True, "corners": 3, "unique": False,
+                                        "witness": None},
+                                  "2": {"complete": False, "corners": 27, "unique": False,
+                                        "witness": [0, 1, 1]}},
+                   "composition_checks": 90, "composition_ok": True,
+                   "composition_witness": None, "ergodic_ok": True, "ergodic_witness": None,
+                   "is_nilspace": False, "n_max": 2, "step": None},
+        "kind": "check", "size": 3}
 
 
 def test_export_reimport_round_trip():

@@ -1,6 +1,7 @@
 """Cocycles, coboundaries, model extensions, cross sections, and
 tricube sums."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -79,7 +80,7 @@ def test_model_extension_is_a_nilspace(d1z2):
         M = coh.build_extension(rho)
         rep = check_axioms(M, 3)
         assert rep.is_nilspace
-        data = M.as_extension_data()
+        data = M.extension
         assert stc.verify_degree_k_bundle(data, 2) is None
 
 
@@ -99,8 +100,8 @@ def test_obvious_section_round_trip(d1z2):
     for k in (1, 2):
         for rho in _all_cocycles(d1z2, k, Z2):
             M = coh.build_extension(rho)
-            data = M.as_extension_data()
-            back = coh.cross_section_cocycle(data, M.obvious_section())
+            data = M.extension
+            back = coh.cross_section_cocycle(data, [ys[0] for ys in data.fibres])
             assert back.table == rho.table
 
 
@@ -109,13 +110,20 @@ def test_extension_iso_with_twisted_section(d1z2):
     # a twisted section is in the class of rho
     nz = [rho for rho in _all_cocycles(d1z2, 1, Z2) if any(rho.table.values())][0]
     M = coh.build_extension(nz)
-    data = M.as_extension_data()
-    s = [M.encode(0, 0), M.encode(1, 1)]
+    data = M.extension
+    s = [data.fibres[0][0], data.fibres[1][1]]
     assert coh.cocycles_equivalent(coh.cross_section_cocycle(data, s), nz)
 
 
+def test_cross_section_refuses_an_action_that_is_not_a_torsor(model_extensions):
+    # the trivial action reaches one point of each 2-point fibre, once
+    ext = dataclasses.replace(model_extensions[0].extension, act=lambda a, y: y)
+    with pytest.raises(ValueError, match="points are not in one fibre"):
+        coh.cross_section_cocycle(ext, [ys[0] for ys in ext.fibres])
+
+
 def test_morphism_section_exists_exactly_when_a_search_finds_one(model_extensions, heis2_space):
-    split, twisted = (M.as_extension_data() for M in model_extensions)
+    split, twisted = (M.extension for M in model_extensions)
     s = coh.morphism_section(split)
     assert [split.pi[y] for y in s] == list(range(split.X.size))
     assert analyze_morphism(s, split.X, split.Y, 3) == (True, None)
@@ -156,8 +164,8 @@ def test_cross_section_lift_independence(d2z2):
     rho = coh.coboundary_of(d2z2, f, 2, A)
     assert coh.validate_cocycle(rho) is None
     M = coh.build_extension(rho)
-    data = M.as_extension_data()
-    back = coh.cross_section_cocycle(data, M.obvious_section())
+    data = M.extension
+    back = coh.cross_section_cocycle(data, [ys[0] for ys in data.fibres])
     assert back.table == rho.table
 
 
@@ -288,5 +296,5 @@ def test_extension_cubes_are_the_scanned_cubes(rho):
         scanned = frozenset(Cubespace._scan_maps(coh.ExtensionSpace(rho), n, False))
         assert M.cubes(n) == scanned
         assert M.count_cubes(n, 10 ** 6) == len(scanned)
-        product = len(rho.X.cubes(n)) * len(M.fibre_space.cubes(n))
+        product = len(rho.X.cubes(n)) * len(M.extension.fibre_space.cubes(n))
         assert M.count_cubes(n, len(scanned) - 1) == product >= len(scanned)

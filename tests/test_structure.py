@@ -220,7 +220,7 @@ def _d1z2_extension():
     """The trivial degree-1 extension M(0) -> D_1(Z/2) by Z/2."""
     X = abelian_Dk(gr.CyclicProduct((2,)), 1)
     A = gr.FiniteAbelianGroup((2,))
-    return coh.build_extension(coh.coboundary_of(X, [0, 0], 1, A)).as_extension_data()
+    return coh.build_extension(coh.coboundary_of(X, [0, 0], 1, A)).extension
 
 
 def test_bundle_verification_witnesses_each_failure(d2z2):

@@ -12,8 +12,8 @@ the root files passes it, by position or keyword, other than a call
 that only passes on a parameter of the caller that is itself never
 set.  Names are matched by identifier, so a name defined in two modules
 is reached, and its parameters are set, in both.  A class member is
-used when its name is a root or when src code outside its own body
-reads it.
+used when code in src outside its own body, or in a root file, reads it
+as an attribute (obj.name), or when a string in a root file names it.
 """
 
 import ast
@@ -44,15 +44,20 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 def _used_names(tree, with_strings):
     """Identifiers that code in tree uses: names and attributes, and
     with_strings also the identifiers inside string constants."""
-    out = set()
+    out = _string_names(tree) if with_strings else set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.update(IDENTIFIER.findall(node.value))
     return out
+
+
+def _string_names(tree):
+    """The identifiers inside the string constants of tree."""
+    return {name for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            for name in IDENTIFIER.findall(node.value)}
 
 
 def _definitions():
@@ -105,16 +110,15 @@ def test_every_definition_in_src_is_reached():
     assert not unreached, "reached by no root: " + ", ".join(unreached)
 
 
-def _reads(tree):
-    """How often code in tree reads each identifier, as a name or an
-    attribute; assignments to it are not reads."""
-    return Counter(node.id if isinstance(node, ast.Name) else node.attr
-                   for node in ast.walk(tree)
-                   if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load))
+def _attribute_reads(tree):
+    """How often code in tree reads each identifier as an attribute
+    (obj.name); assignments to it are not reads."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
 
 
 def _class_members():
-    """(module.class.name, name, reads of name in its own body) for every
+    """(module.class.name, name, attribute reads of name in its own body) for every
     method, class-level assignment and annotated field of a class in
     src/nilcube."""
     out = []
@@ -133,17 +137,19 @@ def _class_members():
                     continue
                 for name in names:
                     out.append(("%s.%s.%s" % (path.stem, cls.name, name), name,
-                                _reads(node)[name]))
+                                _attribute_reads(node)[name]))
     return out
 
 
 def test_every_class_member_in_src_is_used():
-    reads = Counter()
-    for path in sorted(SRC.glob("*.py")):
-        reads += _reads(ast.parse(path.read_text()))
-    roots = _roots()
+    reads, named = Counter(), set()
+    for path in sorted(SRC.glob("*.py")) + _root_files():
+        tree = ast.parse(path.read_text())
+        reads += _attribute_reads(tree)
+        if path.parent != SRC:
+            named |= _string_names(tree)
     unused = sorted(member for member, name, own in _class_members()
-                    if not name.startswith("__") and name not in roots and reads[name] == own)
+                    if not name.startswith("__") and name not in named and reads[name] == own)
     assert not unused, "used by no code: " + ", ".join(unused)
 
 

@@ -13,7 +13,7 @@ from nilcube import groups as gr
 from nilcube import translations as tr
 from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, \
     ProductCubespace, abelian_Dk, check_axioms
-from nilcube.structure import factor, structure_group
+from nilcube.structure import factor, structure_group, verify_degree_k_bundle
 
 
 def test_translations_of_d1zm_are_exactly_the_shifts():
@@ -307,7 +307,7 @@ def test_translation_bundle_and_lift_on_d2z2(d2z2):
     # only base translation is the identity; the bundle machinery must
     # still validate and find a lift
     tb = tr.translation_bundle(d2z2, [0], i=1)
-    assert tb.extension_report is None
+    assert verify_degree_k_bundle(tb.extension, 3) is None
     res = tr.try_lift_translation(d2z2, [0], i=1)
     assert res.found
     assert oracles.analyze_morphism(res.section, tb.extension.X, tb.extension.Y, 3) == (True, None)
@@ -326,8 +326,9 @@ def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypa
         return sg
 
     monkeypatch.setattr(tr, "structure_group", doctored)
-    tb = tr.translation_bundle(d2z2, [0], i=1, validate=False)
-    assert tb.extension_report == ("action-not-well-defined", 0, 1)
+    with pytest.raises(ValueError, match=r"not a bundle over the factor: "
+                                         r"\('action-not-well-defined', 0, 1\)"):
+        tr.translation_bundle(d2z2, [0], i=1)
     with pytest.raises(ValueError, match="not a bundle over the factor"):
         tr.try_lift_translation(d2z2, [0], i=1)
 
