@@ -1,16 +1,17 @@
-"""Translations of a finite cubespace: height-i translation detection,
-the groups Tran_i(X) and their filtration, the bundle of translation
-pairs T and its factor T*, and lifting a translation of the top factor
-by one linear system: it lifts exactly when T* -> X_{k-1} has a
-cube-preserving section, which `cohomology.morphism_section` decides.
-The bundle is a `structure.ExtensionData`; its cube axioms are checked
-by `structure.verify_degree_k_bundle`, not here.
+"""Translations of a finite cubespace: height-i translation detection
+on the faces of arrows, which are j-arrows of faces; the groups Tran_i(X)
+and their filtration, the bundle of translation pairs T and its factor
+T*, and lifting a translation of the top factor by one linear system:
+it lifts exactly when T* -> X_{k-1} has a cube-preserving section,
+which `cohomology.morphism_section` decides.  The bundle is a
+`structure.ExtensionData`; its cube axioms are checked by
+`structure.verify_degree_k_bundle`, not here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from operator import itemgetter
 from typing import List, Optional, Sequence
 
@@ -47,41 +48,6 @@ def _arrows_are_cubes(X: Cubespace, alpha: Sequence[int], n: int, i: int) -> boo
     return True
 
 
-@lru_cache(maxsize=None)
-def _arrow_face_templates(k1: int, i: int):
-    """The distinct k1-face restrictions of the i-arrows <q, alpha o q>_i
-    of k1-cubes q, memoized since they depend on the dimensions only.
-
-    Each restriction reads q on the vertices of a face of {0,1}^k1.
-    Returns (faces, templates).  faces lists these vertex sets, largest
-    first, from the whole cube (entry 0, given as None); each later
-    entry is (parent, slots): the face is faces[parent], the smallest
-    earlier face that holds it, read at the positions slots.  templates
-    lists (face, get, applies): with cols the values of q at the
-    vertices of faces[face] and acols their images under alpha, get
-    takes the face restriction from cols + acols, and applies says
-    whether it reads alpha at all.  The face that is q itself is left
-    out: it is a cube.
-    """
-    mask, top = (1 << k1) - 1, (1 << i) - 1
-    tables = {tuple((t & mask, (t >> k1) == top) for t in tbl)
-              for tbl in cb.face_index_tables(k1, k1 + i)}
-    tables.discard(tuple((v, False) for v in range(mask + 1)))
-    face_of = {tbl: tuple(sorted({v for v, _applied in tbl})) for tbl in tables}
-    # the face 1^i of the arrow coordinates is alpha o q: reads[0] is all of q
-    reads = sorted(set(face_of.values()), key=lambda r: (-len(r), r))
-    faces = [None]
-    for r in reads[1:]:
-        parent = max(j for j, s in enumerate(reads) if set(r) < set(s))
-        faces.append((parent, tuple(reads[parent].index(v) for v in r)))
-    templates = []
-    for tbl in sorted(tables):
-        r = face_of[tbl]
-        get = itemgetter(*(r.index(v) + applied * len(r) for v, applied in tbl))
-        templates.append((reads.index(r), get, any(applied for _v, applied in tbl)))
-    return tuple(faces), tuple(templates)
-
-
 def _columns(rows, width: int) -> list:
     """The columns of a collection of rows of the given width."""
     return list(zip(*rows)) or [()] * width
@@ -92,19 +58,20 @@ def translation_certifier(X: Cubespace, i: int):
     alpha of a space with a step bound k, built once per (X, i).
 
     The arrow <q, alpha o q>_i of a (k+1)-cube q has dimension
-    N = k+1+i >= k+2, so membership answers it by the face criterion:
-    every (k+1)-face restriction must lie in cubes(k+1).  A face of
-    {0,1}^N reads the vertices v of a face of q, each either as
-    alpha(q[v]) (the arrow coordinates are 1^i) or as q[v]; such a face
-    template depends on q only through its restriction to that face.
-    The certificate keeps the distinct templates and, for each face, the
-    distinct restrictions of cubes(k+1) to it (projected from those of a
-    larger face), held column by column, so that alpha maps a whole
-    column at once and zip assembles the restrictions; it asks the same
-    face questions by set lookups without repeats.  Templates that never
-    apply alpha are answered here, once.  When X already holds a cube
-    set of dimension N, membership would look the arrow up there
-    instead, so the predicate asks membership arrow by arrow.
+    k+1+i >= k+2, so membership answers it by the face criterion: every
+    (k+1)-face restriction must lie in cubes(k+1).  Those faces are the
+    j-arrows of the faces of q: a (k+1)-face with j free arrow
+    coordinates restricts q to a face F of codimension j, and reads
+    <q|F, alpha o q|F>_j when its fixed arrow coordinates are all 1, and
+    q|F repeated 2^j times otherwise (only when j < i).  The certificate
+    keeps, for each face F of codimension j <= min(i, k+1), the distinct
+    restrictions of cubes(k+1) to it (projected from those of the faces
+    of codimension j - 1 that F is a facet of), held column by column,
+    so that alpha maps a whole column at once and zip assembles the
+    arrows, smallest faces first.  The repeats, which never read alpha,
+    are answered here, once.  When X already holds a cube set of the
+    arrow dimension, membership would look the arrow up there instead,
+    so the predicate asks membership arrow by arrow.
     """
     if X.step is None:
         raise ValueError("the translation certificate needs a step bound")
@@ -112,29 +79,22 @@ def translation_certifier(X: Cubespace, i: int):
     C = X.cubes(k1)
     if k1 + i in X._cube_sets:
         return lambda alpha: _arrows_are_cubes(X, alpha, k1, i)
-    faces, templates = _arrow_face_templates(k1, i)
-    columns = [_columns(C, 1 << k1)]  # per face, its distinct restrictions by column
-    for parent, slots in faces[1:]:
-        cols = columns[parent]
-        columns.append(_columns(set(zip(*(cols[s] for s in slots))), len(slots)))
-    checks = []  # (face, get) of each template that applies alpha
-    for face, get, applies in templates:
-        if applies:
-            checks.append((face, get))
-        elif not C.issuperset(zip(*get(columns[face] * 2))):
-            return lambda alpha: False
-    checks.sort(key=lambda c: len(columns[c[0]][0]))  # cheap templates refute first
+    faces = {tuple(range(1 << k1)): _columns(C, 1 << k1)}  # F -> its restrictions by column
+    checks = []  # (q|F repeated 2^j - 1 times, q|F), by column, of each face F
+    for j in range(min(i, k1) + 1):
+        if j:  # the faces of codimension j, as the facets of those of codimension j - 1
+            faces = {tuple(P[t] for t in G): _columns(set(zip(*(cols[t] for t in G))), len(G))
+                     for P, cols in faces.items() for G in cb.face_index_tables(k1 - j, k1 - j + 1)}
+        for cols in faces.values():
+            if 0 < j < i and not C.issuperset(zip(*(cols * (1 << j)))):
+                return lambda alpha: False
+            checks.append((cols * ((1 << j) - 1), cols))
+    checks.sort(key=lambda c: len(c[1][0]))  # small faces refute first
 
     def certify(alpha):
         image = alpha.__getitem__
-        ext = {}
-        for face, get in checks:
-            if face not in ext:
-                cols = columns[face]
-                ext[face] = cols + [tuple(map(image, c)) for c in cols]
-            if not C.issuperset(zip(*get(ext[face]))):
-                return False
-        return True
+        return all(C.issuperset(zip(*fixed, *(tuple(map(image, c)) for c in cols)))
+                   for fixed, cols in checks)
 
     return certify
 
@@ -286,14 +246,20 @@ class TranslationBundle:
 
 
 def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1) -> TranslationBundle:
-    """The bundle of abar.  The action of the structure group on a pair
-    p of T must not depend on the representative p of its Tstar class
-    (else a ValueError); the cube axioms of the bundle are not checked."""
+    """The bundle of abar.  X must be its own k-factor, k its step (else
+    a ValueError naming x ~_k y): the top structure group acts there.
+    The action of the structure group on a pair p of T must not depend
+    on the representative p of its Tstar class (else a ValueError); the
+    cube axioms of the bundle are not checked."""
     if X.step is None or X.step < 1:
         raise ValueError("needs a space of known positive step")
     k = X.step
     if not 1 <= i <= k:
         raise ValueError("height must satisfy 1 <= i <= step")
+    top = factor(X, k)
+    if top.size < X.size:
+        x, y = next(cls for cls in top.fibres if len(cls) > 1)[:2]
+        raise ValueError("X is not its own %d-factor: %d ~_%d %d" % (k, x, k, y))
     base = factor(X, k - 1)
     if sorted(abar) != list(range(base.size)):
         raise ValueError("abar must be a bijection of the factor")
@@ -314,7 +280,7 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1) -> Transla
         if len(firsts) != 1:
             raise ValueError("first-coordinate projection is not constant on classes")
         gamma.append(firsts.pop())
-    sg = structure_group(factor(X, k), k)
+    sg = structure_group(top, k)
     pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
 
     def moved(a, p):
@@ -333,9 +299,8 @@ def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1) -> Transla
 
 @dataclass
 class LiftResult:
-    found: bool
     section: Optional[List[int]]  # base point -> Tstar class
-    beta: Optional[tuple]  # the lifted translation, if found
+    beta: Optional[tuple]  # the lifted translation, None when abar does not lift
 
 
 def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> LiftResult:
@@ -351,10 +316,10 @@ def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> LiftR
     tb = translation_bundle(X, abar, i)
     m = morphism_section(tb.extension)
     if m is None:
-        return LiftResult(False, None, None)
+        return LiftResult(None, None)
     beta = tb.covering(m)
     base = tb.extension.X
     if beta is None or not is_translation(X, beta, i) or any(
             base.project(beta[x]) != abar[base.project(x)] for x in range(X.size)):
         raise ValueError("the section does not lift abar to a height-%d translation" % i)
-    return LiftResult(True, m, beta)
+    return LiftResult(m, beta)

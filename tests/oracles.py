@@ -410,8 +410,8 @@ def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
         beta = tb.covering(choice)
         if (beta is not None and sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
                 and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
-            return LiftResult(True, list(choice), beta), searched
-    return LiftResult(False, None, None), searched
+            return LiftResult(list(choice), beta), searched
+    return LiftResult(None, None), searched
 
 
 def _prime_factors(n: int):

@@ -313,7 +313,7 @@ def test_criterion_11_translation_bundle_lifting(d2z2):
     tb = tr.translation_bundle(d2z2, abar, i=1)
     assert stc.verify_degree_k_bundle(tb.extension, 3) is None
     res = tr.try_lift_translation(d2z2, abar, i=1)
-    assert res.found
+    assert res.beta is not None
     assert oracles.analyze_morphism(res.section, base, tb.extension.Y, 3) == (True, None)
     assert tr.is_translation(d2z2, res.beta, 1)
     for x in range(d2z2.size):

@@ -3,12 +3,14 @@ factor."""
 
 import itertools
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
 from nilcube import cli
 from nilcube import cubegroups as cg
+from nilcube import cubes as cb
 from nilcube import groups as gr
 from nilcube import translations as tr
 from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, \
@@ -84,8 +86,35 @@ def test_certificate_answers_the_alpha_free_faces_once():
     X = _d1z2_without_a_square()
     assert (0, 1, 1, 0) in X.cubes(2)
     assert not check_axioms(X, 2).composition_ok
-    verdicts = _certificate_agrees_with_arrows(X, (1, 2))
-    assert verdicts[2] == [False, False]
+    verdicts = _certificate_agrees_with_arrows(X, (1, 2, 3))
+    assert verdicts[2] == verdicts[3] == [False, False]
+
+
+class _AskedCubes(frozenset):
+    """A cube set that holds every map asked of it and records them."""
+
+    def __init__(self, cubes):
+        self.asked = set()
+
+    def issuperset(self, rows):
+        self.asked.update(rows)
+        return True
+
+
+@pytest.mark.parametrize("k1,i", itertools.product(range(1, 5), range(1, 4)))
+def test_certificate_asks_every_face_of_the_arrow(k1, i):
+    # the (k1)-faces of the i-arrow <q, alpha o q>_i are the j-arrows of
+    # the faces of q and their alpha-free repeats: on a space whose one
+    # k1-cube is q = (0, .., 2^k1 - 1) and alpha(x) = x + 2^k1, the
+    # certificate must ask exactly the face restrictions of the symbolic
+    # arrow, q itself (a cube) aside
+    q, aq = range(1 << k1), range(1 << k1, 2 << k1)
+    arrow = cg.arrow(q, aq, k1, i)
+    faces = {tuple(arrow[t] for t in tbl) for tbl in cb.face_index_tables(k1, k1 + i)}
+    C = _AskedCubes([tuple(q)])
+    X = SimpleNamespace(step=k1 - 1, cubes={k1: C}.__getitem__, _cube_sets={k1: C})
+    assert tr.translation_certifier(X, i)(tuple(aq))
+    assert C.asked | {tuple(q)} == faces
 
 
 def test_certificate_falls_back_to_arrows_on_a_table_of_the_arrow_dimension():
@@ -309,7 +338,7 @@ def test_translation_bundle_and_lift_on_d2z2(d2z2):
     tb = tr.translation_bundle(d2z2, [0], i=1)
     assert verify_degree_k_bundle(tb.extension, 3) is None
     res = tr.try_lift_translation(d2z2, [0], i=1)
-    assert res.found
+    assert res.beta is not None
     assert oracles.analyze_morphism(res.section, tb.extension.X, tb.extension.Y, 3) == (True, None)
     assert tr.is_translation(d2z2, res.beta, 1)
 
@@ -333,6 +362,16 @@ def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypa
         tr.try_lift_translation(d2z2, [0], i=1)
 
 
+def test_bundle_refuses_a_space_that_is_not_its_own_top_factor():
+    # every map on two points is a cube, so 0 ~_1 1: the structure group
+    # of the 1-point 1-factor cannot act on the points of X
+    X = ExplicitCubespace(2, {n: list(itertools.product((0, 1), repeat=1 << n)) for n in (1, 2)},
+                          step=1)
+    for build in (tr.translation_bundle, tr.try_lift_translation):
+        with pytest.raises(ValueError, match="not its own 1-factor: 0 ~_1 1"):
+            build(X, (0,), 1)
+
+
 def test_lift_translation_on_heisenberg_factor(heis2_space):
     base = factor(heis2_space, 1)
     # a genuine height-1 translation of the 4-point factor
@@ -341,7 +380,7 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
     abar = moved[0]
     # the found lift is certified independently by is_translation below
     res = tr.try_lift_translation(heis2_space, abar, i=1)
-    assert res.found
+    assert res.beta is not None
     beta = res.beta
     assert tr.is_translation(heis2_space, beta, 1)
     for x in range(heis2_space.size):
@@ -378,10 +417,10 @@ def test_linear_lift_agrees_with_the_section_search(space, i, abar, request):
         X = _lift_space(space)
     res = tr.try_lift_translation(X, abar, i)
     ref, searched = oracles.try_lift_translation_by_search(X, abar, i)
-    assert res.found == ref.found
+    assert (res.beta is None) == (ref.beta is None)
     # the base shift of M(rho1) is the one translation that does not lift:
     # the search exhausts its 4 sections
     if (space, i, abar) == ("M(rho1)", 1, (1, 0)):
-        assert not res.found and searched == 4
+        assert res.beta is None and searched == 4
     else:
-        assert res.found and tr.is_translation(X, res.beta, i)
+        assert res.beta is not None and tr.is_translation(X, res.beta, i)
