@@ -10,9 +10,10 @@ its fibre space D_k(A) and the lift of a base cube; M(rho) carries one
 as its `extension` field and builds its cube sets from it, a lift per
 base cube moved by the cubes of D_d(A).  Whether an extension is a
 degree-k bundle is decided by `structure.verify_degree_k_bundle`, the
-check that `structure.decompose` runs on every level of a nilspace, and
-whether it has a cube-preserving section by one linear system
-(`morphism_section`).
+check that `structure.decompose` runs on every level of a nilspace.
+The cocycle of a cross section (`cross_section_cocycle`) is what the
+CLI's extend round trip reads back and what the translation lift pulls
+back along a base translation.
 
 A cocycle of degree d takes values in a finite abelian group and is
 stored as a table on the enumerated (d+1)-cubes (full value tuples in
@@ -303,19 +304,6 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
     bad = validate_cocycle(rho)
     assert bad is None, bad
     return rho
-
-
-def morphism_section(ext: ExtensionData):
-    """A section of ext.pi that is a cube morphism X -> Y, or None when
-    there is none.  One exists exactly when the cocycle of any cross
-    section s is a coboundary (Antolin Camarena & Szegedy); for s the
-    first point of each fibre and rho_s the coboundary of f, s moved by
-    -f is one."""
-    s = [ys[0] for ys in ext.fibres]
-    f = is_coboundary(cross_section_cocycle(ext, s))
-    if f is None:
-        return None
-    return [ext.act(ext.A.inv(fx), y) for fx, y in zip(f, s)]
 
 
 # ---------------------------------------------------------------------------

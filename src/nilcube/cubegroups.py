@@ -238,16 +238,3 @@ def arrow(q0: Sequence[int], q1: Sequence[int], n: int, k: int):
         src = q1 if w == top else q0
         out.extend(src)
     return tuple(out)
-
-
-def arrow_membership(q0, q1, n: int, k: int, filt: Filtration) -> bool:
-    """Membership of the k-arrow in Cu^{n+k}, decided by the filtered
-    splitting: q0 a cube of filt, and q0^{-1} q1 a cube of the shifted
-    filtration G_{+k}.  Only its test calls it so far: ROADMAP item 5
-    (translation towers) is to certify arrows of group spaces with it
-    instead of the face criterion."""
-    G = filt.group
-    if not is_cube(q0, filt):
-        return False
-    diff = tuple(G.op(G.inv(a), b) for a, b in zip(q0, q1))
-    return is_cube(diff, shift_filtration(filt, k))

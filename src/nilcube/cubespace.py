@@ -288,7 +288,7 @@ class ImageCubespace(Cubespace):
         return self.image[x]
 
     def project_cube(self, q: Sequence[int]) -> tuple:
-        return tuple(self.image[x] for x in q)
+        return tuple(map(self.image.__getitem__, q))
 
     def _membership(self, n, values):
         return values in self.cubes(n)
@@ -296,6 +296,8 @@ class ImageCubespace(Cubespace):
     def _enumerate_cubes(self, n):
         if self._identity:  # the cubes of X, shared rather than copied
             return self.X.cubes(n)
+        if self.size == 1:  # every cube of X projects to the one constant map
+            return [(0,) * (1 << n)] if self.X.cubes(n) else []
         return {self.project_cube(q) for q in self.X.cubes(n)}
 
     def deepest_dimension(self, n):
@@ -376,9 +378,6 @@ class ArrowCubespace(Cubespace):
     def encode(self, x0: int, x1: int) -> int:
         return x0 * self.X.size + x1
 
-    def decode(self, p: int):
-        return divmod(p, self.X.size)
-
     def _membership(self, n, values):
         q0 = tuple(p // self.X.size for p in values)
         q1 = tuple(p % self.X.size for p in values)
@@ -444,19 +443,6 @@ class ExplicitCubespace(Cubespace):
 
     def _membership(self, n, values):
         raise ValueError("no cube table for dimension %d" % n)
-
-
-class RestrictedCubespace(Cubespace):
-    """A subset of a cubespace with the induced cube sets (used for
-    translation bundles)."""
-
-    def __init__(self, X: Cubespace, points: Sequence[int]):
-        self.X = X
-        self.points = list(points)
-        super().__init__(len(self.points), step=X.step)
-
-    def _membership(self, n, values):
-        return self.X.membership(n, tuple(self.points[v] for v in values))
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,18 @@ nilspaces: the one-flip relations, factor cubespaces, structure groups
 (the action by one-flip corner completions, its addition checked
 against a two-vertex corner, the group a `groups.FiniteAbelianGroup`)
 and the degree-k extension record `ExtensionData`, the one form of each
-level of a nilspace, each model M(rho) and each translation bundle: it
-holds the fibres, D_k(A) and the lift of a base cube.  Its degree-k
-bundle check is `verify_degree_k_bundle`.  A factor is a
-`cubespace.ImageCubespace`, whose `lift` finds a cube upstairs over a
-factor cube.  Whether an extension has a cube-preserving section is
-`cohomology.morphism_section`.
+level of a nilspace and each model M(rho): it holds the fibres, D_k(A)
+and the lift of a base cube.  Its degree-k bundle check is
+`verify_degree_k_bundle`, which `decompose` runs on every level of a
+space that is its own step-factor; the translation lift reads its
+cocycle off the top level.  A factor is a `cubespace.ImageCubespace`,
+whose `lift` finds a cube upstairs over a factor cube.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, TableGroup, abelian_coordinates
@@ -180,16 +181,18 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
     ("fibre-correspondence", n, base cube)).  The last condition makes
     every difference of two cubes over one base cube a degree-k cube."""
     Y, X, A = ext.Y, ext.X, ext.A
+    moves = [[ext.act(a, y) for y in range(Y.size)] for a in range(A.order)]  # [a][y]: y moved by a
     for y in range(Y.size):
-        seen = {ext.act(a, y) for a in range(A.order)}
+        seen = {row[y] for row in moves}
         if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
             return ("action", y)
+    project = ext.pi.__getitem__
     for n in range(1, n_max + 1):
         ycubes = Y.cubes(n)
         xcubes = X.cubes(n)
         by_proj: Dict[tuple, set] = {}
         for q in ycubes:
-            pq = tuple(ext.pi[p] for p in q)
+            pq = tuple(map(project, q))
             if pq not in xcubes:
                 return ("projection-not-cube", n, q)
             by_proj.setdefault(pq, set()).add(q)
@@ -199,7 +202,7 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
         acubes = ext.fibre_space.cubes(n)
         for pq, qs in by_proj.items():
             ref = next(iter(qs))
-            pert = {tuple(map(ext.act, av, ref)) for av in acubes}
+            pert = {tuple(map(getitem, map(moves.__getitem__, av), ref)) for av in acubes}
             if pert != qs:
                 return ("fibre-correspondence", n, pq)
     return None
@@ -207,11 +210,16 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
 
 def decompose(X: Cubespace, n_max: int = 3) -> Decomposition:
     """Full tower: canonical factors X_1, ..., X_k, structure groups,
-    and per-level degree-i bundle verification up to dimension n_max."""
+    and per-level degree-i bundle verification up to dimension n_max.
+    X must be its own k-factor, k its step (else a ValueError naming
+    x ~_k y), so the points of X_k are those of X."""
     if X.step is None:
         raise ValueError("decompose needs a step bound")
     k = X.step
     factors = [factor(X, i) for i in range(0, k + 1)]
+    if factors[k].size < X.size:
+        x, y = next(cls for cls in factors[k].fibres if len(cls) > 1)[:2]
+        raise ValueError("X is not its own %d-factor: %d ~_%d %d" % (k, x, k, y))
     groups: List[StructureGroup] = []
     levels: List[BundleLevel] = []
     extensions: List[ExtensionData] = []

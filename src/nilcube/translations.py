@@ -1,11 +1,10 @@
 """Translations of a finite cubespace: height-i translation detection
 on the faces of arrows, which are j-arrows of faces; the groups Tran_i(X)
-and their filtration, the bundle of translation pairs T and its factor
-T*, and lifting a translation of the top factor by one linear system:
-it lifts exactly when T* -> X_{k-1} has a cube-preserving section,
-which `cohomology.morphism_section` decides.  The bundle is a
-`structure.ExtensionData`; its cube axioms are checked by
-`structure.verify_degree_k_bundle`, not here.
+and their filtration; and lifting a translation abar of the top factor
+by one linear system: abar lifts exactly when the cocycle of the top
+extension X_k -> X_{k-1}, pulled back along abar, is a coboundary.  The
+top extension comes from `structure.decompose`, which checks it as a
+degree-k bundle.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from . import cubes as cb
-from .cohomology import morphism_section
-from .cubespace import ArrowCubespace, Cubespace, RestrictedCubespace, depth_first, partition
-from .groups import Filtration, TableGroup, closure, validate_filtration
-from .structure import ExtensionData, factor, related_k, structure_group
+from .cohomology import Cocycle, cross_section_cocycle, is_coboundary
+from .cubespace import Cubespace, depth_first, partition
+from .groups import Filtration, TableGroup, validate_filtration
+from .structure import decompose, related_k
 
 BRUTE_FORCE_CAP = 12
 
@@ -146,21 +145,6 @@ def _arrow_is_cube(test, q: tuple, i: int, image: tuple) -> bool:
     return test(cg.arrow(q, image, 1, i))
 
 
-def generated_translation_group(X: Cubespace, i: int, seeds: Sequence[Sequence[int]]) -> List[tuple]:
-    """The group generated by a seed set of certified height-i
-    translations: the closure of the identity under right composition
-    by the seeds (groups.closure), which holds the inverses, since a
-    bijection of a finite set has one of its powers as inverse.  Only
-    its test calls it so far: step 2 of ROADMAP item 5 (translation
-    towers) can keep this closure with the same loop and skip the
-    certificate of a candidate already inside it."""
-    for s in seeds:
-        if not is_translation(X, s, i):
-            raise ValueError("seed is not a height-%d translation" % i)
-    return sorted(closure([tuple(range(X.size))],
-                          lambda a: (compose_bijections(a, s) for s in seeds)))
-
-
 @dataclass
 class TranslationTower:
     """Tran_1 >= Tran_2 >= ... as a filtered group under composition.
@@ -218,108 +202,42 @@ def translation_action_transitive(tower: TranslationTower) -> bool:
 # lifting translations through the top factor
 
 
-@dataclass
-class TranslationBundle:
-    """For a k-step space X and a height-i translation abar of the
-    (k-1)-factor X_{k-1}: T is the subspace of X |><|_i X of pairs
-    (x0, x1) with pi(x1) = abar(pi(x0)).  extension is its (k-1)-factor
-    Tstar as a degree-(k-i) extension of X_{k-1}: it projects through
-    the first coordinate, and the top structure group of X acts through
-    the second."""
+def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> Optional[tuple]:
+    """Lift a height-i translation abar of the (k-1)-factor X_{k-1} of a
+    k-step space X to a height-i translation beta of X covering it, or
+    None when there is none.
 
-    T: RestrictedCubespace
-    extension: ExtensionData  # Tstar -> X_{k-1}, both ImageCubespaces
-
-    def covering(self, section: Sequence[int]) -> Optional[tuple]:
-        """beta for a section of Tstar -> X_{k-1}: beta(x) is the unique
-        partner of x in the class section(pi(x)); None when some point
-        has no partner there or more than one."""
-        arrows, base, Tstar = self.T.X, self.extension.X, self.extension.Y
-        beta = []
-        for x in range(arrows.X.size):
-            pairs = (arrows.decode(self.T.points[p]) for p in Tstar.fibres[section[base.project(x)]])
-            partners = {x1 for x0, x1 in pairs if x0 == x}
-            if len(partners) != 1:
-                return None
-            beta.append(partners.pop())
-        return tuple(beta)
-
-
-def translation_bundle(X: Cubespace, abar: Sequence[int], i: int = 1) -> TranslationBundle:
-    """The bundle of abar.  X must be its own k-factor, k its step (else
-    a ValueError naming x ~_k y): the top structure group acts there.
-    The action of the structure group on a pair p of T must not depend
-    on the representative p of its Tstar class (else a ValueError); the
-    cube axioms of the bundle are not checked."""
+    The top level X_k -> X_{k-1} of decompose(X, k + 1), checked there as
+    a degree-k bundle, has the cocycle rho of the section s through the
+    first point of each fibre.  abar lifts exactly when the pulled-back
+    table q -> rho(<q, abar o q>_i) on the (k-i+1)-cubes of X_{k-1} is a
+    coboundary of some g (cohomology.is_coboundary); then
+    beta(a s(y)) = (a + g(y)) s(abar(y)).  beta is certified as a height-i
+    translation covering abar, and a beta that fails that raises a
+    ValueError."""
     if X.step is None or X.step < 1:
         raise ValueError("needs a space of known positive step")
     k = X.step
     if not 1 <= i <= k:
         raise ValueError("height must satisfy 1 <= i <= step")
-    top = factor(X, k)
-    if top.size < X.size:
-        x, y = next(cls for cls in top.fibres if len(cls) > 1)[:2]
-        raise ValueError("X is not its own %d-factor: %d ~_%d %d" % (k, x, k, y))
-    base = factor(X, k - 1)
+    top = decompose(X, k + 1).extensions[-1]  # its points are those of X
+    base, A = top.X, top.A
     if sorted(abar) != list(range(base.size)):
         raise ValueError("abar must be a bijection of the factor")
     if not is_translation(base, abar, i):
         raise ValueError("abar is not a height-%d translation of the factor" % i)
-    A = ArrowCubespace(X, i)
-    pts = [
-        A.encode(x0, x1)
-        for x0 in range(X.size)
-        for x1 in range(X.size)
-        if base.project(x1) == abar[base.project(x0)]
-    ]
-    T = RestrictedCubespace(A, pts)
-    Tstar = factor(T, k - 1)
-    gamma = []
-    for cls in Tstar.fibres:
-        firsts = {base.project(A.decode(T.points[p])[0]) for p in cls}
-        if len(firsts) != 1:
-            raise ValueError("first-coordinate projection is not constant on classes")
-        gamma.append(firsts.pop())
-    sg = structure_group(top, k)
-    pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
-
-    def moved(a, p):
-        x0, x1 = A.decode(T.points[p])
-        return pair_class[A.encode(x0, sg.act(a, x1))]
-
-    for c, cls in enumerate(Tstar.fibres):
-        for a in sg.group.elements():
-            if len({moved(a, p) for p in cls}) != 1:
-                raise ValueError("Tstar is not a bundle over the factor: %r"
-                                 % (("action-not-well-defined", c, a),))
-    ext = ExtensionData(Tstar, base, gamma, sg.group, k - i,
-                        lambda a, c: moved(a, Tstar.fibres[c][0]))
-    return TranslationBundle(T, ext)
-
-
-@dataclass
-class LiftResult:
-    section: Optional[List[int]]  # base point -> Tstar class
-    beta: Optional[tuple]  # the lifted translation, None when abar does not lift
-
-
-def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> LiftResult:
-    """Lift abar through the top factor: it lifts exactly when
-    Tstar -> X_{k-1} has a cube-preserving section m, which
-    cohomology.morphism_section finds or refutes by one linear system.
-    From m, beta(x) is the unique partner of x in the class m(pi(x)).
-    beta is certified as a height-i translation covering abar; a
-    section whose beta fails that raises a ValueError.  A "no lift"
-    answer is not certified: it assumes Tstar is a degree-(k-i) bundle,
-    as when X is a k-step nilspace, and checks only that the action on
-    Tstar is well defined (translation_bundle raises if not)."""
-    tb = translation_bundle(X, abar, i)
-    m = morphism_section(tb.extension)
-    if m is None:
-        return LiftResult(None, None)
-    beta = tb.covering(m)
-    base = tb.extension.X
-    if beta is None or not is_translation(X, beta, i) or any(
-            base.project(beta[x]) != abar[base.project(x)] for x in range(X.size)):
-        raise ValueError("the section does not lift abar to a height-%d translation" % i)
-    return LiftResult(m, beta)
+    s = [ys[0] for ys in top.fibres]
+    rho = cross_section_cocycle(top, s).table
+    n = k - i + 1
+    pulled = {q: rho[cg.arrow(q, tuple(abar[y] for y in q), n, i)] for q in base.cubes(n)}
+    g = is_coboundary(Cocycle(base, k - i, A, pulled))
+    if g is None:
+        return None
+    beta = [0] * X.size
+    for y in range(base.size):
+        for a in range(A.order):
+            beta[top.act(a, s[y])] = top.act(A.op(a, g[y]), s[abar[y]])
+    if not is_translation(X, beta, i) or any(
+            top.pi[beta[x]] != abar[top.pi[x]] for x in range(X.size)):
+        raise ValueError("the coboundary does not lift abar to a height-%d translation" % i)
+    return tuple(beta)

@@ -7,29 +7,35 @@ coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
 every dimension, the translation search as a recursion (accepting what
 the library accepts, or certifying every bijection it reaches),
-closures under composition, right multiplication and weight-0
-derivatives kept by a frontier of their own, cube morphisms checked
-cube by cube (between cubespaces up to n_max, between filtered groups
-in every dimension up to deg + 1), morphism sections and translation
-lifts by a search over every section, the upper-face factorization and
-its multiply-out by filtering every vertex pair, corner completion face
-by face, the structure group from local translations with its action
-found by scanning every point, invariant factors from p-torsion counts,
-and simplicial extension over supports held as sets.
+closures under right multiplication and weight-0 derivatives kept by
+a frontier of their own, the membership of an arrow by the filtered
+splitting, cube morphisms checked cube by cube (between cubespaces up
+to n_max, between filtered groups in every dimension up to deg + 1),
+morphism sections by one linear system and by a search over every
+section, translation lifts through the bundle of translation pairs T*
+(the T* route) and by a search over its sections, the upper-face
+factorization and its multiply-out by filtering every vertex pair,
+corner completion face by face, the structure group from local
+translations with its action found by scanning every point, invariant
+factors from p-torsion counts, and simplicial extension over supports
+held as sets.
 """
 
 import functools
 import itertools
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from nilcube import cubes, poly
+from nilcube.cohomology import cross_section_cocycle, is_coboundary
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
     _require_elements, arrow, complete_corner, enumerate_cubes, factorize, is_cube, \
     multiply_out, sigma
-from nilcube.groups import FiniteGroup, Filtration, TableGroup
-from nilcube.structure import StructureGroup, _one_flip_corner, related_k
-from nilcube.translations import LiftResult, _arrows_are_cubes, compose_bijections, \
-    is_translation, translation_bundle, translation_certifier
+from nilcube.cubespace import ArrowCubespace, Cubespace
+from nilcube.groups import FiniteGroup, Filtration, TableGroup, shift_filtration
+from nilcube.structure import ExtensionData, StructureGroup, _one_flip_corner, factor, \
+    related_k, structure_group
+from nilcube.translations import _arrows_are_cubes, is_translation, translation_certifier
 
 
 def sigma_recursive(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -136,6 +142,17 @@ def is_translation_by_definition(X, alpha: Sequence[int], i: int, n_max: int) ->
     return all(_arrows_are_cubes(X, alpha, n, i) for n in range(n_max + 1))
 
 
+def arrow_membership(q0, q1, n: int, k: int, filt: Filtration) -> bool:
+    """Reference for the membership of the k-arrow <q0, q1>_k in
+    Cu^{n+k} of a filtered group, by the filtered splitting: q0 a cube
+    of filt, and q0^{-1} q1 a cube of the shifted filtration G_{+k}."""
+    G = filt.group
+    if not is_cube(q0, filt):
+        return False
+    diff = tuple(G.op(G.inv(a), b) for a, b in zip(q0, q1))
+    return is_cube(diff, shift_filtration(filt, k))
+
+
 def _translation_search_by_recursion(X, i: int, accept):
     """The full bijections that translations.translation_group's search
     reaches, as the recursion it was written as before it ran on
@@ -185,24 +202,6 @@ def translation_group_certifying_every_leaf(X, i: int):
     pruning, but every full bijection it reaches is asked of
     translation_certifier, the space's own left multiplications too."""
     return _translation_search_by_recursion(X, i, translation_certifier(X, i))
-
-
-def generated_translation_group_by_two_sided_composition(X, i: int, seeds):
-    """Reference for translations.generated_translation_group: each new
-    bijection composed with every one found so far, on both sides."""
-    for s in seeds:
-        if not is_translation(X, s, i):
-            raise ValueError("seed is not a height-%d translation" % i)
-    group = {tuple(range(X.size))}
-    frontier = [tuple(s) for s in seeds]
-    while frontier:
-        a = frontier.pop()
-        for g in list(group):
-            for c in (compose_bijections(g, a), compose_bijections(a, g)):
-                if c not in group:
-                    group.add(c)
-                    frontier.append(c)
-    return sorted(group)
 
 
 def subgroup_closure_by_frontier(G: FiniteGroup, generators) -> frozenset:
@@ -387,19 +386,130 @@ def sections(ext):
 
 
 def morphism_section_by_search(ext, n_max: int):
-    """Reference for cohomology.morphism_section: the first section that
+    """Reference for morphism_section: the first section that
     analyze_morphism accepts up to dimension n_max, or None."""
     return next((list(s) for s in sections(ext) if analyze_morphism(s, ext.X, ext.Y, n_max)[0]),
                 None)
 
 
+def morphism_section(ext: ExtensionData):
+    """A section of ext.pi that is a cube morphism X -> Y, or None when
+    there is none.  One exists exactly when the cocycle of any cross
+    section s is a coboundary (Antolin Camarena & Szegedy); for s the
+    first point of each fibre and rho_s the coboundary of f, s moved by
+    -f is one."""
+    s = [ys[0] for ys in ext.fibres]
+    f = is_coboundary(cross_section_cocycle(ext, s))
+    if f is None:
+        return None
+    return [ext.act(ext.A.inv(fx), y) for fx, y in zip(f, s)]
+
+
+class RestrictedCubespace(Cubespace):
+    """A subset of a cubespace with the induced cube sets: the pairs T
+    of a translation bundle."""
+
+    def __init__(self, X: Cubespace, points: Sequence[int]):
+        self.X = X
+        self.points = list(points)
+        super().__init__(len(self.points), step=X.step)
+
+    def _membership(self, n, values):
+        return self.X.membership(n, tuple(self.points[v] for v in values))
+
+
+@dataclass
+class TranslationBundle:
+    """For a k-step space X and a height-i translation abar of the
+    (k-1)-factor X_{k-1}: T is the subspace of X |><|_i X of pairs
+    (x0, x1) with pi(x1) = abar(pi(x0)).  extension is its (k-1)-factor
+    Tstar as a degree-(k-i) extension of X_{k-1}: it projects through
+    the first coordinate, and the top structure group of X acts through
+    the second."""
+
+    T: RestrictedCubespace
+    extension: ExtensionData  # Tstar -> X_{k-1}, both ImageCubespaces
+
+    def covering(self, section: Sequence[int]) -> Optional[tuple]:
+        """beta for a section of Tstar -> X_{k-1}: beta(x) is the unique
+        partner of x in the class section(pi(x)); None when some point
+        has no partner there or more than one."""
+        size, base, Tstar = self.T.X.X.size, self.extension.X, self.extension.Y
+        beta = []
+        for x in range(size):
+            pairs = (divmod(self.T.points[p], size) for p in Tstar.fibres[section[base.project(x)]])
+            partners = {x1 for x0, x1 in pairs if x0 == x}
+            if len(partners) != 1:
+                return None
+            beta.append(partners.pop())
+        return tuple(beta)
+
+    def section(self, beta: Sequence[int]) -> list:
+        """The map pi(x) -> the Tstar class of (x, beta(x)) that a beta
+        covering abar induces, read at the first x over each base point."""
+        arrows, base, Tstar = self.T.X, self.extension.X, self.extension.Y
+        index = {p: j for j, p in enumerate(self.T.points)}
+        return [Tstar.project(index[arrows.encode(xs[0], beta[xs[0]])]) for xs in base.fibres]
+
+
+def translation_bundle(X, abar: Sequence[int], i: int = 1) -> TranslationBundle:
+    """The bundle of abar.  X must be its own k-factor, k its step, as
+    structure.decompose requires: the top structure group acts there.
+    The action of the structure group on a pair p of T must not depend
+    on the representative p of its Tstar class (else a ValueError); the
+    cube axioms of the bundle are not checked."""
+    k = X.step
+    base = factor(X, k - 1)
+    if not is_translation(base, abar, i):
+        raise ValueError("abar is not a height-%d translation of the factor" % i)
+    A = ArrowCubespace(X, i)
+    pts = [
+        A.encode(x0, x1)
+        for x0 in range(X.size)
+        for x1 in range(X.size)
+        if base.project(x1) == abar[base.project(x0)]
+    ]
+    T = RestrictedCubespace(A, pts)
+    Tstar = factor(T, k - 1)
+    gamma = []
+    for cls in Tstar.fibres:
+        firsts = {base.project(T.points[p] // X.size) for p in cls}
+        if len(firsts) != 1:
+            raise ValueError("first-coordinate projection is not constant on classes")
+        gamma.append(firsts.pop())
+    sg = structure_group(factor(X, k), k)
+    pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
+
+    def moved(a, p):
+        x0, x1 = divmod(T.points[p], X.size)
+        return pair_class[A.encode(x0, sg.act(a, x1))]
+
+    for c, cls in enumerate(Tstar.fibres):
+        for a in sg.group.elements():
+            if len({moved(a, p) for p in cls}) != 1:
+                raise ValueError("Tstar is not a bundle over the factor: %r"
+                                 % (("action-not-well-defined", c, a),))
+    ext = ExtensionData(Tstar, base, gamma, sg.group, k - i,
+                        lambda a, c: moved(a, Tstar.fibres[c][0]))
+    return TranslationBundle(T, ext)
+
+
+def try_lift_translation_by_tstar(X, abar: Sequence[int], i: int):
+    """Reference for translations.try_lift_translation (the T* route):
+    the beta that the cube-preserving section of Tstar -> X_{k-1} from
+    morphism_section covers, or None when there is no such section."""
+    tb = translation_bundle(X, abar, i)
+    m = morphism_section(tb.extension)
+    return None if m is None else tb.covering(m)
+
+
 def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
-    """Reference for translations.try_lift_translation: (LiftResult, the
-    number of sections examined).  Each section of Tstar -> X_{k-1} that
-    analyze_morphism accepts up to dimension 3 gives a candidate beta,
-    beta(x) the unique partner of x in its class, and the first that is
-    a certified height-i translation covering abar is the lift; when
-    none is, every section has been examined."""
+    """Reference for translations.try_lift_translation: (beta or None,
+    the number of sections examined).  Each section of Tstar -> X_{k-1}
+    that analyze_morphism accepts up to dimension 3 gives a candidate
+    beta, beta(x) the unique partner of x in its class, and the first
+    that is a certified height-i translation covering abar is the lift;
+    when none is, every section has been examined."""
     tb = translation_bundle(X, abar, i)
     base, Tstar = tb.extension.X, tb.extension.Y
     searched = 0
@@ -410,8 +520,8 @@ def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
         beta = tb.covering(choice)
         if (beta is not None and sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
                 and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
-            return LiftResult(list(choice), beta), searched
-    return LiftResult(None, None), searched
+            return beta, searched
+    return None, searched
 
 
 def _prime_factors(n: int):

@@ -304,18 +304,18 @@ def test_criterion_10_parallelepiped_equivalence(d1z2, d1z3, d2z2):
 
 def test_criterion_11_translation_bundle_lifting(d2z2):
     # the 1-step factor of D_2(Z/2) is a single point, so the only
-    # base-level translation is the identity; the bundle, its extension
-    # validation, the section from the linear system, and the
-    # certification must all work
+    # base-level translation is the identity; the T* bundle of the oracle
+    # must pass the bundle check, the section that the lift induces on it
+    # must preserve cubes, and the lift must be certified and cover abar
     base = stc.factor(d2z2, 1)
     abar = [0] * base.size
     assert tr.is_translation(base, abar, 1)
-    tb = tr.translation_bundle(d2z2, abar, i=1)
+    tb = oracles.translation_bundle(d2z2, abar, i=1)
     assert stc.verify_degree_k_bundle(tb.extension, 3) is None
-    res = tr.try_lift_translation(d2z2, abar, i=1)
-    assert res.beta is not None
-    assert oracles.analyze_morphism(res.section, base, tb.extension.Y, 3) == (True, None)
-    assert tr.is_translation(d2z2, res.beta, 1)
+    beta = tr.try_lift_translation(d2z2, abar, i=1)
+    assert beta is not None
+    assert oracles.analyze_morphism(tb.section(beta), base, tb.extension.Y, 3) == (True, None)
+    assert tr.is_translation(d2z2, beta, 1)
     for x in range(d2z2.size):
-        assert base.project(res.beta[x]) == abar[base.project(x)]
+        assert base.project(beta[x]) == abar[base.project(x)]
     _report(11, "translation-bundle lifting")

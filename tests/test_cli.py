@@ -2,6 +2,7 @@
 
 import copy
 import io
+import itertools
 import json
 import os
 import random
@@ -366,6 +367,21 @@ def test_decompose_of_a_non_nilspace_reports_the_reason(tmp_path, capsys):
     out = json.loads(captured.out)
     assert out["kind"] == "decompose" and not out["decomposed"]
     assert "action not well defined" in out["reason"]
+
+
+def test_decompose_refuses_a_space_that_is_not_its_own_step_factor(tmp_path, capsys):
+    # every map on two points is a cube, so 0 ~_1 1: the 1-factor has one
+    # point, and no decomposition of it covers X
+    spec = {"kind": "decompose",
+            "cubespace": {"source": "explicit", "size": 2, "step": 1,
+                          "tables": {str(n): [list(q) for q in itertools.product((0, 1),
+                                                                                 repeat=1 << n)]
+                                     for n in (1, 2)}}}
+    assert run_main(tmp_path, spec) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out) == {"kind": "decompose", "decomposed": False,
+                                        "reason": "X is not its own 1-factor: 0 ~_1 1"}
 
 
 def test_cohomology_class_count():

