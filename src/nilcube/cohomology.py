@@ -5,15 +5,12 @@ alternating sum.
 Cocycle counts and coboundaries are linear algebra over A (one Smith
 elimination), with table enumeration as the oracle.
 
-An extension is a `structure.ExtensionData`, which holds its fibres,
-its fibre space D_k(A) and the lift of a base cube; M(rho) carries one
-as its `extension` field and builds its cube sets from it, a lift per
-base cube moved by the cubes of D_d(A).  Whether an extension is a
-degree-k bundle is decided by `structure.verify_degree_k_bundle`, the
-check that `structure.decompose` runs on every level of a nilspace.
-The cocycle of a cross section (`cross_section_cocycle`) is what the
-CLI's extend round trip reads back and what the translation lift pulls
-back along a base translation.
+An extension is a `structure.ExtensionData`; M(rho) carries one as its
+`extension` field, and its cube sets are that record's model cubes, the
+ones `structure.verify_degree_k_bundle` checks each level of a nilspace
+against.  The cocycle of a cross section (`cross_section_cocycle`) is
+what the CLI's extend round trip reads back and what the translation
+lift pulls back along a base translation.
 
 A cocycle of degree d takes values in a finite abelian group and is
 stored as a table on the enumerated (d+1)-cubes (full value tuples in
@@ -249,15 +246,9 @@ class ExtensionSpace(Cubespace):
         return True
 
     def _enumerate_cubes(self, n):
-        """Per base cube q, extension.lift(n, q) moved by each n-cube of
-        D_d(A); nothing over a q with no lift."""
-        ext = self.extension
-        out = []
-        for q in self.base.cubes(n):
-            lift = ext.lift(n, q)
-            if lift is not None:
-                out.extend(tuple(map(ext.act, c, lift)) for c in ext.fibre_space.cubes(n))
-        return out
+        """The model cubes of extension: per base cube, its lift moved
+        by each n-cube of D_d(A)."""
+        return self.extension.model_cubes(n)[0]
 
     def deepest_dimension(self, n):
         return self.base.deepest_dimension(n)

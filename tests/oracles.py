@@ -16,7 +16,8 @@ section, translation lifts through the bundle of translation pairs T*
 (the T* route) and by a search over its sections, the upper-face
 factorization and its multiply-out by filtering every vertex pair,
 corner completion face by face, the structure group from local
-translations with its action found by scanning every point, invariant
+translations with its action found by scanning every point, the
+degree-k bundle check by grouping cubes by their projection, invariant
 factors from p-torsion counts, and simplicial extension over supports
 held as sets.
 """
@@ -24,7 +25,8 @@ held as sets.
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import getitem
+from typing import Dict, List, Optional, Sequence
 
 from nilcube import cubes, poly
 from nilcube.cohomology import cross_section_cocycle, is_coboundary
@@ -33,8 +35,8 @@ from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_co
     multiply_out, sigma
 from nilcube.cubespace import ArrowCubespace, Cubespace
 from nilcube.groups import FiniteGroup, Filtration, TableGroup, shift_filtration
-from nilcube.structure import ExtensionData, StructureGroup, _one_flip_corner, factor, \
-    related_k, structure_group
+from nilcube.structure import ExtensionData, _one_flip_corner, factor, related_k, \
+    structure_group
 from nilcube.translations import _arrows_are_cubes, is_translation, translation_certifier
 
 
@@ -322,7 +324,17 @@ def local_translation(X, k: int, x0: int, x1: int):
     return out
 
 
-def structure_group_by_local_translations(X, k: int) -> StructureGroup:
+@dataclass
+class LocalTranslationGroup:
+    """The structure group of the oracle below, indexed by the sorted
+    fibre through the point 0."""
+
+    fibre: List[int]  # fibre[a]: the point that element a moves 0 to
+    group: TableGroup
+    action: List[List[int]]  # action[a][x]: x moved by the element a
+
+
+def structure_group_by_local_translations(X, k: int) -> LocalTranslationGroup:
     """Reference for structure.structure_group: y1 + y2 is the local
     translation taking the base point b to y1, applied to y2, and ya
     moves x to the one point z that makes the arrowed one-flip map (b
@@ -353,7 +365,41 @@ def structure_group_by_local_translations(X, k: int) -> StructureGroup:
                                  % (ya, x, len(zs)))
             row.append(zs[0])
         action.append(row)
-    return StructureGroup(k, fibre, group, action)
+    return LocalTranslationGroup(fibre, group, action)
+
+
+def verify_degree_k_bundle_by_projection(ext: ExtensionData, n_max: int):
+    """Reference for structure.verify_degree_k_bundle: the same witness
+    or None, with Y's cubes grouped by their projection in every
+    dimension and the cubes over each base cube compared with the
+    degree-k perturbations of any one of them, base cubes taken in
+    sorted order."""
+    Y, X, A = ext.Y, ext.X, ext.A
+    moves = [[ext.act(a, y) for y in range(Y.size)] for a in range(A.order)]  # [a][y]
+    for y in range(Y.size):
+        seen = {row[y] for row in moves}
+        if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
+            return ("action", y)
+    project = ext.pi.__getitem__
+    for n in range(1, n_max + 1):
+        ycubes = Y.cubes(n)
+        xcubes = X.cubes(n)
+        by_proj: Dict[tuple, set] = {}
+        for q in ycubes:
+            pq = tuple(map(project, q))
+            if pq not in xcubes:
+                return ("projection-not-cube", n, q)
+            by_proj.setdefault(pq, set()).add(q)
+        if set(by_proj) != xcubes:
+            missing = sorted(xcubes - set(by_proj))[0]
+            return ("projection-not-onto", n, missing)
+        acubes = ext.fibre_space.cubes(n)
+        for pq, qs in sorted(by_proj.items()):
+            ref = next(iter(qs))
+            pert = {tuple(map(getitem, map(moves.__getitem__, av), ref)) for av in acubes}
+            if pert != qs:
+                return ("fibre-correspondence", n, pq)
+    return None
 
 
 def is_cube_morphism_in_every_dimension(g: Sequence[int], hfilt: Filtration,
@@ -477,19 +523,19 @@ def translation_bundle(X, abar: Sequence[int], i: int = 1) -> TranslationBundle:
         if len(firsts) != 1:
             raise ValueError("first-coordinate projection is not constant on classes")
         gamma.append(firsts.pop())
-    sg = structure_group(factor(X, k), k)
+    top = structure_group(factor(X, k), k)
     pair_class = {T.points[p]: c for c, cls in enumerate(Tstar.fibres) for p in cls}
 
     def moved(a, p):
         x0, x1 = divmod(T.points[p], X.size)
-        return pair_class[A.encode(x0, sg.act(a, x1))]
+        return pair_class[A.encode(x0, top.act(a, x1))]
 
     for c, cls in enumerate(Tstar.fibres):
-        for a in sg.group.elements():
+        for a in top.A.elements():
             if len({moved(a, p) for p in cls}) != 1:
                 raise ValueError("Tstar is not a bundle over the factor: %r"
                                  % (("action-not-well-defined", c, a),))
-    ext = ExtensionData(Tstar, base, gamma, sg.group, k - i,
+    ext = ExtensionData(Tstar, base, gamma, top.A, k - i,
                         lambda a, c: moved(a, Tstar.fibres[c][0]))
     return TranslationBundle(T, ext)
 

@@ -172,14 +172,14 @@ def test_criterion_06_bundle_decomposition(d2z2, heis2, heis2_space, coset_space
     # explicit rebuild for case (b): every 2-cube is a degree-2
     # perturbation of a lift of its projection, and all perturbations of
     # all lifts give back exactly the cube set
-    sg = dec_b.groups[-1]
+    top = dec_b.extensions[-1]
     F = dec_b.factors[1]
-    afilt = gr.maximal_degree_k_filtration(sg.group, 2)
+    afilt = gr.maximal_degree_k_filtration(top.A, 2)
     rebuilt = set()
     for qbar in F.cubes(2):
         lift = F.lift(2, qbar)
         for avals in cg.enumerate_cubes(afilt, 2):
-            rebuilt.add(tuple(sg.act(a, x) for a, x in zip(avals, lift)))
+            rebuilt.add(tuple(top.act(a, x) for a, x in zip(avals, lift)))
     assert rebuilt == set(heis2_space.cubes(2))
     _report(6, "bundle decomposition")
 
@@ -201,10 +201,10 @@ def test_criterion_07_translation_groups(d2z2, heis2_space, heis2_tower, coset_s
         (heis2_space, heis2_tower),
         (coset_space, tr.translation_tower(coset_space)),
     ):
-        sg = stc.structure_group(X, 2)
+        top = stc.structure_group(X, 2)
         topmost = {tower.bijections[j] for j in tower.heights[-1]}
         acts = {
-            tuple(sg.act(a, x) for x in range(X.size)) for a in range(len(sg.fibre))
+            tuple(top.act(a, x) for x in range(X.size)) for a in range(top.A.order)
         }
         assert topmost == acts
         # commutator inclusions of the whole chain, exhaustively

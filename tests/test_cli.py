@@ -384,6 +384,25 @@ def test_decompose_refuses_a_space_that_is_not_its_own_step_factor(tmp_path, cap
                                         "reason": "X is not its own 1-factor: 0 ~_1 1"}
 
 
+@pytest.mark.parametrize("space,reason", [
+    ({"source": "group", "group": Z2, "filtration": {"type": "maximal_degree_k", "k": 0}},
+     "X is not ergodic: (0, 1) is not a 1-cube"),
+    ({"source": "explicit", "size": 2, "step": 0, "tables": {"1": [[0, 0], [1, 1]]}},
+     "X is not ergodic: (0, 1) is not a 1-cube"),
+    ({"source": "explicit", "size": 2, "step": 1,
+      "tables": {"1": [[0, 0], [1, 1]], "2": [[0, 0, 0, 0], [1, 1, 1, 1]]}},
+     "action not well defined at (0, 1): 0 completions"),
+], ids=["D0(Z/2)", "explicit-step-0", "explicit-step-1"])
+def test_decompose_refuses_a_space_that_is_not_ergodic(tmp_path, capsys, space, reason):
+    # a 0-step ergodic space is one point: two points that span no 1-cube
+    # are refused at X_0; from step 1 on the top action fails first
+    assert run_main(tmp_path, {"kind": "decompose", "cubespace": space}) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out) == {"kind": "decompose", "decomposed": False,
+                                        "reason": reason}
+
+
 def test_cohomology_class_count():
     spec = {"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "count_classes", "k": 1}
     out = cli.run(spec)

@@ -14,7 +14,7 @@ from nilcube import structure as stc
 from nilcube.cubespace import (CosetCubespace, Cubespace, ExplicitCubespace, GroupCubespace,
                                ProductCubespace, abelian_Dk, check_axioms, equivalence_violation)
 from oracles import abelian_invariants_by_torsion, analyze_morphism, \
-    structure_group_by_local_translations
+    structure_group_by_local_translations, verify_degree_k_bundle_by_projection
 
 
 def test_heisenberg_level1_classes_are_centre_cosets(heis2_space, heis2):
@@ -53,34 +53,41 @@ def test_factor_at_top_level_is_identity_relabelling(d2z2):
         assert got == F.cubes(n)
 
 
+def _fibre(ext):
+    """The point that each element of the structure group moves 0 to."""
+    return [ext.act(a, 0) for a in range(ext.A.order)]
+
+
 def test_local_translation_is_a_fibre_bijection(heis2_space):
     # the action of a fibre element, restricted to the base fibre
-    sg = stc.structure_group(heis2_space, 2)
-    assert sg.fibre == [0, 4]
-    t = {y: sg.act(sg.fibre.index(4), y) for y in sg.fibre}
+    ext = stc.structure_group(heis2_space, 2)
+    fibre = _fibre(ext)
+    assert fibre == [0, 4]
+    t = {y: ext.act(fibre.index(4), y) for y in fibre}
     assert set(t.values()) == {0, 4}
     assert t[0] == 4
 
 
 def test_structure_group_of_d2z2(d2z2):
-    sg = stc.structure_group(d2z2, 2)
-    assert sg.group.invariants == (2,)
-    assert sg.fibre == [0, 1]
+    ext = stc.structure_group(d2z2, 2)
+    assert ext.A.invariants == (2,)
+    assert _fibre(ext) == [0, 1]
     # the action is addition mod 2
     for a in range(2):
         for x in range(2):
-            assert sg.act(a, x) == (a + x) % 2
+            assert ext.act(a, x) == (a + x) % 2
 
 
 def test_structure_group_of_heisenberg_top_level(heis2_space, heis2):
     G, filt = heis2
-    sg = stc.structure_group(heis2_space, 2)
-    assert sg.group.invariants == (2,)
-    assert set(sg.fibre) == set(filt.subgroup(2))
+    ext = stc.structure_group(heis2_space, 2)
+    assert ext.A.invariants == (2,)
+    fibre = _fibre(ext)
+    assert set(fibre) == set(filt.subgroup(2))
     # the action is right multiplication by the centre element
-    z = [g for g in sg.fibre if g != 0][0]
+    z = [g for g in fibre if g != 0][0]
     for x in range(G.order):
-        assert sg.act(sg.fibre.index(z), x) == G.op(x, z)
+        assert ext.act(fibre.index(z), x) == G.op(x, z)
 
 
 def _explicit_product():
@@ -91,14 +98,18 @@ def _explicit_product():
                             ExplicitCubespace(2, {n: d2.cubes(n) for n in (1, 2, 3)}, step=2))
 
 
-def _assert_matches_oracle(sg, X, k):
+def _assert_matches_oracle(ext, X, k):
     # the oracle indexes its table group by the sorted fibre, the library
     # its invariant-factor group: they agree up to that relabelling
+    assert ext.Y is X and ext.k == k
+    assert ext.X.fibres == stc.factor(X, k - 1).fibres and ext.pi == ext.X.image
     ref = structure_group_by_local_translations(X, k)
-    assert sorted(sg.fibre) == ref.fibre
-    ref_of = [ref.fibre.index(y) for y in sg.fibre]
-    assert sg.action == [ref.action[r] for r in ref_of]
-    A = sg.group
+    fibre = _fibre(ext)
+    assert sorted(fibre) == ref.fibre == ext.fibres[ext.pi[0]]
+    ref_of = [ref.fibre.index(y) for y in fibre]
+    A = ext.A
+    assert [[ext.act(a, x) for x in range(X.size)] for a in A.elements()] == [
+        ref.action[r] for r in ref_of]
     assert all(ref_of[A.op(a, b)] == ref.group.op(ref_of[a], ref_of[b])
                for a in A.elements() for b in A.elements())
     assert A.invariants == abelian_invariants_by_torsion(ref.group)
@@ -112,8 +123,8 @@ _STRUCTURE_SPACES = pytest.mark.parametrize("space,k", [
 @_STRUCTURE_SPACES
 def test_structure_group_completes_one_corner_per_entry(space, k, request, monkeypatch):
     # one completion per action entry and per two-vertex sum, and one
-    # level relation per point (the fibre): the addition table is read
-    # from the action
+    # level relation per pair of points (the base factor, whose fibre
+    # through 0 is the group): the addition table is read from the action
     X = _decompose_space(space, request)
     calls = {"completions": 0, "related_k": 0}
     completions, related_k = Cubespace.completions, stc.related_k
@@ -128,15 +139,23 @@ def test_structure_group_completes_one_corner_per_entry(space, k, request, monke
 
     monkeypatch.setattr(Cubespace, "completions", counted_completions)
     monkeypatch.setattr(stc, "related_k", counted_related_k)
-    sg = stc.structure_group(X, k)
-    m = len(sg.fibre)
-    assert calls == {"completions": m * (X.size + m), "related_k": X.size}
+    m = stc.structure_group(X, k).A.order
+    assert calls == {"completions": m * (X.size + m), "related_k": X.size * (X.size - 1) // 2}
 
 
 @_STRUCTURE_SPACES
 def test_structure_group_matches_the_local_translations(space, k, request):
     X = _decompose_space(space, request)
     _assert_matches_oracle(stc.structure_group(X, k), X, k)
+
+
+def _composed_images(dec, size):
+    """images[i][x]: the point of X_i under x, each factor's image of
+    the factor above composed from X down."""
+    images = [list(range(size))]
+    for F in reversed(dec.factors):
+        images.insert(0, [F.image[y] for y in images[0]])
+    return images[:-1]
 
 
 def _quotient_invariants(G, sub, normal):
@@ -170,12 +189,15 @@ def test_structure_groups_are_the_filtration_quotients(space):
     gamma = X.cosets.Gamma if isinstance(X, CosetCubespace) else frozenset({0})
     assert filt.subgroup(0) == filt.subgroup(1)
     dec = stc.decompose(X, n_max=1)
-    assert [F.fibres for F in dec.factors] == [stc.sim_classes(X, i) for i in range(dec.step + 1)]
-    for i, (sg, level) in enumerate(zip(dec.groups, dec.levels), start=1):
+    images = _composed_images(dec, X.size)
+    assert [[[x for x in range(X.size) if image[x] == b] for b in range(F.size)]
+            for image, F in zip(images, dec.factors)] == [
+        stc.sim_classes(X, i) for i in range(dec.step + 1)]
+    for i, (ext, level) in enumerate(zip(dec.extensions, dec.levels), start=1):
         Gi = filt.subgroup(i)
         normal = gr.subgroup_closure(G, filt.subgroup(i + 1) | (gamma & Gi))
         assert level.group_invariants == _quotient_invariants(G, Gi, normal)
-        _assert_matches_oracle(sg, dec.factors[i], i)
+        _assert_matches_oracle(ext, dec.factors[i], i)
 
 
 def test_decompose_d2z2(d2z2):
@@ -205,15 +227,15 @@ def test_decompose_coset_space(coset_space):
     assert all(lvl.verified_dims == (1, 2, 3) for lvl in dec.levels)
 
 
+def _doctored_action(d2z2):
+    """The top level of D_2(Z/2) with the non-identity element acting
+    trivially."""
+    return dataclasses.replace(stc.structure_group(d2z2, 2),
+                               act=lambda a, x: [[0, 1], [0, 1]][a][x])
+
+
 def test_bundle_verification_rejects_doctored_action(d2z2):
-    sg = stc.structure_group(d2z2, 2)
-    bad = stc.StructureGroup(
-        sg.k, sg.fibre, sg.group,
-        [[0, 1], [0, 1]],  # the non-identity element acts trivially
-    )
-    base = stc.factor(d2z2, 1)
-    ext = stc.ExtensionData(d2z2, base, base.image, bad.group, 2, bad.act)
-    assert stc.verify_degree_k_bundle(ext, 2) == ("action", 0)
+    assert stc.verify_degree_k_bundle(_doctored_action(d2z2), 2) == ("action", 0)
 
 
 def _d1z2_extension():
@@ -223,25 +245,35 @@ def _d1z2_extension():
     return coh.build_extension(coh.coboundary_of(X, [0, 0], 1, A)).extension
 
 
+def _failing_extensions(d2z2):
+    """Three extensions that are not degree-k bundles: M(0) -> D_1(Z/2)
+    over a base that lacks its least square, over a base with one square
+    more, and D_2(Z/2) over a point taken as a degree-1 extension."""
+    ext = _d1z2_extension()
+    squares = sorted(ext.X.cubes(2))
+    fewer = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares[1:]}, step=1)
+    more = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares + [(0, 0, 0, 1)]}, step=1)
+    top = stc.decompose(d2z2, n_max=2).extensions[1]
+    return (dataclasses.replace(ext, X=fewer), dataclasses.replace(ext, X=more),
+            dataclasses.replace(top, k=1))
+
+
 def test_bundle_verification_witnesses_each_failure(d2z2):
     ext = _d1z2_extension()
     assert stc.verify_degree_k_bundle(ext, 3) is None
     squares = sorted(ext.X.cubes(2))
+    fewer, more, top1 = _failing_extensions(d2z2)
     # a base that lacks a square: some cube upstairs projects outside it
-    fewer = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares[1:]}, step=1)
-    bad = stc.verify_degree_k_bundle(dataclasses.replace(ext, X=fewer), 2)
+    bad = stc.verify_degree_k_bundle(fewer, 2)
     assert bad[:2] == ("projection-not-cube", 2)
     assert tuple(ext.pi[y] for y in bad[2]) == squares[0]
     # a base with a square no cube upstairs projects to
-    more = ExplicitCubespace(2, {1: ext.X.cubes(1), 2: squares + [(0, 0, 0, 1)]}, step=1)
-    assert stc.verify_degree_k_bundle(dataclasses.replace(ext, X=more), 2) == (
-        "projection-not-onto", 2, (0, 0, 0, 1))
+    assert stc.verify_degree_k_bundle(more, 2) == ("projection-not-onto", 2, (0, 0, 0, 1))
     # D_2(Z/2) over a point is a degree-2 bundle, not a degree-1 one: the
     # 16 squares over the point are more than the 8 degree-1 perturbations
     top = stc.decompose(d2z2, n_max=2).extensions[1]
     assert stc.verify_degree_k_bundle(top, 2) is None
-    assert stc.verify_degree_k_bundle(dataclasses.replace(top, k=1), 2) == (
-        "fibre-correspondence", 2, (0, 0, 0, 0))
+    assert stc.verify_degree_k_bundle(top1, 2) == ("fibre-correspondence", 2, (0, 0, 0, 0))
 
 
 _DECOMPOSE_SPACES = pytest.mark.parametrize(
@@ -273,23 +305,43 @@ def test_every_decompose_level_is_a_degree_k_bundle(space, request):
 @_DECOMPOSE_SPACES
 def test_every_factor_cube_set_is_the_projected_set(space, request):
     X = _decompose_space(space, request)
-    factors = stc.decompose(X, n_max=2).factors
+    dec = stc.decompose(X, n_max=2)
+    factors, images = dec.factors, _composed_images(dec, X.size)
     # the top factor projects by the identity and shares X's cube sets
     assert factors[-1].image == list(range(X.size))
     for n in range(1, X.step + 2):
         assert factors[-1].cubes(n) is X.cubes(n)
-        for F in factors:
-            assert F.cubes(n) == {tuple(F.image[x] for x in q) for q in X.cubes(n)}
+        for F, image in zip(factors, images):
+            assert F.cubes(n) == {tuple(image[x] for x in q) for q in X.cubes(n)}
+
+
+@pytest.mark.parametrize("case", ["heis2_space", "coset_space", "d1z2", "d1z3", (4, 1), "d2z2",
+                                  (3, 2), "models", "doctored"],
+                         ids=["H2", "coset", "D1(Z/2)", "D1(Z/3)", "D1(Z/4)", "D2(Z/2)",
+                              "D2(Z/3)", "M(rho0),M(rho1)", "doctored"])
+def test_the_bundle_check_matches_the_projection_oracle(case, request):
+    # the model-cube check and the projection-grouping oracle give the
+    # same answer, None or the same witness, on every decompose level, on
+    # the models M(rho) and on the extensions doctored to fail
+    if case == "models":
+        exts = [M.extension for M in request.getfixturevalue("model_extensions")]
+    elif case == "doctored":
+        d2z2 = request.getfixturevalue("d2z2")
+        exts = _failing_extensions(d2z2) + (_doctored_action(d2z2),)
+    else:
+        exts = stc.decompose(_decompose_space(case, request), n_max=3).extensions
+    for ext in exts:
+        for n_max in (2, 3):
+            assert stc.verify_degree_k_bundle(ext, n_max) == \
+                verify_degree_k_bundle_by_projection(ext, n_max)
 
 
 def test_decompose_names_the_level_that_is_not_a_bundle(d2z2, monkeypatch):
     real = stc.structure_group
 
     def doctored(X, k):
-        sg = real(X, k)
-        if k == 2:
-            sg.action = [list(range(X.size))] * len(sg.fibre)
-        return sg
+        ext = real(X, k)
+        return dataclasses.replace(ext, act=lambda a, x: x) if k == 2 else ext
 
     monkeypatch.setattr(stc, "structure_group", doctored)
     with pytest.raises(ValueError, match=r"level 2 is not a degree-2 bundle: \('action', 0\)"):
@@ -298,10 +350,10 @@ def test_decompose_names_the_level_that_is_not_a_bundle(d2z2, monkeypatch):
 
 def test_fibre_is_a_torsor(heis2_space):
     # the structure group acts simply transitively on each level-1 fibre
-    sg = stc.structure_group(heis2_space, 2)
+    ext = stc.structure_group(heis2_space, 2)
     for x in range(heis2_space.size):
-        orbit = {sg.act(a, x) for a in range(len(sg.fibre))}
-        assert len(orbit) == len(sg.fibre)
+        orbit = {ext.act(a, x) for a in range(ext.A.order)}
+        assert len(orbit) == ext.A.order
         fibre = {y for y in range(heis2_space.size) if stc.related_k(heis2_space, 1, x, y)}
         assert orbit == fibre
 

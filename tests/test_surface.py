@@ -17,6 +17,8 @@ as an attribute (obj.name), or when a string in a root file names it.
 """
 
 import ast
+import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -157,6 +159,38 @@ def test_api_names_are_defined_and_named_by_their_document():
         assert name in names
         document = reason.split()[0] + ".md"
         assert name in (ROOT / document).read_text(), (name, document)
+
+
+def _tracer_targets():
+    """TARGETS of perfbench/tracer.py, loaded by path: the tracer imports
+    only the standard library."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_every_tracer_target_resolves():
+    # the tracer hooks (module, attribute) with getattr, so a deleted or
+    # renamed target would fail only a traced run; "*.op" needs some
+    # FiniteGroup subclass there that defines op itself
+    from nilcube.groups import FiniteGroup
+
+    targets = _tracer_targets()
+    assert targets
+    missing = []
+    for _bucket, module, attribute, _mode in targets:
+        owner = importlib.import_module("nilcube." + module)
+        if attribute.startswith("*."):
+            found = any(isinstance(c, type) and issubclass(c, FiniteGroup)
+                        and attribute[2:] in vars(c) for c in vars(owner).values())
+        else:
+            for name in attribute.split("."):
+                owner = getattr(owner, name, None)
+            found = callable(owner)
+        if not found:
+            missing.append("%s.%s" % (module, attribute))
+    assert not missing, "unresolved tracer targets: " + ", ".join(missing)
 
 
 def _callee(func):

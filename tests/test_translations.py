@@ -1,6 +1,7 @@
 """Translation groups, translation cubes, and lifting through the top
 factor."""
 
+import dataclasses
 import itertools
 from functools import lru_cache, partial
 from types import SimpleNamespace
@@ -252,19 +253,19 @@ def test_translation_tower_of_heisenberg(heis2_space, heis2, heis2_tower):
         alpha = tuple(G.op(g, x) for x in G.elements())
         assert alpha in set(tower.bijections)
     # Tran_2 is exactly the structure-group action at the top level
-    sg = structure_group(heis2_space, 2)
+    top = structure_group(heis2_space, 2)
     tran2 = {tower.bijections[j] for j in tower.heights[1]}
-    acts = {tuple(sg.act(a, x) for x in range(G.order)) for a in range(len(sg.fibre))}
+    acts = {tuple(top.act(a, x) for x in range(G.order)) for a in range(top.A.order)}
     assert tran2 == acts
 
 
 def test_tran_k_matches_structure_group_on_coset_space(coset_space):
     tower = tr.translation_tower(coset_space)
-    sg = structure_group(coset_space, 2)
+    top = structure_group(coset_space, 2)
     tran2 = {tower.bijections[j] for j in tower.heights[1]}
     acts = {
-        tuple(sg.act(a, x) for x in range(coset_space.size))
-        for a in range(len(sg.fibre))
+        tuple(top.act(a, x) for x in range(coset_space.size))
+        for a in range(top.A.order)
     }
     assert tran2 == acts
 
@@ -343,10 +344,11 @@ def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypa
     real = structure_group
 
     def doctored(X, k):
-        sg = real(X, k)
+        ext = real(X, k)
         if k == 2:
-            sg.action = [list(range(X.size)), [1, 1]]
-        return sg
+            action = [list(range(X.size)), [1, 1]]
+            ext = dataclasses.replace(ext, act=lambda a, x: action[a][x])
+        return ext
 
     monkeypatch.setattr(stc, "structure_group", doctored)
     with pytest.raises(ValueError, match=r"level 2 is not a degree-2 bundle: \('action', 1\)"):
