@@ -144,8 +144,14 @@ def _list(value, ptr):
 
 
 def _ints(values, ptr):
-    """The JSON array values, after checking that each entry is an integer."""
-    return [_int(v, "%s/%d" % (ptr, i)) for i, v in enumerate(_list(values, ptr))]
+    """The JSON array values, after checking that each entry is an integer;
+    only an entry that is not a plain int is passed to _int, with its
+    pointer."""
+    values = _list(values, ptr)
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            _int(v, "%s/%d" % (ptr, i))
+    return values
 
 
 def _need_int(obj, key, ptr):

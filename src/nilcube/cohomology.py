@@ -6,8 +6,9 @@ Cocycle counts and coboundaries are linear algebra over A (one Smith
 elimination), with table enumeration as the oracle.
 
 An extension is a `structure.ExtensionData`; M(rho) carries one as its
-`extension` field, and its cube sets are that record's model cubes, the
-ones `structure.verify_degree_k_bundle` checks each level of a nilspace
+`extension` field, whose lifts up to dimension d + 1 are read off rho,
+and its cube sets are that record's model cubes, the ones
+`structure.verify_degree_k_bundle` checks each level of a nilspace
 against.  The cocycle of a cross section (`cross_section_cocycle`) is
 what the CLI's extend round trip reads back and what the translation
 lift pulls back along a base translation.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import cubes as cb
 from .cubegroups import sigma
@@ -224,8 +225,8 @@ class ExtensionSpace(Cubespace):
             raise ValueError("the base needs a step bound")
         m, op = self.A.order, self.A.op
         super().__init__(self.base.size * m, step=max(self.base.step + 1, self.d))
-        self.extension = ExtensionData(self, self.base, [p // m for p in range(self.size)],
-                                       self.A, self.d, lambda a, y: y - y % m + op(y % m, a))
+        self.extension = _ModelExtension(self, self.base, [p // m for p in range(self.size)],
+                                         self.A, self.d, lambda a, y: y - y % m + op(y % m, a))
 
     def _special_ok(self, xs: tuple, zs: tuple) -> bool:
         return self.rho.table[xs] == self.A.inv(sigma(zs, self.d + 1, self.A))
@@ -258,6 +259,34 @@ class ExtensionSpace(Cubespace):
         return bound if bound > cap else len(self.cubes(n))
 
 
+class _ModelExtension(ExtensionData):
+    """The extension record of M(rho), Y the ExtensionSpace, whose lifts
+    up to dimension d + 1 are read off rho: exactly the scan's first
+    lift, every fibre tried in increasing order.  Below dimension d + 1
+    a map over a base cube is a cube of M(rho) whatever its fibre values,
+    so each vertex below the top takes the fibre's first point, (x, 0).
+    At dimension d + 1 the fibre values are then 0 but for z at the top
+    vertex, so sigma of them is (-1)^(d+1) z, and rho(q) = -sigma fixes
+    z: -rho(q) for even d + 1, rho(q) for odd.  The scan finds a lift
+    exactly when q and its faces pass the base's cube test, which is
+    asked first.  Higher dimensions are left to the scan."""
+
+    def lift(self, n: int, q: Sequence[int]) -> Optional[tuple]:
+        M = self.Y
+        if n > M.d + 1:
+            return super().lift(n, q)
+        for dim in range(1, n + 1):
+            test = M.base._cube_test(dim)
+            for face in cb.face_getters(dim, n):
+                if not test(face(q)):
+                    return None
+        lift = [self.fibres[x][0] for x in q]
+        if n == M.d + 1:
+            r = M.rho.table[tuple(q)]
+            lift[-1] = self.fibres[q[-1]][r if n % 2 else M.A.inv(r)]
+        return tuple(lift)
+
+
 def build_extension(rho: Cocycle) -> ExtensionSpace:
     bad = validate_cocycle(rho)
     if bad is not None:
@@ -277,7 +306,7 @@ def cross_section_cocycle(ext: ExtensionData, s: Sequence[int]) -> Cocycle:
         raise ValueError("not a section")
     f = {}
     for x, ys in enumerate(ext.fibres):
-        diff = {ext.act(a, s[x]): A.inv(a) for a in range(A.order)}
+        diff = {y: A.inv(a) for a, y in enumerate(ext.shifts[s[x]])}
         if len(diff) != A.order or sorted(diff) != ys:
             raise ValueError("points are not in one fibre")
         f.update(diff)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import cubes
-from .groups import FiniteGroup, Filtration, element_range_violation, shift_filtration
+from .groups import FiniteGroup, Filtration, element_range_violation
 
 
 def sigma(values: Sequence[int], n: int, G: FiniteGroup) -> int:
@@ -136,22 +136,27 @@ def is_cube_by_equations(values: Sequence[int], filt: Filtration) -> bool:
 
 def enumerate_cubes(filt: Filtration, n: int):
     """All cubes of dimension n, by the recursion on the top coordinate
-    Cu^n(G) = {(q, q r) : q in Cu^{n-1}(G), r in Cu^{n-1}(G_{+1})},
-    G_{+1} the shifted filtration; Cu^0 is the points of G_0.  The
-    (n-1)-cubes r are listed once per call, and each n-cube costs
-    2^(n-1) group operations.
+    Cu^d(G_{+s}) = {(q, q r) : q in Cu^{d-1}(G_{+s}), r in Cu^{d-1}(G_{+s+1})},
+    G_{+s} the filtration shifted by s (its d-th term G_{d+s}), and
+    Cu^0(G_{+s}) the points of G_s.  The levels d < n are built
+    bottom-up, each Cu^d(G_{+s}) with s + d <= n once, straight from the
+    subgroups of filt; the n-cubes are yielded lazily, 2^(n-1) group
+    operations each, so the first costs the levels below and 2^(n-1).
 
     The order is that of the coefficient tuples in itertools.product,
     each multiplied out: the coefficients on the lower half vary in the
     outer loop (they determine q), those on the upper half in the inner
     one (they determine r)."""
+    level = [[(g,) for g in sorted(filt.subgroup(s))] for s in range(n + 1)]
     if n == 0:
-        for g in sorted(filt.subgroup(0)):
-            yield (g,)
+        yield from level[0]
         return
     op = filt.group.op
-    upper = list(enumerate_cubes(shift_filtration(filt, 1), n - 1))
-    for q in enumerate_cubes(filt, n - 1):
+    for d in range(1, n):  # level[s] holds Cu^d(G_{+s}), s = 0..n-d
+        level = [[q + tuple(map(op, q, r)) for q in lower for r in upper]
+                 for lower, upper in zip(level, level[1:])]
+    lower, upper = level
+    for q in lower:
         for r in upper:
             yield q + tuple(map(op, q, r))
 

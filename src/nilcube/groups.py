@@ -404,15 +404,6 @@ def maximal_degree_k_filtration(A: FiniteGroup, k: int) -> Filtration:
     return Filtration(A, tuple([full] * (k + 1) + [frozenset({0})]))
 
 
-def shift_filtration(filt: Filtration, ell: int) -> Filtration:
-    """The shifted filtration with d-th term G_{d+ell}.  Its 0-th term may
-    be a proper subgroup of the ambient group (non-ergodic cube sets)."""
-    if ell < 0:
-        raise ValueError("shift must be nonnegative")
-    chain = tuple(filt.subgroup(d + ell) for d in range(len(filt.chain)))
-    return Filtration(filt.group, chain)
-
-
 def left_cosets(G: FiniteGroup, S: frozenset):
     """Left cosets gS of a subgroup, numbered by their least elements in
     increasing order (S itself, holding 0, is coset 0).  Returns

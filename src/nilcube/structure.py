@@ -12,6 +12,7 @@ checks each against its model cubes (`verify_degree_k_bundle`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groups import FiniteAbelianGroup, TableGroup, abelian_coordinates
@@ -54,8 +55,10 @@ def factor(X: Cubespace, k: int) -> ImageCubespace:
 @dataclass
 class ExtensionData:
     """A candidate degree-k extension Y -> X: pi projects points, and the
-    abelian group A acts on Y by act(a, y).  The fibres and the fibre
-    space D_k(A) are computed once, at construction."""
+    abelian group A acts on Y by act(a, y).  The fibres, the action as a
+    table (shifts[y][a] = act(a, y)) and the fibre space D_k(A) are
+    computed once, at construction; dataclasses.replace with another act
+    builds its own table."""
 
     Y: Cubespace
     X: Cubespace
@@ -64,12 +67,15 @@ class ExtensionData:
     k: int
     act: Callable[[int, int], int]  # (a, y) -> y shifted by a
     fibres: List[List[int]] = field(init=False)  # fibres[x]: pi^-1(x), increasing
+    shifts: List[List[int]] = field(init=False)  # shifts[y][a]: act(a, y)
     fibre_space: Cubespace = field(init=False)  # D_k(A)
 
     def __post_init__(self):
         self.fibres = [[] for _ in range(self.X.size)]
         for y, x in enumerate(self.pi):
             self.fibres[x].append(y)
+        elements = range(self.A.order)
+        self.shifts = [[self.act(a, y) for a in elements] for y in range(self.Y.size)]
         self.fibre_space = abelian_Dk(self.A, self.k)
 
     def lift(self, n: int, q: Sequence[int]) -> Optional[tuple]:
@@ -86,7 +92,8 @@ class ExtensionData:
         for q in self.X.cubes(n):
             lift = self.lift(n, q)
             if lift is not None:
-                cubes.extend(tuple(map(self.act, c, lift)) for c in self.fibre_space.cubes(n))
+                rows = [self.shifts[y] for y in lift]
+                cubes.extend(tuple(map(getitem, rows, c)) for c in self.fibre_space.cubes(n))
             elif missing is None or q < missing:
                 missing = q
         return cubes, missing
@@ -180,8 +187,8 @@ def verify_degree_k_bundle(ext: ExtensionData, n_max: int):
     The last condition makes every difference of two cubes over one
     base cube a degree-k cube."""
     Y, X, A = ext.Y, ext.X, ext.A
-    for y in range(Y.size):
-        seen = {ext.act(a, y) for a in range(A.order)}
+    for y, row in enumerate(ext.shifts):
+        seen = set(row)
         if len(seen) != A.order or any(ext.pi[p] != ext.pi[y] for p in seen):
             return ("action", y)
     for n in range(1, n_max + 1):

@@ -9,8 +9,9 @@ every dimension, the translation search as a recursion (accepting what
 the library accepts, or certifying every bijection it reaches),
 closures under right multiplication and weight-0 derivatives kept by
 a frontier of their own, the membership of an arrow by the filtered
-splitting, cube morphisms checked cube by cube (between cubespaces up
-to n_max, between filtered groups in every dimension up to deg + 1),
+splitting (with the shifted filtration it reads, which the library
+never builds), cube morphisms checked cube by cube (between cubespaces
+up to n_max, between filtered groups in every dimension up to deg + 1),
 morphism sections by one linear system and by a search over every
 section, translation lifts through the bundle of translation pairs T*
 (the T* route) and by a search over its sections, the upper-face
@@ -34,7 +35,7 @@ from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_co
     _require_elements, arrow, complete_corner, enumerate_cubes, factorize, is_cube, \
     multiply_out, sigma
 from nilcube.cubespace import ArrowCubespace, Cubespace
-from nilcube.groups import FiniteGroup, Filtration, TableGroup, shift_filtration
+from nilcube.groups import FiniteGroup, Filtration, TableGroup
 from nilcube.structure import ExtensionData, _one_flip_corner, factor, related_k, \
     structure_group
 from nilcube.translations import _arrows_are_cubes, is_translation, translation_certifier
@@ -142,6 +143,16 @@ def is_translation_by_definition(X, alpha: Sequence[int], i: int, n_max: int) ->
     <q, alpha o q>_i is an (n+i)-cube for every n-cube q of every
     dimension n <= n_max, not only n = step + 1."""
     return all(_arrows_are_cubes(X, alpha, n, i) for n in range(n_max + 1))
+
+
+def shift_filtration(filt: Filtration, ell: int) -> Filtration:
+    """The shifted filtration G_{+ell}, with d-th term G_{d+ell}.  Its
+    0-th term may be a proper subgroup of the ambient group (non-ergodic
+    cube sets)."""
+    if ell < 0:
+        raise ValueError("shift must be nonnegative")
+    chain = tuple(filt.subgroup(d + ell) for d in range(len(filt.chain)))
+    return Filtration(filt.group, chain)
 
 
 def arrow_membership(q0, q1, n: int, k: int, filt: Filtration) -> bool:

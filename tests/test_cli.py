@@ -876,6 +876,28 @@ def test_non_integer_or_unanswerable_field_is_a_spec_error(tmp_path, capsys, spe
     assert_spec_error(tmp_path, capsys, spec, pointer)
 
 
+def _late_non_integers(row):
+    """row with a string at index 29, and a float and a bool after it."""
+    return row[:29] + ["x", 1.5, True] + row[32:]
+
+
+@pytest.mark.parametrize("spec,pointer", [
+    ({"kind": "factorize", "group": {"type": "table", "table": [
+        _late_non_integers([(a + b) % 32 for b in range(32)]) if a == 9
+        else [(a + b) % 32 for b in range(32)] for a in range(32)]},
+      "filtration": {"type": "lcs"}, "cube": {"n": 1, "values": [0, 0]}}, "/group/table/9/29"),
+    ({"kind": "check", "cubespace": _explicit(2, {"5": [[0] * 32, _late_non_integers([1] * 32)]})},
+     "/cubespace/tables/5/1/29"),
+], ids=["group-table-row", "explicit-cube"])
+def test_a_late_string_in_a_long_row_is_named_alone(tmp_path, capsys, spec, pointer):
+    """Only the first entry that is not an integer is reported, with
+    its pointer and value."""
+    assert run_main(tmp_path, spec) == 2
+    captured = capsys.readouterr()
+    assert captured.err == 'spec error: %s: "x" is not an integer\n' % pointer
+    assert captured.out == ""
+
+
 # -- fuzz: one leaf of a small valid spec replaced by a value of another type
 
 def _export_tables(cubes):

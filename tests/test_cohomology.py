@@ -298,3 +298,52 @@ def test_extension_cubes_are_the_scanned_cubes(rho):
         assert M.count_cubes(n, 10 ** 6) == len(scanned)
         product = len(rho.X.cubes(n)) * len(M.extension.fibre_space.cubes(n))
         assert M.count_cubes(n, len(scanned) - 1) == product >= len(scanned)
+
+
+def _model_lift_cocycles(name):
+    """The cocycles whose models M(rho) the lift oracle test reads."""
+    d1 = abelian_Dk(gr.CyclicProduct((2,)), 1)
+    if name == "D1(Z/2)-k1":
+        return coh.enumerate_cocycles(d1, 1, Z2)
+    if name == "D2(Z/2)-k1":
+        return coh.enumerate_cocycles(abelian_Dk(gr.CyclicProduct((2,)), 2), 1, Z2)
+    # the coboundaries that the extend and is_coboundary questions of the
+    # CLI benchmark build
+    if name == "D1(Z/2)-coboundaries":
+        return [coh.coboundary_of(d1, f, 1, Z2) for f in itertools.product(range(2), repeat=2)]
+    if name == "D1(Z/3)-coboundaries":
+        d13, Z3 = abelian_Dk(gr.CyclicProduct((3,)), 1), gr.FiniteAbelianGroup((3,))
+        return [coh.coboundary_of(d13, f, 1, Z3) for f in itertools.product(range(3), repeat=3)]
+    # the base of the extend test whose 2-cubes have the non-cube (0, 1)
+    # as a face
+    assert name == "not-closed"
+    base = ExplicitCubespace(2, {1: [(0, 0), (1, 0), (1, 1)], 2: sorted(d1.cubes(2))}, 1)
+    nonzero = next(r for r in coh.enumerate_cocycles(d1, 1, Z2) if any(r.table.values()))
+    return [coh.Cocycle(base, 1, Z2, dict(nonzero.table))]
+
+
+@pytest.mark.parametrize("name", ["M(rho0)-M(rho1)", "D1(Z/2)-k1", "D2(Z/2)-k1",
+                                  "D1(Z/2)-coboundaries", "D1(Z/3)-coboundaries", "not-closed"])
+def test_model_lift_is_the_scan_lift(request, name):
+    """M(rho)'s lift read off rho is the scan's first lift, None
+    included, on every map into the base of dimension 0..d+1, so on
+    every base cube.  M(rho0) and M(rho1) are the degree-2 models over
+    D_1(Z/2) with A = Z/2."""
+    if name == "M(rho0)-M(rho1)":
+        rhos = [M.rho for M in request.getfixturevalue("model_extensions")]
+    else:
+        rhos = _model_lift_cocycles(name)
+    for rho in rhos:
+        assert coh.validate_cocycle(rho) is None
+        ext = coh.ExtensionSpace(rho).extension
+        X, top = rho.X, rho.k + 1
+        lifted = missing = 0
+        for n in range(top + 1):
+            for q in itertools.product(range(X.size), repeat=1 << n):
+                want = stc.ExtensionData.lift(ext, n, q)
+                assert ext.lift(n, q) == want, (n, q)
+                if q in X.cubes(n):
+                    lifted += want is not None
+                    missing += want is None
+        assert lifted > 0
+        assert (missing > 0) == (name == "not-closed")

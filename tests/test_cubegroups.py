@@ -181,33 +181,59 @@ def _enumerate_cubes_by_coefficients(filt, n):
 _ENUMERATION_FILTRATIONS = {
     "H2": lambda: gr.make_heisenberg(2)[1],
     "H3": lambda: gr.make_heisenberg(3)[1],
+    "D1(Z/2)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((2,)), 1),
     "D2(Z/2)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((2,)), 2),
+    # G_0 = Z/4 > G_1 = 2Z/4: cubes of a filtration that is not ergodic
+    "Z/4 > 2Z/4": lambda: gr.Filtration(gr.CyclicProduct((4,)), (
+        frozenset(range(4)), frozenset({0, 2}))),
     "D1(Z/4)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 1),
     "D2(Z/4)": lambda: gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2),
     "Z/8 > 2Z/8 > 4Z/8": lambda: gr.Filtration(gr.CyclicProduct((8,)), (
         frozenset(range(8)), frozenset(range(8)), frozenset({0, 2, 4, 6}), frozenset({0, 4}))),
-    "H2 shifted by 1": lambda: gr.shift_filtration(gr.make_heisenberg(2)[1], 1),
-    "H3 shifted by 1": lambda: gr.shift_filtration(gr.make_heisenberg(3)[1], 1),
-    "D2(Z/4) shifted by 2": lambda: gr.shift_filtration(
+    "H2 shifted by 1": lambda: oracles.shift_filtration(gr.make_heisenberg(2)[1], 1),
+    "H3 shifted by 1": lambda: oracles.shift_filtration(gr.make_heisenberg(3)[1], 1),
+    "D2(Z/4) shifted by 2": lambda: oracles.shift_filtration(
         gr.maximal_degree_k_filtration(gr.CyclicProduct((4,)), 2), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_ENUMERATION_FILTRATIONS))
 def test_enumerate_cubes_matches_coefficient_product_as_a_sequence(name):
-    """The recursion shifts the filtration once per coordinate, so the
-    shifted filtrations check shifts by up to 7 at n = 5."""
+    """The recursion reads the subgroups G_s up to s = n, so the shifted
+    filtrations check shifts by up to 7 at n = 5."""
     filt = _ENUMERATION_FILTRATIONS[name]()
-    compared = 0
+    compared = []
     for n in range(6):
         if cg.count_cubes(filt, n) > 40_000:
             continue
         got = list(cg.enumerate_cubes(filt, n))
         assert got == list(_enumerate_cubes_by_coefficients(filt, n))
         assert len(got) == cg.count_cubes(filt, n)
-        compared += 1
+        compared.append(n)
     # H3 has 59,049 2-cubes, so it compares n = 0, 1 only
-    assert compared >= 2
+    assert len(compared) >= 2
+    if name in ("D1(Z/2)", "D2(Z/2)", "Z/4 > 2Z/4"):
+        assert 4 in compared
+
+
+def test_enumerate_cubes_forms_one_top_cube_per_step():
+    """The first 3-cube of H3 costs the op calls of the levels below,
+    Cu^d(G_{+s}) for d = 1, 2 and s + d <= 3, each cube of level d 2^(d-1)
+    of them, and 2^2 for itself: no other 3-cube is formed before it is
+    yielded."""
+    n = 3
+    G = _CountingHeisenberg(3)
+    filt = gr.lower_central_series(G)
+
+    def count(s, d):
+        return cg.count_cubes(oracles.shift_filtration(filt, s), d)
+
+    below = sum(count(s, d - 1) * count(s + 1, d - 1) << (d - 1)
+                for d in range(1, n) for s in range(n - d + 1))
+    G.calls = 0
+    first = next(cg.enumerate_cubes(filt, n))
+    assert G.calls <= below + (1 << (n - 1))
+    assert first == next(_enumerate_cubes_by_coefficients(filt, n))
 
 
 def _complete_corner_rebuilding(corner, n, filt):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcube import groups as gr
-from oracles import abelian_invariants_by_torsion, subgroup_closure_by_frontier
+from oracles import abelian_invariants_by_torsion, shift_filtration, subgroup_closure_by_frontier
 
 
 def test_cyclic_product_axioms_and_indexing():
@@ -71,7 +71,7 @@ def test_maximal_degree_k_filtration():
 
 def test_shift_filtration():
     G, filt = gr.make_heisenberg(2)
-    sh = gr.shift_filtration(filt, 1)
+    sh = shift_filtration(filt, 1)
     assert sh.subgroup(0) == filt.subgroup(1)
     assert sh.subgroup(1) == filt.subgroup(2)
     assert sh.subgroup(2) == frozenset({0})
