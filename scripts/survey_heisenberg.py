@@ -9,7 +9,7 @@ import argparse
 import time
 
 from nilcube.cubespace import GroupCubespace, check_axioms
-from nilcube.groups import abelian_invariants, make_heisenberg, quotient
+from nilcube.groups import QuotientGroup, abelian_invariants, make_heisenberg
 from nilcube.structure import decompose
 from nilcube.translations import (
     BRUTE_FORCE_CAP,
@@ -41,7 +41,7 @@ def main():
     for lvl in dec.levels:
         print("  level %d: structure group %s, fibre size %d" %
               (lvl.k, lvl.group_invariants or "(trivial)", lvl.fibre_size))
-    Q, _ = quotient(G, filt.subgroup(2))
+    Q = QuotientGroup(G, filt.subgroup(2))
     print("cross-check: invariants of G/G_2 =", abelian_invariants(Q))
 
     if G.order <= BRUTE_FORCE_CAP:

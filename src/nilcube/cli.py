@@ -18,9 +18,7 @@ vertex) read more than CUBE_CAP maps to build, or whose cocycle laws
 have more than CUBE_CAP entries.
 The other limits bound what no cube count does: N_MAX_CAP the dimension
 of every cube a question builds, BRUTE_FORCE_CAP the bijections
-searched, CLOSURE_CAP the weight-0 derivative closure (built only for a
-poly domain chain with H_0 != H_1), and check_axioms's
-composition_budget (see CUBE_CAP).
+searched, and check_axioms's composition_budget (see CUBE_CAP).
 
 The dimensions held to N_MAX_CAP are n_max, step + 1 (decompose,
 translations), k + 1 (a cocycle or count_classes of degree k) and
@@ -38,6 +36,7 @@ Object schemas (all cube values in colex vertex order):
               ("normal" not a normal subgroup: exit 2 at /group/normal)
   filtration: {"type": "lcs"} | {"type": "maximal_degree_k", "k": k}
               | {"type": "explicit", "chain": [[elements], ..]}
+              (chain[0], G_0, holds every element: else exit 2 at chain/0)
   cubespace:  {"source": "group", "group": {..}, "filtration": {..}}
               {"source": "coset", "group": {..}, "filtration": {..}, "gamma": [..]}
               {"source": "product", "factors": [{..}, {..}]}
@@ -100,10 +99,9 @@ N_MAX_CAP = 10
 # maximal_degree_k filtration stores.  H2 and D3(Z/2) have 32,768 3- and
 # 4-cubes.
 # No count bounds N_MAX_CAP (the dimension of the cubes built),
-# translations.BRUTE_FORCE_CAP (the bijections searched), poly.CLOSURE_CAP
-# (the weight-0 derivative closure, which only a domain chain with
-# H_0 != H_1 builds) or check_axioms's budget and seed (kept only for
-# perfbench/analysis.py, until ROADMAP item 1).
+# translations.BRUTE_FORCE_CAP (the bijections searched) or check_axioms's
+# budget and seed (kept only for perfbench/analysis.py, until ROADMAP
+# item 1).
 CUBE_CAP = 10 ** 5
 
 
@@ -251,6 +249,11 @@ def build_filtration(spec, G, ptr="/filtration"):
         levels = _list(_need(spec, "chain", ptr), ptr + "/chain")
         chain = [frozenset(_elements(level, G, "%s/chain/%d" % (ptr, d)))
                  for d, level in enumerate(levels)]
+        # G_0 = G: cubes are based in G_0, while poly differentiates at
+        # every point of the group
+        if chain and len(chain[0]) != G.order:
+            raise SpecError(ptr + "/chain/0", "G_0 holds %d of the group's %d elements, "
+                            "not all of them" % (len(chain[0]), G.order))
         filt = _construct(ptr + "/chain", Filtration, G, tuple(chain))
         bad = validate_filtration(filt)
         if bad is not None:
@@ -406,19 +409,15 @@ def run_complete(spec, opts):
 
 
 def run_poly(spec, opts):
-    H = build_group(_need(spec, "domain_group", "/"))
-    hfilt = build_filtration(_need(spec, "domain_filtration", "/"), H)
-    G = build_group(_need(spec, "target_group", "/"))
-    gfilt = build_filtration(_need(spec, "target_filtration", "/"), G)
+    H = build_group(_need(spec, "domain_group", "/"), "/domain_group")
+    hfilt = build_filtration(_need(spec, "domain_filtration", "/"), H, "/domain_filtration")
+    G = build_group(_need(spec, "target_group", "/"), "/target_group")
+    gfilt = build_filtration(_need(spec, "target_filtration", "/"), G, "/target_filtration")
     g = _elements(_need(spec, "map", "/"), G, "/map")
     if len(g) != H.order:
         raise SpecError("/map", "expected %d values" % H.order)
     _refuse_many_cubes(cs.GroupCubespace(hfilt), [gfilt.degree + 1], "poly", "/domain_filtration")
-    try:
-        is_poly = poly.is_polynomial(g, hfilt, gfilt)
-    except poly.ClosureBlowup:
-        raise SpecError("/domain_filtration", "the derivative closure grows past "
-                        "poly.CLOSURE_CAP = %d maps" % poly.CLOSURE_CAP) from None
+    is_poly = poly.is_polynomial(g, hfilt, gfilt)
     is_morph, witness = poly.is_cube_morphism(g, hfilt, gfilt)
     out = {"kind": "poly", "is_polynomial": is_poly, "is_cube_morphism": is_morph,
            "witness": witness and list(witness)}

@@ -456,11 +456,6 @@ class QuotientGroup(CosetSpace, FiniteGroup):
         return self.project(self.group.inv(self.reps[a]))
 
 
-def quotient(G: FiniteGroup, N: frozenset):
-    Q = QuotientGroup(G, N)
-    return Q, Q.project
-
-
 # ---------------------------------------------------------------------------
 # finite abelian groups in invariant-factor form, and exact linear algebra
 

@@ -8,11 +8,10 @@ Z^n never gets materialized: the binomial form is evaluated lazily.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
 from . import cubegroups
-from .groups import FiniteGroup, Filtration, closure
+from .groups import FiniteGroup, Filtration
 
 
 def derivative(g: Sequence[int], H: FiniteGroup, G: FiniteGroup, h: int):
@@ -28,15 +27,6 @@ def pointwise_inverse(g: Sequence[int], G: FiniteGroup):
     return tuple(G.inv(a) for a in g)
 
 
-class ClosureBlowup(RuntimeError):
-    pass
-
-
-# largest derivative closure is_polynomial builds at one weight level;
-# only a domain filtration with H_0 != H_1 builds one
-CLOSURE_CAP = 200_000
-
-
 def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> bool:
     """Check that every iterated derivative with directions h_j in
     H_{i_j} lands in G_{i_1 + ... + i_n}.
@@ -45,41 +35,42 @@ def is_polynomial(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> boo
     directions and stops at total weight deg(G.)+1, where the target
     subgroup is trivial and further derivatives stay trivial (a
     direction whose weight would pass it lies in the H_i that reaches it
-    exactly).  Weight-0 directions (h in H_0) are allowed by the
-    definition.  When H_0 = H_1, as for every lower central series and
-    maximal degree-k filtration, a weight-0 direction is also a weight-1
-    direction, whose condition G_{w+1} <= G_w is stronger: the derivative
-    it gives is checked one level up, so nothing more is needed.
-    Otherwise each weight level is first closed under weight-0
-    derivatives (groups.closure), at most CLOSURE_CAP maps a level
-    (ClosureBlowup).  Every level lies inside the closed level 0, since
-    H_i <= H_0, so only that closure can pass the cap.
+    exactly).
+
+    Lemma: weight-0 directions (h in H_0) add no condition.  Let P_w be
+    the maps f whose derivatives along positive-weight directions of
+    total weight i (none for i = 0) land in G_{w+i}, and R_h(x) = xh.
+    (a) f in P_w gives f o R_h in P_w for h in H_0: d_u(f o R_h) =
+        (d_{h^-1 u h} f) o R_h, and h^-1 u h lies in H_i with u since
+        [H_i, H_0] <= H_i, so each derivative of f o R_h is one of f of
+        the same weights, moved by R_h.
+    (b) P_w is a group under pointwise products: a positive-weight
+        derivative at x reads f only on the coset x H_1, so f is in P_w iff
+        each u -> f(xu) is polynomial from H_1 >= H_1 >= H_2 >= ..., where
+        a weight-0 direction is one of weight 1, into the filtration
+        G_w >= G_{w+1} >= ..., and those maps form a group
+        (Lazard-Leibman; Leibman, Polynomial mappings of groups).
+    So d_h f = f^-1 (f o R_h) lies in P_w with f.  Induct on the number m
+    of weight-0 directions of a derivative of some F in P_w: m = 0 is the
+    definition; otherwise the directions before the first weight-0 one h,
+    of total weight a, take F into P_{w+a}, d_h keeps it there, and the
+    rest, with m - 1 weight-0 directions, take it into G_{w+i} (i the
+    total weight).  The maps that pass the steps below are P_0, so they
+    are the polynomial maps.
     """
     H, G = hfilt.group, gfilt.group
     top = gfilt.degree + 1
     level_sets = {0: {tuple(g)}}
-    hdeg = hfilt.degree
-    h0 = sorted(hfilt.subgroup(0)) if hfilt.subgroup(0) != hfilt.subgroup(1) else ()
     for w in range(top + 1):
         current = level_sets.get(w, set())
-        if h0:
-            closed = closure(current, lambda f: (derivative(f, H, G, h) for h in h0))
-            current = set(islice(closed, CLOSURE_CAP + 1))
-            if len(current) > CLOSURE_CAP:
-                raise ClosureBlowup("derivative closure exceeded cap")
         Gw = gfilt.subgroup(w)
-        for f in current:
-            if any(val not in Gw for val in f):
-                return False
-        if w == top:
-            break
+        if any(val not in Gw for f in current for val in f):
+            return False
         # step up with positive-weight directions
-        for i in range(1, min(hdeg, top - w) + 1):
-            directions = sorted(hfilt.subgroup(i))
-            tgt = level_sets.setdefault(w + i, set())
-            for f in current:
-                for h in directions:
-                    tgt.add(derivative(f, H, G, h))
+        for i in range(1, min(hfilt.degree, top - w) + 1):
+            directions = hfilt.subgroup(i)
+            level_sets.setdefault(w + i, set()).update(
+                derivative(f, H, G, h) for f in current for h in directions)
     return True
 
 

@@ -6,21 +6,22 @@ characterizations of abelian cubes, every completion of a corner as a
 coset of the top subgroup, completion by scanning every point,
 translations certified one arrow at a time or by their definition in
 every dimension, the translation search as a recursion (accepting what
-the library accepts, or certifying every bijection it reaches),
-closures under right multiplication and weight-0 derivatives kept by
-a frontier of their own, the membership of an arrow by the filtered
-splitting (with the shifted filtration it reads, which the library
-never builds), cube morphisms checked cube by cube (between cubespaces
-up to n_max, between filtered groups in every dimension up to deg + 1),
-morphism sections by one linear system and by a search over every
-section, translation lifts through the bundle of translation pairs T*
-(the T* route) and by a search over its sections, the upper-face
-factorization and its multiply-out by filtering every vertex pair,
-corner completion face by face, the structure group from local
-translations with its action found by scanning every point, the
-degree-k bundle check by grouping cubes by their projection, invariant
-factors from p-torsion counts, and simplicial extension over supports
-held as sets.
+the library accepts, or certifying every bijection it reaches), the
+subgroup closure under right multiplication kept by a frontier of its
+own, polynomial maps with each weight level closed under weight-0
+derivatives (which the library proves it need not check), the
+membership of an arrow by the filtered splitting (with the shifted
+filtration it reads, which the library never builds), cube morphisms
+checked cube by cube (between cubespaces up to n_max, between filtered
+groups in every dimension up to deg + 1), morphism sections by one
+linear system and by a search over every section, translation lifts
+through the bundle of translation pairs T* (the T* route) and by a
+search over its sections, the upper-face factorization and its
+multiply-out by filtering every vertex pair, corner completion face by
+face, the structure group from local translations with its action found
+by scanning every point, the degree-k bundle check by grouping cubes by
+their projection, invariant factors from p-torsion counts, and
+simplicial extension over supports held as sets.
 """
 
 import functools
@@ -233,10 +234,19 @@ def subgroup_closure_by_frontier(G: FiniteGroup, generators) -> frozenset:
     return frozenset(seen)
 
 
+class ClosureBlowup(RuntimeError):
+    pass
+
+
+# the most maps is_polynomial_by_frontier holds at one weight level
+CLOSURE_CAP = 200_000
+
+
 def is_polynomial_by_frontier(g: Sequence[int], hfilt: Filtration, gfilt: Filtration) -> bool:
-    """Reference for poly.is_polynomial: each weight level closed under
-    weight-0 derivatives by a frontier of its own, raising ClosureBlowup
-    when an added map takes the level past poly.CLOSURE_CAP."""
+    """Reference for poly.is_polynomial, which steps up through positive
+    weights only: for a domain chain with H_0 != H_1, each weight level is
+    first closed under weight-0 derivatives by a frontier, raising
+    ClosureBlowup when an added map takes the level past CLOSURE_CAP."""
     H, G = hfilt.group, gfilt.group
     top = gfilt.degree + 1
     level_sets = {0: {tuple(g)}}
@@ -251,8 +261,8 @@ def is_polynomial_by_frontier(g: Sequence[int], hfilt: Filtration, gfilt: Filtra
                 if df not in current:
                     current.add(df)
                     frontier.append(df)
-                    if len(current) > poly.CLOSURE_CAP:
-                        raise poly.ClosureBlowup("derivative closure exceeded cap")
+                    if len(current) > CLOSURE_CAP:
+                        raise ClosureBlowup("derivative closure exceeded cap")
         Gw = gfilt.subgroup(w)
         if any(val not in Gw for f in current for val in f):
             return False

@@ -164,7 +164,7 @@ def test_criterion_06_bundle_decomposition(d2z2, heis2, heis2_space, coset_space
         assert all(l.verified_dims == (1, 2, 3) for l in dec.levels)
     # case (b) structure groups independently from the group side
     G, filt = heis2
-    Q, _ = gr.quotient(G, filt.subgroup(2))
+    Q = gr.QuotientGroup(G, filt.subgroup(2))
     assert gr.abelian_invariants(Q) == (2, 2)
     assert gr.abelian_invariants(gr.TableGroup(
         [[sorted(filt.subgroup(2)).index(G.op(a, b)) for b in sorted(filt.subgroup(2))]

@@ -285,23 +285,37 @@ def test_poly_beyond_the_cube_cap_exit_2_at_once(tmp_path, capsys):
     assert err.startswith("spec error: /domain_filtration:") and "poly cap" in err
 
 
-def test_poly_closure_past_its_cap_is_a_spec_error(tmp_path, capsys, monkeypatch):
-    # only a domain chain with H_0 != H_1 closes under weight-0
-    # derivatives; that of the identity Z/4 -> Z/4 holds more than two maps
-    from nilcube import poly
+def test_poly_with_h0_above_h1_decides_by_positive_weights(tmp_path, capsys):
+    # Z/16 > 8Z/16 into D_1(Z/16): the weight-0 derivatives of this map
+    # close to more than 200,000 maps, which no verdict needs
+    spec = _poly_spec(16, 1)
+    spec["domain_filtration"] = {"type": "explicit", "chain": [list(range(16)), [0, 8]]}
+    spec["map"] = [8, 5, 12, 5, 2, 4, 14, 4, 4, 0, 0, 6, 6, 5, 5, 9]
+    start = time.perf_counter()
+    assert run_main(tmp_path, spec) == 0
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["is_polynomial"] is False and out["is_cube_morphism"] is False
+    assert out["agreement"]
 
-    monkeypatch.setattr(poly, "CLOSURE_CAP", 2)
-    spec = _poly_spec(4, 1)
-    spec["domain_filtration"] = {"type": "explicit", "chain": [[0, 1, 2, 3], [0, 2]]}
+
+def test_explicit_chain_below_the_whole_group_is_a_spec_error(tmp_path, capsys):
+    # with G_0 = 2Z/8 the cube test saw only cubes based in G_0 and the
+    # derivative test every point: the verdicts split, with no witness
+    spec = {"kind": "poly", "domain_group": {"type": "cyclic_product", "moduli": [8]},
+            "domain_filtration": {"type": "explicit", "chain": [[0, 2, 4, 6], [0, 4]]},
+            "target_group": {"type": "cyclic_product", "moduli": [4]},
+            "target_filtration": {"type": "maximal_degree_k", "k": 1},
+            "map": [0, 0, 0, 0, 0, 1, 0, 0]}
     assert run_main(tmp_path, spec) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("spec error: /domain_filtration:")
-    assert "poly.CLOSURE_CAP = 2" in captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err == ("spec error: /domain_filtration/chain/0: G_0 holds 4 of the "
+                            "group's 8 elements, not all of them\n")
+    assert captured.out == ""
 
 
 def test_poly_on_a_random_map_decides_without_the_weight_0_closure(tmp_path, capsys):
-    # an lcs domain has H_0 = H_1, so no weight-0 closure is built
+    # Z/16 (lcs) into D_1(Z/16); the test above takes Z/16 > 8Z/16
     spec = _poly_spec(16, 1)
     rng = random.Random(16)
     spec["map"] = [rng.randrange(16) for _ in range(16)]
@@ -867,11 +881,19 @@ def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, sp
     # n_max 6 means 12,838,447 morphisms {0,1}^m -> {0,1}^n to try
     (dict(N_MAX_SPECS["check"], n_max=6), "/cubespace"),
     (dict(N_MAX_SPECS["extend"], n_max=6), "/cubespace"),
+    # poly names its two groups and filtrations by their own fields
+    (dict(_poly_spec(3, 2), domain_group={"type": "cyclic_product", "moduli": [0]}),
+     "/domain_group/moduli"),
+    (dict(_poly_spec(3, 2), domain_filtration={"type": "upper"}), "/domain_filtration"),
+    (dict(_poly_spec(3, 2), target_group={"type": "cyclic_product", "moduli": [0]}),
+     "/target_group/moduli"),
+    (dict(_poly_spec(3, 2), target_filtration={"type": "upper"}), "/target_filtration"),
 ], ids=["arrow-k-string", "n-max-string", "cube-value-string", "moduli-string",
         "cube-value-float", "cube-n-bool", "explicit-table-key", "explicit-no-step-above-tables",
         "count-classes-negative-k", "count-classes-beyond-cap",
         "count-classes-beyond-cap-explicit", "cocycle-entry-dimension",
-        "check-n-max-beyond-budget", "extend-n-max-beyond-budget"])
+        "check-n-max-beyond-budget", "extend-n-max-beyond-budget", "poly-domain-group",
+        "poly-domain-filtration", "poly-target-group", "poly-target-filtration"])
 def test_non_integer_or_unanswerable_field_is_a_spec_error(tmp_path, capsys, spec, pointer):
     assert_spec_error(tmp_path, capsys, spec, pointer)
 

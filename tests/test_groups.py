@@ -79,14 +79,14 @@ def test_shift_filtration():
 
 def test_quotient_of_heisenberg_by_centre():
     G, filt = gr.make_heisenberg(2)
-    Q, proj = gr.quotient(G, filt.subgroup(2))
+    Q = gr.QuotientGroup(G, filt.subgroup(2))
     Q.validate()
     assert Q.order == 4
     assert Q.is_abelian()
     assert gr.abelian_invariants(Q) == (2, 2)
     for a in G.elements():
         for b in G.elements():
-            assert proj(G.op(a, b)) == Q.op(proj(a), proj(b))
+            assert Q.project(G.op(a, b)) == Q.op(Q.project(a), Q.project(b))
 
 
 def test_coset_space_action():

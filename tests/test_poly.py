@@ -4,7 +4,6 @@ binomial extensions."""
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -66,49 +65,64 @@ def test_hom_poly_agree_exhaustively_small():
         assert n_poly == H.order ** H.order
 
 
-def _verdict(is_polynomial, g, hfilt, gfilt):
-    try:
-        return is_polynomial(g, hfilt, gfilt)
-    except poly.ClosureBlowup:
-        return "blowup"
+def _lemma_domains():
+    """Domain chains with H_0 != H_1: Z/4 > 2Z/4, Z/4 > 2Z/4 > 2Z/4 and
+    H_2 > Z(H_2) > Z(H_2)."""
+    Z4, H2 = gr.CyclicProduct((4,)), gr.Heisenberg(2)
+    centre = {0, H2.index_of((0, 0, 1))}
+    return (gr.Filtration(Z4, ({0, 1, 2, 3}, {0, 2})),
+            gr.Filtration(Z4, ({0, 1, 2, 3}, {0, 2}, {0, 2})),
+            gr.Filtration(H2, (set(H2.elements()), centre, centre)))
 
 
-@pytest.mark.parametrize("cap", [poly.CLOSURE_CAP, 16])
-def test_weight_0_closure_matches_the_frontier_loop(cap, monkeypatch):
-    # domain chains with H_0 != H_1, the only ones that close a level
-    # under weight-0 derivatives; at the small cap some levels blow up
-    monkeypatch.setattr(poly, "CLOSURE_CAP", cap)
-    H2 = gr.Heisenberg(2)
-    domains = [gr.Filtration(gr.CyclicProduct((4,)), ({0, 1, 2, 3}, {0, 2})),
-               gr.Filtration(H2, (set(H2.elements()), {0, H2.index_of((0, 0, 1))}))]
+def test_weight_0_closure_matches_the_frontier_loop():
+    # the lemma of poly.is_polynomial: closing each weight level under
+    # weight-0 derivatives, as the oracle does, changes no verdict
+    domains = _lemma_domains()
     targets = [gr.maximal_degree_k_filtration(gr.CyclicProduct((m,)), k)
                for m, k in ((2, 1), (2, 2), (4, 1), (4, 2))]
-    rng = random.Random(cap)
-    seen = set()
-    for hfilt in domains:
+    cases = [(d, gfilt, None) for d in (0, 1) for gfilt in targets]
+    cases += [(2, targets[0], None), (1, gr.make_heisenberg(2)[1], 500)]
+    rng = random.Random(35)
+    verdicts = [[], [], []]
+    for d, gfilt, sample in cases:
+        hfilt = domains[d]
         assert gr.validate_filtration(hfilt) is None
-        for gfilt in targets:
-            for _ in range(20):
-                g = tuple(rng.randrange(gfilt.group.order) for _ in range(hfilt.group.order))
-                want = _verdict(oracles.is_polynomial_by_frontier, g, hfilt, gfilt)
-                assert _verdict(poly.is_polynomial, g, hfilt, gfilt) == want, g
-                seen.add(want)
-    assert seen == ({True, False, "blowup"} if cap == 16 else {True, False})
+        size, order = gfilt.group.order, hfilt.group.order
+        if sample is None:
+            maps = itertools.product(range(size), repeat=order)
+        else:
+            maps = (tuple(rng.randrange(size) for _ in range(order)) for _ in range(sample))
+        for g in maps:
+            want = oracles.is_polynomial_by_frontier(g, hfilt, gfilt)
+            assert poly.is_polynomial(g, hfilt, gfilt) == want, g
+            verdicts[d].append(want)
+    assert all(set(v) == {True, False} for v in verdicts)
+    # H_1 = H_2 = Z(H_2) and G_2 = 0: the maps H_2 -> Z/2 constant on
+    # each coset of the centre, 16 of the 256
+    assert verdicts[2].count(True) == 16
 
 
 def test_polynomials_closed_under_product_and_inverse():
+    # Leibman's theorem, and on Z/4 > 2Z/4 > 2Z/4 (H_0 != H_1) into H_2
+    # the weight-0 derivatives too: the two facts behind the lemma of
+    # poly.is_polynomial
     Z3 = gr.CyclicProduct((3,))
-    hfilt = gr.lower_central_series(Z3)
-    gfilt = gr.maximal_degree_k_filtration(Z3, 2)
-    polys = [
-        g
-        for g in itertools.product(range(3), repeat=3)
-        if poly.is_polynomial(g, hfilt, gfilt)
-    ]
-    for g1 in polys:
-        for g2 in polys:
-            assert poly.is_polynomial(poly.pointwise_product(g1, g2, Z3), hfilt, gfilt)
-        assert poly.is_polynomial(poly.pointwise_inverse(g1, Z3), hfilt, gfilt)
+    cases = [(gr.lower_central_series(Z3), gr.maximal_degree_k_filtration(Z3, 2), None),
+             (_lemma_domains()[1], gr.make_heisenberg(2)[1], 40)]
+    rng = random.Random(4)
+    for hfilt, gfilt, sample in cases:
+        H, G = hfilt.group, gfilt.group
+        polys = [g for g in itertools.product(range(G.order), repeat=H.order)
+                 if poly.is_polynomial(g, hfilt, gfilt)]
+        for g1 in polys:
+            assert poly.is_polynomial(poly.pointwise_inverse(g1, G), hfilt, gfilt)
+            for h in hfilt.subgroup(0):
+                assert poly.is_polynomial(poly.derivative(g1, H, G, h), hfilt, gfilt)
+        picked = polys if sample is None else rng.sample(polys, sample)
+        for g1 in picked:
+            for g2 in picked:
+                assert poly.is_polynomial(poly.pointwise_product(g1, g2, G), hfilt, gfilt)
 
 
 def test_leibman_with_a_nonabelian_target():

@@ -1,5 +1,6 @@
 """The README's examples run and print what it says they print."""
 
+import ast
 import contextlib
 import io
 import json
@@ -9,7 +10,8 @@ from pathlib import Path
 
 from nilcube import cli
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def _block(heading, lang):
@@ -43,3 +45,15 @@ def test_cli_example_exits_0_with_a_one_line_report():
     assert report["kind"] == "check" and report["axioms"]["is_nilspace"]
     # the README quotes the composition checks of this spec
     assert report["axioms"]["composition_checks"] == 169_160
+
+
+def test_every_cap_is_named_in_the_readme():
+    # a limit the README does not name is one a user cannot find
+    caps = set()
+    for path in (ROOT / "src" / "nilcube").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                caps.update("%s.%s" % (path.stem, t.id) for t in node.targets
+                            if isinstance(t, ast.Name) and t.id.endswith("_CAP"))
+    named = set(re.findall(r"\b[a-z_]+\.[A-Z][A-Z0-9_]*_CAP\b", README))
+    assert caps == named

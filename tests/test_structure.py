@@ -37,9 +37,9 @@ def test_factor_of_heisenberg_is_the_abelianization(heis2_space, heis2):
     rep = check_axioms(F, 3)
     assert rep.is_nilspace and rep.step == 1
     # the factor is the degree-1 structure on G/G_2
-    Q, proj = gr.quotient(G, filt.subgroup(2))
+    Q = gr.QuotientGroup(G, filt.subgroup(2))
     ref = abelian_Dk(Q, 1)
-    relabel = {F.project(x): proj(x) for x in range(G.order)}
+    relabel = {F.project(x): Q.project(x) for x in range(G.order)}
     for n in (1, 2):
         got = {tuple(relabel[c] for c in q) for q in F.cubes(n)}
         assert got == ref.cubes(n)
@@ -215,7 +215,7 @@ def test_decompose_heisenberg(heis2_space, heis2):
     assert dec.step == 2
     assert [lvl.group_invariants for lvl in dec.levels] == [(2, 2), (2,)]
     # both invariants independently from the group side
-    Q, _ = gr.quotient(G, filt.subgroup(2))
+    Q = gr.QuotientGroup(G, filt.subgroup(2))
     assert gr.abelian_invariants(Q) == (2, 2)
     assert len(filt.subgroup(2)) == 2
     assert [f.size for f in dec.factors] == [1, 4, 8]
