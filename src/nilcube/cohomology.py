@@ -10,8 +10,10 @@ An extension is a `structure.ExtensionData`; M(rho) carries one as its
 and its cube sets are that record's model cubes, the ones
 `structure.verify_degree_k_bundle` checks each level of a nilspace
 against.  The cocycle of a cross section (`cross_section_cocycle`) is
-what the CLI's extend round trip reads back and what the translation
-lift pulls back along a base translation.
+computed for the section through the first point of each fibre as
+`ExtensionData.cocycle`, once per record: the CLI's extend round trip
+reads it back, and the translation lift pulls the top level's back along
+each base translation.
 
 A cocycle of degree d takes values in a finite abelian group and is
 stored as a table on the enumerated (d+1)-cubes (full value tuples in
@@ -280,7 +282,7 @@ class _ModelExtension(ExtensionData):
             for face in cb.face_getters(dim, n):
                 if not test(face(q)):
                     return None
-        lift = [self.fibres[x][0] for x in q]
+        lift = [self.section[x] for x in q]
         if n == M.d + 1:
             r = M.rho.table[tuple(q)]
             lift[-1] = self.fibres[q[-1]][r if n % 2 else M.A.inv(r)]

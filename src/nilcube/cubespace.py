@@ -10,10 +10,10 @@ Past it one rule needs only the step: a map into a space of step k is a
 cube exactly when its (k+1)-faces are (the face criterion), which answers
 from dimension step + 2 on; below it each space's own oracle answers.
 `depth_first` is the one depth-first search: `Cubespace._scan_maps` runs
-it with the face layout to list cubes and corners and to lift maps
-through image spaces (coset spaces, canonical factors) and extensions
-(`structure.ExtensionData.lift`) by scanning only the fibres, and
-`translations.translation_group` runs it over partial bijections.
+it with the face layout to list cubes and corners and to lift base cubes
+through extensions (`structure.ExtensionData.lift`) by scanning only the
+fibres, and `translations.translation_group` runs it over partial
+bijections.
 
 Every loop that asks "is this restriction a cube?" (the face criterion,
 the scan's pruning, corner completion) takes its restrictions with
@@ -270,10 +270,10 @@ def abelian_Dk(A: FiniteGroup, k: int) -> Cubespace:
 
 class ImageCubespace(Cubespace):
     """The image of a cubespace X under a surjection proj onto
-    0..size-1: cubes are the images of the cubes of X.  Below dimension
-    step + 2 membership looks the map up among the projected cubes; lift
-    finds a cube upstairs over a given map by the face-pruned scan of X
-    restricted to the fibres."""
+    0..size-1: cubes are the images of the cubes of X.  image[x] is the
+    point under x and fibres[b] the points over b, increasing.  Below
+    dimension step + 2 membership looks the map up among the projected
+    cubes."""
 
     def __init__(self, X: Cubespace, proj, size: int, step: Optional[int]):
         self.X = X
@@ -284,12 +284,6 @@ class ImageCubespace(Cubespace):
             self.fibres[b].append(x)
         super().__init__(size, step=step)
 
-    def project(self, x: int) -> int:
-        return self.image[x]
-
-    def project_cube(self, q: Sequence[int]) -> tuple:
-        return tuple(map(self.image.__getitem__, q))
-
     def _membership(self, n, values):
         return values in self.cubes(n)
 
@@ -298,7 +292,8 @@ class ImageCubespace(Cubespace):
             return self.X.cubes(n)
         if self.size == 1:  # every cube of X projects to the one constant map
             return [(0,) * (1 << n)] if self.X.cubes(n) else []
-        return {self.project_cube(q) for q in self.X.cubes(n)}
+        project = self.image.__getitem__
+        return {tuple(map(project, q)) for q in self.X.cubes(n)}
 
     def deepest_dimension(self, n):
         return self.X.deepest_dimension(n)
@@ -306,16 +301,6 @@ class ImageCubespace(Cubespace):
     def count_cubes(self, n, cap):
         upstairs = self.X.count_cubes(n, cap)
         return upstairs if upstairs > cap else len(self.cubes(n))
-
-    def lift(self, n: int, values: Sequence[int]) -> Optional[tuple]:
-        """The first n-cube of X, in the scan's colex order with each
-        fibre tried in increasing order, that projects to values; None
-        when values is not a cube here."""
-        values = tuple(values)
-        if len(values) != 1 << n:
-            raise ValueError("cube of dimension %d needs %d values" % (n, 1 << n))
-        self._require_points(values)
-        return next(self.X._scan_maps(n, False, [self.fibres[b] for b in values]), None)
 
 
 class CosetCubespace(ImageCubespace):

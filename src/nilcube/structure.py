@@ -1,10 +1,10 @@
 """Canonical factors and abelian-bundle structure of finite ergodic
-nilspaces: one-flip relations, factors (each a `cubespace.ImageCubespace`,
-whose `lift` finds a cube over a factor cube), and `ExtensionData`, the
-one record of a degree-k level Y -> X of a nilspace or of a model M(rho):
-its fibres, D_k(A), lifts and model cubes (the lifts moved by the cubes
-of D_k(A)).  `structure_group` returns the top level of a space, its
-group acting by one-flip corner completions with addition checked
+nilspaces: one-flip relations, factors (each a `cubespace.ImageCubespace`
+with its `image` and `fibres`), and `ExtensionData`, the one record of a
+degree-k level Y -> X of a nilspace or of a model M(rho): its fibres,
+section, cocycle, D_k(A), lifts and model cubes (the lifts moved by the
+cubes of D_k(A)).  `structure_group` returns the top level of a space,
+its group acting by one-flip corner completions with addition checked
 against a two-vertex corner; `decompose` chains the levels top-down and
 checks each against its model cubes (`verify_degree_k_bundle`).
 """
@@ -12,6 +12,7 @@ checks each against its model cubes (`verify_degree_k_bundle`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import getitem
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -55,10 +56,10 @@ def factor(X: Cubespace, k: int) -> ImageCubespace:
 @dataclass
 class ExtensionData:
     """A candidate degree-k extension Y -> X: pi projects points, and the
-    abelian group A acts on Y by act(a, y).  The fibres, the action as a
-    table (shifts[y][a] = act(a, y)) and the fibre space D_k(A) are
-    computed once, at construction; dataclasses.replace with another act
-    builds its own table."""
+    abelian group A acts on Y by act(a, y).  The fibres, the section
+    through their first points, the action as a table (shifts[y][a] =
+    act(a, y)) and D_k(A) are computed at construction, the section's
+    cocycle on first read; dataclasses.replace builds its own of each."""
 
     Y: Cubespace
     X: Cubespace
@@ -67,6 +68,7 @@ class ExtensionData:
     k: int
     act: Callable[[int, int], int]  # (a, y) -> y shifted by a
     fibres: List[List[int]] = field(init=False)  # fibres[x]: pi^-1(x), increasing
+    section: List[int] = field(init=False)  # section[x]: fibres[x][0]
     shifts: List[List[int]] = field(init=False)  # shifts[y][a]: act(a, y)
     fibre_space: Cubespace = field(init=False)  # D_k(A)
 
@@ -74,9 +76,17 @@ class ExtensionData:
         self.fibres = [[] for _ in range(self.X.size)]
         for y, x in enumerate(self.pi):
             self.fibres[x].append(y)
+        self.section = [ys[0] for ys in self.fibres]
         elements = range(self.A.order)
         self.shifts = [[self.act(a, y) for a in elements] for y in range(self.Y.size)]
         self.fibre_space = abelian_Dk(self.A, self.k)
+
+    @cached_property
+    def cocycle(self):
+        """cohomology.cross_section_cocycle of the section, computed once."""
+        from .cohomology import cross_section_cocycle
+
+        return cross_section_cocycle(self, self.section)
 
     def lift(self, n: int, q: Sequence[int]) -> Optional[tuple]:
         """The first n-cube of Y over the base cube q, in Y's scan order

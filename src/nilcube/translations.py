@@ -3,8 +3,8 @@ on the faces of arrows, which are j-arrows of faces; the groups Tran_i(X)
 and their filtration; and lifting a translation abar of the top factor
 by one linear system: abar lifts exactly when the cocycle of the top
 extension X_k -> X_{k-1}, pulled back along abar, is a coboundary.  The
-top extension comes from `structure.decompose`, which checks it as a
-degree-k bundle.
+lift reads the top level of a `structure.Decomposition`, checked there
+as a degree-k bundle, and its cocycle, computed once per level.
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ from typing import List, Optional, Sequence
 
 from . import cubegroups as cg
 from . import cubes as cb
-from .cohomology import Cocycle, cross_section_cocycle, is_coboundary
+from .cohomology import Cocycle, is_coboundary
 from .cubespace import Cubespace, depth_first, partition
 from .groups import Filtration, TableGroup, validate_filtration
-from .structure import decompose, related_k
+from .structure import Decomposition, related_k
 
 BRUTE_FORCE_CAP = 12
 
@@ -202,32 +202,31 @@ def translation_action_transitive(tower: TranslationTower) -> bool:
 # lifting translations through the top factor
 
 
-def try_lift_translation(X: Cubespace, abar: Sequence[int], i: int = 1) -> Optional[tuple]:
+def try_lift_translation(dec: Decomposition, abar: Sequence[int], i: int = 1) -> Optional[tuple]:
     """Lift a height-i translation abar of the (k-1)-factor X_{k-1} of a
     k-step space X to a height-i translation beta of X covering it, or
-    None when there is none.
+    None when there is none, through the decomposition dec of X.
 
-    The top level X_k -> X_{k-1} of decompose(X, k + 1), checked there as
-    a degree-k bundle, has the cocycle rho of the section s through the
-    first point of each fibre.  abar lifts exactly when the pulled-back
-    table q -> rho(<q, abar o q>_i) on the (k-i+1)-cubes of X_{k-1} is a
-    coboundary of some g (cohomology.is_coboundary); then
-    beta(a s(y)) = (a + g(y)) s(abar(y)).  beta is certified as a height-i
-    translation covering abar, and a beta that fails that raises a
-    ValueError."""
-    if X.step is None or X.step < 1:
-        raise ValueError("needs a space of known positive step")
-    k = X.step
+    The top level X_k -> X_{k-1} of dec, checked as a degree-k bundle up
+    to dimension k + 1 (else a ValueError), has the cocycle rho of the
+    section s through the first point of each fibre.  abar lifts exactly
+    when the pulled-back table q -> rho(<q, abar o q>_i) on the
+    (k-i+1)-cubes of X_{k-1} is a coboundary of some g
+    (cohomology.is_coboundary); then beta(a s(y)) = (a + g(y)) s(abar(y)).
+    beta is certified as a height-i translation covering abar, and a beta
+    that fails that raises a ValueError."""
+    k = dec.step
     if not 1 <= i <= k:
         raise ValueError("height must satisfy 1 <= i <= step")
-    top = decompose(X, k + 1).extensions[-1]  # its points are those of X
-    base, A = top.X, top.A
+    if k + 1 not in dec.levels[-1].verified_dims:
+        raise ValueError("the top level must be checked up to dimension %d" % (k + 1))
+    top = dec.extensions[-1]
+    X, base, A, s = top.Y, top.X, top.A, top.section
     if sorted(abar) != list(range(base.size)):
         raise ValueError("abar must be a bijection of the factor")
     if not is_translation(base, abar, i):
         raise ValueError("abar is not a height-%d translation of the factor" % i)
-    s = [ys[0] for ys in top.fibres]
-    rho = cross_section_cocycle(top, s).table
+    rho = top.cocycle.table
     n = k - i + 1
     pulled = {q: rho[cg.arrow(q, tuple(abar[y] for y in q), n, i)] for q in base.cubes(n)}
     g = is_coboundary(Cocycle(base, k - i, A, pulled))

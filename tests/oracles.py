@@ -31,7 +31,7 @@ from operator import getitem
 from typing import Dict, List, Optional, Sequence
 
 from nilcube import cubes, poly
-from nilcube.cohomology import cross_section_cocycle, is_coboundary
+from nilcube.cohomology import is_coboundary
 from nilcube.cubegroups import CornerError, Reject, _cube_dimension, _require_corner_keys, \
     _require_elements, arrow, complete_corner, enumerate_cubes, factorize, is_cube, \
     multiply_out, sigma
@@ -465,11 +465,10 @@ def morphism_section(ext: ExtensionData):
     section s is a coboundary (Antolin Camarena & Szegedy); for s the
     first point of each fibre and rho_s the coboundary of f, s moved by
     -f is one."""
-    s = [ys[0] for ys in ext.fibres]
-    f = is_coboundary(cross_section_cocycle(ext, s))
+    f = is_coboundary(ext.cocycle)
     if f is None:
         return None
-    return [ext.act(ext.A.inv(fx), y) for fx, y in zip(f, s)]
+    return [ext.act(ext.A.inv(fx), y) for fx, y in zip(f, ext.section)]
 
 
 class RestrictedCubespace(Cubespace):
@@ -504,7 +503,7 @@ class TranslationBundle:
         size, base, Tstar = self.T.X.X.size, self.extension.X, self.extension.Y
         beta = []
         for x in range(size):
-            pairs = (divmod(self.T.points[p], size) for p in Tstar.fibres[section[base.project(x)]])
+            pairs = (divmod(self.T.points[p], size) for p in Tstar.fibres[section[base.image[x]]])
             partners = {x1 for x0, x1 in pairs if x0 == x}
             if len(partners) != 1:
                 return None
@@ -516,7 +515,7 @@ class TranslationBundle:
         covering abar induces, read at the first x over each base point."""
         arrows, base, Tstar = self.T.X, self.extension.X, self.extension.Y
         index = {p: j for j, p in enumerate(self.T.points)}
-        return [Tstar.project(index[arrows.encode(xs[0], beta[xs[0]])]) for xs in base.fibres]
+        return [Tstar.image[index[arrows.encode(xs[0], beta[xs[0]])]] for xs in base.fibres]
 
 
 def translation_bundle(X, abar: Sequence[int], i: int = 1) -> TranslationBundle:
@@ -534,13 +533,13 @@ def translation_bundle(X, abar: Sequence[int], i: int = 1) -> TranslationBundle:
         A.encode(x0, x1)
         for x0 in range(X.size)
         for x1 in range(X.size)
-        if base.project(x1) == abar[base.project(x0)]
+        if base.image[x1] == abar[base.image[x0]]
     ]
     T = RestrictedCubespace(A, pts)
     Tstar = factor(T, k - 1)
     gamma = []
     for cls in Tstar.fibres:
-        firsts = {base.project(T.points[p] // X.size) for p in cls}
+        firsts = {base.image[T.points[p] // X.size] for p in cls}
         if len(firsts) != 1:
             raise ValueError("first-coordinate projection is not constant on classes")
         gamma.append(firsts.pop())
@@ -586,7 +585,7 @@ def try_lift_translation_by_search(X, abar: Sequence[int], i: int):
             continue
         beta = tb.covering(choice)
         if (beta is not None and sorted(beta) == list(range(X.size)) and is_translation(X, beta, i)
-                and all(base.project(beta[x]) == abar[base.project(x)] for x in range(X.size))):
+                and all(base.image[beta[x]] == abar[base.image[x]] for x in range(X.size))):
             return beta, searched
     return None, searched
 

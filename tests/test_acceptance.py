@@ -177,7 +177,7 @@ def test_criterion_06_bundle_decomposition(d2z2, heis2, heis2_space, coset_space
     afilt = gr.maximal_degree_k_filtration(top.A, 2)
     rebuilt = set()
     for qbar in F.cubes(2):
-        lift = F.lift(2, qbar)
+        lift = top.lift(2, qbar)
         for avals in cg.enumerate_cubes(afilt, 2):
             rebuilt.add(tuple(top.act(a, x) for a, x in zip(avals, lift)))
     assert rebuilt == set(heis2_space.cubes(2))
@@ -312,10 +312,10 @@ def test_criterion_11_translation_bundle_lifting(d2z2):
     assert tr.is_translation(base, abar, 1)
     tb = oracles.translation_bundle(d2z2, abar, i=1)
     assert stc.verify_degree_k_bundle(tb.extension, 3) is None
-    beta = tr.try_lift_translation(d2z2, abar, i=1)
+    beta = tr.try_lift_translation(stc.decompose(d2z2, 3), abar, i=1)
     assert beta is not None
     assert oracles.analyze_morphism(tb.section(beta), base, tb.extension.Y, 3) == (True, None)
     assert tr.is_translation(d2z2, beta, 1)
     for x in range(d2z2.size):
-        assert base.project(beta[x]) == abar[base.project(x)]
+        assert base.image[beta[x]] == abar[base.image[x]]
     _report(11, "translation-bundle lifting")

@@ -39,7 +39,7 @@ def test_factor_of_heisenberg_is_the_abelianization(heis2_space, heis2):
     # the factor is the degree-1 structure on G/G_2
     Q = gr.QuotientGroup(G, filt.subgroup(2))
     ref = abelian_Dk(Q, 1)
-    relabel = {F.project(x): Q.project(x) for x in range(G.order)}
+    relabel = {F.image[x]: Q.project(x) for x in range(G.order)}
     for n in (1, 2):
         got = {tuple(relabel[c] for c in q) for q in F.cubes(n)}
         assert got == ref.cubes(n)
@@ -49,7 +49,7 @@ def test_factor_at_top_level_is_identity_relabelling(d2z2):
     F = stc.factor(d2z2, 2)
     assert F.size == d2z2.size
     for n in (1, 2, 3):
-        got = {tuple(F.project(x) for x in q) for q in d2z2.cubes(n)}
+        got = {tuple(F.image[x] for x in q) for q in d2z2.cubes(n)}
         assert got == F.cubes(n)
 
 
@@ -361,7 +361,7 @@ def test_fibre_is_a_torsor(heis2_space):
 def test_analyze_morphism(heis2_space, heis2):
     G, filt = heis2
     F = stc.factor(heis2_space, 1)
-    ok, wit = analyze_morphism([F.project(x) for x in range(G.order)], heis2_space, F, 2)
+    ok, wit = analyze_morphism(F.image, heis2_space, F, 2)
     assert ok and wit is None
     # a non-morphism: swap two points in one fibre only at the source
     f = list(range(G.order))
@@ -371,15 +371,16 @@ def test_analyze_morphism(heis2_space, heis2):
 
 
 def test_lift_cube_through_factor(heis2_space):
-    F = stc.factor(heis2_space, 1)
+    top = stc.structure_group(heis2_space, 2)
+    F = top.X
     rng = random.Random(3)
     base_cubes = sorted(F.cubes(2))
     for _ in range(20):
         qbar = rng.choice(base_cubes)
-        q = F.lift(2, qbar)
+        q = top.lift(2, qbar)
         assert q is not None
         assert heis2_space.membership(2, q)
-        assert tuple(F.project(x) for x in q) == qbar
+        assert tuple(F.image[x] for x in q) == qbar
 
 
 def test_lift_cube_through_returns_the_first_lift_of_the_scan(heis2_space):
@@ -387,16 +388,39 @@ def test_lift_cube_through_returns_the_first_lift_of_the_scan(heis2_space):
     # increasing order, so the first lift is the least cube over qbar (the
     # greatest with every fibre reversed, the second lift that
     # cohomology.cross_section_cocycle scans for)
-    F = stc.factor(heis2_space, 1)
+    top = stc.structure_group(heis2_space, 2)
+    F = top.X
     over = {}
     for q in heis2_space.cubes(2):
-        over.setdefault(F.project_cube(q), []).append(q)
+        over.setdefault(tuple(F.image[x] for x in q), []).append(q)
     for qbar, qs in over.items():
-        assert F.lift(2, qbar) == min(qs)
+        assert top.lift(2, qbar) == min(qs)
         reversed_fibres = [F.fibres[b][::-1] for b in qbar]
         assert next(heis2_space._scan_maps(2, False, reversed_fibres)) == max(qs)
-    assert F.fibres == [[x for x in range(heis2_space.size) if F.project(x) == b]
-                        for b in range(F.size)]
-    assert F.lift(1, (0, 0)) is not None
-    with pytest.raises(ValueError):
-        F.lift(1, (0, F.size))
+    assert F.fibres == top.fibres == [[x for x in range(heis2_space.size) if F.image[x] == b]
+                                      for b in range(F.size)]
+    assert top.lift(1, (0, 0)) is not None
+
+
+@pytest.mark.parametrize("name", ["H2", "M(rho0)", "M(rho1)"])
+def test_the_section_cocycle_is_computed_once_per_record(name, request):
+    if name == "H2":
+        ext = stc.structure_group(request.getfixturevalue("heis2_space"), 2)
+    else:
+        M = request.getfixturevalue("model_extensions")[int(name[5])]
+        ext = M.extension
+        assert ext.cocycle.table == M.rho.table  # the round trip of the model
+    assert ext.section == [ys[0] for ys in ext.fibres]
+    assert ext.cocycle.table == coh.cross_section_cocycle(ext, ext.section).table
+    assert ext.cocycle is ext.cocycle
+
+
+def test_a_replaced_record_computes_its_own_cocycle(heis2_space):
+    # dataclasses.replace with another act, as the doctored-action tests
+    # build it, must not inherit the cocycle cached on the original
+    ext = stc.structure_group(heis2_space, 2)
+    rho = ext.cocycle
+    doctored = dataclasses.replace(ext, act=lambda a, x: x)
+    with pytest.raises(ValueError, match="points are not in one fibre"):
+        doctored.cocycle
+    assert ext.cocycle is rho

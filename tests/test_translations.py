@@ -10,6 +10,7 @@ import pytest
 
 import oracles
 from nilcube import cli
+from nilcube import cohomology as coh
 from nilcube import cubegroups as cg
 from nilcube import cubes as cb
 from nilcube import groups as gr
@@ -209,7 +210,7 @@ def test_left_multiplications_by_g_i_are_certified_translations(name):
     X = _SPACES[name]()
     G = X.filt.group
     if isinstance(X, CosetCubespace):
-        fibres, project = X.fibres, X.project
+        fibres, project = X.fibres, X.image.__getitem__
     else:
         fibres, project = [[x] for x in range(X.size)], (lambda x: x)
     for i in range(1, X.step + 1):
@@ -331,16 +332,17 @@ def test_translation_bundle_and_lift_on_d2z2(d2z2):
     # must validate, and the lift must induce a cube-preserving section
     tb = oracles.translation_bundle(d2z2, [0], i=1)
     assert verify_degree_k_bundle(tb.extension, 3) is None
-    beta = tr.try_lift_translation(d2z2, [0], i=1)
+    beta = tr.try_lift_translation(stc.decompose(d2z2, 3), [0], i=1)
     assert beta is not None and tr.is_translation(d2z2, beta, 1)
     assert oracles.analyze_morphism(tb.section(beta), tb.extension.X, tb.extension.Y, 3) == (
         True, None)
 
 
 def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypatch):
-    # the lift reads the cocycle of the top extension, so a structure
-    # group whose action is no bijection must be refused by decompose's
-    # bundle check before a "no lift" could be trusted
+    # the lift reads the cocycle of the top extension of a decomposition,
+    # so a structure group whose action is no bijection must be refused by
+    # decompose's bundle check, the only way to a Decomposition, before a
+    # "no lift" could be trusted
     real = structure_group
 
     def doctored(X, k):
@@ -352,7 +354,7 @@ def test_lift_refuses_an_action_that_is_not_well_defined_on_tstar(d2z2, monkeypa
 
     monkeypatch.setattr(stc, "structure_group", doctored)
     with pytest.raises(ValueError, match=r"level 2 is not a degree-2 bundle: \('action', 1\)"):
-        tr.try_lift_translation(d2z2, [0], i=1)
+        stc.decompose(d2z2, 3)
 
 
 def test_bundle_refuses_a_space_that_is_not_its_own_top_factor():
@@ -360,9 +362,8 @@ def test_bundle_refuses_a_space_that_is_not_its_own_top_factor():
     # of the 1-point 1-factor cannot act on the points of X
     X = ExplicitCubespace(2, {n: list(itertools.product((0, 1), repeat=1 << n)) for n in (1, 2)},
                           step=1)
-    for build in (partial(stc.decompose, X, 2), partial(tr.try_lift_translation, X, (0,), 1)):
-        with pytest.raises(ValueError, match="not its own 1-factor: 0 ~_1 1"):
-            build()
+    with pytest.raises(ValueError, match="not its own 1-factor: 0 ~_1 1"):
+        stc.decompose(X, 2)
 
 
 def test_lift_translation_on_heisenberg_factor(heis2_space):
@@ -372,11 +373,43 @@ def test_lift_translation_on_heisenberg_factor(heis2_space):
     moved = [a for a in cands if a != tuple(range(base.size))]
     abar = moved[0]
     # the found lift is certified independently by is_translation below
-    beta = tr.try_lift_translation(heis2_space, abar, i=1)
+    beta = tr.try_lift_translation(stc.decompose(heis2_space, 3), abar, i=1)
     assert beta is not None
     assert tr.is_translation(heis2_space, beta, 1)
     for x in range(heis2_space.size):
-        assert base.project(beta[x]) == abar[base.project(x)]
+        assert base.image[beta[x]] == abar[base.image[x]]
+
+
+def test_the_lift_refuses_a_top_level_checked_below_step_plus_one(heis2_space):
+    # a "no lift" answer must rest on a bundle checked up to dimension k + 1
+    abar = (1, 0, 3, 2)
+    with pytest.raises(ValueError, match="checked up to dimension 3"):
+        tr.try_lift_translation(stc.decompose(heis2_space, 2), abar, 1)
+    dec = stc.decompose(heis2_space, 3)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="1 <= i <= step"):
+            tr.try_lift_translation(dec, abar, i)
+
+
+def test_one_decomposition_lifts_a_whole_level_on_one_cocycle(heis2_space, monkeypatch):
+    # the cocycle belongs to the level, not to the translation lifted: all
+    # of Tran_1 of the 1-factor lifts through one decompose(H2, 3) on one
+    # cross_section_cocycle call
+    dec = stc.decompose(heis2_space, 3)
+    abars = tr.translation_group(dec.factors[1], 1)
+    real, calls = coh.cross_section_cocycle, []
+
+    def counted(ext, s):
+        calls.append(ext)
+        return real(ext, s)
+
+    monkeypatch.setattr(coh, "cross_section_cocycle", counted)
+    betas = [tr.try_lift_translation(dec, abar, 1) for abar in abars]
+    assert len(calls) == 1 and calls[0] is dec.extensions[-1]
+    assert len(betas) == 4 and None not in betas
+    monkeypatch.undo()
+    for abar, beta in zip(abars, betas):
+        assert beta == oracles.try_lift_translation_by_tstar(heis2_space, abar, 1)
 
 
 @lru_cache(maxsize=None)
@@ -413,7 +446,7 @@ def test_linear_lift_agrees_with_the_section_search(space, i, abar, request):
         X = request.getfixturevalue("model_extensions")[int(space[5])]
     else:
         X = _lift_space(space)
-    beta = tr.try_lift_translation(X, abar, i)
+    beta = tr.try_lift_translation(stc.decompose(X, X.step + 1), abar, i)
     # the same beta, or None, as the section of T* that one linear system
     # finds, and the same verdict as the search over every section
     assert beta == oracles.try_lift_translation_by_tstar(X, abar, i)
