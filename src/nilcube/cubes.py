@@ -36,6 +36,16 @@ def bits_of(j: int, n: int) -> Vertex:
     return tuple((j >> i) & 1 for i in range(n))
 
 
+def value_count_mismatch(count: int, n: int, missing: int = 0):
+    """None when count is 2^n - missing (the values of an n-cube, or of a
+    corner with missing = 1), else that number as text, 2^n past 64 bits;
+    2^n is formed only for an n whose bit length count matches."""
+    full = count + missing
+    if full.bit_length() == n + 1 and full == 1 << n:
+        return None
+    return "%d" % ((1 << n) - missing) if n < 64 else "2^%d%s" % (n, " - 1" * missing)
+
+
 def vertex_index(v: Vertex) -> int:
     return sum(b << i for i, b in enumerate(v))
 

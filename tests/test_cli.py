@@ -1,5 +1,6 @@
 """The batch CLI: spec parsing, handlers, exit codes, round trips."""
 
+import ast
 import copy
 import io
 import itertools
@@ -513,31 +514,61 @@ def _deep_explicit(step):
      "/k"),
     ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "is_coboundary",
       "cocycle": {"k": 10 ** 11, "entries": EXTEND_ENTRIES}}, "/cocycle/k"),
-    # maximal_degree_k stores k + 1 levels, and its step k asks for
-    # (k + 1)-cubes in translations and decompose
+    # maximal_degree_k stores k + 1 levels of every point, and its step k
+    # asks for (k + 1)-cubes in translations and decompose
     ({"kind": "factorize", "group": Z2, "filtration": {"type": "maximal_degree_k", "k": 10 ** 11},
       "cube": {"n": 1, "values": [0, 1]}}, "/filtration/k"),
     ({"kind": "translations", "cubespace": dict(Z2D1, filtration={"type": "maximal_degree_k",
                                                                    "k": 10 ** 6})},
-     "/cubespace/filtration/k"),
-    ({"kind": "translations", "cubespace": dict(Z2D1, filtration={"type": "maximal_degree_k",
-                                                                   "k": cli.CUBE_CAP - 1})},
      "/cubespace"),
-    # an explicit space's points were not held to the cube cap
+    ({"kind": "translations", "cubespace": dict(Z2D1, filtration={"type": "maximal_degree_k",
+                                                                   "k": cli.CUBE_CAP // 2 - 1})},
+     "/cubespace"),
+    # an explicit space's points were not held to the cube cap; within
+    # it, 200,000 points pass it in the corner scan
     ({"kind": "check", "cubespace": {"source": "explicit", "size": 200000, "step": 1,
+                                     "tables": {"1": [[0, 0]]}}}, "/cubespace"),
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": cli.CUBE_CAP + 1, "step": 1,
                                      "tables": {"1": [[0, 0]]}}}, "/cubespace/size"),
     ({"kind": "translations", "cubespace": _deep_explicit(10 ** 6)}, "/cubespace"),
     ({"kind": "decompose", "n_max": 2, "cubespace": _deep_explicit(10 ** 11)}, "/cubespace"),
     # an arrow space of order k asks its base about (n + k)-cubes
     ({"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": Z2D1, "k": 10 ** 6}},
      "/cubespace"),
+    # its 3-cubes are decided as 4-cubes of the arrow space, so as
+    # (4 + k)-cubes of D_1(Z/2), of more values than the cap
     ({"kind": "check", "n_max": 3, "cubespace": {"source": "partial", "point": 0, "base": {
-        "source": "arrow", "base": Z2D1, "k": cli.N_MAX_CAP - 3}}}, "/cubespace"),
+        "source": "arrow", "base": Z2D1, "k": cli.CUBE_CAP.bit_length() - 4}}}, "/cubespace"),
+    # the dimension guards, with no 2^n formed: a cocycle degree before
+    # any entry is read, an arrow order, n_max
+    ({"kind": "cohomology", "cubespace": Z2D1, "A": [2], "op": "is_coboundary",
+      "cocycle": {"k": 10 ** 9, "entries": [["not", "an", "entry"]]}}, "/cocycle/k"),
+    ({"kind": "check", "n_max": 2, "cubespace": {"source": "arrow", "base": Z2D1, "k": 10 ** 9}},
+     "/cubespace"),
+    ({"kind": "export", "n_max": 10 ** 9, "cubespace": Z2D1}, "/n_max"),
+    # explicit table keys: ASCII digits, naming a dimension the cap admits
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 2,
+                                     "tables": {"10000000000": [[0, 1]]}}},
+     "/cubespace/tables/10000000000"),
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 2,
+                                     "tables": {"1000000000": [[0, 1]]}}},
+     "/cubespace/tables/1000000000"),
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 2,
+                                     "tables": {"1_0": [[0, 1]]}}},
+     "/cubespace/tables/1_0"),
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 2,
+                                     "tables": {"+1": [[0, 1]]}}},
+     "/cubespace/tables/+1"),
+    ({"kind": "check", "cubespace": {"source": "explicit", "size": 2,
+                                     "tables": {"\u0661": [[0, 1]]}}},
+     "/cubespace/tables/\u0661"),
 ], ids=["factorize-n-10^6", "factorize-n-10^11", "complete-n-10^11", "count-classes-k-10^6",
         "cocycle-k-10^11", "filtration-k-10^11", "translations-filtration-k-10^6",
-        "translations-step-above-n-max-cap", "explicit-size-200000",
+        "translations-step-above-n-max-cap", "explicit-size-200000", "explicit-size-past-the-cap",
         "translations-explicit-step-10^6", "decompose-explicit-step-10^11", "arrow-k-10^6",
-        "partial-of-arrow-past-n-max-cap"])
+        "partial-of-arrow-past-n-max-cap", "cocycle-k-10^9-before-its-entries", "arrow-k-10^9",
+        "n-max-10^9", "table-key-10^10", "table-key-10^9", "table-key-1_0", "table-key-+1",
+        "table-key-arabic-indic-1"])
 def test_huge_size_step_degree_or_dimension_exits_2_at_once(spec, pointer):
     proc, seconds = _run_cli_limited(spec)
     assert proc.returncode == 2, proc.stderr
@@ -547,11 +578,13 @@ def test_huge_size_step_degree_or_dimension_exits_2_at_once(spec, pointer):
 
 
 @pytest.mark.parametrize("spec,code", [
-    # the largest n_max and arrow order whose cubes stay within N_MAX_CAP
-    ({"kind": "check", "n_max": 1, "cubespace": {"source": "arrow", "base": Z2D1,
-                                                 "k": cli.N_MAX_CAP - 1}}, 1),
+    # the largest arrow order the charge admits at n_max 1: its 16 pairs
+    # of 1-cubes are decided as 10-cubes of D_1(Z/2), by their 2-faces
+    # (45 times their 1,024 values); at k = 10 they pass the cap
+    ({"kind": "check", "n_max": 1, "cubespace": {"source": "arrow", "base": Z2D1, "k": 9}}, 1),
+    # Z/2 on CUBE_CAP / 2 filtration levels: CUBE_CAP values stored
     ({"kind": "factorize", "group": Z2, "filtration": {"type": "maximal_degree_k",
-                                                       "k": cli.CUBE_CAP - 1},
+                                                       "k": cli.CUBE_CAP // 2 - 1},
       "cube": {"n": 1, "values": [0, 1]}}, 0),
 ], ids=["arrow-at-the-cap", "filtration-levels-at-the-cap"])
 def test_dimension_and_levels_at_their_caps_are_answered(tmp_path, capsys, spec, code):
@@ -716,14 +749,17 @@ def test_n_max_below_1_is_a_spec_error(tmp_path, capsys, kind, n_max):
 
 
 @pytest.mark.parametrize("kind", sorted(N_MAX_SPECS))
-@pytest.mark.parametrize("n_max", [11, 40, 100000])
+@pytest.mark.parametrize("n_max", [11, 40, 100000, 10 ** 9])
 def test_n_max_above_the_cap_exits_2_at_once(tmp_path, capsys, kind, n_max):
+    # an n_max whose cubes hold more values than the cap is refused at
+    # /n_max, with no 2^n_max formed; n_max 11 passes that guard, and the
+    # question's charge refuses it
+    pointer = "/n_max" if n_max >= cli.CUBE_CAP.bit_length() else "/cubespace"
     start = time.perf_counter()
-    assert_spec_error(tmp_path, capsys, dict(N_MAX_SPECS[kind], n_max=n_max), "/n_max")
+    assert_spec_error(tmp_path, capsys, dict(N_MAX_SPECS[kind], n_max=n_max), pointer)
     assert run_main(tmp_path, N_MAX_SPECS[kind], "--n-max", str(n_max)) == 2
-    assert capsys.readouterr().err.startswith("spec error: /n_max:")
+    assert capsys.readouterr().err.startswith("spec error: %s:" % pointer)
     assert time.perf_counter() - start < 1.0
-    assert n_max > cli.N_MAX_CAP
 
 
 def test_extend_over_a_base_cube_that_does_not_lift_reports_the_reason(tmp_path, capsys):
@@ -878,9 +914,10 @@ def test_unbuildable_cubespace_or_dimension_is_a_spec_error(tmp_path, capsys, sp
                     "tables": {"1": [[0, 0], [0, 1], [1, 0], [1, 1]]}}}, "/k"),
     ({"kind": "extend", "cubespace": Z2D1, "A": [2],
       "cocycle": {"k": 8, "entries": EXTEND_ENTRIES}}, "/cocycle/entries/0/0"),
-    # n_max 6 means 12,838,447 morphisms {0,1}^m -> {0,1}^n to try
-    (dict(N_MAX_SPECS["check"], n_max=6), "/cubespace"),
-    (dict(N_MAX_SPECS["extend"], n_max=6), "/cubespace"),
+    # the 1,024 9-cubes of D_1(Z/2), each of 512 values mapped by 12
+    # generators, pass the cap; so do the 9-cubes of its M(rho)
+    (dict(N_MAX_SPECS["check"], n_max=9), "/cubespace"),
+    (dict(N_MAX_SPECS["extend"], n_max=9), "/cubespace"),
     # poly names its two groups and filtrations by their own fields
     (dict(_poly_spec(3, 2), domain_group={"type": "cyclic_product", "moduli": [0]}),
      "/domain_group/moduli"),
@@ -988,10 +1025,88 @@ def _fuzz_bases():
     ] + [{"kind": kind, "n_max": 2, "cubespace": EXTENSION_SPACE}
          for kind in ("check", "decompose", "export")
     ] + [{"kind": "factorize", "group": H2_MOD_CENTRE, "filtration": {"type": "lcs"},
-          "cube": {"n": 2, "values": [0, 1, 2, 3]}}]
+          "cube": {"n": 2, "values": [0, 1, 2, 3]}}
+    ] + [{"kind": "check", "cubespace": H3_SPACE},
+         {"kind": "decompose", "n_max": 2, "cubespace": dict(H3_SPACE, group={
+             "type": "heisenberg", "modulus": 5})},
+         {"kind": "translations", "cubespace": _dk(2, 4)},
+         {"kind": "export", "n_max": 3, "cubespace": _dk(2, 4)}]
 
 
 FUZZ_BASES = _fuzz_bases()
+
+
+def _explicit_d2z2(n_max):
+    """export on the explicit tables of D_2(Z/2) in dimensions 1-3."""
+    from nilcube.cubespace import abelian_Dk
+    from nilcube.groups import CyclicProduct
+
+    d2 = abelian_Dk(CyclicProduct((2,)), 2)
+    return {"kind": "export", "n_max": n_max,
+            "cubespace": {"source": "explicit", "size": 2, "step": 2,
+                          "tables": _export_tables({n: d2.cubes(n) for n in (1, 2, 3)})}}
+
+
+def _explicit_extend(n_max):
+    """The extend fuzz base, on the explicit tables of D_1(Z/2)."""
+    return dict(next(s for s in FUZZ_BASES if s["kind"] == "extend"), n_max=n_max)
+
+
+@pytest.mark.parametrize("spec,code", [
+    ({"kind": "check", "n_max": 6, "cubespace": Z2D1}, 0),
+    ({"kind": "check", "n_max": 8, "cubespace": Z2D1}, 0),
+    ({"kind": "check", "n_max": 6, "cubespace": Z2D2}, 2),
+    ({"kind": "check", "n_max": 8, "cubespace": {"source": "arrow", "base": Z2D1, "k": 1}}, 2),
+    ({"kind": "check", "n_max": 9, "cubespace": {"source": "arrow", "base": Z2D1, "k": 1}}, 2),
+    (_explicit_extend(9), 2),
+    (_explicit_extend(10), 2),
+    (_explicit_d2z2(8), 2),
+    (_explicit_d2z2(9), 2),
+    ("padded", 2),
+], ids=["check-D1(Z/2)-n_max-6", "check-D1(Z/2)-n_max-8", "check-D2(Z/2)-n_max-6",
+        "arrow-D1(Z/2)-n_max-8", "arrow-D1(Z/2)-n_max-9", "explicit-extend-n_max-9",
+        "explicit-extend-n_max-10", "explicit-D2(Z/2)-export-n_max-8",
+        "explicit-D2(Z/2)-export-n_max-9", "padded-D1(Z/2)-check-n_max-2"])
+def test_the_charge_admits_or_refuses_at_once(spec, code):
+    # one unit, the values a question stores or reads: check on D_1(Z/2)
+    # is admitted to n_max 8 (about 2,100,000), D_2(Z/2) at n_max 6 is
+    # refused by its 4,194,304 6-cubes, and a space that scans to count
+    # gets only the budget left, so its refusal comes at once
+    if spec == "padded":
+        spec = _check_of_padded_d1z2(99999)
+    start = time.perf_counter()
+    got, out, err = _call_main(json.dumps(spec))
+    seconds = time.perf_counter() - start
+    assert got == code, err
+    if code == 2:
+        assert seconds < 1.0
+        assert err.startswith("spec error: /cubespace: the question stores or reads more than")
+    else:
+        assert err == "" and json.loads(out)["axioms"]["is_nilspace"]
+
+
+def _reads(name, node, where):
+    """(enclosing function or class, line) of each read of name below
+    node, where holding node's own."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)
+                or isinstance(child, ast.Attribute) and child.attr == name
+                or isinstance(child, ast.alias) and child.name == name):
+            yield where, child.lineno
+        scope = getattr(child, "name", where) if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else where
+        yield from _reads(name, child, scope)
+
+
+def test_cube_cap_is_read_by_the_charge_helper_alone():
+    # one cap for every refusal: a limit per kind of question would read
+    # CUBE_CAP, or grow a cap of its own, outside cli._charge
+    src = Path(cli.__file__).resolve().parent
+    readers = {(path.name, where) for path in src.glob("*.py")
+               for where, _line in _reads("CUBE_CAP", ast.parse(path.read_text()), "<module>")}
+    assert readers == {("cli.py", "_charge")}
+
+
 def test_count_classes_just_under_the_point_cap_is_answered_at_once():
     # the coboundary matrix has a column per point: its Smith diagonal is
     # taken from the transpose, whose column transform is rows x rows
@@ -1025,13 +1140,14 @@ def _decompose_of_padded_d1z2(size):
 
 @pytest.mark.parametrize("size", [2000, 99999])
 def test_decompose_with_too_many_point_pairs_exits_2_at_once(size):
-    # the level relations of X_0 and X_1 read a one-flip map per pair of
-    # points: 2 C(2000, 2) = 3,998,000 are more than the cube cap
+    # the level relation of X_0 reads a one-flip 1-cube per pair of
+    # points: C(2000, 2) of 2 values each, 3,998,000, with the 2,000
+    # points and the 8 values of the four 1-cubes pass the cap
     proc, seconds = _run_cli_limited(_decompose_of_padded_d1z2(size))
     assert proc.returncode == 2, proc.stderr
     assert seconds < 1.0
-    assert proc.stderr.startswith("spec error: /cubespace: the level relations read "
-                                  "%d one-flip maps" % (size * (size - 1)))
+    assert proc.stderr == ("spec error: /cubespace: the question stores or reads more than "
+                           "the decomposition cap of %d values by dimension 1\n" % cli.CUBE_CAP)
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
@@ -1052,9 +1168,9 @@ POINT_CAP_SLOW = ()
 
 
 def _sizes_just_under_the_point_cap(obj):
-    """A copy of obj with every "size" leaf set to 99,999."""
+    """A copy of obj with every "size" leaf set to cli.CUBE_CAP - 1."""
     if isinstance(obj, dict):
-        return {key: 99999 if key == "size" else _sizes_just_under_the_point_cap(value)
+        return {key: cli.CUBE_CAP - 1 if key == "size" else _sizes_just_under_the_point_cap(value)
                 for key, value in obj.items()}
     if isinstance(obj, list):
         return [_sizes_just_under_the_point_cap(value) for value in obj]
@@ -1086,23 +1202,24 @@ def _check_of_padded_d1z2(size):
     return dict(spec, n_max=2)
 
 
-@pytest.mark.parametrize("size", [317, 99999])
+@pytest.mark.parametrize("size", [2000, 99999])
 def test_check_past_the_corner_scan_cap_exits_2_at_once(size):
     # the 2-corner scan tries every point after every point at its second
-    # vertex, which no cube set counts: the tables hold only 2 points
+    # vertex, which no cube set counts (the tables hold only 2 points):
+    # 2000^2 = 4,000,000 reads pass the cap
     proc, seconds = _run_cli_limited(_check_of_padded_d1z2(size))
     assert proc.returncode == 2, proc.stderr
     assert seconds < 1.0
-    assert proc.stderr.startswith("spec error: /cubespace: the 2-corner scan reads %d maps "
-                                  "at its second vertex, above the check cap" % size ** 2)
+    assert proc.stderr == ("spec error: /cubespace: the question stores or reads more than "
+                           "the check cap of %d values by dimension 2\n" % cli.CUBE_CAP)
 
 
 def test_check_under_the_corner_scan_cap_answers():
-    # 316^2 = 99,856 maps: the padded points lie on no 1-cube
-    proc, _ = _run_cli_limited(_check_of_padded_d1z2(316))
+    # about 1,000^2 reads: the padded points lie on no 1-cube
+    proc, _ = _run_cli_limited(_check_of_padded_d1z2(1000))
     assert proc.returncode == 1, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["size"] == 316 and out["axioms"]["ergodic_ok"] is False
+    assert out["size"] == 1000 and out["axioms"]["ergodic_ok"] is False
 
 
 FUZZ_VALUES = ["x", "", 1.5, -0.0, True, False, None, [], [0], -2, -1, 0, 2, 3, 4, 8,

@@ -323,6 +323,8 @@ def test_scan_yields_the_face_pruned_maps_in_order(make, n_max):
     (0, {1: [(0, 0)]}, "empty"),
     (2, {0: [(0,)], 1: [(0, 0)]}, "dimension 0 holds 1 of the 2 points"),
     (2, {0: [], 1: [(0, 0)]}, "dimension 0 holds 0 of the 2 points"),
+    # bit lengths are compared first: 2^(10^10) is never formed
+    (2, {10 ** 10: [(0, 1)]}, r"needs 2\^10000000000 values"),
 ])
 def test_explicit_space_rejects_malformed_tables(size, tables, why):
     with pytest.raises(ValueError, match=why):
